@@ -2,7 +2,9 @@
 
 A tape-based autodiff core (numerics) drives toy two-branch encoders
 (encoders) trained with a symmetric contrastive objective over global
-cosine and local attention-alignment similarities (crossmodal, trainer).
+cosine and local attention-alignment similarities (crossmodal, trainer);
+one batched scorer, crossmodal.pairwise_scores, serves training, zero-shot
+scoring and retrieval.
 Downstream heads score pathologies zero-shot from prompts or with a linear
 probe (classify); datapipe covers rule-based report labeling, manifests,
 splits, and a synthetic paired corpus; metrics provides exact-tie AUC and
@@ -22,16 +24,10 @@ from .classify import (
     zero_shot_scores,
 )
 from .crossmodal import (
-    AttentionMap,
     LossBreakdown,
     LossConfig,
-    SimilarityMatrix,
-    attention_contexts,
     contrastive_loss_batch,
-    global_similarity,
-    local_alignment_score,
     pairwise_scores,
-    similarity_matrix,
     total_loss,
 )
 from .datapipe import (

@@ -15,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossmodal import (
-    attention_contexts,
-    global_similarity,
-    local_alignment_score,
-    similarity_matrix,
-)
+from .crossmodal import pairwise_scores
 from .datapipe import PATHOLOGIES, labels_to_matrix
 from .encoders import LocalGlobalFeatures, encode_image_toy, encode_text_toy
 from .errors import ShapeError
@@ -213,29 +208,20 @@ def zero_shot_scores(feats: list[LocalGlobalFeatures], prompts: PromptSet,
                      local_weight: float = 0.5) -> np.ndarray:
     """[M x 5] class scores from trained-encoder prompt similarities.
 
-    For each image and prompt: global_weight * cosine of globals plus
-    local_weight * attention alignment of prompt words against the image
-    regions; a class scores the mean over its prompts. Defaults give the
-    equal global/local mix.
+    All prompts are scored in one ``pairwise_scores`` call. For each image and
+    prompt: global_weight * cosine of globals plus local_weight * attention
+    alignment of prompt words against the image regions; a class scores the
+    mean over its prompts. Defaults give the equal global/local mix.
     """
-    loss_cfg = ckpt.config.loss
-    encoded = {
-        name: [encode_text_toy(encode_report(p, ckpt.vocab, ckpt.config), ckpt.params)
-               for p in prompts.prompts[name]]
-        for name in PATHOLOGIES
-    }
-    scores = np.zeros((len(feats), len(PATHOLOGIES)))
-    for i, img in enumerate(feats):
-        for k, name in enumerate(PATHOLOGIES):
-            vals = []
-            for txt in encoded[name]:
-                g = global_similarity(img.global_feat, txt.global_feat).item()
-                sim = similarity_matrix(txt.local, img.local)
-                att = attention_contexts(sim, img.local, loss_cfg.lambda1)
-                l = local_alignment_score(att, txt.local, loss_cfg.lambda2).item()
-                vals.append(global_weight * g + local_weight * l)
-            scores[i, k] = float(np.mean(vals))
-    return scores
+    texts = [encode_text_toy(encode_report(p, ckpt.vocab, ckpt.config), ckpt.params)
+             for name in PATHOLOGIES for p in prompts.prompts[name]]
+    if not feats:
+        return np.zeros((0, len(PATHOLOGIES)))
+    g, l = pairwise_scores(feats, texts, ckpt.config.loss)
+    mixed = global_weight * g.numpy() + local_weight * l.numpy()
+    bounds = np.cumsum([0] + [len(prompts.prompts[name]) for name in PATHOLOGIES])
+    return np.stack([mixed[:, a:b].mean(axis=1) for a, b in zip(bounds, bounds[1:])],
+                    axis=1)
 
 
 def classify_argmax(scores) -> np.ndarray:

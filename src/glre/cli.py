@@ -41,8 +41,8 @@ from .datapipe import (
     build_single_disease_subset,
     default_lexicon,
     filter_with_report,
+    label_matrix,
     label_report,
-    labels_to_matrix,
     make_splits,
     manifest_hash,
     read_manifest,
@@ -216,24 +216,20 @@ def _read_scores(path):
     return ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(PATHOLOGIES))
 
 
-def _labeled_matrix(records, uncertain_policy: str):
-    for rec in records:
-        if rec.labels is None:
-            raise ValueError(f"record {rec.study_id!r} carries no labels")
-    return labels_to_matrix([r.labels for r in records],
-                            uncertain_policy=uncertain_policy)
-
-
-def _evaluate_scores(ids, scores, label_records, uncertain_policy: str):
-    """Per-pathology AUC of scored studies against a labeled manifest."""
+def _scored_label_matrix(ids, label_records, uncertain_policy: str):
+    """Targets and validity mask for scored studies, in score-file order."""
     by_id = {r.study_id: r for r in label_records}
     missing = [sid for sid in ids if sid not in by_id]
     if missing:
         raise ConsistencyError(
             f"{len(missing)} scored studies absent from the label manifest, "
             f"first {missing[0]!r}")
-    recs = [by_id[sid] for sid in ids]
-    y, mask = _labeled_matrix(recs, uncertain_policy)
+    return label_matrix([by_id[sid] for sid in ids], uncertain_policy=uncertain_policy)
+
+
+def _evaluate_scores(ids, scores, label_records, uncertain_policy: str):
+    """Per-pathology AUC of scored studies against a labeled manifest."""
+    y, mask = _scored_label_matrix(ids, label_records, uncertain_policy)
     per: dict[str, float | None] = {}
     defined: list[float] = []
     for k, name in enumerate(PATHOLOGIES):
@@ -390,9 +386,7 @@ def _cmd_probe(args, config, out_dir: Path) -> RunReport:
     if policy is not None:
         pdict["uncertain_policy"] = policy
     pcfg = ProbeConfig(**pdict)
-    for rec in records:
-        if rec.labels is None:
-            raise ValueError(f"record {rec.study_id!r} carries no labels")
+    label_matrix(records)  # every record must be labeled; fails before encoding
     feats = image_features(records, ckpt)
     model = fit_linear_probe(global_feature_matrix(feats),
                              [r.labels for r in records], pcfg)
@@ -481,14 +475,7 @@ def _cmd_export_roc(args, config, out_dir: Path) -> RunReport:
     policy = _opt(args, config, "uncertain_policy", "exclude")
     ids, scores = _read_scores(scores_path)
     label_records = read_manifest(labels_path)
-    by_id = {r.study_id: r for r in label_records}
-    missing = [sid for sid in ids if sid not in by_id]
-    if missing:
-        raise ConsistencyError(
-            f"{len(missing)} scored studies absent from the label manifest, "
-            f"first {missing[0]!r}")
-    recs = [by_id[sid] for sid in ids]
-    y, mask = _labeled_matrix(recs, policy)
+    y, mask = _scored_label_matrix(ids, label_records, policy)
     outputs = []
     for k, name in enumerate(PATHOLOGIES):
         keep = mask[:, k]

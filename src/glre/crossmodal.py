@@ -1,23 +1,25 @@
-"""Word-to-region attention, local alignment, and contrastive losses.
+"""Global+local pairwise scores and the contrastive losses built on them.
 
-The cross-modal score of one image/text pair has a global part (cosine of
-the two global vectors) and a local part: each word attends over image
-regions via a sharpened softmax of the word x region similarity matrix, and
-the per-word agreements are folded with a smooth maximum. Batch losses are
-symmetric InfoNCE terms over the pairwise score matrices in both pairing
-directions, built entirely from taped operations so gradients flow back to
-the encoders.
+The cross-modal score of an image/text pair has a global part (cosine of the
+two global vectors) and a local part: each word attends over the image
+regions via a sharpened softmax of the word x region similarities, and the
+per-word cosines between words and their attention contexts are folded with
+a smooth maximum. ``pairwise_scores`` computes both parts for every pair of a
+batch as two taped ops with hand-written adjoints; training, zero-shot
+scoring and retrieval all call it. Batch losses are symmetric InfoNCE terms
+over the two score matrices in both pairing directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from . import numerics as nm
-from .numerics import Tensor
+from .numerics import _NORM_FLOOR, Tensor
 
 
 @dataclass
@@ -41,28 +43,6 @@ class LossConfig:
 
 
 @dataclass
-class SimilarityMatrix:
-    """Word x region cosine matrix; entries must stay within [-1, 1]."""
-
-    values: Tensor
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ShapeError(f"similarity matrix must be 2-D, got {self.values.shape}")
-        if self.values.size and np.abs(self.values.data).max() > 1.0 + 1e-9:
-            raise ValueError("similarity entries exceed [-1, 1]; rows must be unit-norm")
-
-
-@dataclass
-class AttentionMap:
-    """Per-word attention weights over regions plus the context vectors."""
-
-    weights: Tensor
-    contexts: Tensor
-    lambda1: float
-
-
-@dataclass
 class LossBreakdown:
     """The four directional contrastive terms and their weighted sum."""
 
@@ -81,53 +61,6 @@ class LossBreakdown:
             "local_t2i": self.local_t2i.item(),
             "total": self.total.item(),
         }
-
-
-def similarity_matrix(words: Tensor, regions: Tensor) -> SimilarityMatrix:
-    """Dot products of unit-norm word rows against unit-norm region rows."""
-    if words.ndim != 2 or regions.ndim != 2:
-        raise ShapeError(
-            f"similarity needs 2-D inputs, got {words.shape} and {regions.shape}"
-        )
-    if words.shape[1] != regions.shape[1]:
-        raise ShapeError(
-            f"feature dims differ: words {words.shape} vs regions {regions.shape}"
-        )
-    return SimilarityMatrix(values=nm.matmul(words, nm.transpose(regions)))
-
-
-def attention_contexts(sim: SimilarityMatrix, regions: Tensor, lambda1: float) -> AttentionMap:
-    """Sharpened per-word softmax over regions and the resulting contexts."""
-    if lambda1 <= 0:
-        raise ParameterError(f"attention sharpening must be positive, got {lambda1}")
-    if regions.ndim != 2 or sim.values.shape[1] != regions.shape[0]:
-        raise ShapeError(
-            f"similarity {sim.values.shape} does not match regions {regions.shape}"
-        )
-    weights = nm.softmax_rows(sim.values, lambda1)
-    contexts = nm.matmul(weights, regions)
-    return AttentionMap(weights=weights, contexts=contexts, lambda1=float(lambda1))
-
-
-def local_alignment_score(att: AttentionMap, words: Tensor, lambda2: float) -> Tensor:
-    """Smooth maximum of per-word cosine(context, word) agreements.
-
-    Z = (1/lambda2) * log sum_t exp(lambda2 * cos_t); degenerate contexts
-    (norm below 1e-12) contribute cosine 0 through the rowwise_cosine guard.
-    """
-    if lambda2 <= 0:
-        raise ParameterError(f"aggregation sharpening must be positive, got {lambda2}")
-    cosines = nm.rowwise_cosine(att.contexts, words)
-    return nm.scale(nm.logsumexp_rows(nm.scale(cosines, lambda2)), 1.0 / lambda2)
-
-
-def global_similarity(g_img: Tensor, g_txt: Tensor) -> Tensor:
-    """Dot product of the two global vectors (cosine, both unit-norm)."""
-    if g_img.shape != g_txt.shape or g_img.ndim != 1:
-        raise ShapeError(
-            f"global vectors must be matching 1-D, got {g_img.shape} and {g_txt.shape}"
-        )
-    return nm.tensor_sum(nm.mul(g_img, g_txt))
 
 
 def contrastive_loss_batch(pairwise: Tensor, tau: float, direction: str = "i2t") -> Tensor:
@@ -153,27 +86,117 @@ def contrastive_loss_batch(pairwise: Tensor, tau: float, direction: str = "i2t")
     return nm.tensor_mean(nm.add(lse, nm.scale(diag, -1.0)))
 
 
-def pairwise_scores(image_feats, text_feats, config: LossConfig):
-    """Global and local B x B score matrices for a batch of feature pairs.
+class Attention(NamedTuple):
+    """One image's word-to-region attention against a padded text batch.
 
-    Entry [i, j] scores image i against text j. Local scores recompute
-    attention per pair, since attention is defined by the pairing.
+    Shapes: B texts, T padded words, R regions, D features. Norms read 1
+    where a cosine is guarded, so dividing by them is always safe.
     """
-    b = len(image_feats)
-    if len(text_feats) != b:
-        raise ShapeError(f"batch sizes differ: {b} images vs {len(text_feats)} texts")
-    if b == 0:
-        raise ShapeError("empty batch")
-    global_entries = []
-    local_entries = []
-    for img in image_feats:
-        for txt in text_feats:
-            global_entries.append(global_similarity(img.global_feat, txt.global_feat))
-            sim = similarity_matrix(txt.local, img.local)
-            att = attention_contexts(sim, img.local, config.lambda1)
-            local_entries.append(local_alignment_score(att, txt.local, config.lambda2))
-    global_matrix = nm.stack_scalars(global_entries, shape=(b, b))
-    local_matrix = nm.stack_scalars(local_entries, shape=(b, b))
+
+    weights: np.ndarray        # (B, T, R) sharpened softmax over regions
+    contexts: np.ndarray       # (B, T, D) attention-weighted regions
+    context_norms: np.ndarray  # (B, T)
+    word_norms: np.ndarray     # (B, T)
+    cosines: np.ndarray        # (B, T) cosine(context, word), 0 where guarded
+    cosine_grads: np.ndarray   # (B, T) d score / d cosine, 0 where guarded or padded
+    scores: np.ndarray         # (B,) local alignment score per text
+
+
+def attend(regions: np.ndarray, words: np.ndarray, mask: np.ndarray,
+           lambda1: float, lambda2: float) -> Attention:
+    """Local alignment of one image's regions against every text at once.
+
+    Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t)) over the words
+    that `mask` keeps, with contexts c_t = softmax_r(lambda1 * w_t . v_r) @ V.
+    A context or word whose norm is below 1e-12 gets cosine 0 and no
+    gradient, the same guard as ``rowwise_cosine``.
+    """
+    b, t, d = words.shape
+    sims = (words.reshape(b * t, d) @ regions.T).reshape(b, t, -1)
+    z = lambda1 * sims
+    e = np.exp(z - z.max(axis=2, keepdims=True))
+    weights = e / e.sum(axis=2, keepdims=True)
+    contexts = (weights.reshape(b * t, -1) @ regions).reshape(b, t, d)
+    cn = np.sqrt((contexts * contexts).sum(axis=2))
+    wn = np.sqrt((words * words).sum(axis=2))
+    ok = (cn > _NORM_FLOOR) & (wn > _NORM_FLOOR)
+    cn, wn = np.where(ok, cn, 1.0), np.where(ok, wn, 1.0)
+    cosines = np.where(ok, (contexts * words).sum(axis=2) / (cn * wn), 0.0)
+    x = np.where(mask, lambda2 * cosines, -np.inf)
+    m = x.max(axis=1, keepdims=True)
+    ex = np.exp(x - m)
+    total = ex.sum(axis=1, keepdims=True)
+    scores = (m[:, 0] + np.log(total[:, 0])) * (1.0 / lambda2)
+    return Attention(weights, contexts, cn, wn, cosines, ex / total * ok, scores)
+
+
+def _attend_adjoint(att: Attention, regions: np.ndarray, words: np.ndarray,
+                    lambda1: float, g: np.ndarray):
+    """Gradients of sum_j g[j] * scores[j] w.r.t. regions (R, D) and words (B, T, D)."""
+    b, t, d = words.shape
+    r = regions.shape[0]
+    g_cos = (g[:, None] * att.cosine_grads)[..., None]
+    cn, wn = att.context_norms[..., None], att.word_norms[..., None]
+    cos = att.cosines[..., None]
+    g_ctx = (g_cos / cn * (words / wn - cos * att.contexts / cn)).reshape(b * t, d)
+    g_words = g_cos / wn * (att.contexts / cn - cos * words / wn)
+    w_flat = att.weights.reshape(b * t, r)
+    g_w = g_ctx @ regions.T
+    g_sims = lambda1 * w_flat * (g_w - (g_w * w_flat).sum(axis=1, keepdims=True))
+    g_regions = w_flat.T @ g_ctx + g_sims.T @ words.reshape(b * t, d)
+    return g_regions, g_words + (g_sims @ regions).reshape(b, t, d)
+
+
+def pairwise_scores(image_feats, text_feats, config: LossConfig):
+    """Global and local B_i x B_t score matrices; [i, j] scores image i vs text j.
+
+    Each matrix is one taped op with a hand-written adjoint. The global one
+    is a single matmul of the stacked global vectors. The local one pads the
+    texts to the longest and runs ``attend`` once per image across all texts;
+    its adjoint recomputes each image's slab, so no (B_i, B_t, T, D) array is
+    ever held.
+    """
+    if not image_feats or not text_feats:
+        raise ShapeError(f"empty batch: {len(image_feats)} images, {len(text_feats)} texts")
+    dim = image_feats[0].local.shape[-1]
+    for f in (*image_feats, *text_feats):
+        if (f.local.ndim != 2 or f.local.shape[0] == 0 or f.local.shape[1] != dim
+                or f.global_feat.shape != (dim,)):
+            raise ShapeError(f"{f.modality} features need non-empty (n, {dim}) local rows "
+                             f"and a ({dim},) global vector, got {f.local.shape} and "
+                             f"{f.global_feat.shape}")
+
+    img_g = tuple(f.global_feat for f in image_feats)
+    txt_g = tuple(f.global_feat for f in text_feats)
+    gi = np.stack([t.data for t in img_g])
+    gt = np.stack([t.data for t in txt_g])
+
+    def global_bw(g):
+        return (*(g @ gt), *(g.T @ gi))
+
+    global_matrix = nm._emit(gi @ gt.T, img_g + txt_g, global_bw)
+
+    img_l = tuple(f.local for f in image_feats)
+    txt_l = tuple(f.local for f in text_feats)
+    lengths = [t.shape[0] for t in txt_l]
+    words = np.zeros((len(txt_l), max(lengths), dim))
+    for j, t in enumerate(txt_l):
+        words[j, : lengths[j]] = t.data
+    mask = np.arange(words.shape[1]) < np.array(lengths)[:, None]
+    lam1, lam2 = config.lambda1, config.lambda2
+    local = np.stack([attend(v.data, words, mask, lam1, lam2).scores for v in img_l])
+
+    def local_bw(g):
+        g_regions = []
+        g_words = np.zeros_like(words)
+        for v, g_row in zip(img_l, g):
+            att = attend(v.data, words, mask, lam1, lam2)
+            gv, gw = _attend_adjoint(att, v.data, words, lam1, g_row)
+            g_regions.append(gv)
+            g_words += gw
+        return (*g_regions, *(g_words[j, :n] for j, n in enumerate(lengths)))
+
+    local_matrix = nm._emit(local, img_l + txt_l, local_bw)
     return global_matrix, local_matrix
 
 

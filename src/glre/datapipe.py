@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import ImageGrid
-from .errors import SplitSizeError, VocabularyError
+from .errors import FormatError, SplitSizeError, VocabularyError
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
 
@@ -342,11 +342,15 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[StudyRecord]:
+    """Parse a JSONL manifest; every line needs `study_id` and `view`."""
     records = []
-    for line in Path(path).read_text().splitlines():
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         row = json.loads(line)
+        if not isinstance(row, dict) or not {"study_id", "view"} <= row.keys():
+            raise FormatError(
+                f"manifest {path} line {n}: expected a JSON object with 'study_id' and 'view'")
         records.append(StudyRecord(
             study_id=row["study_id"],
             view=row["view"],
@@ -515,7 +519,7 @@ _DISTRACTORS = (
 )
 
 
-def synth_lexicon(n_classes: int = 5) -> Lexicon:
+def synth_lexicon() -> Lexicon:
     """Minimal lexicon matching the synthetic report templates."""
     base = default_lexicon()
     mentions = {name: [name] for name in PATHOLOGIES}

@@ -165,17 +165,18 @@ class EncoderParams:
 
 
 def adaptive_mean_pool(block: np.ndarray, out: int) -> np.ndarray:
-    """Average-pool a 2-D block to out x out cells with near-equal spans."""
+    """Average-pool a 2-D block to out x out cells with near-equal spans.
+
+    Cell (i, j) covers rows [i*h//out, (i+1)*h//out) and the matching
+    columns; each span is non-empty because h, w >= out.
+    """
     h, w = block.shape
     if h < out or w < out:
         raise ShapeError(f"cannot pool {h}x{w} block to {out}x{out}")
-    pooled = np.empty((out, out))
-    for i in range(out):
-        r0, r1 = i * h // out, (i + 1) * h // out
-        for j in range(out):
-            c0, c1 = j * w // out, (j + 1) * w // out
-            pooled[i, j] = block[r0:r1, c0:c1].mean()
-    return pooled
+    rows = np.arange(out + 1) * h // out
+    cols = np.arange(out + 1) * w // out
+    sums = np.add.reduceat(np.add.reduceat(block, rows[:-1], axis=0), cols[:-1], axis=1)
+    return sums / np.outer(np.diff(rows), np.diff(cols))
 
 
 def image_patch_matrix(img: ImageGrid, patch_pool: int) -> np.ndarray:

@@ -2,22 +2,25 @@
 
 The operation set is deliberately small: matmul, transpose, row softmax, row
 normalization, log-sum-exp, elementwise add/mul/scale, row gather, sum/mean
-reductions, and row-wise cosine similarity, plus two gradient-transparent
-structural ops (reshape, stack_scalars) used to assemble batched quantities.
-Everything downstream (attention, contrastive losses, encoders) is composed
-from these.
+reductions, row-wise cosine similarity, and a gradient-transparent reshape.
+Encoders and contrastive losses are composed from these. The one fused op
+outside this module, ``crossmodal.pairwise_scores``, records its batched
+global and local score matrices through ``_emit`` with its own adjoints.
 
 Recording model: ops record onto the innermost active ``GradTape`` whenever
 any input requires gradients. A tape replays its records in exact reverse
 execution order; gradients accumulate additively when a tensor feeds several
 operations. Tensors that never touch a tape are immutable after construction
 (their data buffers are marked read-only) and safe to share across threads;
-a tape and the tensors attached to it belong to a single thread.
+a tape and the tensors attached to it belong to a single thread. Each thread
+has its own stack of active tapes, so tapes in different threads never see
+each other's operations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import threading
+from typing import Callable
 
 import numpy as np
 
@@ -80,41 +83,12 @@ class Tensor:
         """Read-only view of the underlying buffer."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data, False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Small amount of operator sugar; everything routes through the op set.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, c):
-        return scale(self, 1.0 / float(c))
 
 
 def _as_tensor(x) -> Tensor:
@@ -130,10 +104,6 @@ def constant(data) -> Tensor:
 
 def identity(n: int) -> Tensor:
     return Tensor._wrap(np.eye(n), False)
-
-
-def zeros(shape) -> Tensor:
-    return Tensor._wrap(np.zeros(shape), False)
 
 
 # --------------------------------------------------------------------------
@@ -153,11 +123,11 @@ class GradTape:
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _TAPE_STACK.pop()
+        _TAPE_STACK.tapes.pop()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -209,11 +179,19 @@ class GradTape:
             t.grad = piece if t.grad is None else t.grad + piece
 
 
-_TAPE_STACK: list[GradTape] = []
+class _TapeStack(threading.local):
+    """Active tapes of the current thread, innermost last."""
+
+    def __init__(self):
+        self.tapes: list[GradTape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 def _active_tape() -> GradTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def backward(loss: Tensor, tape: GradTape) -> None:
@@ -484,22 +462,3 @@ def reshape(x: Tensor, shape) -> Tensor:
     old = x.shape
     return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
-
-def stack_scalars(scalars: Sequence[Tensor], shape=None) -> Tensor:
-    """Assemble scalar tensors into one tensor of the given shape (row-major)."""
-    parts = [_as_tensor(s) for s in scalars]
-    for s in parts:
-        if s.ndim != 0:
-            raise ShapeError(f"stack_scalars takes scalars, got shape {s.shape}")
-    if shape is None:
-        shape = (len(parts),)
-    shape = tuple(int(d) for d in shape)
-    if int(np.prod(shape, dtype=np.int64)) != len(parts):
-        raise ShapeError(f"{len(parts)} scalars do not fill shape {shape}")
-    out = np.array([s.item() for s in parts]).reshape(shape)
-
-    def bw(g):
-        flat = g.reshape(-1)
-        return tuple(np.asarray(flat[i]) for i in range(len(parts)))
-
-    return _emit(out, tuple(parts), bw)

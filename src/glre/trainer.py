@@ -248,6 +248,8 @@ def train(records, config: TrainConfig, log_path=None,
 
 _MAGIC = b"GLCK1"
 _VERSION = 1
+_HEADER_KEYS = ("step", "adam_t", "config", "config_hash", "vocab", "rng_state",
+                "order", "pointer", "arrays")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -322,6 +324,19 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable checkpoint header: {exc}", offset=pos) from exc
+    missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise FormatError(f"checkpoint header lacks {', '.join(missing)}", offset=pos)
+    if not isinstance(header["arrays"], list) or any(
+            not isinstance(m, dict) or not {"name", "shape"} <= m.keys()
+            for m in header["arrays"]):
+        raise FormatError("checkpoint 'arrays' must list entries with 'name' and 'shape'",
+                          offset=pos)
+    try:
+        config = TrainConfig.from_dict(header["config"])
+        rng_state = _decode_rng_state(header["rng_state"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"malformed checkpoint header: {exc!r}", offset=pos) from exc
     pos += header_len
 
     buffers: dict[str, np.ndarray] = {}
@@ -339,7 +354,10 @@ def load_checkpoint(path) -> Checkpoint:
         ).reshape(shape).copy()
         pos += nbytes
 
-    config = TrainConfig.from_dict(header["config"])
+    absent = [f"{kind}/{name}" for kind in ("param", "adam_m", "adam_v")
+              for name in PARAM_NAMES if f"{kind}/{name}" not in buffers]
+    if absent:
+        raise FormatError(f"checkpoint lacks array {absent[0]!r}", offset=pos)
     kwargs = {}
     for name in PARAM_NAMES:
         kwargs[name] = Tensor(buffers[f"param/{name}"], requires_grad=True)
@@ -357,7 +375,7 @@ def load_checkpoint(path) -> Checkpoint:
         config=config,
         config_hash=header["config_hash"],
         vocab=Vocabulary(tuple(header["vocab"])),
-        rng_state=_decode_rng_state(header["rng_state"]),
+        rng_state=rng_state,
         order=[int(i) for i in header["order"]],
         pointer=header["pointer"],
     )

@@ -18,8 +18,7 @@ from glre.cli import main as cli_main
 from glre.cli import runreport_fingerprint
 from glre.crossmodal import (
     LossConfig,
-    SimilarityMatrix,
-    attention_contexts,
+    attend,
     contrastive_loss_batch,
     pairwise_scores,
     total_loss,
@@ -34,6 +33,7 @@ from glre.datapipe import (
 )
 from glre.encoders import (
     EncoderParams,
+    LocalGlobalFeatures,
     TokenSequence,
     encode_image_patches,
     encode_text_toy,
@@ -73,8 +73,6 @@ def _op_battery(rng) -> float:
     rowvec = _leaf(rng.normal(size=(D,)))
     scal = _leaf(np.array(rng.normal()))
     v = _leaf(rng.normal(size=(T,)))
-    a2 = _leaf(rng.normal(size=(2, D)))
-    b2 = _leaf(rng.normal(size=(2, D)))
     ids = [int(i) for i in rng.integers(0, T, size=6)]  # repeats accumulate
 
     def ws(t, w):
@@ -86,16 +84,23 @@ def _op_battery(rng) -> float:
     w_t = rng.normal(size=(T,))
     w_d = rng.normal(size=(D,))
     w_gd = rng.normal(size=(6, D))
-    w_22 = rng.normal(size=(2, 2))
 
-    def stacked():
-        scalars = []
-        for i in range(2):
-            for j in range(2):
-                ri = nm.row_gather(a2, [i])
-                rj = nm.row_gather(b2, [j])
-                scalars.append(nm.tensor_sum(nm.mul(ri, rj)))
-        return ws(nm.stack_scalars(scalars, shape=(2, 2)), w_22)
+    # pairwise scores: 3 images x 4 texts of ragged length (T = 1, 5, 2, 3),
+    # image 2's regions scaled below the 1e-12 norm floor (a near-zero
+    # context) and held constant, so its cosines stay guarded under FD steps
+    def feats(rows, modality, scale=1.0, leaf=True):
+        local = scale * rng.normal(size=(rows, D))
+        make = _leaf if leaf else nm.constant
+        return LocalGlobalFeatures(local=make(local), global_feat=_leaf(rng.normal(size=D)),
+                                   modality=modality)
+
+    imgs = [feats(R, "image"), feats(R, "image"), feats(R, "image", 1e-14, leaf=False)]
+    txts = [feats(n, "text") for n in (1, T, 2, 3)]
+    w_34 = rng.normal(size=(3, 4))
+    loss_cfg = LossConfig(lambda1=float(rng.uniform(1.0, 6.0)),
+                          lambda2=float(rng.uniform(1.0, 6.0)))
+    g_leaves = [f.global_feat for f in imgs + txts]
+    l_leaves = [f.local for f in imgs[:2] + txts]
 
     checks = [
         (lambda: ws(nm.matmul(x, y), w_tr), [x, y]),
@@ -118,7 +123,8 @@ def _op_battery(rng) -> float:
         (lambda: ws(nm.row_sums(x), w_t), [x]),
         (lambda: ws(nm.mean_rows(x), w_d), [x]),
         (lambda: ws(nm.rowwise_cosine(x, x2), w_t), [x, x2]),
-        (stacked, [a2, b2]),
+        (lambda: ws(pairwise_scores(imgs, txts, loss_cfg)[0], w_34), g_leaves),
+        (lambda: ws(pairwise_scores(imgs, txts, loss_cfg)[1], w_34), l_leaves),
     ]
     worst = 0.0
     for f, leaves in checks:
@@ -178,10 +184,11 @@ def test_criterion_2_loss_anchors():
     worst = 0.0
     for _ in range(1000):
         t, r = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        sim = SimilarityMatrix(values=nm.constant(rng.uniform(-1.0, 1.0, size=(t, r))))
-        att = attention_contexts(sim, nm.constant(rng.normal(size=(r, 6))),
-                                 lambda1=4.0)
-        sums = att.weights.numpy().sum(axis=1)
+        regions, words = rng.normal(size=(r, 6)), rng.normal(size=(1, t, 6))
+        regions /= np.linalg.norm(regions, axis=1, keepdims=True)
+        words /= np.linalg.norm(words, axis=2, keepdims=True)
+        att = attend(regions, words, np.ones((1, t), dtype=bool), lambda1=4.0, lambda2=5.0)
+        sums = att.weights.sum(axis=2)
         worst = max(worst, float(np.abs(sums - 1.0).max()))
     assert worst < 1e-9, f"attention row sums off by {worst:.2e}"
     print(f"criterion 2 (loss anchors): PASS, ln B within 1e-10, "

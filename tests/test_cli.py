@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line pipeline and its exit-code contract."""
 
 import json
+import os
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glre
 from glre.cli import main, runreport_fingerprint
 from glre.datapipe import (
     PATHOLOGIES,
@@ -394,9 +398,51 @@ def test_truncated_checkpoint_exits_2(pipeline, tmp_path, capsys):
                "--out-dir", tmp_path) == 2
 
 
+def test_manifest_line_without_study_id_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "in.jsonl"
+    _flat_manifest(manifest, n=2)
+    with open(manifest, "a") as fh:
+        fh.write(json.dumps({"view": "frontal", "report": "no id"}) + "\n")
+    assert run("label", "--manifest", manifest, "--out-dir", tmp_path) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def _drop_arrays(header):
+    del header["arrays"]
+
+
+def _unknown_config_key(header):
+    header["config"]["bogus"] = 1
+
+
+def _rng_without_state(header):
+    del header["rng_state"]["state"]
+
+
+@pytest.mark.parametrize("mutate", [_drop_arrays, _unknown_config_key, _rng_without_state])
+def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate):
+    blob = pipeline["checkpoint"].read_bytes()
+    start = 13  # magic (5 bytes), version and header length (4 bytes each)
+    (length,) = struct.unpack_from("<I", blob, start - 4)
+    header = json.loads(blob[start : start + length])
+    mutate(header)
+    raw = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad_header.bin"
+    bad.write_bytes(blob[: start - 4] + struct.pack("<I", len(raw)) + raw
+                    + blob[start + length :])
+    assert run("zeroshot", "--checkpoint", bad,
+               "--manifest", pipeline["data"] / "heldout.jsonl",
+               "--out-dir", tmp_path) == 2
+    assert f"offset {start}" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs():
+    # the child gets the import path pytest used, so a bare `pytest` works
+    src = str(Path(glre.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "glre.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "usage" in proc.stdout.lower()
 

@@ -1,4 +1,8 @@
-"""Attention, alignment, and contrastive-loss tests with scalar oracles."""
+"""Pairwise scores, attention, alignment, and contrastive-loss tests.
+
+The attention and alignment properties are checked on the per-pair oracle
+(pair_oracle.py); the batched kernel is checked against that oracle.
+"""
 
 import math
 
@@ -10,19 +14,22 @@ from hypothesis import strategies as st
 from glre import numerics as nm
 from glre.crossmodal import (
     LossConfig,
-    SimilarityMatrix,
-    attention_contexts,
     contrastive_loss_batch,
-    global_similarity,
-    local_alignment_score,
     pairwise_scores,
-    similarity_matrix,
     total_loss,
 )
 from glre.encoders import LocalGlobalFeatures
 from glre.errors import ParameterError, ShapeError
 
-from gradcheck import max_rel_error
+from gradcheck import analytic_grads, max_rel_error
+from pair_oracle import (
+    attention_contexts,
+    global_similarity,
+    local_alignment_score,
+    local_score,
+    pairwise_oracle,
+    similarity_matrix,
+)
 
 
 def unit_rows(rng, rows, dim):
@@ -49,21 +56,21 @@ def make_features(rng, t, r, dim, requires_grad=False):
 def test_similarity_orthonormal_identity():
     eye = nm.constant(np.eye(4))
     sim = similarity_matrix(eye, eye)
-    np.testing.assert_allclose(sim.values.numpy(), np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(sim.numpy(), np.eye(4), atol=1e-15)
 
 
 def test_similarity_entries_bounded():
     rng = np.random.default_rng(0)
     sim = similarity_matrix(nm.constant(unit_rows(rng, 6, 5)),
                             nm.constant(unit_rows(rng, 7, 5)))
-    assert np.abs(sim.values.numpy()).max() <= 1.0 + 1e-12
+    assert np.abs(sim.numpy()).max() <= 1.0 + 1e-12
 
 
 def test_similarity_matches_dot_loop():
     rng = np.random.default_rng(1)
     w = unit_rows(rng, 5, 8)
     r = unit_rows(rng, 4, 8)
-    sim = similarity_matrix(nm.constant(w), nm.constant(r)).values.numpy()
+    sim = similarity_matrix(nm.constant(w), nm.constant(r)).numpy()
     for t in range(5):
         for k in range(4):
             assert abs(sim[t, k] - float(np.dot(w[t], r[k]))) < 1e-12
@@ -109,7 +116,7 @@ def test_attention_sharp_limit_picks_argmax_region():
     sims = nm.constant(np.array([[0.9, 0.6, 0.1], [0.1, 0.2, 0.8]]))
     rng = np.random.default_rng(4)
     regions = nm.constant(unit_rows(rng, 3, 6))
-    att = attention_contexts(SimilarityMatrix(values=sims), regions, 50.0)
+    att = attention_contexts(sims, regions, 50.0)
     ctx = att.contexts.numpy()
     assert np.abs(ctx[0] - regions.numpy()[0]).max() < 1e-3
     assert np.abs(ctx[1] - regions.numpy()[2]).max() < 1e-3
@@ -376,6 +383,102 @@ def test_pairwise_scores_shapes_and_diagonal_meaning():
     assert g.shape == (3, 3) and l.shape == (3, 3)
     expected = global_similarity(imgs[1].global_feat, txts[2].global_feat).item()
     assert g.numpy()[1, 2] == pytest.approx(expected, abs=1e-15)
+
+
+def _ragged_batch(rng, lengths, n_images, r, dim, requires_grad=False):
+    """Images with r regions each and texts with the given word counts."""
+    def feats(rows, modality):
+        return LocalGlobalFeatures(
+            local=nm.Tensor(unit_rows(rng, rows, dim), requires_grad=requires_grad),
+            global_feat=nm.Tensor(unit_rows(rng, 1, dim)[0], requires_grad=requires_grad),
+            modality=modality)
+    return ([feats(r, "image") for _ in range(n_images)],
+            [feats(t, "text") for t in lengths])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=5), st.integers(1, 4),
+       st.integers(1, 6), st.integers(2, 8),
+       st.floats(0.1, 20.0), st.floats(0.1, 20.0), st.integers(0, 2 ** 31 - 1))
+def test_pairwise_scores_match_pair_oracle(lengths, n_images, r, dim, lam1, lam2, seed):
+    rng = np.random.default_rng(seed)
+    imgs, txts = _ragged_batch(rng, [1] + lengths, n_images, r, dim)
+    g, l = pairwise_scores(imgs, txts, LossConfig(lambda1=lam1, lambda2=lam2))
+    g_want, l_want = pairwise_oracle(imgs, txts, lam1, lam2)
+    assert g.shape == l.shape == (n_images, len(lengths) + 1)
+    np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+
+
+def test_pairwise_gradients_match_pair_oracle():
+    rng = np.random.default_rng(21)
+    imgs, txts = _ragged_batch(rng, [1, 4, 2, 6], 3, 5, 8, requires_grad=True)
+    cfg = LossConfig(lambda1=3.0, lambda2=6.0)
+    wg, wl = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    leaves = [t for f in imgs + txts for t in (f.local, f.global_feat)]
+
+    def kernel():
+        g, l = pairwise_scores(imgs, txts, cfg)
+        return nm.add(nm.tensor_sum(nm.mul(g, nm.constant(wg))),
+                      nm.tensor_sum(nm.mul(l, nm.constant(wl))))
+
+    def oracle():
+        total = nm.constant(0.0)
+        for i, img in enumerate(imgs):
+            for j, txt in enumerate(txts):
+                total = nm.add(total, nm.scale(
+                    global_similarity(img.global_feat, txt.global_feat), wg[i, j]))
+                total = nm.add(total, nm.scale(
+                    local_score(img, txt, cfg.lambda1, cfg.lambda2), wl[i, j]))
+        return total
+
+    for got, want in zip(analytic_grads(kernel, leaves), analytic_grads(oracle, leaves)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pairwise_scores_record_two_tape_ops():
+    rng = np.random.default_rng(22)
+    for n_images, lengths in ((1, [3]), (4, [2, 5, 1]), (16, [7] * 16)):
+        imgs, txts = _ragged_batch(rng, lengths, n_images, 4, 8, requires_grad=True)
+        with nm.GradTape() as tape:
+            pairwise_scores(imgs, txts, LossConfig())
+        assert len(tape) == 2
+
+
+def test_pairwise_near_zero_context_has_zero_cosine_and_gradient():
+    # regions of norm 1e-14 give contexts below the 1e-12 floor, so every
+    # per-word cosine is 0 and the score is the log-sum-exp of zeros
+    rng = np.random.default_rng(23)
+    imgs, txts = _ragged_batch(rng, [3], 1, 4, 6, requires_grad=True)
+    tiny = nm.Tensor(1e-14 * imgs[0].local.numpy(), requires_grad=True)
+    imgs[0] = LocalGlobalFeatures(local=tiny, global_feat=imgs[0].global_feat,
+                                  modality="image")
+    cfg = LossConfig(lambda2=5.0)
+    words = txts[0].local
+    with nm.GradTape() as tape:
+        _, l = pairwise_scores(imgs, txts, cfg)
+        loss = nm.tensor_sum(l)
+    nm.backward(loss, tape)
+    assert l.numpy()[0, 0] == pytest.approx(math.log(3) / 5.0, abs=1e-15)
+    np.testing.assert_array_equal(words.grad, np.zeros(words.shape))
+    np.testing.assert_array_equal(tiny.grad, np.zeros(tiny.shape))
+
+
+def test_pairwise_scores_rejects_bad_shapes():
+    rng = np.random.default_rng(24)
+    imgs, txts = _ragged_batch(rng, [2, 3], 2, 3, 8)
+    _, other = _ragged_batch(rng, [2], 1, 3, 6)
+    cfg = LossConfig()
+    with pytest.raises(ShapeError):
+        pairwise_scores(imgs, other, cfg)
+    with pytest.raises(ShapeError):
+        pairwise_scores([], txts, cfg)
+    with pytest.raises(ShapeError):
+        pairwise_scores(imgs, [], cfg)
+    flat = LocalGlobalFeatures(local=nm.constant(np.zeros((0, 8))),
+                               global_feat=txts[0].global_feat, modality="text")
+    with pytest.raises(ShapeError):
+        pairwise_scores(imgs, [flat], cfg)
 
 
 def test_total_loss_gradients_finite_difference():

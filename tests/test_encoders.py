@@ -69,6 +69,18 @@ def test_adaptive_pool_uneven_spans():
     assert out[1, 0] == pytest.approx(np.mean([2, 3, 4]) / 4)
 
 
+def test_adaptive_pool_matches_slice_mean_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        h, w = (int(v) for v in rng.integers(1, 20, size=2))
+        out = int(rng.integers(1, min(h, w) + 1))
+        block = rng.uniform(size=(h, w))
+        want = np.array([[block[i * h // out:(i + 1) * h // out,
+                                j * w // out:(j + 1) * w // out].mean()
+                          for j in range(out)] for i in range(out)])
+        np.testing.assert_allclose(adaptive_mean_pool(block, out), want, rtol=0, atol=1e-14)
+
+
 def test_adaptive_pool_too_small():
     with pytest.raises(ShapeError):
         adaptive_mean_pool(np.zeros((2, 2)), 4)

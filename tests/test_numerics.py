@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from glre.numerics import (
     rowwise_cosine,
     scale,
     softmax_rows,
-    stack_scalars,
     tensor_mean,
     tensor_sum,
     transpose,
@@ -269,7 +269,7 @@ def test_rowwise_cosine_guarded_row_has_zero_gradient():
     assert np.any(a.grad[0] != 0.0)
 
 
-def test_reshape_and_stack_scalars_round_trip_gradients():
+def test_reshape_round_trip_gradients():
     x = Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
     with GradTape() as tape:
         m = reshape(x, (2, 2))
@@ -277,12 +277,52 @@ def test_reshape_and_stack_scalars_round_trip_gradients():
     backward(loss, tape)
     np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0, 4.0])
 
-    s = [Tensor(float(v), requires_grad=True) for v in (5.0, 6.0)]
+
+def _softmax_cosine_grads(seed, between=None):
+    """Gradients of a small softmax/cosine graph recorded on a fresh tape.
+
+    `between` runs after each recorded op, so a caller can interleave
+    another thread's recording with this one.
+    """
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    step = between or (lambda: None)
     with GradTape() as tape:
-        vec = stack_scalars(s)
-        loss = tensor_sum(mul(vec, constant([10.0, 20.0])))
+        s = softmax_rows(a, 2.0)
+        step()
+        c = rowwise_cosine(s, b)
+        step()
+        loss = tensor_sum(c)
+        step()
     backward(loss, tape)
-    assert s[0].grad == 10.0 and s[1].grad == 20.0
+    return len(tape), a.grad, b.grad
+
+
+def test_tapes_in_two_threads_record_independently():
+    expected = {seed: _softmax_cosine_grads(seed) for seed in (1, 2)}
+    barrier = threading.Barrier(2)
+    results, errors = {}, []
+
+    def worker(seed):
+        try:
+            results[seed] = _softmax_cosine_grads(seed, lambda: barrier.wait(timeout=10))
+        except Exception as exc:  # surfaced in the main thread below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for seed, (n_records, ga, gb) in expected.items():
+        got = results[seed]
+        assert got[0] == n_records == 3
+        np.testing.assert_array_equal(got[1], ga)
+        np.testing.assert_array_equal(got[2], gb)
 
 
 def test_reductions_shapes_and_values():
@@ -328,7 +368,7 @@ def gradtape_ctx():
 @pytest.mark.parametrize("op_name", [
     "matmul", "transpose", "softmax", "l2norm", "logsumexp", "add", "mul",
     "scale", "gather", "sum", "mean", "row_sums", "mean_rows", "cosine",
-    "reshape", "stack",
+    "reshape",
 ])
 def test_per_op_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % (2**32))
@@ -343,7 +383,6 @@ def test_per_op_gradients_match_finite_differences(op_name):
         w44 = constant(rng.normal(size=(4, 4)))
         v3 = constant(rng.normal(size=3))
         v4 = constant(rng.normal(size=4))
-        w23 = constant(rng.normal(size=(2, 3)))
 
         if op_name == "matmul":
             f = lambda: tensor_sum(mul(matmul(a, b), w32))
@@ -387,12 +426,8 @@ def test_per_op_gradients_match_finite_differences(op_name):
         elif op_name == "cosine":
             f = lambda: tensor_sum(mul(rowwise_cosine(a, c), v3))
             inputs = [a, c]
-        elif op_name == "reshape":
+        else:  # reshape
             f = lambda: tensor_sum(mul(reshape(a, (4, 3)), w43))
             inputs = [a]
-        else:  # stack
-            parts = [Tensor(rng.normal(), requires_grad=True) for _ in range(6)]
-            f = lambda: tensor_sum(mul(stack_scalars(parts, (2, 3)), w23))
-            inputs = parts
 
         assert max_rel_error(f, inputs) < 1e-4

@@ -40,7 +40,6 @@ from .datapipe import (
     Vocabulary,
     build_single_disease_subset,
     default_lexicon,
-    filter_frontal,
     filter_with_report,
     label_matrix,
     label_report,

@@ -8,6 +8,19 @@ a smooth maximum. ``pairwise_scores`` computes both parts for every pair of a
 batch as two taped ops with hand-written adjoints; training, zero-shot
 scoring and retrieval all call it. Batch losses are symmetric InfoNCE terms
 over the two score matrices in both pairing directions.
+
+The local kernel (``align`` and its adjoint) scores a block of images
+against all padded words at once and does its elementwise work in region
+space (R regions), not feature space (D features): the similarities and
+attention weights come from matmuls, and the context . word dot is
+sum_r a_r s_r. Only the context norm needs the (images, words, D) contexts
+c = a V: one GEMM writes them and one ``einsum`` reads them. The norm is not
+taken from the region Gram as a (V V^T) a^T, because that form cancels when
+|c| is much smaller than |v| and loses the score's precision there. Blocks
+are sized so that one context slab stays within ``_BLOCK_ELEMENTS``, which
+bounds the memory of large calls such as 200 x 200 retrieval. A taped call
+keeps each block's region-sized state for the adjoint; a forward-only call
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -86,65 +99,83 @@ def contrastive_loss_batch(pairwise: Tensor, tau: float, direction: str = "i2t")
     return nm.tensor_mean(nm.add(lse, nm.scale(diag, -1.0)))
 
 
-class Attention(NamedTuple):
-    """One image's word-to-region attention against a padded text batch.
+# Block budget of the local kernel: a block of images is sized so that its
+# (images, words, features) context slab holds at most this many float64
+# elements (512 KiB), unless one image's slab alone is larger.
+_BLOCK_ELEMENTS = 1 << 16
 
-    Shapes: B texts, T padded words, R regions, D features. Norms read 1
-    where a cosine is guarded, so dividing by them is always safe.
+
+class Alignment(NamedTuple):
+    """Local alignment of a block of I images against N = B*T padded words.
+
+    Everything here is region-sized or smaller, so a taped call keeps it for
+    the adjoint. Norms read 1 where a cosine is guarded, so dividing by them
+    is always safe.
     """
 
-    weights: np.ndarray        # (B, T, R) sharpened softmax over regions
-    contexts: np.ndarray       # (B, T, D) attention-weighted regions
-    context_norms: np.ndarray  # (B, T)
-    word_norms: np.ndarray     # (B, T)
-    cosines: np.ndarray        # (B, T) cosine(context, word), 0 where guarded
-    cosine_grads: np.ndarray   # (B, T) d score / d cosine, 0 where guarded or padded
-    scores: np.ndarray         # (B,) local alignment score per text
+    sims: np.ndarray           # (N, I, R) word . region products
+    weights: np.ndarray        # (N, I, R) sharpened softmax over regions
+    context_norms: np.ndarray  # (N, I)
+    cosines: np.ndarray        # (N, I) cosine(context, word), 0 where guarded
+    word_weights: np.ndarray   # (N, I) d score / d cosine, 0 where guarded or padded
+    scores: np.ndarray         # (I, B) local alignment score per image and text
 
 
-def attend(regions: np.ndarray, words: np.ndarray, mask: np.ndarray,
-           lambda1: float, lambda2: float) -> Attention:
-    """Local alignment of one image's regions against every text at once.
+def align(regions: np.ndarray, words: np.ndarray, word_norms: np.ndarray,
+          mask: np.ndarray, lambda1: float, lambda2: float) -> Alignment:
+    """Local alignment of a block of images against every text at once.
 
-    Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t)) over the words
-    that `mask` keeps, with contexts c_t = softmax_r(lambda1 * w_t . v_r) @ V.
-    A context or word whose norm is below 1e-12 gets cosine 0 and no
-    gradient, the same guard as ``rowwise_cosine``.
+    `regions` is (I, R, D); `words` is (N, D), the rows of B texts padded to
+    T words each (N = B*T); `word_norms` is (N,); `mask` is (B, T) and keeps
+    the real words. Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t))
+    over the kept words, with contexts c_t = a_t V and attention weights
+    a_t = softmax_r(lambda1 * s_t), s_t = w_t V^T. The dot c_t . w_t is
+    sum_r a_tr s_tr; |c_t| comes from the context itself (see the module
+    docstring). A context or word whose norm is below 1e-12 gets cosine 0
+    and no gradient, the same guard as ``rowwise_cosine``.
     """
-    b, t, d = words.shape
-    sims = (words.reshape(b * t, d) @ regions.T).reshape(b, t, -1)
+    n_img, r, d = regions.shape
+    b, t = mask.shape
+    sims = (words @ regions.reshape(n_img * r, d).T).reshape(b * t, n_img, r)
     z = lambda1 * sims
     e = np.exp(z - z.max(axis=2, keepdims=True))
     weights = e / e.sum(axis=2, keepdims=True)
-    contexts = (weights.reshape(b * t, -1) @ regions).reshape(b, t, d)
-    cn = np.sqrt((contexts * contexts).sum(axis=2))
-    wn = np.sqrt((words * words).sum(axis=2))
-    ok = (cn > _NORM_FLOOR) & (wn > _NORM_FLOOR)
-    cn, wn = np.where(ok, cn, 1.0), np.where(ok, wn, 1.0)
-    cosines = np.where(ok, (contexts * words).sum(axis=2) / (cn * wn), 0.0)
-    x = np.where(mask, lambda2 * cosines, -np.inf)
+    dots = np.einsum("nir,nir->ni", weights, sims)
+    contexts = np.matmul(weights.transpose(1, 0, 2), regions)
+    cn = np.sqrt(np.einsum("ind,ind->ni", contexts, contexts))
+    ok = (cn > _NORM_FLOOR) & (word_norms > _NORM_FLOOR)[:, None]
+    cn = np.where(ok, cn, 1.0)
+    wn = np.where(ok, word_norms[:, None], 1.0)
+    cosines = np.where(ok, dots / (cn * wn), 0.0)
+    x = np.where(mask.reshape(-1, 1), lambda2 * cosines, -np.inf).reshape(b, t, n_img)
     m = x.max(axis=1, keepdims=True)
     ex = np.exp(x - m)
     total = ex.sum(axis=1, keepdims=True)
-    scores = (m[:, 0] + np.log(total[:, 0])) * (1.0 / lambda2)
-    return Attention(weights, contexts, cn, wn, cosines, ex / total * ok, scores)
+    scores = ((m[:, 0] + np.log(total[:, 0])) * (1.0 / lambda2)).T
+    word_weights = (ex / total).reshape(b * t, n_img) * ok
+    return Alignment(sims, weights, cn, cosines, word_weights, scores)
 
 
-def _attend_adjoint(att: Attention, regions: np.ndarray, words: np.ndarray,
-                    lambda1: float, g: np.ndarray):
-    """Gradients of sum_j g[j] * scores[j] w.r.t. regions (R, D) and words (B, T, D)."""
-    b, t, d = words.shape
-    r = regions.shape[0]
-    g_cos = (g[:, None] * att.cosine_grads)[..., None]
-    cn, wn = att.context_norms[..., None], att.word_norms[..., None]
-    cos = att.cosines[..., None]
-    g_ctx = (g_cos / cn * (words / wn - cos * att.contexts / cn)).reshape(b * t, d)
-    g_words = g_cos / wn * (att.contexts / cn - cos * words / wn)
-    w_flat = att.weights.reshape(b * t, r)
-    g_w = g_ctx @ regions.T
-    g_sims = lambda1 * w_flat * (g_w - (g_w * w_flat).sum(axis=1, keepdims=True))
-    g_regions = w_flat.T @ g_ctx + g_sims.T @ words.reshape(b * t, d)
-    return g_regions, g_words + (g_sims @ regions).reshape(b, t, d)
+def _align_adjoint(al: Alignment, regions: np.ndarray, words: np.ndarray,
+                   word_norms: np.ndarray, lambda1: float, g: np.ndarray):
+    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D)."""
+    n_img, r, d = regions.shape
+    b = g.shape[1]
+    g_cos = (g.T[:, None, :] * al.word_weights.reshape(b, -1, n_img)).reshape(-1, n_img)
+    wn = np.where(word_norms > _NORM_FLOOR, word_norms, 1.0)
+    g_dot = g_cos / (al.context_norms * wn[:, None])
+    g_cn = g_cos * al.cosines / al.context_norms ** 2  # |c| passes -g_cn * c to c
+    a = al.weights
+    contexts = np.matmul(a.transpose(1, 0, 2), regions)
+    cv = np.matmul(contexts, regions.transpose(0, 2, 1)).transpose(1, 0, 2)
+    g_a = g_dot[..., None] * al.sims - g_cn[..., None] * cv
+    g_s = (lambda1 * (g_a - np.einsum("nir,nir->ni", g_a, a)[..., None]) + g_dot[..., None]) * a
+    g_s = g_s.reshape(-1, n_img * r)
+    g_regions = ((g_s.T @ words).reshape(n_img, r, d)
+                 - np.matmul((a * g_cn[..., None]).transpose(1, 2, 0), contexts))
+    g_words = (g_s @ regions.reshape(n_img * r, d)
+               - ((g_cos * al.cosines).sum(axis=1) / wn ** 2)[:, None] * words)
+    return g_regions, g_words
 
 
 def pairwise_scores(image_feats, text_feats, config: LossConfig):
@@ -152,9 +183,11 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
 
     Each matrix is one taped op with a hand-written adjoint. The global one
     is a single matmul of the stacked global vectors. The local one pads the
-    texts to the longest and runs ``attend`` once per image across all texts;
-    its adjoint recomputes each image's slab, so no (B_i, B_t, T, D) array is
-    ever held.
+    texts to the longest and runs ``align`` over blocks of images with equal
+    region counts, each block's context slab within ``_BLOCK_ELEMENTS``
+    elements. Under a recording tape each block's region-sized state is kept
+    for the adjoint, which rebuilds only the block's contexts; no
+    (B_i, B_t, T, D) array is ever held.
     """
     if not image_feats or not text_feats:
         raise ShapeError(f"empty batch: {len(image_feats)} images, {len(text_feats)} texts")
@@ -179,21 +212,39 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     img_l = tuple(f.local for f in image_feats)
     txt_l = tuple(f.local for f in text_feats)
     lengths = [t.shape[0] for t in txt_l]
-    words = np.zeros((len(txt_l), max(lengths), dim))
+    padded = np.zeros((len(txt_l), max(lengths), dim))
     for j, t in enumerate(txt_l):
-        words[j, : lengths[j]] = t.data
-    mask = np.arange(words.shape[1]) < np.array(lengths)[:, None]
+        padded[j, : lengths[j]] = t.data
+    mask = np.arange(padded.shape[1]) < np.array(lengths)[:, None]
+    words = padded.reshape(-1, dim)
+    word_norms = np.sqrt(np.einsum("nd,nd->n", words, words))
     lam1, lam2 = config.lambda1, config.lambda2
-    local = np.stack([attend(v.data, words, mask, lam1, lam2).scores for v in img_l])
+    # the adjoint exists only if _emit will record this op
+    keep = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_l)
+    per_block = max(1, _BLOCK_ELEMENTS // words.size)
+    local = np.empty((len(img_l), len(txt_l)))
+    kept = []
+    start = 0
+    while start < len(img_l):
+        stop = start + 1
+        while (stop < len(img_l) and stop - start < per_block
+               and img_l[stop].shape == img_l[start].shape):
+            stop += 1
+        regions = np.stack([v.data for v in img_l[start:stop]])
+        al = align(regions, words, word_norms, mask, lam1, lam2)
+        local[start:stop] = al.scores
+        if keep:
+            kept.append((start, stop, regions, al))
+        start = stop
 
     def local_bw(g):
         g_regions = []
         g_words = np.zeros_like(words)
-        for v, g_row in zip(img_l, g):
-            att = attend(v.data, words, mask, lam1, lam2)
-            gv, gw = _attend_adjoint(att, v.data, words, lam1, g_row)
-            g_regions.append(gv)
+        for start, stop, regions, al in kept:
+            gv, gw = _align_adjoint(al, regions, words, word_norms, lam1, g[start:stop])
+            g_regions.extend(gv)
             g_words += gw
+        g_words = g_words.reshape(padded.shape)
         return (*g_regions, *(g_words[j, :n] for j, n in enumerate(lengths)))
 
     local_matrix = nm._emit(local, img_l + txt_l, local_bw)

@@ -361,11 +361,6 @@ def read_manifest(path) -> list[StudyRecord]:
     return records
 
 
-def filter_frontal(records) -> list[StudyRecord]:
-    """Keep frontal-view records, preserving order."""
-    return [r for r in records if r.view == "frontal"]
-
-
 def filter_with_report(records) -> list[StudyRecord]:
     """Keep records whose report text is non-empty, preserving order."""
     return [r for r in records if r.report_text.strip()]

@@ -5,7 +5,9 @@ normalization, log-sum-exp, elementwise add/mul/scale, row gather, sum/mean
 reductions, row-wise cosine similarity, and a gradient-transparent reshape.
 Encoders and contrastive losses are composed from these. The one fused op
 outside this module, ``crossmodal.pairwise_scores``, records its batched
-global and local score matrices through ``_emit`` with its own adjoints.
+global and local score matrices through ``_emit`` with its own adjoints; the
+local one scores blocks of images in region space and keeps its forward
+state for the adjoint only when a tape is recording.
 
 Recording model: ops record onto the innermost active ``GradTape`` whenever
 any input requires gradients. A tape replays its records in exact reverse

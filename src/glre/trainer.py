@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
@@ -302,6 +303,11 @@ def _decode_rng_state(payload: dict) -> dict:
     }
 
 
+def _is_shape(shape) -> bool:
+    return isinstance(shape, list) and all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -329,9 +335,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"checkpoint header lacks {', '.join(missing)}", offset=pos)
     if not isinstance(header["arrays"], list) or any(
             not isinstance(m, dict) or not {"name", "shape"} <= m.keys()
-            for m in header["arrays"]):
-        raise FormatError("checkpoint 'arrays' must list entries with 'name' and 'shape'",
-                          offset=pos)
+            or not _is_shape(m["shape"]) for m in header["arrays"]):
+        raise FormatError("checkpoint 'arrays' must list entries with 'name' and a 'shape' "
+                          "of non-negative ints", offset=pos)
     try:
         config = TrainConfig.from_dict(header["config"])
         rng_state = _decode_rng_state(header["rng_state"])
@@ -342,7 +348,7 @@ def load_checkpoint(path) -> Checkpoint:
     buffers: dict[str, np.ndarray] = {}
     for meta in header["arrays"]:
         shape = tuple(meta["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         nbytes = 8 * count
         if len(blob) < pos + nbytes:
             raise FormatError(
@@ -353,6 +359,9 @@ def load_checkpoint(path) -> Checkpoint:
             blob, dtype="<f8", count=count, offset=pos
         ).reshape(shape).copy()
         pos += nbytes
+    if pos != len(blob):
+        raise FormatError(f"{len(blob) - pos} trailing bytes after the last checkpoint array",
+                          offset=pos)
 
     absent = [f"{kind}/{name}" for kind in ("param", "adam_m", "adam_v")
               for name in PARAM_NAMES if f"{kind}/{name}" not in buffers]

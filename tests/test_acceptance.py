@@ -18,7 +18,7 @@ from glre.cli import main as cli_main
 from glre.cli import runreport_fingerprint
 from glre.crossmodal import (
     LossConfig,
-    attend,
+    align,
     contrastive_loss_batch,
     pairwise_scores,
     total_loss,
@@ -184,11 +184,12 @@ def test_criterion_2_loss_anchors():
     worst = 0.0
     for _ in range(1000):
         t, r = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        regions, words = rng.normal(size=(r, 6)), rng.normal(size=(1, t, 6))
+        regions, words = rng.normal(size=(r, 6)), rng.normal(size=(t, 6))
         regions /= np.linalg.norm(regions, axis=1, keepdims=True)
-        words /= np.linalg.norm(words, axis=2, keepdims=True)
-        att = attend(regions, words, np.ones((1, t), dtype=bool), lambda1=4.0, lambda2=5.0)
-        sums = att.weights.sum(axis=2)
+        words /= np.linalg.norm(words, axis=1, keepdims=True)
+        al = align(regions[None], words, np.linalg.norm(words, axis=1),
+                   np.ones((1, t), dtype=bool), lambda1=4.0, lambda2=5.0)
+        sums = al.weights.sum(axis=2)
         worst = max(worst, float(np.abs(sums - 1.0).max()))
     assert worst < 1e-9, f"attention row sums off by {worst:.2e}"
     print(f"criterion 2 (loss anchors): PASS, ln B within 1e-10, "

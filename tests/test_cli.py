@@ -419,21 +419,35 @@ def _rng_without_state(header):
     del header["rng_state"]["state"]
 
 
-@pytest.mark.parametrize("mutate", [_drop_arrays, _unknown_config_key, _rng_without_state])
+def _negative_shape(header):
+    header["arrays"][0]["shape"] = [-1]
+
+
+def _non_int_shape(header):
+    header["arrays"][0]["shape"] = ["a"]
+
+
+def _trailing_bytes(header):
+    return b"junk"
+
+
+@pytest.mark.parametrize("mutate", [_drop_arrays, _unknown_config_key, _rng_without_state,
+                                    _negative_shape, _non_int_shape, _trailing_bytes])
 def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate):
+    # a mutator edits the header in place and may return bytes to append
     blob = pipeline["checkpoint"].read_bytes()
     start = 13  # magic (5 bytes), version and header length (4 bytes each)
     (length,) = struct.unpack_from("<I", blob, start - 4)
     header = json.loads(blob[start : start + length])
-    mutate(header)
+    tail = mutate(header) or b""
     raw = json.dumps(header).encode("utf-8")
+    body = blob[: start - 4] + struct.pack("<I", len(raw)) + raw + blob[start + length :]
     bad = tmp_path / "bad_header.bin"
-    bad.write_bytes(blob[: start - 4] + struct.pack("<I", len(raw)) + raw
-                    + blob[start + length :])
+    bad.write_bytes(body + tail)
     assert run("zeroshot", "--checkpoint", bad,
                "--manifest", pipeline["data"] / "heldout.jsonl",
                "--out-dir", tmp_path) == 2
-    assert f"offset {start}" in capsys.readouterr().err
+    assert f"offset {len(body) if tail else start}" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glre import crossmodal
 from glre import numerics as nm
 from glre.crossmodal import (
     LossConfig,
@@ -410,11 +411,10 @@ def test_pairwise_scores_match_pair_oracle(lengths, n_images, r, dim, lam1, lam2
     np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
 
 
-def test_pairwise_gradients_match_pair_oracle():
-    rng = np.random.default_rng(21)
-    imgs, txts = _ragged_batch(rng, [1, 4, 2, 6], 3, 5, 8, requires_grad=True)
-    cfg = LossConfig(lambda1=3.0, lambda2=6.0)
-    wg, wl = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+def _kernel_and_oracle_grads(imgs, txts, cfg, rng):
+    """Gradients of a random weighting of both score matrices, every leaf:
+    (kernel, oracle)."""
+    wg, wl = rng.normal(size=(2, len(imgs), len(txts)))
     leaves = [t for f in imgs + txts for t in (f.local, f.global_feat)]
 
     def kernel():
@@ -432,8 +432,96 @@ def test_pairwise_gradients_match_pair_oracle():
                     local_score(img, txt, cfg.lambda1, cfg.lambda2), wl[i, j]))
         return total
 
-    for got, want in zip(analytic_grads(kernel, leaves), analytic_grads(oracle, leaves)):
+    return analytic_grads(kernel, leaves), analytic_grads(oracle, leaves)
+
+
+def test_pairwise_gradients_match_pair_oracle():
+    rng = np.random.default_rng(21)
+    imgs, txts = _ragged_batch(rng, [1, 4, 2, 6], 3, 5, 8, requires_grad=True)
+    cfg = LossConfig(lambda1=3.0, lambda2=6.0)
+    for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pairwise_scores_over_several_blocks_match_pair_oracle():
+    # 40 images x 12 texts of 20 words at D=16 exceed the block budget, so
+    # the local kernel scores them in at least three blocks of images
+    rng = np.random.default_rng(26)
+    n_images, lengths, r, dim = 40, [20] * 12, 9, 16
+    per_block = max(1, crossmodal._BLOCK_ELEMENTS // (sum(lengths) * dim))
+    assert math.ceil(n_images / per_block) >= 3
+    imgs, txts = _ragged_batch(rng, lengths, n_images, r, dim, requires_grad=True)
+    cfg = LossConfig(lambda1=3.0, lambda2=6.0)
+    g, l = pairwise_scores(imgs, txts, cfg)
+    g_want, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
+    np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+    for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pairwise_mixed_region_counts_match_pair_oracle():
+    # a block holds images of one region count, so a change of count starts one
+    rng = np.random.default_rng(27)
+    imgs = []
+    for r in (4, 4, 2, 4, 1, 1):
+        imgs.extend(_ragged_batch(rng, [], 1, r, 8, requires_grad=True)[0])
+    _, txts = _ragged_batch(rng, [3, 1, 5], 0, 1, 8, requires_grad=True)
+    cfg = LossConfig(lambda1=2.0, lambda2=4.0)
+    g, l = pairwise_scores(imgs, txts, cfg)
+    _, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
+    np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+    for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pairwise_near_cancelling_contexts_match_pair_oracle():
+    # regions u and -u + delta, against words orthogonal to u, get nearly
+    # equal attention, so each context is about delta / 2: |c| runs from 1e-1
+    # down to 1e-4. A context norm read off the region Gram, a (V V^T) a^T,
+    # cancels here and misses both bounds; the kernel's norm of c does not.
+    rng = np.random.default_rng(25)
+    dim = 8
+    u = unit_rows(rng, 1, dim)[0]
+
+    def feats(local, modality):
+        return LocalGlobalFeatures(
+            local=nm.Tensor(local, requires_grad=True),
+            global_feat=nm.Tensor(unit_rows(rng, 1, dim)[0], requires_grad=True),
+            modality=modality)
+
+    imgs = [feats(np.stack([u, -u + 2 * scale * unit_rows(rng, 1, dim)[0]]), "image")
+            for scale in (1e-1, 1e-2, 1e-3, 1e-4)]
+    txts = []
+    for n in (1, 3, 5):
+        w = rng.normal(size=(n, dim))
+        w -= np.outer(w @ u, u)
+        txts.append(feats(w / np.linalg.norm(w, axis=1, keepdims=True), "text"))
+    cfg = LossConfig(lambda1=4.0, lambda2=5.0)
+    att = attention_contexts(similarity_matrix(txts[-1].local, imgs[-1].local),
+                             imgs[-1].local, cfg.lambda1)
+    assert np.linalg.norm(att.contexts.numpy(), axis=1).max() < 3e-4
+
+    _, l = pairwise_scores(imgs, txts, cfg)
+    _, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
+    np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+    # gradients grow like 1/|c|, so each is compared against its own scale
+    for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_pairwise_scores_bit_identical_with_and_without_tape():
+    # a taped call keeps the forward state for the adjoint; the scores it
+    # returns must be exactly those of a forward-only call
+    rng = np.random.default_rng(28)
+    imgs, txts = _ragged_batch(rng, [20, 3, 11, 1] * 3, 40, 9, 16, requires_grad=True)
+    cfg = LossConfig()
+    plain = pairwise_scores(imgs, txts, cfg)
+    with nm.GradTape() as tape:
+        taped = pairwise_scores(imgs, txts, cfg)
+    assert len(tape) == 2
+    for a, b in zip(plain, taped):
+        np.testing.assert_array_equal(a.numpy(), b.numpy())
 
 
 def test_pairwise_scores_record_two_tape_ops():

@@ -17,7 +17,6 @@ from glre.datapipe import (
     Vocabulary,
     build_single_disease_subset,
     default_lexicon,
-    filter_frontal,
     filter_with_report,
     label_matrix,
     label_report,
@@ -174,17 +173,10 @@ def _mixed_manifest():
     return records
 
 
-def test_filter_frontal_trivial_cases():
-    frontal = [StudyRecord("a"), StudyRecord("b")]
-    assert filter_frontal(frontal) == frontal
-    lateral = [StudyRecord("a", view="lateral")]
-    assert filter_frontal(lateral) == []
-
-
 def test_mixed_manifest_filters_to_3279():
     records = _mixed_manifest()
     assert len(records) == 3996
-    kept = filter_with_report(filter_frontal(records))
+    kept = filter_with_report([r for r in records if r.view == "frontal"])
     assert len(kept) == 3279
 
 
@@ -209,7 +201,7 @@ def test_manifest_jsonl_round_trip(tmp_path):
 
 
 def test_make_splits_reproduces_published_counts(tmp_path):
-    kept = filter_with_report(filter_frontal(_mixed_manifest()))
+    kept = filter_with_report([r for r in _mixed_manifest() if r.view == "frontal"])
     manifest = make_splits(kept, {"train": 2552, "test": 727}, seed=13)
     train = manifest.splits["train"]
     test = manifest.splits["test"]

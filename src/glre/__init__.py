@@ -15,7 +15,6 @@ from .classify import (
     ProbeConfig,
     ProbeModel,
     PromptSet,
-    classify_argmax,
     default_prompts,
     fit_linear_probe,
     global_feature_matrix,
@@ -63,7 +62,6 @@ from .encoders import (
     encode_image_toy,
     encode_text_toy,
     image_patch_matrix,
-    load_external_embeddings,
     read_pgm,
     save_embeddings,
     sinusoidal_positions,

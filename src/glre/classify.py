@@ -18,7 +18,7 @@ import numpy as np
 from .crossmodal import pairwise_scores
 from .datapipe import PATHOLOGIES, labels_to_matrix
 from .encoders import LocalGlobalFeatures, encode_image_toy, encode_text_toy
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .trainer import Checkpoint, encode_report
 
 
@@ -177,7 +177,10 @@ class PromptSet:
 
     @classmethod
     def load(cls, path) -> "PromptSet":
-        return cls(prompts=json.loads(Path(path).read_text()))
+        prompts = json.loads(Path(path).read_text())
+        if not isinstance(prompts, dict):
+            raise FormatError(f"prompt file {path} must hold a JSON object")
+        return cls(prompts=prompts)
 
 
 def default_prompts() -> PromptSet:
@@ -222,11 +225,3 @@ def zero_shot_scores(feats: list[LocalGlobalFeatures], prompts: PromptSet,
     bounds = np.cumsum([0] + [len(prompts.prompts[name]) for name in PATHOLOGIES])
     return np.stack([mixed[:, a:b].mean(axis=1) for a, b in zip(bounds, bounds[1:])],
                     axis=1)
-
-
-def classify_argmax(scores) -> np.ndarray:
-    """Row-wise best class; ties resolve to the lowest class index."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise ShapeError(f"scores must be 2-D, got shape {s.shape}")
-    return np.argmax(s, axis=1)

@@ -7,6 +7,9 @@ Outputs are byte-identical across reruns with identical inputs and seed;
 the wall-clock field is the one exception, and runreport_fingerprint
 excludes it for comparisons.
 
+probe, zeroshot and export-embeddings load their checkpoint and images
+through one helper; eval and export-roc share one per-pathology ROC pass.
+
 Exit codes: 0 success, 1 contract errors (bad values, bad state),
 2 I/O and file-format errors.
 """
@@ -120,11 +123,7 @@ def _content_hash(out_dir: Path, outputs: list[str]) -> str:
         else:
             files.append(p)
     for p in files:
-        try:
-            key = str(p.relative_to(out_dir))
-        except ValueError:
-            key = str(p)
-        h.update(key.encode("utf-8"))
+        h.update(_out_key(p, out_dir).encode("utf-8"))
         h.update(b"\x00")
         h.update(p.read_bytes())
         h.update(b"\x00")
@@ -164,6 +163,14 @@ def _section(config: dict, name: str) -> dict:
     return dict(sec)
 
 
+def _from_section(cls, name: str, values: dict):
+    """Settings object from a config section; unknown keys or bad types are format errors."""
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise FormatError(f"config section {name!r}: {exc}") from exc
+
+
 def _attach_images(records, manifest_path, region_grid) -> None:
     """Load referenced PGM files; paths resolve relative to the manifest."""
     base = Path(manifest_path).resolve().parent
@@ -171,6 +178,15 @@ def _attach_images(records, manifest_path, region_grid) -> None:
         if rec.image is None and rec.image_path:
             pixels = read_pgm(base / rec.image_path)
             rec.image = ImageGrid(pixels, region_grid=tuple(region_grid))
+
+
+def _load_scoring_inputs(args, config):
+    """The --checkpoint and the --manifest records, images attached."""
+    ckpt = load_checkpoint(_require(_opt(args, config, "checkpoint"), "--checkpoint"))
+    manifest = _require(_opt(args, config, "manifest"), "--manifest")
+    records = read_manifest(manifest)
+    _attach_images(records, manifest, ckpt.config.region_grid)
+    return ckpt, records
 
 
 def _out_path(out_dir: Path, name: str) -> Path:
@@ -216,41 +232,33 @@ def _read_scores(path):
     return ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(PATHOLOGIES))
 
 
-def _scored_label_matrix(ids, label_records, uncertain_policy: str):
-    """Targets and validity mask for scored studies, in score-file order."""
+def _roc_curves(args, config):
+    """Per-pathology ROC of the --scores file against the --labels manifest.
+
+    A pathology whose kept labels are single-class maps to None. Returns the
+    curves and the config hash that eval and export-roc both report.
+    """
+    scores_path = _require(_opt(args, config, "scores"), "--scores")
+    labels_path = _require(_opt(args, config, "labels"), "--labels")
+    policy = _opt(args, config, "uncertain_policy", "exclude")
+    ids, scores = _read_scores(scores_path)
+    label_records = read_manifest(labels_path)
     by_id = {r.study_id: r for r in label_records}
     missing = [sid for sid in ids if sid not in by_id]
     if missing:
         raise ConsistencyError(
             f"{len(missing)} scored studies absent from the label manifest, "
             f"first {missing[0]!r}")
-    return label_matrix([by_id[sid] for sid in ids], uncertain_policy=uncertain_policy)
-
-
-def _evaluate_scores(ids, scores, label_records, uncertain_policy: str):
-    """Per-pathology AUC of scored studies against a labeled manifest."""
-    y, mask = _scored_label_matrix(ids, label_records, uncertain_policy)
-    per: dict[str, float | None] = {}
-    defined: list[float] = []
+    y, mask = label_matrix([by_id[sid] for sid in ids], uncertain_policy=policy)
+    curves = {}
     for k, name in enumerate(PATHOLOGIES):
         keep = mask[:, k]
         try:
-            auc = roc_auc(scores[keep, k], y[keep, k].astype(int)).auc
+            curves[name] = roc_auc(scores[keep, k], y[keep, k].astype(int))
         except (UndefinedAucError, InsufficientDataError):
-            per[name] = None
-            continue
-        per[name] = auc
-        defined.append(auc)
-    if defined:
-        mean, std = aggregate_auc(defined)
-    else:
-        mean = std = None
-    return per, mean, std
-
-
-def _lexicon_payload(lex: Lexicon) -> dict:
-    return {"mentions": lex.mentions, "negations": list(lex.negations),
-            "uncertainties": list(lex.uncertainties)}
+            curves[name] = None
+    return curves, _digest({"uncertain_policy": policy, "scores": _digest(ids),
+                            "labels": manifest_hash(label_records)})
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +277,7 @@ def _cmd_label(args, config, out_dir: Path) -> RunReport:
     write_manifest(records, out)
     return RunReport(
         command="label",
-        config_hash=_digest({"lexicon": _lexicon_payload(lexicon)}),
+        config_hash=_digest({"lexicon": lexicon.to_dict()}),
         outputs=[_out_key(out, out_dir)],
     )
 
@@ -334,7 +342,7 @@ def _cmd_subset(args, config, out_dir: Path) -> RunReport:
 
 
 def _cmd_synth(args, config, out_dir: Path) -> RunReport:
-    scfg = SynthConfig(**_section(config, "synth"))
+    scfg = _from_section(SynthConfig, "synth", _section(config, "synth"))
     seed = int(_opt(args, config, "seed", 0))
     train_recs, heldout = synth_paired_dataset(scfg, seed)
     (out_dir / "images").mkdir(exist_ok=True)
@@ -360,7 +368,7 @@ def _cmd_train(args, config, out_dir: Path) -> RunReport:
         tdict["seed"] = args.seed
     elif "seed" in config:
         tdict.setdefault("seed", config["seed"])
-    tcfg = TrainConfig.from_dict(tdict)
+    tcfg = _from_section(TrainConfig, "train", tdict)
     records = read_manifest(manifest)
     records = filter_with_report(records)
     _attach_images(records, manifest, tcfg.region_grid)
@@ -377,15 +385,12 @@ def _cmd_train(args, config, out_dir: Path) -> RunReport:
 
 
 def _cmd_probe(args, config, out_dir: Path) -> RunReport:
-    ckpt = load_checkpoint(_require(_opt(args, config, "checkpoint"), "--checkpoint"))
-    manifest = _require(_opt(args, config, "manifest"), "--manifest")
-    records = read_manifest(manifest)
-    _attach_images(records, manifest, ckpt.config.region_grid)
     pdict = _section(config, "probe")
     policy = _opt(args, config, "uncertain_policy")
     if policy is not None:
         pdict["uncertain_policy"] = policy
-    pcfg = ProbeConfig(**pdict)
+    pcfg = _from_section(ProbeConfig, "probe", pdict)
+    ckpt, records = _load_scoring_inputs(args, config)
     label_matrix(records)  # every record must be labeled; fails before encoding
     feats = image_features(records, ckpt)
     model = fit_linear_probe(global_feature_matrix(feats),
@@ -410,10 +415,7 @@ def _cmd_probe(args, config, out_dir: Path) -> RunReport:
 
 
 def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
-    ckpt = load_checkpoint(_require(_opt(args, config, "checkpoint"), "--checkpoint"))
-    manifest = _require(_opt(args, config, "manifest"), "--manifest")
-    records = read_manifest(manifest)
-    _attach_images(records, manifest, ckpt.config.region_grid)
+    ckpt, records = _load_scoring_inputs(args, config)
     prompts_path = _opt(args, config, "prompts")
     prompts = PromptSet.load(prompts_path) if prompts_path else default_prompts()
     zsec = _section(config, "zeroshot")
@@ -432,25 +434,16 @@ def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
 
 
 def _cmd_eval(args, config, out_dir: Path) -> RunReport:
-    scores_path = _require(_opt(args, config, "scores"), "--scores")
-    labels_path = _require(_opt(args, config, "labels"), "--labels")
-    policy = _opt(args, config, "uncertain_policy", "exclude")
-    ids, scores = _read_scores(scores_path)
-    label_records = read_manifest(labels_path)
-    per, mean, std = _evaluate_scores(ids, scores, label_records, policy)
-    return RunReport(
-        command="eval", auc=per, auc_mean=mean, auc_std=std,
-        config_hash=_digest({"uncertain_policy": policy,
-                             "scores": _digest(ids),
-                             "labels": manifest_hash(label_records)}),
-    )
+    curves, config_hash = _roc_curves(args, config)
+    per = {name: c.auc if c is not None else None for name, c in curves.items()}
+    defined = [auc for auc in per.values() if auc is not None]
+    mean, std = aggregate_auc(defined) if defined else (None, None)
+    return RunReport(command="eval", auc=per, auc_mean=mean, auc_std=std,
+                     config_hash=config_hash)
 
 
 def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
-    ckpt = load_checkpoint(_require(_opt(args, config, "checkpoint"), "--checkpoint"))
-    manifest = _require(_opt(args, config, "manifest"), "--manifest")
-    records = read_manifest(manifest)
-    _attach_images(records, manifest, ckpt.config.region_grid)
+    ckpt, records = _load_scoring_inputs(args, config)
     items = {}
     for rec in records:
         if rec.image is not None:
@@ -470,29 +463,16 @@ def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
 
 
 def _cmd_export_roc(args, config, out_dir: Path) -> RunReport:
-    scores_path = _require(_opt(args, config, "scores"), "--scores")
-    labels_path = _require(_opt(args, config, "labels"), "--labels")
-    policy = _opt(args, config, "uncertain_policy", "exclude")
-    ids, scores = _read_scores(scores_path)
-    label_records = read_manifest(labels_path)
-    y, mask = _scored_label_matrix(ids, label_records, policy)
+    curves, config_hash = _roc_curves(args, config)
     outputs = []
-    for k, name in enumerate(PATHOLOGIES):
-        keep = mask[:, k]
-        try:
-            curve = roc_auc(scores[keep, k], y[keep, k].astype(int))
-        except (UndefinedAucError, InsufficientDataError):
-            continue
-        rel = f"roc_{name.replace(' ', '_')}.csv"
-        curve.write_csv(out_dir / rel)
-        outputs.append(rel)
+    for name, curve in curves.items():
+        if curve is not None:
+            rel = f"roc_{name.replace(' ', '_')}.csv"
+            curve.write_csv(out_dir / rel)
+            outputs.append(rel)
     if not outputs:
         raise UndefinedAucError("no pathology had both label classes present")
-    return RunReport(
-        command="export-roc", outputs=outputs,
-        config_hash=_digest({"uncertain_policy": policy, "scores": _digest(ids),
-                             "labels": manifest_hash(label_records)}),
-    )
+    return RunReport(command="export-roc", outputs=outputs, config_hash=config_hash)
 
 
 _HANDLERS = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +133,9 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 
+_LEXICON_KEYS = {"mentions", "negations", "uncertainties"}
+
+
 @dataclass
 class Lexicon:
     """Mention phrases per pathology plus global negation/uncertainty cues.
@@ -155,18 +158,18 @@ class Lexicon:
             if cue != cue.lower():
                 raise ValueError(f"cue {cue!r} must be lowercase")
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
     def save(self, path) -> None:
-        payload = {
-            "mentions": self.mentions,
-            "negations": self.negations,
-            "uncertainties": self.uncertainties,
-            "negation_window": self.negation_window,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Lexicon":
         payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict) or not _LEXICON_KEYS <= payload.keys():
+            raise FormatError(f"lexicon {path} must be a JSON object with keys "
+                              f"{', '.join(sorted(_LEXICON_KEYS))}")
         return cls(
             mentions=payload["mentions"],
             negations=payload["negations"],
@@ -285,12 +288,11 @@ def label_report(text: str, lexicon: Lexicon) -> LabelVector:
     return LabelVector(tuple(best[name] for name in PATHOLOGIES))
 
 
-def labels_to_matrix(label_vectors, blank_value: int = 0,
-                     uncertain_policy: str = "exclude"):
+def labels_to_matrix(label_vectors, uncertain_policy: str = "exclude"):
     """Binary per-pathology targets plus a validity mask.
 
-    blank maps to `blank_value` (default 0: unmentioned means absent);
-    uncertain (-1) follows `uncertain_policy`: exclude (masked out), pos, neg.
+    blank maps to 0 (unmentioned means absent); uncertain (-1) follows
+    `uncertain_policy`: exclude (masked out), pos, neg.
     Returns (y, mask) both shaped [N x 5].
     """
     if uncertain_policy not in ("exclude", "pos", "neg"):
@@ -300,25 +302,22 @@ def labels_to_matrix(label_vectors, blank_value: int = 0,
     mask = np.ones((n, len(PATHOLOGIES)), dtype=bool)
     for i, lv in enumerate(label_vectors):
         for j, v in enumerate(lv.values):
-            if v is BLANK:
-                y[i, j] = blank_value
-            elif v == UNCERTAIN:
+            if v == UNCERTAIN:
                 if uncertain_policy == "exclude":
                     mask[i, j] = False
                 else:
                     y[i, j] = 1 if uncertain_policy == "pos" else 0
-            else:
+            elif v is not BLANK:
                 y[i, j] = v
     return y, mask
 
 
-def label_matrix(records, blank_value: int = 0, uncertain_policy: str = "exclude"):
+def label_matrix(records, uncertain_policy: str = "exclude"):
     """labels_to_matrix over StudyRecords; every record must be labeled."""
     for rec in records:
         if rec.labels is None:
             raise ValueError(f"record {rec.study_id!r} has no labels")
     return labels_to_matrix([rec.labels for rec in records],
-                            blank_value=blank_value,
                             uncertain_policy=uncertain_policy)
 
 
@@ -351,12 +350,17 @@ def read_manifest(path) -> list[StudyRecord]:
         if not isinstance(row, dict) or not {"study_id", "view"} <= row.keys():
             raise FormatError(
                 f"manifest {path} line {n}: expected a JSON object with 'study_id' and 'view'")
+        report, labels = row.get("report", ""), row.get("labels")
+        if not (isinstance(row["study_id"], str) and isinstance(report, str)
+                and isinstance(labels, (list, type(None)))):
+            raise FormatError(f"manifest {path} line {n}: 'study_id' and 'report' must be "
+                              f"strings and 'labels' a list")
         records.append(StudyRecord(
             study_id=row["study_id"],
             view=row["view"],
-            report_text=row.get("report", ""),
+            report_text=report,
             image_path=row.get("image_path"),
-            labels=LabelVector(tuple(row["labels"])) if row.get("labels") is not None else None,
+            labels=LabelVector(tuple(labels)) if labels is not None else None,
         ))
     return records
 

@@ -4,8 +4,8 @@ Both encoders emit a LocalGlobalFeatures pair: per-region or per-token rows
 (L2-normalized) plus one normalized global vector. The image side mean-pools
 each grid region to a small patch vector and projects it; the text side looks
 up token embeddings. Global vectors are a projection of the mean of the
-pre-normalization rows. Precomputed features can also be loaded from a GLRE1
-file so external encoders can feed the same downstream code.
+pre-normalization rows. save_embeddings writes features in the GLRE1
+layout for use outside glre; nothing in the package reads it back.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, FormatError, ShapeError, VocabularyError
+from .errors import FormatError, ShapeError, VocabularyError
 from . import numerics as nm
 from .numerics import Tensor
 
@@ -244,7 +244,6 @@ def encode_text_toy(seq: TokenSequence, params: EncoderParams) -> LocalGlobalFea
 
 _MAGIC = b"GLRE1"
 _MODALITY_CODE = {"image": 0, "text": 1}
-_MODALITY_NAME = {0: "image", 1: "text"}
 
 
 def save_embeddings(path, items: dict[str, LocalGlobalFeatures]) -> None:
@@ -268,67 +267,6 @@ def save_embeddings(path, items: dict[str, LocalGlobalFeatures]) -> None:
             fh.write(struct.pack("<BII", _MODALITY_CODE[feats.modality], rows, dim))
             fh.write(local.astype("<f4").tobytes())
             fh.write(glob.astype("<f4").tobytes())
-
-
-class _Reader:
-    """Byte cursor that reports its offset in truncation errors."""
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(
-                f"truncated embedding file: expected {n} bytes for {what}",
-                offset=self.pos,
-            )
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-
-def _safe_renormalize(mat: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((mat * mat).sum(axis=1, keepdims=True))
-    return np.where(norms > 1e-12, mat / np.where(norms > 0, norms, 1.0), mat)
-
-
-def load_external_embeddings(path) -> dict[str, LocalGlobalFeatures]:
-    """Read a GLRE1 file; rows are re-normalized against f32 rounding drift."""
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    magic = r.take(len(_MAGIC), "magic")
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
-    (count,) = struct.unpack("<I", r.take(4, "record count"))
-    out: dict[str, LocalGlobalFeatures] = {}
-    shared_dim: int | None = None
-    for k in range(count):
-        (id_len,) = struct.unpack("<H", r.take(2, f"id length of record {k}"))
-        study_id = r.take(id_len, f"id of record {k}").decode("utf-8")
-        mod_code, rows, dim = struct.unpack("<BII", r.take(9, f"header of record {k}"))
-        if mod_code not in _MODALITY_NAME:
-            raise FormatError(f"unknown modality code {mod_code}", offset=r.pos - 9)
-        if shared_dim is None:
-            shared_dim = dim
-        elif dim != shared_dim:
-            raise ConsistencyError(
-                f"record {study_id!r} has D={dim}, earlier records have D={shared_dim}"
-            )
-        local = np.frombuffer(
-            r.take(4 * rows * dim, f"local rows of record {k}"), dtype="<f4"
-        ).astype(np.float64).reshape(rows, dim)
-        glob = np.frombuffer(
-            r.take(4 * dim, f"global vector of record {k}"), dtype="<f4"
-        ).astype(np.float64)
-        local = _safe_renormalize(local)
-        glob = _safe_renormalize(glob[None, :])[0]
-        out[study_id] = LocalGlobalFeatures(
-            local=nm.constant(local),
-            global_feat=nm.constant(glob),
-            modality=_MODALITY_NAME[mod_code],
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

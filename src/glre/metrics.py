@@ -111,22 +111,12 @@ def _sweep_curve(scores, pos, n_pos, n_neg):
     return fpr, tpr, thresholds
 
 
-def aggregate_auc(values, per_seed=None) -> tuple[float, float]:
-    """Arithmetic mean of per-class AUCs; population std across seeds.
-
-    When ``per_seed`` is given it must be a sequence of per-seed means; the
-    std is computed over those (population form, ddof=0). Without it the std
-    is over ``values`` themselves.
-    """
+def aggregate_auc(values) -> tuple[float, float]:
+    """Arithmetic mean and population std (ddof=0) of AUC values."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("aggregate_auc needs at least one value")
-    mean = float(vals.mean())
-    basis = np.asarray(per_seed, dtype=np.float64) if per_seed is not None else vals
-    if basis.size == 0:
-        raise ValueError("aggregate_auc std basis is empty")
-    std = float(basis.std(ddof=0))
-    return mean, std
+    return float(vals.mean()), float(vals.std(ddof=0))
 
 
 def retrieval_top1(score_matrix) -> dict[str, float]:

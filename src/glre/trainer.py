@@ -341,8 +341,14 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = TrainConfig.from_dict(header["config"])
         rng_state = _decode_rng_state(header["rng_state"])
+        vocab = Vocabulary(tuple(header["vocab"]))
+        d = config.dim
+        shapes = {"patch_proj": (config.patch_pool ** 2, d), "patch_bias": (d,),
+                  "token_table": (len(vocab), d), "global_proj_image": (d, d),
+                  "global_proj_text": (d, d)}
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc!r}", offset=pos) from exc
+    header_pos = pos
     pos += header_len
 
     buffers: dict[str, np.ndarray] = {}
@@ -363,10 +369,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{len(blob) - pos} trailing bytes after the last checkpoint array",
                           offset=pos)
 
-    absent = [f"{kind}/{name}" for kind in ("param", "adam_m", "adam_v")
-              for name in PARAM_NAMES if f"{kind}/{name}" not in buffers]
-    if absent:
-        raise FormatError(f"checkpoint lacks array {absent[0]!r}", offset=pos)
+    for kind in ("param", "adam_m", "adam_v"):
+        for name in PARAM_NAMES:
+            key = f"{kind}/{name}"
+            if key not in buffers:
+                raise FormatError(f"checkpoint lacks array {key!r}", offset=pos)
+            if buffers[key].shape != shapes[name]:
+                raise FormatError(f"checkpoint array {key!r} has shape "
+                                  f"{list(buffers[key].shape)}, config and vocabulary "
+                                  f"give {list(shapes[name])}", offset=header_pos)
     kwargs = {}
     for name in PARAM_NAMES:
         kwargs[name] = Tensor(buffers[f"param/{name}"], requires_grad=True)
@@ -383,7 +394,7 @@ def load_checkpoint(path) -> Checkpoint:
         step=header["step"],
         config=config,
         config_hash=header["config_hash"],
-        vocab=Vocabulary(tuple(header["vocab"])),
+        vocab=vocab,
         rng_state=rng_state,
         order=[int(i) for i in header["order"]],
         pointer=header["pointer"],

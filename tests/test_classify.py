@@ -6,7 +6,6 @@ import pytest
 from glre.classify import (
     ProbeConfig,
     ProbeModel,
-    classify_argmax,
     default_prompts,
     fit_linear_probe,
     global_feature_matrix,
@@ -231,30 +230,7 @@ def test_zero_shot_argmax_shift_invariant(trained):
     feats = image_features(held[:4], ckpt)
     scores = zero_shot_scores(feats, default_prompts(), ckpt)
     shifted = scores + 0.73
-    np.testing.assert_array_equal(classify_argmax(scores), classify_argmax(shifted))
-
-
-# ---------------------------------------------------------------------------
-# argmax
-# ---------------------------------------------------------------------------
-
-
-def test_argmax_one_hot_and_tie_break():
-    scores = np.array([[0, 0, 1, 0, 0], [0.5, 0.5, 0.5, 0.5, 0.5]])
-    got = classify_argmax(scores)
-    assert got.tolist() == [2, 0]
-
-
-def test_argmax_matches_scan_oracle():
-    rng = np.random.default_rng(7)
-    scores = rng.normal(size=(40, 5))
-    got = classify_argmax(scores)
-    for i in range(40):
-        best, best_val = 0, scores[i, 0]
-        for k in range(1, 5):
-            if scores[i, k] > best_val:
-                best, best_val = k, scores[i, k]
-        assert got[i] == best
+    np.testing.assert_array_equal(np.argmax(scores, axis=1), np.argmax(shifted, axis=1))
 
 
 def test_feature_matrix_shape(trained):

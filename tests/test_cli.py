@@ -21,8 +21,8 @@ from glre.datapipe import (
     synth_lexicon,
     write_manifest,
 )
-from glre.encoders import load_external_embeddings
-from glre.trainer import load_checkpoint
+from glre.encoders import ImageGrid, encode_image_toy, encode_text_toy, read_pgm, save_embeddings
+from glre.trainer import encode_report, load_checkpoint
 
 
 def run(*argv) -> int:
@@ -89,6 +89,21 @@ def test_label_with_custom_lexicon(tmp_path):
                "--lexicon", tmp_path / "lex.json", "--out-dir", tmp_path) == 0
     labeled = read_manifest(tmp_path / "labeled.jsonl")
     assert labeled[0].labels["edema"] == 1
+
+
+def test_label_config_hash_covers_negation_window(tmp_path):
+    records = [StudyRecord(study_id="a", report_text="no sign of mild edema.")]
+    write_manifest(records, tmp_path / "in.jsonl")
+    hashes = []
+    for window in (6, 1):
+        lex = synth_lexicon()
+        lex.negation_window = window
+        lex.save(tmp_path / f"lex{window}.json")
+        out = tmp_path / f"out{window}"
+        assert run("label", "--manifest", tmp_path / "in.jsonl",
+                   "--lexicon", tmp_path / f"lex{window}.json", "--out-dir", out) == 0
+        hashes.append(report_of(out, "label")["config_hash"])
+    assert hashes[0] != hashes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +339,17 @@ def test_export_embeddings_round_trip(pipeline, tmp_path):
     assert run("export-embeddings", "--checkpoint", pipeline["checkpoint"],
                "--manifest", pipeline["data"] / "heldout.jsonl",
                "--out-dir", tmp_path) == 0
-    items = load_external_embeddings(tmp_path / "embeddings.bin")
-    held = read_manifest(pipeline["data"] / "heldout.jsonl")
-    expected = set()
-    for rec in held:
-        expected.add(f"{rec.study_id}:image")
-        expected.add(f"{rec.study_id}:text")
-    assert set(items) == expected
-    some = items[f"{held[0].study_id}:image"]
-    assert some.global_feat.data.shape == (16,)
+    ckpt = load_checkpoint(pipeline["checkpoint"])
+    items = {}
+    for rec in read_manifest(pipeline["data"] / "heldout.jsonl"):
+        image = ImageGrid(read_pgm(pipeline["data"] / rec.image_path),
+                          region_grid=ckpt.config.region_grid)
+        items[f"{rec.study_id}:image"] = encode_image_toy(image, ckpt.params)
+        seq = encode_report(rec.report_text, ckpt.vocab, ckpt.config)
+        items[f"{rec.study_id}:text"] = encode_text_toy(seq, ckpt.params)
+    save_embeddings(tmp_path / "expected.bin", items)
+    assert (tmp_path / "embeddings.bin").read_bytes() == \
+        (tmp_path / "expected.bin").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +448,15 @@ def _trailing_bytes(header):
     return b"junk"
 
 
+def _flattened_patch_proj(header):
+    # same element count, so the byte layout still matches the header
+    meta = next(m for m in header["arrays"] if m["name"] == "param/patch_proj")
+    meta["shape"] = [meta["shape"][0] * meta["shape"][1]]
+
+
 @pytest.mark.parametrize("mutate", [_drop_arrays, _unknown_config_key, _rng_without_state,
-                                    _negative_shape, _non_int_shape, _trailing_bytes])
+                                    _negative_shape, _non_int_shape, _trailing_bytes,
+                                    _flattened_patch_proj])
 def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate):
     # a mutator edits the header in place and may return bytes to append
     blob = pipeline["checkpoint"].read_bytes()
@@ -448,6 +472,68 @@ def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate)
                "--manifest", pipeline["data"] / "heldout.jsonl",
                "--out-dir", tmp_path) == 2
     assert f"offset {len(body) if tail else start}" in capsys.readouterr().err
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
+# each case writes its inputs and returns (argv, text the error must name)
+
+
+def _unknown_section_key(command):
+    def case(tmp_path, pipeline):
+        cfg = _write_json(tmp_path / "cfg.json", {command: {"bogus": 1}})
+        flags = {"train": ["--manifest", pipeline["data"] / "train.jsonl"],
+                 "probe": ["--checkpoint", pipeline["checkpoint"],
+                           "--manifest", pipeline["data"] / "train.jsonl"]}
+        return [command, "--config", cfg, *flags.get(command, [])], "bogus"
+    case.__name__ = f"unknown_{command}_key"
+    return case
+
+
+def _lexicon_file(payload):
+    def case(tmp_path, pipeline):
+        _flat_manifest(tmp_path / "in.jsonl", n=2)
+        lex = _write_json(tmp_path / "lex.json", payload)
+        return ["label", "--manifest", tmp_path / "in.jsonl", "--lexicon", lex], "lex.json"
+    case.__name__ = f"lexicon_{type(payload).__name__}"
+    return case
+
+
+def _prompts_list(tmp_path, pipeline):
+    prompts = _write_json(tmp_path / "prompts.json", [["atelectasis"]])
+    return ["zeroshot", "--checkpoint", pipeline["checkpoint"],
+            "--manifest", pipeline["data"] / "heldout.jsonl",
+            "--prompts", prompts], "prompts.json"
+
+
+def _manifest_line(**fields):
+    def case(tmp_path, pipeline):
+        _flat_manifest(tmp_path / "in.jsonl", n=2)
+        with open(tmp_path / "in.jsonl", "a") as fh:
+            fh.write(json.dumps({"study_id": "bad", "view": "frontal", **fields}) + "\n")
+        return ["label", "--manifest", tmp_path / "in.jsonl"], "in.jsonl line 3"
+    case.__name__ = f"manifest_{'_'.join(fields)}"
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    _unknown_section_key("train"),
+    _unknown_section_key("synth"),
+    _unknown_section_key("probe"),
+    _lexicon_file({}),
+    _lexicon_file([]),
+    _prompts_list,
+    _manifest_line(study_id=5),
+    _manifest_line(report=5),
+    _manifest_line(labels=5),
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_malformed_json_input_exits_2(pipeline, tmp_path, capsys, case):
+    argv, named = case(tmp_path, pipeline)
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    assert named in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

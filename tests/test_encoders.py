@@ -15,13 +15,12 @@ from glre.encoders import (
     encode_image_toy,
     encode_text_toy,
     image_patch_matrix,
-    load_external_embeddings,
     read_pgm,
     save_embeddings,
     sinusoidal_positions,
     write_pgm,
 )
-from glre.errors import ConsistencyError, FormatError, ShapeError, VocabularyError
+from glre.errors import FormatError, ShapeError, VocabularyError
 
 from gradcheck import max_rel_error
 
@@ -252,7 +251,17 @@ def _features(rng, rows, dim, modality):
                                global_feat=nm.constant(glob), modality=modality)
 
 
+def _record_bytes(study_id, modality, local, glob):
+    """One GLRE1 record: id length, id, modality, rows, D, f32 local, f32 global."""
+    raw = study_id.encode()
+    rows, dim = np.shape(local)
+    return (struct.pack("<H", len(raw)) + raw + struct.pack("<BII", modality, rows, dim)
+            + np.asarray(local, dtype="<f4").tobytes()
+            + np.asarray(glob, dtype="<f4").tobytes())
+
+
 def test_embeddings_round_trip(tmp_path):
+    # records are written in insertion order, values cast to little-endian f32
     rng = np.random.default_rng(0)
     items = {
         "study-a": _features(rng, 4, 16, "image"),
@@ -260,78 +269,33 @@ def test_embeddings_round_trip(tmp_path):
     }
     path = tmp_path / "emb.bin"
     save_embeddings(path, items)
-    back = load_external_embeddings(path)
-    assert set(back) == {"study-a", "study-b"}
-    assert back["study-a"].modality == "image"
-    for key in items:
-        np.testing.assert_allclose(back[key].local.numpy(),
-                                   items[key].local.numpy(), atol=1e-6)
-        np.testing.assert_allclose(back[key].global_feat.numpy(),
-                                   items[key].global_feat.numpy(), atol=1e-6)
-        norms = np.linalg.norm(back[key].local.numpy(), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+    expected = b"GLRE1" + struct.pack("<I", 2)
+    for (key, feats), code in zip(items.items(), (0, 1)):
+        expected += _record_bytes(key, code, feats.local.numpy(), feats.global_feat.numpy())
+    assert path.read_bytes() == expected
 
 
 def test_embeddings_empty_file(tmp_path):
     path = tmp_path / "empty.bin"
     save_embeddings(path, {})
-    assert load_external_embeddings(path) == {}
+    assert path.read_bytes() == b"GLRE1" + struct.pack("<I", 0)
 
 
 def test_embeddings_hand_built_file(tmp_path):
-    # two records, D=4, one local row each, built byte by byte
-    def record(study_id, modality, values):
-        raw = study_id.encode()
-        body = struct.pack("<H", len(raw)) + raw
-        body += struct.pack("<BII", modality, 1, 4)
-        body += np.asarray(values, dtype="<f4").tobytes()          # local row
-        body += np.asarray(values, dtype="<f4").tobytes()          # global
-        return body
-
+    # two records, D=4, one local row each; the writer does not re-normalize
     blob = b"GLRE1" + struct.pack("<I", 2)
-    blob += record("x", 0, [1.0, 0.0, 0.0, 0.0])
-    blob += record("y", 1, [0.0, 2.0, 0.0, 0.0])
+    blob += _record_bytes("x", 0, [[1.0, 0.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0])
+    blob += _record_bytes("y", 1, [[0.0, 2.0, 0.0, 0.0]], [0.0, 2.0, 0.0, 0.0])
+    items = {
+        sid: LocalGlobalFeatures(local=nm.constant(np.array([values])),
+                                 global_feat=nm.constant(np.array(values)),
+                                 modality=modality)
+        for sid, modality, values in (("x", "image", [1.0, 0.0, 0.0, 0.0]),
+                                      ("y", "text", [0.0, 2.0, 0.0, 0.0]))
+    }
     path = tmp_path / "hand.bin"
-    path.write_bytes(blob)
-    out = load_external_embeddings(path)
-    assert len(out) == 2
-    np.testing.assert_allclose(out["x"].local.numpy(), [[1, 0, 0, 0]])
-    # re-normalization rescales the non-unit row
-    np.testing.assert_allclose(out["y"].local.numpy(), [[0, 1, 0, 0]])
-
-
-def test_embeddings_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"WRONG" + b"\x00" * 4)
-    with pytest.raises(FormatError) as exc:
-        load_external_embeddings(path)
-    assert exc.value.offset == 0
-
-
-def test_embeddings_truncation_reports_offset(tmp_path):
-    rng = np.random.default_rng(3)
-    path = tmp_path / "trunc.bin"
-    save_embeddings(path, {"s": _features(rng, 3, 8, "image")})
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(FormatError) as exc:
-        load_external_embeddings(path)
-    assert exc.value.offset > 0
-    assert "truncated" in str(exc.value)
-
-
-def test_embeddings_mixed_dimensions(tmp_path):
-    rng = np.random.default_rng(4)
-    path = tmp_path / "mixed.bin"
-    # write two records with different D by concatenating two valid files
-    save_embeddings(path, {"a": _features(rng, 2, 4, "image")})
-    first = path.read_bytes()
-    save_embeddings(path, {"b": _features(rng, 2, 6, "image")})
-    second = path.read_bytes()
-    merged = b"GLRE1" + struct.pack("<I", 2) + first[9:] + second[9:]
-    path.write_bytes(merged)
-    with pytest.raises(ConsistencyError):
-        load_external_embeddings(path)
+    save_embeddings(path, items)
+    assert path.read_bytes() == blob
 
 
 # ---------------------------------------------------------------------------

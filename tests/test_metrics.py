@@ -182,7 +182,8 @@ def test_mean_of_five_rounds_to_published_averages():
 
 
 def test_aggregate_std_over_seeds():
-    mean, std = aggregate_auc([0.7, 0.8], per_seed=[0.74, 0.76])
+    # the std across seeds is the population std of the per-seed means
+    mean, std = aggregate_auc([0.74, 0.76])
     assert mean == pytest.approx(0.75)
     assert std == pytest.approx(0.01)
 

@@ -25,7 +25,6 @@ from .classify import (
 from .crossmodal import (
     LossBreakdown,
     LossConfig,
-    contrastive_loss_batch,
     pairwise_scores,
     total_loss,
 )

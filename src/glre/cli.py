@@ -414,13 +414,19 @@ def _cmd_probe(args, config, out_dir: Path) -> RunReport:
     )
 
 
+def _zeroshot_weights(global_weight=0.5, local_weight=0.5) -> tuple[float, float]:
+    """The global/local mix of zero-shot scores; both weights must be numbers."""
+    for w in (global_weight, local_weight):
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise TypeError(f"global_weight and local_weight must be numbers, got {w!r}")
+    return float(global_weight), float(local_weight)
+
+
 def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
     ckpt, records = _load_scoring_inputs(args, config)
     prompts_path = _opt(args, config, "prompts")
     prompts = PromptSet.load(prompts_path) if prompts_path else default_prompts()
-    zsec = _section(config, "zeroshot")
-    gw = float(zsec.get("global_weight", 0.5))
-    lw = float(zsec.get("local_weight", 0.5))
+    gw, lw = _from_section(_zeroshot_weights, "zeroshot", _section(config, "zeroshot"))
     feats = image_features(records, ckpt)
     scores = zero_shot_scores(feats, prompts, ckpt, global_weight=gw, local_weight=lw)
     _write_scores(out_dir / "zeroshot_scores.csv",

@@ -1,4 +1,4 @@
-"""Global+local pairwise scores and the contrastive losses built on them.
+"""Global+local pairwise scores and the contrastive loss built on them.
 
 The cross-modal score of an image/text pair has a global part (cosine of the
 two global vectors) and a local part: each word attends over the image
@@ -6,8 +6,9 @@ regions via a sharpened softmax of the word x region similarities, and the
 per-word cosines between words and their attention contexts are folded with
 a smooth maximum. ``pairwise_scores`` computes both parts for every pair of a
 batch as two taped ops with hand-written adjoints; training, zero-shot
-scoring and retrieval all call it. Batch losses are symmetric InfoNCE terms
-over the two score matrices in both pairing directions.
+scoring and retrieval all call it. ``contrastive_loss`` is one more taped op:
+the symmetric InfoNCE terms over the two score matrices in both pairing
+directions, weighted and summed, with one adjoint for all four.
 
 The local kernel (``align`` and its adjoint) scores a block of images
 against all padded words at once and does its elementwise work in region
@@ -57,46 +58,76 @@ class LossConfig:
 
 @dataclass
 class LossBreakdown:
-    """The four directional contrastive terms and their weighted sum."""
+    """The four directional contrastive terms and their weighted, taped sum."""
 
-    global_i2t: Tensor
-    global_t2i: Tensor
-    local_i2t: Tensor
-    local_t2i: Tensor
+    global_i2t: float
+    global_t2i: float
+    local_i2t: float
+    local_t2i: float
     total: Tensor
     config: LossConfig
 
     def as_dict(self) -> dict[str, float]:
         return {
-            "global_i2t": self.global_i2t.item(),
-            "global_t2i": self.global_t2i.item(),
-            "local_i2t": self.local_i2t.item(),
-            "local_t2i": self.local_t2i.item(),
+            "global_i2t": self.global_i2t,
+            "global_t2i": self.global_t2i,
+            "local_i2t": self.local_i2t,
+            "local_t2i": self.local_t2i,
             "total": self.total.item(),
         }
 
 
-def contrastive_loss_batch(pairwise: Tensor, tau: float, direction: str = "i2t") -> Tensor:
-    """Symmetric-InfoNCE term over one direction of a pairwise score matrix.
+def _infonce_rows(z: np.ndarray):
+    """mean_i of log-sum-exp_j(z[i, j]) - z[i, i], and the row softmax of z.
 
-    i2t treats rows as candidate texts for each image; t2i uses columns.
-    mean_i of log-sum-exp_j(pairwise[i,j]/tau) - pairwise[i,i]/tau, which is
-    the mean negative log posterior of the matched pairing.
+    z must be C-contiguous: numpy sums a strided axis in another order, so a
+    transposed view would move the last bits of the loss.
     """
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    if direction not in ("i2t", "t2i"):
-        raise ValueError(f"direction must be i2t or t2i, got {direction!r}")
-    p = pairwise if isinstance(pairwise, Tensor) else nm.constant(pairwise)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ShapeError(f"pairwise matrix must be square, got {p.shape}")
-    if direction == "t2i":
-        p = nm.transpose(p)
-    b = p.shape[0]
-    scaled = nm.scale(p, 1.0 / tau)
-    lse = nm.logsumexp_rows(scaled)
-    diag = nm.row_sums(nm.mul(scaled, nm.identity(b)))
-    return nm.tensor_mean(nm.add(lse, nm.scale(diag, -1.0)))
+    m = z.max(axis=1)
+    e = np.exp(z - m[:, None])
+    total = e.sum(axis=1)
+    return float((m + np.log(total) - z.diagonal()).mean()), e / total[:, None]
+
+
+def contrastive_loss(global_matrix: Tensor, local_matrix: Tensor,
+                     config: LossConfig) -> LossBreakdown:
+    """Weighted symmetric InfoNCE over both B x B score matrices, one taped op.
+
+    Each matrix S with temperature tau gives two terms: i2t, the mean
+    negative log posterior of text i among the texts for image i, is
+    mean_i log sum_j exp(S_ij/tau) - S_ii/tau; t2i is the same over the
+    columns. ``total`` is the config-weighted sum of the four terms; for a
+    term of weight w its adjoint is w (softmax_rows(S/tau) - I) / (B tau),
+    and the t2i adjoint is the transpose of the same form over S^T.
+    """
+    shape = global_matrix.shape
+    if len(shape) != 2 or shape[0] != shape[1] or local_matrix.shape != shape:
+        raise ShapeError(f"score matrices must be square and of one shape, got {shape} "
+                         f"and {local_matrix.shape}")
+    b = shape[0]
+    weights = tuple(float(w) for w in (config.weight_global_i2t, config.weight_global_t2i,
+                                       config.weight_local_i2t, config.weight_local_t2i))
+    terms, softmaxes = [], []
+    for s, tau in ((global_matrix, config.tau_global), (local_matrix, config.tau_local)):
+        z = s.data * (1.0 / tau)
+        for rows in (z, np.ascontiguousarray(z.T)):
+            term, soft = _infonce_rows(rows)
+            terms.append(term)
+            softmaxes.append((soft, tau))
+    g_i2t, g_t2i, l_i2t, l_t2i = (t * w for t, w in zip(terms, weights))
+    total = (g_i2t + g_t2i) + (l_i2t + l_t2i)
+
+    def bw(g):
+        grads = []
+        for (soft, tau), w in zip(softmaxes, weights):
+            per_row = g * w / b
+            d = soft * per_row
+            d[np.diag_indices(b)] -= per_row
+            grads.append(d * (1.0 / tau))
+        return grads[0] + grads[1].T, grads[2] + grads[3].T
+
+    total = nm._emit(np.asarray(total), (global_matrix, local_matrix), bw)
+    return LossBreakdown(*terms, total=total, config=config)
 
 
 # Block budget of the local kernel: a block of images is sized so that its
@@ -132,7 +163,7 @@ def align(regions: np.ndarray, words: np.ndarray, word_norms: np.ndarray,
     a_t = softmax_r(lambda1 * s_t), s_t = w_t V^T. The dot c_t . w_t is
     sum_r a_tr s_tr; |c_t| comes from the context itself (see the module
     docstring). A context or word whose norm is below 1e-12 gets cosine 0
-    and no gradient, the same guard as ``rowwise_cosine``.
+    and no gradient, the guard of the per-pair test oracle's row cosine.
     """
     n_img, r, d = regions.shape
     b, t = mask.shape
@@ -252,19 +283,6 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
 
 
 def total_loss(image_feats, text_feats, config: LossConfig | None = None) -> LossBreakdown:
-    """Weighted sum of the four directional contrastive terms."""
+    """Weighted sum of the four directional contrastive terms over one batch."""
     config = config if config is not None else LossConfig()
-    global_matrix, local_matrix = pairwise_scores(image_feats, text_feats, config)
-    g_i2t = contrastive_loss_batch(global_matrix, config.tau_global, "i2t")
-    g_t2i = contrastive_loss_batch(global_matrix, config.tau_global, "t2i")
-    l_i2t = contrastive_loss_batch(local_matrix, config.tau_local, "i2t")
-    l_t2i = contrastive_loss_batch(local_matrix, config.tau_local, "t2i")
-    total = nm.add(
-        nm.add(nm.scale(g_i2t, config.weight_global_i2t),
-               nm.scale(g_t2i, config.weight_global_t2i)),
-        nm.add(nm.scale(l_i2t, config.weight_local_i2t),
-               nm.scale(l_t2i, config.weight_local_t2i)),
-    )
-    return LossBreakdown(global_i2t=g_i2t, global_t2i=g_t2i,
-                         local_i2t=l_i2t, local_t2i=l_t2i,
-                         total=total, config=config)
+    return contrastive_loss(*pairwise_scores(image_feats, text_feats, config), config)

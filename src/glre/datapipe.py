@@ -136,6 +136,10 @@ class Vocabulary:
 _LEXICON_KEYS = {"mentions", "negations", "uncertainties"}
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class Lexicon:
     """Mention phrases per pathology plus global negation/uncertainty cues.
@@ -170,11 +174,19 @@ class Lexicon:
         if not isinstance(payload, dict) or not _LEXICON_KEYS <= payload.keys():
             raise FormatError(f"lexicon {path} must be a JSON object with keys "
                               f"{', '.join(sorted(_LEXICON_KEYS))}")
+        mentions, window = payload["mentions"], payload.get("negation_window", 6)
+        if not (isinstance(mentions, dict) and all(map(_is_str_list, mentions.values()))
+                and _is_str_list(payload["negations"])
+                and _is_str_list(payload["uncertainties"])
+                and isinstance(window, int) and not isinstance(window, bool)):
+            raise FormatError(f"lexicon {path}: mentions must map names to lists of "
+                              f"strings, negations and uncertainties must be lists of "
+                              f"strings, and negation_window must be an integer")
         return cls(
-            mentions=payload["mentions"],
+            mentions=mentions,
             negations=payload["negations"],
             uncertainties=payload["uncertainties"],
-            negation_window=payload.get("negation_window", 6),
+            negation_window=window,
         )
 
 

@@ -1,13 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The operation set is deliberately small: matmul, transpose, row softmax, row
-normalization, log-sum-exp, elementwise add/mul/scale, row gather, sum/mean
-reductions, row-wise cosine similarity, and a gradient-transparent reshape.
-Encoders and contrastive losses are composed from these. The one fused op
-outside this module, ``crossmodal.pairwise_scores``, records its batched
-global and local score matrices through ``_emit`` with its own adjoints; the
-local one scores blocks of images in region space and keeps its forward
-state for the adjoint only when a tape is recording.
+The operation set holds only what the shipped model records: matmul, add
+(broadcasting limited to scalars and row vectors), row normalization, row
+gather, the mean of the rows and a gradient-transparent reshape. The
+encoders are composed from these. The fused ops live beside the code that
+needs them and record through ``_emit`` with their own adjoints:
+``crossmodal.pairwise_scores`` emits the batched global and local score
+matrices, and ``crossmodal.contrastive_loss`` the weighted symmetric InfoNCE
+loss over both.
 
 Recording model: ops record onto the innermost active ``GradTape`` whenever
 any input requires gradients. A tape replays its records in exact reverse
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     DegenerateRowError,
     NonScalarLossError,
-    ParameterError,
     ShapeError,
     TapeStateError,
 )
@@ -102,10 +101,6 @@ def _as_tensor(x) -> Tensor:
 def constant(data) -> Tensor:
     """Tensor that never tracks gradients."""
     return Tensor(data, requires_grad=False)
-
-
-def identity(n: int) -> Tensor:
-    return Tensor._wrap(np.eye(n), False)
 
 
 # --------------------------------------------------------------------------
@@ -233,13 +228,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(ad @ bd, (a, b), bw)
 
 
-def transpose(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got shape {x.shape}")
-    return _emit(x.data.T, (x,), lambda g: (g.T,))
-
-
 def _broadcast_ok(a_shape, b_shape) -> bool:
     # Permitted: identical shapes, a scalar operand, or a row vector of
     # length n against an (m, n) matrix. Nothing wider.
@@ -278,49 +266,6 @@ def add(a, b) -> Tensor:
     return _emit(a.data + b.data, (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
-    """Elementwise product; broadcasting limited to scalars and row vectors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(f"mul cannot combine shapes {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        return (
-            _unbroadcast(g * bd, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * ad, b.shape) if b.requires_grad else None,
-        )
-
-    return _emit(ad * bd, (a, b), bw)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a compile-time constant (not differentiated through)."""
-    x = _as_tensor(x)
-    c = float(c)
-    return _emit(x.data * c, (x,), lambda g: (g * c,))
-
-
-def softmax_rows(x: Tensor, scale_factor: float = 1.0) -> Tensor:
-    """Row softmax of exp(scale_factor * x), max-subtracted for overflow safety."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-D tensor, got shape {x.shape}")
-    s = float(scale_factor)
-    if s <= 0.0:
-        raise ParameterError(f"softmax scale must be positive, got {s}")
-    z = s * x.data
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return (s * y * (g - inner),)
-
-    return _emit(y, (x,), bw)
-
-
 def l2_normalize_rows(x: Tensor) -> Tensor:
     """Scale each row to unit Euclidean norm. 1-D input is treated as one row."""
     x = _as_tensor(x)
@@ -342,25 +287,6 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return _emit(y if x.ndim == 2 else y[0], (x,), bw)
 
 
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """Per-row log(sum(exp(row))), max-subtracted. 1-D input gives a scalar."""
-    x = _as_tensor(x)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"logsumexp_rows needs a 1-D or 2-D tensor, got {x.shape}")
-    mat = x.data if x.ndim == 2 else x.data[None, :]
-    m = mat.max(axis=1)
-    e = np.exp(mat - m[:, None])
-    out = m + np.log(e.sum(axis=1))
-    soft = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g):
-        gv = g if x.ndim == 2 else np.asarray(g).reshape(1)
-        gx = soft * gv[:, None]
-        return (gx if x.ndim == 2 else gx[0],)
-
-    return _emit(out if x.ndim == 2 else out[0], (x,), bw)
-
-
 def row_gather(x: Tensor, indices) -> Tensor:
     """Select rows of a 2-D tensor; repeated indices accumulate gradient."""
     x = _as_tensor(x)
@@ -380,34 +306,6 @@ def row_gather(x: Tensor, indices) -> Tensor:
     return _emit(x.data[idx], (x,), bw)
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar."""
-    x = _as_tensor(x)
-    return _emit(np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
-
-
-def tensor_mean(x: Tensor) -> Tensor:
-    """Mean of all elements, as a scalar."""
-    x = _as_tensor(x)
-    n = x.size
-    if n == 0:
-        raise ShapeError("mean of an empty tensor")
-    return _emit(
-        np.asarray(x.data.mean()),
-        (x,),
-        lambda g: (np.broadcast_to(g / n, x.shape).copy(),),
-    )
-
-
-def row_sums(x: Tensor) -> Tensor:
-    """Per-row totals of a 2-D tensor, shape (m,)."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"row_sums needs a 2-D tensor, got shape {x.shape}")
-    m, n = x.shape
-    return _emit(x.data.sum(axis=1), (x,), lambda g: (np.repeat(g[:, None], n, axis=1),))
-
-
 def mean_rows(x: Tensor) -> Tensor:
     """Average of the row vectors of a 2-D tensor, shape (n,)."""
     x = _as_tensor(x)
@@ -419,40 +317,6 @@ def mean_rows(x: Tensor) -> Tensor:
         (x,),
         lambda g: (np.repeat(g[None, :] / m, m, axis=0),),
     )
-
-
-def rowwise_cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of corresponding rows; 1-D inputs give a scalar.
-
-    Rows where either operand has norm below 1e-12 contribute exactly 0 with
-    zero gradient. That guard keeps degenerate attention contexts (possible
-    early in training) from producing NaNs.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"rowwise_cosine needs matching shapes, got {a.shape} and {b.shape}")
-    if a.ndim not in (1, 2):
-        raise ShapeError(f"rowwise_cosine needs 1-D or 2-D tensors, got {a.shape}")
-    am = a.data if a.ndim == 2 else a.data[None, :]
-    bm = b.data if b.ndim == 2 else b.data[None, :]
-    na = np.sqrt((am * am).sum(axis=1))
-    nb = np.sqrt((bm * bm).sum(axis=1))
-    ok = (na > _NORM_FLOOR) & (nb > _NORM_FLOOR)
-    denom = np.where(ok, na * nb, 1.0)
-    dots = (am * bm).sum(axis=1)
-    cos = np.where(ok, dots / denom, 0.0)
-
-    def bw(g):
-        gv = g if a.ndim == 2 else np.asarray(g).reshape(1)
-        gv = gv * ok
-        ga = gv[:, None] * (bm / denom[:, None] - cos[:, None] * am / np.where(ok, na * na, 1.0)[:, None])
-        gb = gv[:, None] * (am / denom[:, None] - cos[:, None] * bm / np.where(ok, nb * nb, 1.0)[:, None])
-        return (
-            (ga if a.ndim == 2 else ga[0]) if a.requires_grad else None,
-            (gb if b.ndim == 2 else gb[0]) if b.requires_grad else None,
-        )
-
-    return _emit(cos if a.ndim == 2 else cos[0], (a, b), bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

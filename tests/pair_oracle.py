@@ -1,4 +1,4 @@
-"""Per-pair global+local scores composed from the numerics op set.
+"""Per-pair global+local scores composed from small taped ops.
 
 This is the unbatched form of the score that `crossmodal.pairwise_scores`
 computes in one batched op: every image/text pair runs through a
@@ -17,6 +17,8 @@ from glre import numerics as nm
 from glre.errors import ParameterError, ShapeError
 from glre.numerics import Tensor
 
+import reference_ops as ref
+
 
 class AttentionMap(NamedTuple):
     """Per-word attention weights over regions plus the context vectors."""
@@ -31,7 +33,7 @@ def similarity_matrix(words: Tensor, regions: Tensor) -> Tensor:
         raise ShapeError(f"similarity needs 2-D inputs, got {words.shape} and {regions.shape}")
     if words.shape[1] != regions.shape[1]:
         raise ShapeError(f"feature dims differ: words {words.shape} vs regions {regions.shape}")
-    sims = nm.matmul(words, nm.transpose(regions))
+    sims = nm.matmul(words, ref.transpose(regions))
     if sims.size and np.abs(sims.data).max() > 1.0 + 1e-9:
         raise ValueError("similarity entries exceed [-1, 1]; rows must be unit-norm")
     return sims
@@ -43,7 +45,7 @@ def attention_contexts(sims: Tensor, regions: Tensor, lambda1: float) -> Attenti
         raise ParameterError(f"attention sharpening must be positive, got {lambda1}")
     if regions.ndim != 2 or sims.shape[1] != regions.shape[0]:
         raise ShapeError(f"similarity {sims.shape} does not match regions {regions.shape}")
-    weights = nm.softmax_rows(sims, lambda1)
+    weights = ref.softmax_rows(sims, lambda1)
     return AttentionMap(weights=weights, contexts=nm.matmul(weights, regions))
 
 
@@ -51,8 +53,8 @@ def local_alignment_score(att: AttentionMap, words: Tensor, lambda2: float) -> T
     """(1/lambda2) * log sum_t exp(lambda2 * cos(context_t, word_t))."""
     if lambda2 <= 0:
         raise ParameterError(f"aggregation sharpening must be positive, got {lambda2}")
-    cosines = nm.rowwise_cosine(att.contexts, words)
-    return nm.scale(nm.logsumexp_rows(nm.scale(cosines, lambda2)), 1.0 / lambda2)
+    cosines = ref.rowwise_cosine(att.contexts, words)
+    return ref.scale(ref.logsumexp_rows(ref.scale(cosines, lambda2)), 1.0 / lambda2)
 
 
 def global_similarity(g_img: Tensor, g_txt: Tensor) -> Tensor:
@@ -60,7 +62,7 @@ def global_similarity(g_img: Tensor, g_txt: Tensor) -> Tensor:
     if g_img.shape != g_txt.shape or g_img.ndim != 1:
         raise ShapeError(
             f"global vectors must be matching 1-D, got {g_img.shape} and {g_txt.shape}")
-    return nm.tensor_sum(nm.mul(g_img, g_txt))
+    return ref.tensor_sum(ref.mul(g_img, g_txt))
 
 
 def local_score(img, txt, lambda1: float, lambda2: float) -> Tensor:
@@ -68,7 +70,7 @@ def local_score(img, txt, lambda1: float, lambda2: float) -> Tensor:
 
     Uses the raw word x region products, so rows need not be unit-norm.
     """
-    sims = nm.matmul(txt.local, nm.transpose(img.local))
+    sims = nm.matmul(txt.local, ref.transpose(img.local))
     att = attention_contexts(sims, img.local, lambda1)
     return local_alignment_score(att, txt.local, lambda2)
 

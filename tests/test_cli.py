@@ -487,18 +487,26 @@ def _unknown_section_key(command):
         cfg = _write_json(tmp_path / "cfg.json", {command: {"bogus": 1}})
         flags = {"train": ["--manifest", pipeline["data"] / "train.jsonl"],
                  "probe": ["--checkpoint", pipeline["checkpoint"],
-                           "--manifest", pipeline["data"] / "train.jsonl"]}
+                           "--manifest", pipeline["data"] / "train.jsonl"],
+                 "zeroshot": ["--checkpoint", pipeline["checkpoint"],
+                              "--manifest", pipeline["data"] / "heldout.jsonl"]}
         return [command, "--config", cfg, *flags.get(command, [])], "bogus"
     case.__name__ = f"unknown_{command}_key"
     return case
 
 
-def _lexicon_file(payload):
+def _zeroshot_text_weight(tmp_path, pipeline):
+    cfg = _write_json(tmp_path / "cfg.json", {"zeroshot": {"global_weight": "high"}})
+    return ["zeroshot", "--config", cfg, "--checkpoint", pipeline["checkpoint"],
+            "--manifest", pipeline["data"] / "heldout.jsonl"], "global_weight"
+
+
+def _lexicon_file(payload, name=None):
     def case(tmp_path, pipeline):
         _flat_manifest(tmp_path / "in.jsonl", n=2)
         lex = _write_json(tmp_path / "lex.json", payload)
         return ["label", "--manifest", tmp_path / "in.jsonl", "--lexicon", lex], "lex.json"
-    case.__name__ = f"lexicon_{type(payload).__name__}"
+    case.__name__ = f"lexicon_{name or type(payload).__name__}"
     return case
 
 
@@ -523,8 +531,15 @@ def _manifest_line(**fields):
     _unknown_section_key("train"),
     _unknown_section_key("synth"),
     _unknown_section_key("probe"),
+    _unknown_section_key("zeroshot"),
+    _zeroshot_text_weight,
     _lexicon_file({}),
     _lexicon_file([]),
+    _lexicon_file({"mentions": [], "negations": [], "uncertainties": []}, "mentions_list"),
+    _lexicon_file({"mentions": {"edema": [1]}, "negations": [], "uncertainties": []},
+                  "mention_not_str"),
+    _lexicon_file({"mentions": {}, "negations": [], "uncertainties": [],
+                   "negation_window": "6"}, "window_str"),
     _prompts_list,
     _manifest_line(study_id=5),
     _manifest_line(report=5),

@@ -15,13 +15,14 @@ from glre import crossmodal
 from glre import numerics as nm
 from glre.crossmodal import (
     LossConfig,
-    contrastive_loss_batch,
+    contrastive_loss,
     pairwise_scores,
     total_loss,
 )
 from glre.encoders import LocalGlobalFeatures
 from glre.errors import ParameterError, ShapeError
 
+import reference_ops as ref
 from gradcheck import analytic_grads, max_rel_error
 from pair_oracle import (
     attention_contexts,
@@ -242,57 +243,60 @@ def test_global_similarity_dim_mismatch():
 # ---------------------------------------------------------------------------
 
 
+def infonce(m, tau=0.1):
+    """The fused loss with m as both score matrices, so its four terms are
+    the two directions of m, each twice."""
+    return contrastive_loss(nm.constant(m), nm.constant(m),
+                            LossConfig(tau_global=tau, tau_local=tau))
+
+
 def test_all_equal_matrix_gives_log_b():
     for b in (2, 4, 16):
-        pairwise = nm.constant(np.full((b, b), 0.37))
-        for direction in ("i2t", "t2i"):
-            loss = contrastive_loss_batch(pairwise, 0.1, direction)
-            assert abs(loss.item() - math.log(b)) < 1e-10
+        terms = infonce(np.full((b, b), 0.37)).as_dict()
+        for name, value in terms.items():
+            want = 4 * math.log(b) if name == "total" else math.log(b)
+            assert abs(value - want) < 1e-10, (b, name)
 
 
 def test_single_pair_loss_is_zero():
-    loss = contrastive_loss_batch(nm.constant([[0.8]]), 0.1)
-    assert loss.item() == 0.0
+    assert set(infonce([[0.8]]).as_dict().values()) == {0.0}
 
 
 def test_identity_matrix_closed_form():
-    pairwise = nm.constant(np.eye(4))
-    loss = contrastive_loss_batch(pairwise, 0.1, "i2t")
+    out = infonce(np.eye(4))
     expected = -math.log(math.exp(10.0) / (math.exp(10.0) + 3.0))
-    assert loss.item() == pytest.approx(expected, abs=1e-12)
+    assert out.global_i2t == pytest.approx(expected, abs=1e-12)
+    assert out.global_t2i == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_shift_invariance():
     rng = np.random.default_rng(13)
     m = rng.normal(size=(5, 5))
-    a = contrastive_loss_batch(nm.constant(m), 0.2).item()
-    b = contrastive_loss_batch(nm.constant(m + 3.7), 0.2).item()
-    assert a == pytest.approx(b, abs=1e-12)
+    a = infonce(m, 0.2).as_dict()
+    b = infonce(m + 3.7, 0.2).as_dict()
+    for name in a:
+        assert a[name] == pytest.approx(b[name], abs=1e-12)
 
 
 def test_loss_nonnegative():
     rng = np.random.default_rng(14)
     for _ in range(50):
         b = int(rng.integers(1, 7))
-        m = rng.normal(size=(b, b))
-        for d in ("i2t", "t2i"):
-            assert contrastive_loss_batch(nm.constant(m), 0.5, d).item() >= 0.0
+        assert min(infonce(rng.normal(size=(b, b)), 0.5).as_dict().values()) >= 0.0
 
 
 def test_loss_overflow_safety():
-    m = nm.constant(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]))
-    loss = contrastive_loss_batch(m, 0.1)
-    assert np.isfinite(loss.item())
+    out = infonce(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]))
+    assert all(np.isfinite(v) for v in out.as_dict().values())
 
 
 def test_loss_parameter_and_shape_errors():
-    square = nm.constant(np.eye(2))
     with pytest.raises(ParameterError):
-        contrastive_loss_batch(square, 0.0)
+        LossConfig(tau_local=0.0)
     with pytest.raises(ShapeError):
-        contrastive_loss_batch(nm.constant(np.zeros((2, 3))), 0.1)
-    with pytest.raises(ValueError):
-        contrastive_loss_batch(square, 0.1, "sideways")
+        infonce(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        contrastive_loss(nm.constant(np.eye(2)), nm.constant(np.eye(3)), LossConfig())
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,11 +305,54 @@ def test_loss_equals_scalar_oracle(b, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(b, b))
     tau = float(rng.uniform(0.05, 2.0))
-    got = contrastive_loss_batch(nm.constant(m), tau, "i2t").item()
-    rows = m / tau
-    want = float(np.mean([np.log(np.exp(r - r.max()).sum()) + r.max() - r[i]
-                          for i, r in enumerate(rows)]))
-    assert got == pytest.approx(want, abs=1e-10)
+    out = infonce(m, tau)
+
+    def oracle(rows):
+        return float(np.mean([np.log(np.exp(r - r.max()).sum()) + r.max() - r[i]
+                              for i, r in enumerate(rows)]))
+
+    assert out.global_i2t == pytest.approx(oracle(m / tau), abs=1e-10)
+    assert out.global_t2i == pytest.approx(oracle(m.T / tau), abs=1e-10)
+
+
+def reference_infonce(s, tau, direction):
+    """One InfoNCE term composed from small taped ops: the mean over rows of
+    log-sum-exp minus the diagonal, with t2i over the transpose."""
+    p = ref.transpose(s) if direction == "t2i" else s
+    b = p.shape[0]
+    scaled = ref.scale(p, 1.0 / tau)
+    lse = ref.tensor_sum(ref.logsumexp_rows(scaled))
+    diag = ref.tensor_sum(ref.mul(scaled, nm.constant(np.eye(b))))
+    return ref.scale(nm.add(lse, ref.scale(diag, -1.0)), 1.0 / b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.floats(0.02, 2.0), st.floats(0.02, 2.0),
+       st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]), min_size=4, max_size=4),
+       st.integers(0, 2 ** 31 - 1))
+def test_fused_loss_matches_reference_composition(b, tau_g, tau_l, weights, seed):
+    rng = np.random.default_rng(seed)
+    g = nm.Tensor(rng.uniform(-1.0, 1.0, size=(b, b)), requires_grad=True)
+    l = nm.Tensor(rng.uniform(-1.0, 1.0, size=(b, b)), requires_grad=True)
+    cfg = LossConfig(tau_global=tau_g, tau_local=tau_l, weight_global_i2t=weights[0],
+                     weight_global_t2i=weights[1], weight_local_i2t=weights[2],
+                     weight_local_t2i=weights[3])
+    slots = list(zip((g, g, l, l), (tau_g, tau_g, tau_l, tau_l), ("i2t", "t2i") * 2))
+    fused = contrastive_loss(g, l, cfg)
+    got = [fused.global_i2t, fused.global_t2i, fused.local_i2t, fused.local_t2i]
+    want = [reference_infonce(*slot).item() for slot in slots]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def reference():
+        total = nm.constant(0.0)
+        for slot, w in zip(slots, weights):
+            total = nm.add(total, ref.scale(reference_infonce(*slot), w))
+        return total
+
+    assert fused.total.item() == pytest.approx(reference().item(), abs=1e-12)
+    fused_grads = analytic_grads(lambda: contrastive_loss(g, l, cfg).total, [g, l])
+    for got, want in zip(fused_grads, analytic_grads(reference, [g, l])):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +371,7 @@ def test_total_equals_sum_of_components():
     rng = np.random.default_rng(16)
     pairs = [make_features(rng, 5, 4, 8) for _ in range(3)]
     out = total_loss([p[0] for p in pairs], [p[1] for p in pairs])
-    parts = (out.global_i2t.item() + out.global_t2i.item()
-             + out.local_i2t.item() + out.local_t2i.item())
+    parts = out.global_i2t + out.global_t2i + out.local_i2t + out.local_t2i
     assert out.total.item() == pytest.approx(parts, abs=1e-12)
     assert min(out.as_dict().values()) >= 0.0
 
@@ -337,7 +383,7 @@ def test_component_weights_scale_total():
     base = total_loss(imgs, txts)
     half = total_loss(imgs, txts, LossConfig(weight_local_i2t=0.0,
                                              weight_local_t2i=0.0))
-    expected = base.global_i2t.item() + base.global_t2i.item()
+    expected = base.global_i2t + base.global_t2i
     assert half.total.item() == pytest.approx(expected, abs=1e-12)
 
 
@@ -419,16 +465,16 @@ def _kernel_and_oracle_grads(imgs, txts, cfg, rng):
 
     def kernel():
         g, l = pairwise_scores(imgs, txts, cfg)
-        return nm.add(nm.tensor_sum(nm.mul(g, nm.constant(wg))),
-                      nm.tensor_sum(nm.mul(l, nm.constant(wl))))
+        return nm.add(ref.tensor_sum(ref.mul(g, nm.constant(wg))),
+                      ref.tensor_sum(ref.mul(l, nm.constant(wl))))
 
     def oracle():
         total = nm.constant(0.0)
         for i, img in enumerate(imgs):
             for j, txt in enumerate(txts):
-                total = nm.add(total, nm.scale(
+                total = nm.add(total, ref.scale(
                     global_similarity(img.global_feat, txt.global_feat), wg[i, j]))
-                total = nm.add(total, nm.scale(
+                total = nm.add(total, ref.scale(
                     local_score(img, txt, cfg.lambda1, cfg.lambda2), wl[i, j]))
         return total
 
@@ -533,6 +579,15 @@ def test_pairwise_scores_record_two_tape_ops():
         assert len(tape) == 2
 
 
+def test_total_loss_records_three_tape_ops_at_b16():
+    # the two score matrices and one fused loss op, whatever the batch size
+    rng = np.random.default_rng(29)
+    imgs, txts = _ragged_batch(rng, [7] * 16, 16, 4, 8, requires_grad=True)
+    with nm.GradTape() as tape:
+        total_loss(imgs, txts)
+    assert len(tape) == 3
+
+
 def test_pairwise_near_zero_context_has_zero_cosine_and_gradient():
     # regions of norm 1e-14 give contexts below the 1e-12 floor, so every
     # per-word cosine is 0 and the score is the log-sum-exp of zeros
@@ -545,7 +600,7 @@ def test_pairwise_near_zero_context_has_zero_cosine_and_gradient():
     words = txts[0].local
     with nm.GradTape() as tape:
         _, l = pairwise_scores(imgs, txts, cfg)
-        loss = nm.tensor_sum(l)
+        loss = ref.tensor_sum(l)
     nm.backward(loss, tape)
     assert l.numpy()[0, 0] == pytest.approx(math.log(3) / 5.0, abs=1e-15)
     np.testing.assert_array_equal(words.grad, np.zeros(words.shape))

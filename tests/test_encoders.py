@@ -23,6 +23,7 @@ from glre.encoders import (
 from glre.errors import FormatError, ShapeError, VocabularyError
 
 from gradcheck import max_rel_error
+from reference_ops import tensor_sum
 
 
 def make_params(dim=8, vocab=12, patch_pool=2, seed=0, **kw):
@@ -214,7 +215,7 @@ def test_image_encoder_gradients():
         out = encode_image_toy(img, params)
         s = nm.matmul(out.local, probe)
         g = nm.matmul(nm.reshape(out.global_feat, (1, 6)), probe)
-        return nm.add(nm.tensor_sum(s), nm.tensor_sum(g))
+        return nm.add(tensor_sum(s), tensor_sum(g))
 
     err = max_rel_error(f, [params.patch_proj, params.patch_bias,
                             params.global_proj_image], rng=rng)
@@ -231,7 +232,7 @@ def test_text_encoder_gradients():
         out = encode_text_toy(seq, params)
         s = nm.matmul(out.local, probe)
         g = nm.matmul(nm.reshape(out.global_feat, (1, 6)), probe)
-        return nm.add(nm.tensor_sum(s), nm.tensor_sum(g))
+        return nm.add(tensor_sum(s), tensor_sum(g))
 
     err = max_rel_error(f, [params.token_table, params.global_proj_text], rng=rng)
     assert err < 1e-4

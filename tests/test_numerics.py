@@ -1,11 +1,15 @@
+import ast
+import inspect
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glre import numerics
 from glre.errors import (
     DegenerateRowError,
     NonScalarLossError,
@@ -19,29 +23,28 @@ from glre.numerics import (
     add,
     backward,
     constant,
-    identity,
     l2_normalize_rows,
-    logsumexp_rows,
     matmul,
     mean_rows,
-    mul,
     reshape,
     row_gather,
-    row_sums,
+)
+
+from gradcheck import max_rel_error
+from reference_ops import (
+    logsumexp_rows,
+    mul,
     rowwise_cosine,
     scale,
     softmax_rows,
-    tensor_mean,
     tensor_sum,
     transpose,
 )
 
-from gradcheck import max_rel_error
-
 
 def test_matmul_identity():
     a = Tensor([[2.0, 3.0], [4.0, 5.0]])
-    out = matmul(identity(2), a)
+    out = matmul(constant(np.eye(2)), a)
     np.testing.assert_array_equal(out.numpy(), a.numpy())
 
 
@@ -328,8 +331,6 @@ def test_tapes_in_two_threads_record_independently():
 def test_reductions_shapes_and_values():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert tensor_sum(x).item() == 10.0
-    assert tensor_mean(x).item() == 2.5
-    np.testing.assert_array_equal(row_sums(x).numpy(), [3.0, 7.0])
     np.testing.assert_array_equal(mean_rows(x).numpy(), [2.0, 3.0])
 
 
@@ -367,8 +368,7 @@ def gradtape_ctx():
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "transpose", "softmax", "l2norm", "logsumexp", "add", "mul",
-    "scale", "gather", "sum", "mean", "row_sums", "mean_rows", "cosine",
-    "reshape",
+    "scale", "gather", "sum", "mean_rows", "cosine", "reshape",
 ])
 def test_per_op_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % (2**32))
@@ -414,12 +414,6 @@ def test_per_op_gradients_match_finite_differences(op_name):
         elif op_name == "sum":
             f = lambda: tensor_sum(a)
             inputs = [a]
-        elif op_name == "mean":
-            f = lambda: tensor_mean(a)
-            inputs = [a]
-        elif op_name == "row_sums":
-            f = lambda: tensor_sum(mul(row_sums(a), v3))
-            inputs = [a]
         elif op_name == "mean_rows":
             f = lambda: tensor_sum(mul(mean_rows(a), v4))
             inputs = [a]
@@ -431,3 +425,38 @@ def test_per_op_gradients_match_finite_differences(op_name):
             inputs = [a]
 
         assert max_rel_error(f, inputs) < 1e-4
+
+
+def _numerics_calls(module: Path) -> set[str]:
+    """Names of numerics functions that a module calls, through the module
+    alias (``nm.matmul(...)``) or a name imported from it."""
+    tree = ast.parse(module.read_text())
+    aliases, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("numerics", "glre.numerics"):
+            imported.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "numerics")
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in aliases:
+            called.add(f.attr)
+        elif isinstance(f, ast.Name) and f.id in imported:
+            called.add(imported[f.id])
+    return called
+
+
+def test_every_public_numerics_function_has_a_caller_in_src():
+    # an op only tests use belongs in tests/reference_ops.py
+    public = {name for name, fn in inspect.getmembers(numerics, inspect.isfunction)
+              if not name.startswith("_") and fn.__module__ == numerics.__name__}
+    package = Path(numerics.__file__).parent
+    called = set()
+    for module in package.glob("*.py"):
+        if module.name != "numerics.py":
+            called |= _numerics_calls(module)
+    assert public, "no public functions found in glre.numerics"
+    assert public <= called, f"no caller in src/glre: {sorted(public - called)}"

@@ -202,8 +202,8 @@ def image_features(records, ckpt: Checkpoint) -> list[LocalGlobalFeatures]:
 
 
 def global_feature_matrix(feats: list[LocalGlobalFeatures]) -> np.ndarray:
-    """[N x D] matrix of global vectors, detached from any tape."""
-    return np.stack([f.global_feat.numpy() for f in feats])
+    """[N x D] matrix of the (1, D) global rows, detached from any tape."""
+    return np.concatenate([f.global_feat.numpy() for f in feats])
 
 
 def zero_shot_scores(feats: list[LocalGlobalFeatures], prompts: PromptSet,

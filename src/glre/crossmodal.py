@@ -26,7 +26,8 @@ keeps nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +51,10 @@ class LossConfig:
     weight_local_t2i: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise TypeError(f"loss setting {f.name!r} must be a number, got {value!r}")
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             raise ParameterError("sharpening factors must be positive")
         if self.tau_global <= 0 or self.tau_local <= 0:
@@ -213,10 +218,10 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     """Global and local B_i x B_t score matrices; [i, j] scores image i vs text j.
 
     Each matrix is one taped op with a hand-written adjoint. The global one
-    is a single matmul of the stacked global vectors. The local one pads the
-    texts to the longest and runs ``align`` over blocks of images with equal
-    region counts, each block's context slab within ``_BLOCK_ELEMENTS``
-    elements. Under a recording tape each block's region-sized state is kept
+    is a single matmul of the concatenated (1, D) global rows. The local one
+    pads the texts to the longest and runs ``align`` over blocks of images
+    with equal region counts, each block's context slab within
+    ``_BLOCK_ELEMENTS`` elements. Under a recording tape each block's region-sized state is kept
     for the adjoint, which rebuilds only the block's contexts; no
     (B_i, B_t, T, D) array is ever held.
     """
@@ -225,18 +230,18 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     dim = image_feats[0].local.shape[-1]
     for f in (*image_feats, *text_feats):
         if (f.local.ndim != 2 or f.local.shape[0] == 0 or f.local.shape[1] != dim
-                or f.global_feat.shape != (dim,)):
+                or f.global_feat.shape != (1, dim)):
             raise ShapeError(f"{f.modality} features need non-empty (n, {dim}) local rows "
-                             f"and a ({dim},) global vector, got {f.local.shape} and "
+                             f"and a (1, {dim}) global row, got {f.local.shape} and "
                              f"{f.global_feat.shape}")
 
     img_g = tuple(f.global_feat for f in image_feats)
     txt_g = tuple(f.global_feat for f in text_feats)
-    gi = np.stack([t.data for t in img_g])
-    gt = np.stack([t.data for t in txt_g])
+    gi = np.concatenate([t.data for t in img_g])
+    gt = np.concatenate([t.data for t in txt_g])
 
     def global_bw(g):
-        return (*(g @ gt), *(g.T @ gi))
+        return (*(g @ gt)[:, None], *(g.T @ gi)[:, None])
 
     global_matrix = nm._emit(gi @ gt.T, img_g + txt_g, global_bw)
 

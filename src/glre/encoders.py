@@ -1,10 +1,11 @@
 """Toy image/text encoders producing local and global feature matrices.
 
 Both encoders emit a LocalGlobalFeatures pair: per-region or per-token rows
-(L2-normalized) plus one normalized global vector. The image side mean-pools
-each grid region to a small patch vector and projects it; the text side looks
-up token embeddings. Global vectors are a projection of the mean of the
-pre-normalization rows. save_embeddings writes features in the GLRE1
+(L2-normalized, (n, D)) plus one normalized (1, D) global row; every tensor
+they record is 2-D. The image side mean-pools every grid region to a small
+patch vector in one pass over the image and projects it; the text side
+looks up token embeddings. The global row is a projection of the mean of
+the pre-normalization rows. save_embeddings writes features in the GLRE1
 layout for use outside glre; nothing in the package reads it back.
 """
 
@@ -52,13 +53,6 @@ class ImageGrid:
     def region_count(self) -> int:
         return self.region_grid[0] * self.region_grid[1]
 
-    def region_pixels(self, index: int) -> np.ndarray:
-        """Pixel block of region `index`, regions numbered row-major."""
-        gr, gc = self.region_grid
-        rh, rw = self.height // gr, self.width // gc
-        i, j = divmod(index, gc)
-        return self.pixels[i * rh : (i + 1) * rh, j * rw : (j + 1) * rw]
-
 
 @dataclass(frozen=True)
 class TokenSequence:
@@ -88,7 +82,7 @@ class TokenSequence:
 
 @dataclass
 class LocalGlobalFeatures:
-    """Unit-norm local rows plus one unit-norm global vector."""
+    """Unit-norm (n, D) local rows plus one unit-norm (1, D) global row."""
 
     local: Tensor
     global_feat: Tensor
@@ -164,26 +158,27 @@ class EncoderParams:
         )
 
 
-def adaptive_mean_pool(block: np.ndarray, out: int) -> np.ndarray:
-    """Average-pool a 2-D block to out x out cells with near-equal spans.
+def adaptive_mean_pool(blocks: np.ndarray, out: int) -> np.ndarray:
+    """Average-pool the last two axes of `blocks` to out x out cells.
 
-    Cell (i, j) covers rows [i*h//out, (i+1)*h//out) and the matching
-    columns; each span is non-empty because h, w >= out.
+    Cell (i, j) of an h x w block covers rows [i*h//out, (i+1)*h//out) and
+    the matching columns; each span is non-empty because h, w >= out.
+    Leading axes index separate blocks, all pooled in one pass.
     """
-    h, w = block.shape
+    h, w = blocks.shape[-2:]
     if h < out or w < out:
         raise ShapeError(f"cannot pool {h}x{w} block to {out}x{out}")
     rows = np.arange(out + 1) * h // out
     cols = np.arange(out + 1) * w // out
-    sums = np.add.reduceat(np.add.reduceat(block, rows[:-1], axis=0), cols[:-1], axis=1)
+    sums = np.add.reduceat(np.add.reduceat(blocks, rows[:-1], axis=-2), cols[:-1], axis=-1)
     return sums / np.outer(np.diff(rows), np.diff(cols))
 
 
 def image_patch_matrix(img: ImageGrid, patch_pool: int) -> np.ndarray:
-    """R x P matrix of pooled-and-flattened region patches."""
-    rows = [adaptive_mean_pool(img.region_pixels(r), patch_pool).ravel()
-            for r in range(img.region_count)]
-    return np.stack(rows)
+    """R x P matrix of pooled-and-flattened region patches, regions row-major."""
+    gr, gc = img.region_grid
+    blocks = img.pixels.reshape(gr, img.height // gr, gc, img.width // gc).swapaxes(1, 2)
+    return adaptive_mean_pool(blocks, patch_pool).reshape(img.region_count, -1)
 
 
 def sinusoidal_positions(length: int, dim: int, scale: float = 0.05) -> np.ndarray:
@@ -196,10 +191,8 @@ def sinusoidal_positions(length: int, dim: int, scale: float = 0.05) -> np.ndarr
 
 
 def _global_from_rows(pre_rows: Tensor, proj: Tensor) -> Tensor:
-    """Normalized projection of the mean of pre-normalization rows."""
-    mean = nm.reshape(nm.mean_rows(pre_rows), (1, pre_rows.shape[1]))
-    g = nm.matmul(mean, proj)
-    return nm.reshape(nm.l2_normalize_rows(g), (proj.shape[1],))
+    """Normalized (1, D) projection of the mean of pre-normalization rows."""
+    return nm.l2_normalize_rows(nm.matmul(nm.mean_rows(pre_rows), proj))
 
 
 def encode_image_patches(patches: np.ndarray, params: EncoderParams) -> LocalGlobalFeatures:
@@ -218,7 +211,7 @@ def encode_image_patches(patches: np.ndarray, params: EncoderParams) -> LocalGlo
 def encode_image_toy(img: ImageGrid, params: EncoderParams) -> LocalGlobalFeatures:
     """Mean-pool each region to a patch vector, project, normalize.
 
-    The global vector projects the mean of the un-normalized region features,
+    The global row projects the mean of the un-normalized region features,
     so it keeps magnitude information that per-row normalization discards.
     """
     return encode_image_patches(image_patch_matrix(img, params.patch_pool), params)
@@ -258,9 +251,9 @@ def save_embeddings(path, items: dict[str, LocalGlobalFeatures]) -> None:
             local = np.asarray(feats.local.data, dtype=np.float32)
             glob = np.asarray(feats.global_feat.data, dtype=np.float32)
             rows, dim = local.shape
-            if glob.shape != (dim,):
+            if glob.shape != (1, dim):
                 raise ShapeError(
-                    f"global vector shape {glob.shape} does not match D={dim}"
+                    f"global row shape {glob.shape} does not match (1, {dim})"
                 )
             fh.write(struct.pack("<H", len(raw_id)))
             fh.write(raw_id)

@@ -43,18 +43,9 @@ class RocCurve:
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, with tied scores sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
 
 
 def roc_auc(scores, labels) -> RocCurve:

@@ -2,8 +2,9 @@
 
 The operation set holds only what the shipped model records: matmul, add
 (broadcasting limited to scalars and row vectors), row normalization, row
-gather, the mean of the rows and a gradient-transparent reshape. The
-encoders are composed from these. The fused ops live beside the code that
+gather and the mean of the rows. The encoders are composed from these, and
+every tensor they record is 2-D: local rows are (n, D) and the global
+feature is a (1, D) row. The fused ops live beside the code that
 needs them and record through ``_emit`` with their own adjoints:
 ``crossmodal.pairwise_scores`` emits the batched global and local score
 matrices, and ``crossmodal.contrastive_loss`` the weighted symmetric InfoNCE
@@ -267,24 +268,21 @@ def add(a, b) -> Tensor:
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row to unit Euclidean norm. 1-D input is treated as one row."""
+    """Scale each row of a 2-D tensor to unit Euclidean norm."""
     x = _as_tensor(x)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"l2_normalize_rows needs a 1-D or 2-D tensor, got {x.shape}")
-    mat = x.data if x.ndim == 2 else x.data[None, :]
-    norms = np.sqrt((mat * mat).sum(axis=1))
-    for i, n in enumerate(norms):
-        if n <= _NORM_FLOOR:
-            raise DegenerateRowError(i, float(n))
-    y = mat / norms[:, None]
+    if x.ndim != 2:
+        raise ShapeError(f"l2_normalize_rows needs a 2-D tensor, got shape {x.shape}")
+    norms = np.sqrt((x.data * x.data).sum(axis=1))
+    bad = np.flatnonzero(norms <= _NORM_FLOOR)
+    if bad.size:
+        raise DegenerateRowError(int(bad[0]), float(norms[bad[0]]))
+    y = x.data / norms[:, None]
 
     def bw(g):
-        gm = g if x.ndim == 2 else g[None, :]
-        inner = (gm * y).sum(axis=1, keepdims=True)
-        gx = (gm - y * inner) / norms[:, None]
-        return (gx if x.ndim == 2 else gx[0],)
+        inner = (g * y).sum(axis=1, keepdims=True)
+        return ((g - y * inner) / norms[:, None],)
 
-    return _emit(y if x.ndim == 2 else y[0], (x,), bw)
+    return _emit(y, (x,), bw)
 
 
 def row_gather(x: Tensor, indices) -> Tensor:
@@ -307,24 +305,13 @@ def row_gather(x: Tensor, indices) -> Tensor:
 
 
 def mean_rows(x: Tensor) -> Tensor:
-    """Average of the row vectors of a 2-D tensor, shape (n,)."""
+    """Average of the row vectors of a 2-D (m, n) tensor, as a (1, n) row."""
     x = _as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"mean_rows needs a 2-D tensor, got shape {x.shape}")
     m = x.shape[0]
     return _emit(
-        x.data.mean(axis=0),
+        x.data.mean(axis=0, keepdims=True),
         (x,),
-        lambda g: (np.repeat(g[None, :] / m, m, axis=0),),
+        lambda g: (np.repeat(g / m, m, axis=0),),
     )
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    """Row-major reshape; gradient-transparent."""
-    x = _as_tensor(x)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise ShapeError(f"cannot reshape {x.shape} (size {x.size}) to {shape}")
-    old = x.shape
-    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-

@@ -67,6 +67,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {b}")
         if isinstance(self.loss, dict):
             self.loss = LossConfig(**self.loss)
+        elif not isinstance(self.loss, LossConfig):
+            raise TypeError(f"'loss' must be an object of loss settings, got {self.loss!r}")
         self.region_grid = tuple(self.region_grid)
 
     def to_dict(self) -> dict:

@@ -58,10 +58,10 @@ def local_alignment_score(att: AttentionMap, words: Tensor, lambda2: float) -> T
 
 
 def global_similarity(g_img: Tensor, g_txt: Tensor) -> Tensor:
-    """Dot product of the two global vectors (cosine, both unit-norm)."""
-    if g_img.shape != g_txt.shape or g_img.ndim != 1:
+    """Dot product of the two (1, D) global rows (cosine, both unit-norm)."""
+    if g_img.shape != g_txt.shape or g_img.ndim != 2 or g_img.shape[0] != 1:
         raise ShapeError(
-            f"global vectors must be matching 1-D, got {g_img.shape} and {g_txt.shape}")
+            f"global rows must be matching (1, D), got {g_img.shape} and {g_txt.shape}")
     return ref.tensor_sum(ref.mul(g_img, g_txt))
 
 

@@ -216,12 +216,12 @@ def test_matching_global_scores_one_with_local_disabled(trained):
     # oracle: mean global cosine per class, computed directly
     from glre.encoders import encode_text_toy
     from glre.trainer import encode_report
-    img_g = feats[0].global_feat.numpy()
+    img_g = feats[0].global_feat.numpy()[0]
     for k, name in enumerate(PATHOLOGIES):
         vals = []
         for p in prompts.prompts[name]:
             txt = encode_text_toy(encode_report(p, ckpt.vocab, ckpt.config), ckpt.params)
-            vals.append(float(np.dot(img_g, txt.global_feat.numpy())))
+            vals.append(float(np.dot(img_g, txt.global_feat.numpy()[0])))
         assert scores[0, k] == pytest.approx(np.mean(vals), abs=1e-12)
 
 

@@ -501,6 +501,14 @@ def _zeroshot_text_weight(tmp_path, pipeline):
             "--manifest", pipeline["data"] / "heldout.jsonl"], "global_weight"
 
 
+def _train_loss(loss, name, named="weight_global_i2t"):
+    def case(tmp_path, pipeline):
+        cfg = _write_json(tmp_path / "cfg.json", {"train": {"steps": 3, "loss": loss}})
+        return ["train", "--config", cfg, "--manifest", pipeline["data"] / "train.jsonl"], named
+    case.__name__ = f"train_loss_{name}"
+    return case
+
+
 def _lexicon_file(payload, name=None):
     def case(tmp_path, pipeline):
         _flat_manifest(tmp_path / "in.jsonl", n=2)
@@ -533,6 +541,10 @@ def _manifest_line(**fields):
     _unknown_section_key("probe"),
     _unknown_section_key("zeroshot"),
     _zeroshot_text_weight,
+    _train_loss([1], "list", "'loss'"),
+    _train_loss({"weight_global_i2t": "abc"}, "weight_abc"),
+    _train_loss({"weight_global_i2t": "1"}, "weight_str_number"),
+    _train_loss({"weight_global_i2t": True}, "weight_bool"),
     _lexicon_file({}),
     _lexicon_file([]),
     _lexicon_file({"mentions": [], "negations": [], "uncertainties": []}, "mentions_list"),

@@ -42,9 +42,9 @@ def unit_rows(rng, rows, dim):
 def make_features(rng, t, r, dim, requires_grad=False):
     """One random (image, text) feature pair with unit-norm rows."""
     img_local = nm.Tensor(unit_rows(rng, r, dim), requires_grad=requires_grad)
-    img_global = nm.Tensor(unit_rows(rng, 1, dim)[0], requires_grad=requires_grad)
+    img_global = nm.Tensor(unit_rows(rng, 1, dim), requires_grad=requires_grad)
     txt_local = nm.Tensor(unit_rows(rng, t, dim), requires_grad=requires_grad)
-    txt_global = nm.Tensor(unit_rows(rng, 1, dim)[0], requires_grad=requires_grad)
+    txt_global = nm.Tensor(unit_rows(rng, 1, dim), requires_grad=requires_grad)
     img = LocalGlobalFeatures(local=img_local, global_feat=img_global, modality="image")
     txt = LocalGlobalFeatures(local=txt_local, global_feat=txt_global, modality="text")
     return img, txt
@@ -226,16 +226,16 @@ def test_alignment_rejects_nonpositive_sharpening():
 
 
 def test_global_similarity_anchor_values():
-    a = nm.constant([1.0, 0.0, 0.0])
-    b = nm.constant([0.0, 1.0, 0.0])
+    a = nm.constant([[1.0, 0.0, 0.0]])
+    b = nm.constant([[0.0, 1.0, 0.0]])
     assert global_similarity(a, a).item() == 1.0
     assert global_similarity(a, b).item() == 0.0
-    assert global_similarity(a, nm.constant([-1.0, 0.0, 0.0])).item() == -1.0
+    assert global_similarity(a, nm.constant([[-1.0, 0.0, 0.0]])).item() == -1.0
 
 
 def test_global_similarity_dim_mismatch():
     with pytest.raises(ShapeError):
-        global_similarity(nm.constant([1.0, 0.0]), nm.constant([1.0, 0.0, 0.0]))
+        global_similarity(nm.constant([[1.0, 0.0]]), nm.constant([[1.0, 0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +394,8 @@ def _orthogonal_batch(dim=16, b=3, rows=2):
         local = np.zeros((rows, dim))
         for t in range(rows):
             local[t, i * (rows + 1) + t] = 1.0
-        glob = np.zeros(dim)
-        glob[i * (rows + 1) + rows] = 1.0
+        glob = np.zeros((1, dim))
+        glob[0, i * (rows + 1) + rows] = 1.0
         img = LocalGlobalFeatures(local=nm.constant(local),
                                   global_feat=nm.constant(glob), modality="image")
         txt = LocalGlobalFeatures(local=nm.constant(local.copy()),
@@ -437,7 +437,7 @@ def _ragged_batch(rng, lengths, n_images, r, dim, requires_grad=False):
     def feats(rows, modality):
         return LocalGlobalFeatures(
             local=nm.Tensor(unit_rows(rng, rows, dim), requires_grad=requires_grad),
-            global_feat=nm.Tensor(unit_rows(rng, 1, dim)[0], requires_grad=requires_grad),
+            global_feat=nm.Tensor(unit_rows(rng, 1, dim), requires_grad=requires_grad),
             modality=modality)
     return ([feats(r, "image") for _ in range(n_images)],
             [feats(t, "text") for t in lengths])
@@ -533,7 +533,7 @@ def test_pairwise_near_cancelling_contexts_match_pair_oracle():
     def feats(local, modality):
         return LocalGlobalFeatures(
             local=nm.Tensor(local, requires_grad=True),
-            global_feat=nm.Tensor(unit_rows(rng, 1, dim)[0], requires_grad=True),
+            global_feat=nm.Tensor(unit_rows(rng, 1, dim), requires_grad=True),
             modality=modality)
 
     imgs = [feats(np.stack([u, -u + 2 * scale * unit_rows(rng, 1, dim)[0]]), "image")
@@ -622,6 +622,10 @@ def test_pairwise_scores_rejects_bad_shapes():
                                global_feat=txts[0].global_feat, modality="text")
     with pytest.raises(ShapeError):
         pairwise_scores(imgs, [flat], cfg)
+    vector = LocalGlobalFeatures(local=txts[0].local, global_feat=nm.constant(np.ones(8)),
+                                 modality="text")
+    with pytest.raises(ShapeError):
+        pairwise_scores(imgs, [vector], cfg)
 
 
 def test_total_loss_gradients_finite_difference():

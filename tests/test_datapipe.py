@@ -339,8 +339,9 @@ def test_synth_noise_zero_same_class_same_pattern():
             if r.labels[target] == 1 and " mild " in f" {r.report_text} "]
     assert len(same) >= 2
     a, b = same[0].image, same[1].image
-    region = 0  # class 0's home region sits at grid index 0
-    np.testing.assert_array_equal(a.region_pixels(region), b.region_pixels(region))
+    # class 0's home region sits at grid index 0, the top-left block
+    rh, rw = a.height // a.region_grid[0], a.width // a.region_grid[1]
+    np.testing.assert_array_equal(a.pixels[:rh, :rw], b.pixels[:rh, :rw])
 
 
 def test_synth_deterministic_under_seed():

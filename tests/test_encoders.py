@@ -12,6 +12,7 @@ from glre.encoders import (
     LocalGlobalFeatures,
     TokenSequence,
     adaptive_mean_pool,
+    encode_image_patches,
     encode_image_toy,
     encode_text_toy,
     image_patch_matrix,
@@ -47,12 +48,33 @@ def test_image_grid_intensity_range():
         ImageGrid(np.full((3, 3), 1.5), region_grid=(1, 1))
 
 
-def test_region_pixels_row_major():
-    px = np.arange(36).reshape(6, 6) / 35.0
-    img = ImageGrid(px, region_grid=(3, 3))
-    np.testing.assert_array_equal(img.region_pixels(0), px[0:2, 0:2])
-    np.testing.assert_array_equal(img.region_pixels(5), px[2:4, 4:6])
-    np.testing.assert_array_equal(img.region_pixels(8), px[4:6, 4:6])
+def _region_loop_patches(px, region_grid, out):
+    """Oracle: slice each region row-major and pool it on its own."""
+    gr, gc = region_grid
+    rh, rw = px.shape[0] // gr, px.shape[1] // gc
+    rows = np.arange(out + 1) * rh // out
+    cols = np.arange(out + 1) * rw // out
+    patches = []
+    for r in range(gr * gc):
+        i, j = divmod(r, gc)
+        block = px[i * rh:(i + 1) * rh, j * rw:(j + 1) * rw]
+        sums = np.add.reduceat(np.add.reduceat(block, rows[:-1], axis=0), cols[:-1], axis=1)
+        patches.append((sums / np.outer(np.diff(rows), np.diff(cols))).ravel())
+    return np.stack(patches)
+
+
+def test_image_patch_matrix_matches_region_loop_oracle():
+    # bit-exact: one pass over all regions sums the same pixels in the same
+    # order as pooling each region separately
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        gr, gc = (int(v) for v in rng.integers(1, 5, size=2))
+        out = int(rng.integers(1, 12))
+        rh, rw = (int(v) for v in rng.integers(out, 301, size=2))
+        img = ImageGrid(rng.uniform(size=(gr * rh, gc * rw)), region_grid=(gr, gc))
+        got = image_patch_matrix(img, out)
+        assert got.shape == (gr * gc, out * out)
+        assert np.array_equal(got, _region_loop_patches(img.pixels, (gr, gc), out))
 
 
 def test_adaptive_pool_constant_block():
@@ -103,7 +125,7 @@ def test_single_region_shapes():
     img = ImageGrid(np.linspace(0, 1, 16).reshape(4, 4), region_grid=(1, 1))
     out = encode_image_toy(img, make_params())
     assert out.local.shape == (1, 8)
-    assert out.global_feat.shape == (8,)
+    assert out.global_feat.shape == (1, 8)
     assert np.linalg.norm(out.global_feat.numpy()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -214,7 +236,7 @@ def test_image_encoder_gradients():
     def f():
         out = encode_image_toy(img, params)
         s = nm.matmul(out.local, probe)
-        g = nm.matmul(nm.reshape(out.global_feat, (1, 6)), probe)
+        g = nm.matmul(out.global_feat, probe)
         return nm.add(tensor_sum(s), tensor_sum(g))
 
     err = max_rel_error(f, [params.patch_proj, params.patch_bias,
@@ -231,11 +253,26 @@ def test_text_encoder_gradients():
     def f():
         out = encode_text_toy(seq, params)
         s = nm.matmul(out.local, probe)
-        g = nm.matmul(nm.reshape(out.global_feat, (1, 6)), probe)
+        g = nm.matmul(out.global_feat, probe)
         return nm.add(tensor_sum(s), tensor_sum(g))
 
     err = max_rel_error(f, [params.token_table, params.global_proj_text], rng=rng)
     assert err < 1e-4
+
+
+def test_encoder_tape_records_and_2d_outputs():
+    # image: matmul, bias add, local normalize, mean, global matmul and
+    # normalize; text: gather, local normalize, mean, global matmul and
+    # normalize
+    params = make_params()
+    patches = np.random.default_rng(9).uniform(size=(9, 4))
+    seq = TokenSequence((4, 1, 4), vocab_size=12)
+    for encode, arg, want in ((encode_image_patches, patches, 6), (encode_text_toy, seq, 5)):
+        with nm.GradTape() as tape:
+            out = encode(arg, params)
+        assert len(tape) == want
+        assert out.global_feat.shape == (1, 8)
+        assert all(rec[0].ndim == 2 for rec in tape._records)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +283,7 @@ def test_text_encoder_gradients():
 def _features(rng, rows, dim, modality):
     local = rng.normal(size=(rows, dim))
     local /= np.linalg.norm(local, axis=1, keepdims=True)
-    glob = rng.normal(size=dim)
+    glob = rng.normal(size=(1, dim))
     glob /= np.linalg.norm(glob)
     return LocalGlobalFeatures(local=nm.constant(local),
                                global_feat=nm.constant(glob), modality=modality)
@@ -289,7 +326,7 @@ def test_embeddings_hand_built_file(tmp_path):
     blob += _record_bytes("y", 1, [[0.0, 2.0, 0.0, 0.0]], [0.0, 2.0, 0.0, 0.0])
     items = {
         sid: LocalGlobalFeatures(local=nm.constant(np.array([values])),
-                                 global_feat=nm.constant(np.array(values)),
+                                 global_feat=nm.constant(np.array([values])),
                                  modality=modality)
         for sid, modality, values in (("x", "image", [1.0, 0.0, 0.0, 0.0]),
                                       ("y", "text", [0.0, 2.0, 0.0, 0.0]))
@@ -297,6 +334,14 @@ def test_embeddings_hand_built_file(tmp_path):
     path = tmp_path / "hand.bin"
     save_embeddings(path, items)
     assert path.read_bytes() == blob
+
+
+def test_embeddings_reject_global_not_one_row(tmp_path):
+    local = nm.constant(np.ones((2, 4)))
+    for glob in (np.ones(4), np.ones((2, 4)), np.ones((1, 3))):
+        feats = LocalGlobalFeatures(local=local, global_feat=nm.constant(glob), modality="image")
+        with pytest.raises(ShapeError):
+            save_embeddings(tmp_path / "bad.bin", {"s": feats})
 
 
 # ---------------------------------------------------------------------------

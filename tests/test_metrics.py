@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from glre.errors import UndefinedAucError
-from glre.metrics import RocCurve, aggregate_auc, retrieval_top1, roc_auc
+from glre.metrics import RocCurve, _average_ranks, aggregate_auc, retrieval_top1, roc_auc
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -80,6 +81,15 @@ def test_symmetry_is_exact_in_floating_point():
         a = roc_auc(scores, labels).auc
         b = roc_auc(-scores, labels).auc
         assert a + b == 1.0
+
+
+def test_average_ranks_equal_scipy_rankdata_with_ties():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        scores = rng.integers(-3, 4, size=n) * 0.25
+        scores[rng.uniform(size=n) < 0.3] = -0.0  # -0.0 ties with 0.0
+        assert np.array_equal(_average_ranks(scores), rankdata(scores))
 
 
 def test_single_class_raises():

@@ -138,6 +138,22 @@ def test_config_validation():
         TrainConfig(beta1=1.0)
 
 
+def test_b16_step_records_179_tape_ops(monkeypatch):
+    # 16 images x 6 ops + 16 texts x 5 ops + 2 score matrices + 1 loss
+    import glre.trainer as trainer_mod
+
+    counts = []
+
+    def counting_backward(loss, tape):
+        counts.append(len(tape))
+        real_backward(loss, tape)
+
+    real_backward = trainer_mod.backward
+    monkeypatch.setattr(trainer_mod, "backward", counting_backward)
+    train(small_dataset(n_train=32), small_config(batch_size=16, steps=1))
+    assert counts == [179]
+
+
 def test_zero_steps_returns_initialization():
     records = small_dataset()
     cfg = small_config(steps=0)

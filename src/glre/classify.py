@@ -1,9 +1,11 @@
 """Downstream heads over trained encoders: linear probe and zero-shot.
 
-The probe is five independent logistic regressions on frozen global image
-features. Zero-shot scoring encodes per-pathology text prompts with the
-trained text encoder and ranks images by a mix of global cosine and local
-attention alignment against each prompt.
+The probe is five logistic regressions on frozen global image features,
+fitted together: each gradient-descent epoch is one masked GEMM over all
+five heads, with single-class or fully masked pathologies left at zero.
+Zero-shot scoring encodes per-pathology text prompts with the trained text
+encoder and ranks images by a mix of global cosine and local attention
+alignment against each prompt.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .crossmodal import pairwise_scores
 from .datapipe import PATHOLOGIES, labels_to_matrix
 from .encoders import LocalGlobalFeatures, encode_image_toy, encode_text_toy
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, check_number
 from .trainer import Checkpoint, encode_report
 
 
@@ -29,8 +31,8 @@ class ProbeConfig:
     uncertain_policy: str = "exclude"
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        check_number("epochs", self.epochs, integer=True, minimum=0)
+        check_number("learning_rate", self.learning_rate)
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.uncertain_policy not in ("exclude", "pos", "neg"):
@@ -69,12 +71,8 @@ class ProbeModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def fit_linear_probe(features, labels, config: ProbeConfig | None = None) -> ProbeModel:
@@ -95,36 +93,27 @@ def fit_linear_probe(features, labels, config: ProbeConfig | None = None) -> Pro
     if x.shape[0] != y.shape[0]:
         raise ShapeError(f"{x.shape[0]} feature rows vs {y.shape[0]} label rows")
 
-    n, d = x.shape
-    w = np.zeros((len(PATHOLOGIES), d))
+    counts = mask.sum(axis=0)
+    n_pos = (y * mask).sum(axis=0)
+    active = (n_pos > 0) & (n_pos < counts)
+    skipped = [name for name, on in zip(PATHOLOGIES, active) if not on]
+    for name in skipped:
+        warnings.warn(f"probe skips {name!r}: labels are single-class or fully masked")
+    keep = mask & active
+    step = config.learning_rate / np.maximum(counts, 1)
+
+    w = np.zeros((len(PATHOLOGIES), x.shape[1]))
     b = np.zeros(len(PATHOLOGIES))
-    active = []
-    for k, name in enumerate(PATHOLOGIES):
-        visible = y[mask[:, k], k]
-        if visible.size == 0 or visible.min() == visible.max():
-            warnings.warn(f"probe skips {name!r}: labels are single-class or fully masked")
-        else:
-            active.append(k)
-
     history = []
+    eps = 1e-12
     for _ in range(config.epochs):
-        z = x @ w.T + b
-        p = _sigmoid(z)
-        losses = []
-        for k in active:
-            mk = mask[:, k]
-            count = mk.sum()
-            err = (p[mk, k] - y[mk, k])
-            w[k] -= config.learning_rate * (err @ x[mk]) / count
-            b[k] -= config.learning_rate * err.sum() / count
-            eps = 1e-12
-            losses.append(float(-np.mean(
-                y[mk, k] * np.log(p[mk, k] + eps)
-                + (1 - y[mk, k]) * np.log(1 - p[mk, k] + eps)
-            )))
-        history.append(float(np.mean(losses)) if losses else 0.0)
-
-    skipped = [PATHOLOGIES[k] for k in range(len(PATHOLOGIES)) if k not in active]
+        p = _sigmoid(x @ w.T + b)
+        err = np.where(keep, p - y, 0.0)
+        w -= step[:, None] * (err.T @ x)
+        b -= step * err.sum(axis=0)
+        ll = np.where(keep, y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps), 0.0)
+        losses = -ll.sum(axis=0)[active] / counts[active]
+        history.append(float(losses.mean()) if losses.size else 0.0)
     return ProbeModel(
         weights=w, bias=b,
         metadata={

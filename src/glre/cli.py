@@ -66,6 +66,7 @@ from .errors import (
     InsufficientDataError,
     UndefinedAucError,
     VersionError,
+    check_number,
 )
 from .metrics import aggregate_auc, roc_auc
 from .trainer import TrainConfig, encode_report, load_checkpoint, save_checkpoint, train
@@ -255,7 +256,7 @@ def _roc_curves(args, config):
         keep = mask[:, k]
         try:
             curves[name] = roc_auc(scores[keep, k], y[keep, k].astype(int))
-        except (UndefinedAucError, InsufficientDataError):
+        except UndefinedAucError:
             curves[name] = None
     return curves, _digest({"uncertain_policy": policy, "scores": _digest(ids),
                             "labels": manifest_hash(label_records)})
@@ -415,18 +416,16 @@ def _cmd_probe(args, config, out_dir: Path) -> RunReport:
 
 
 def _zeroshot_weights(global_weight=0.5, local_weight=0.5) -> tuple[float, float]:
-    """The global/local mix of zero-shot scores; both weights must be numbers."""
-    for w in (global_weight, local_weight):
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise TypeError(f"global_weight and local_weight must be numbers, got {w!r}")
-    return float(global_weight), float(local_weight)
+    """The global/local mix of zero-shot scores; both weights must be finite numbers."""
+    return (float(check_number("global_weight", global_weight)),
+            float(check_number("local_weight", local_weight)))
 
 
 def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
+    gw, lw = _from_section(_zeroshot_weights, "zeroshot", _section(config, "zeroshot"))
     ckpt, records = _load_scoring_inputs(args, config)
     prompts_path = _opt(args, config, "prompts")
     prompts = PromptSet.load(prompts_path) if prompts_path else default_prompts()
-    gw, lw = _from_section(_zeroshot_weights, "zeroshot", _section(config, "zeroshot"))
     feats = image_features(records, ckpt)
     scores = zero_shot_scores(feats, prompts, ckpt, global_weight=gw, local_weight=lw)
     _write_scores(out_dir / "zeroshot_scores.csv",

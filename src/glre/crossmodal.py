@@ -27,12 +27,11 @@ keeps nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_number
 from . import numerics as nm
 from .numerics import _NORM_FLOOR, Tensor
 
@@ -52,9 +51,7 @@ class LossConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise TypeError(f"loss setting {f.name!r} must be a number, got {value!r}")
+            check_number(f"loss setting {f.name!r}", getattr(self, f.name))
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             raise ParameterError("sharpening factors must be positive")
         if self.tau_global <= 0 or self.tau_local <= 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import string
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import ImageGrid
-from .errors import FormatError, SplitSizeError, VocabularyError
+from .errors import FormatError, SplitSizeError, VocabularyError, check_number
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
 
@@ -238,16 +239,7 @@ def default_lexicon() -> Lexicon:
 
 def split_sentences(text: str) -> list[str]:
     """Split on period, semicolon, or colon; drop empty pieces."""
-    parts = []
-    buf = []
-    for ch in text:
-        if ch in ".;:":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return [p for p in parts if p.strip()]
+    return [p for p in re.split(r"[.;:]", text) if p.strip()]
 
 
 def _find_subsequences(haystack: list[str], needle: list[str]) -> list[int]:
@@ -309,19 +301,11 @@ def labels_to_matrix(label_vectors, uncertain_policy: str = "exclude"):
     """
     if uncertain_policy not in ("exclude", "pos", "neg"):
         raise ValueError(f"unknown uncertain policy {uncertain_policy!r}")
-    n = len(label_vectors)
-    y = np.zeros((n, len(PATHOLOGIES)))
-    mask = np.ones((n, len(PATHOLOGIES)), dtype=bool)
-    for i, lv in enumerate(label_vectors):
-        for j, v in enumerate(lv.values):
-            if v == UNCERTAIN:
-                if uncertain_policy == "exclude":
-                    mask[i, j] = False
-                else:
-                    y[i, j] = 1 if uncertain_policy == "pos" else 0
-            elif v is not BLANK:
-                y[i, j] = v
-    return y, mask
+    v = np.array([[np.nan if x is BLANK else x for x in lv.values] for lv in label_vectors],
+                 dtype=np.float64).reshape(-1, len(PATHOLOGIES))
+    uncertain = v == UNCERTAIN
+    y = (v == POSITIVE) | (uncertain & (uncertain_policy == "pos"))
+    return y.astype(np.float64), ~(uncertain & (uncertain_policy == "exclude"))
 
 
 def label_matrix(records, uncertain_policy: str = "exclude"):
@@ -502,6 +486,8 @@ class SynthConfig:
     background: float = 0.5
 
     def __post_init__(self):
+        check_number("noise", self.noise)
+        check_number("background", self.background)
         if not 1 <= self.n_classes <= len(PATHOLOGIES):
             raise ValueError(f"n_classes must be in 1..{len(PATHOLOGIES)}")
         gr, gc = self.region_grid

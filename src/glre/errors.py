@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of numeric settings.
 
 Contract violations (bad shapes, bad parameters, unusable data) derive from
 ValueError; state-machine misuse derives from RuntimeError. The CLI maps the
 former to exit code 1 and file/format problems to exit code 2.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class ShapeError(ValueError):
@@ -12,6 +15,22 @@ class ShapeError(ValueError):
 
 class ParameterError(ValueError):
     """A numeric hyperparameter is outside its legal range."""
+
+
+def check_number(name: str, value, integer: bool = False, minimum=None):
+    """`value` unchanged if it is a finite number (an integer if `integer`), >= `minimum`.
+
+    Bools are not numbers here. A wrong type raises TypeError, which the CLI
+    reports as a format error (exit 2); NaN, +-inf or a value below `minimum`
+    raises ParameterError (exit 1).
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not isinstance(value, Integral) and not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
 
 
 class DegenerateRowError(ValueError):

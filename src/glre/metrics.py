@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,12 +12,13 @@ from .errors import UndefinedAucError
 
 @dataclass
 class RocCurve:
-    """Threshold-sweep ROC curve plus the rank-based AUC.
+    """Threshold-sweep ROC curve plus the Mann-Whitney AUC.
 
-    Points run from (0, 0) to (1, 1) with non-decreasing fpr/tpr. ``auc`` is
-    the Mann-Whitney value (ties get half credit), which equals the
-    trapezoidal area of the stored points because tied scores are collapsed
-    into single diagonal segments.
+    Points run from (0, 0) to (1, 1) with non-decreasing fpr/tpr, one per
+    tie block of a single descending sort of the scores. ``auc`` is the
+    Mann-Whitney value (ties get half credit), computed from those same tie
+    blocks; it equals the trapezoidal area of the stored points because
+    tied scores are collapsed into single diagonal segments.
     """
 
     fpr: np.ndarray
@@ -41,65 +41,43 @@ class RocCurve:
                 writer.writerow([repr(float(f)), repr(float(t)), repr(float(th))])
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks, with tied scores sharing their average rank."""
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    return (ends - (counts - 1) / 2)[inverse]
-
-
 def roc_auc(scores, labels) -> RocCurve:
     """Rank the scores against binary labels.
 
     AUC is the Mann-Whitney statistic U / (n_pos * n_neg) with tied pairs
-    counted as one half. The final division is arranged so that the scores
-    and their negation yield values summing to exactly 1.0.
+    counted as one half. One descending sort gives both the curve and U:
+    the negatives of each tie block beat every positive above the block and
+    tie with the block's own positives. The final division is arranged so
+    that the scores and their negation yield values summing to exactly 1.0.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.ndim != 1 or s.shape != y.shape:
         raise ValueError(f"scores and labels must be equal-length 1-D, got {s.shape} and {y.shape}")
-    if s.size < 2:
-        raise UndefinedAucError("need at least 2 samples")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     pos = y == 1
-    neg = ~pos
     n_pos = int(pos.sum())
-    n_neg = int(neg.sum())
+    n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedAucError(
-            f"AUC undefined: {n_pos} positive and {n_neg} negative labels"
-        )
+        raise UndefinedAucError(f"AUC undefined: {n_pos} positive and {n_neg} negative labels")
 
-    ranks = _average_ranks(s)
-    # Rank sums of half-integers are exact in float64 at this scale.
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    order = np.argsort(-s, kind="mergesort")
+    s_sorted = s[order]
+    block_ends = np.append(np.nonzero(np.diff(s_sorted))[0], s.size - 1)
+    cum_tp = np.cumsum(pos[order])[block_ends]
+    cum_fp = (block_ends + 1) - cum_tp
+    d_tp = np.diff(cum_tp, prepend=0)
+    # Every term is a half-integer, so U is exact in float64 at this scale.
+    u = float(np.sum(np.diff(cum_fp, prepend=0) * (cum_tp - d_tp / 2)))
     denom = float(n_pos) * float(n_neg)
     u_comp = denom - u
-    if u <= u_comp:
-        auc = u / denom
-    else:
-        auc = 1.0 - u_comp / denom
+    auc = u / denom if u <= u_comp else 1.0 - u_comp / denom
 
-    fpr, tpr, thresholds = _sweep_curve(s, pos, n_pos, n_neg)
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds, auc=float(auc),
-                    n_pos=n_pos, n_neg=n_neg)
-
-
-def _sweep_curve(scores, pos, n_pos, n_neg):
-    """Cumulative TP/FP over thresholds at each distinct score, descending."""
-    order = np.argsort(-scores, kind="mergesort")
-    s_sorted = scores[order]
-    pos_sorted = pos[order].astype(np.int64)
-    distinct = np.nonzero(np.diff(s_sorted))[0]
-    block_ends = np.append(distinct, len(s_sorted) - 1)
-    cum_tp = np.cumsum(pos_sorted)[block_ends]
-    cum_fp = (block_ends + 1) - cum_tp
-    tpr = np.concatenate(([0.0], cum_tp / n_pos))
-    fpr = np.concatenate(([0.0], cum_fp / n_neg))
-    thresholds = np.concatenate(([np.inf], s_sorted[block_ends]))
-    return fpr, tpr, thresholds
+    return RocCurve(fpr=np.concatenate(([0.0], cum_fp / n_neg)),
+                    tpr=np.concatenate(([0.0], cum_tp / n_pos)),
+                    thresholds=np.concatenate(([np.inf], s_sorted[block_ends])),
+                    auc=auc, n_pos=n_pos, n_neg=n_neg)
 
 
 def aggregate_auc(values) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     TrainingDivergenceError,
     VersionError,
+    check_number,
 )
 from .numerics import GradTape, Tensor, backward
 
@@ -56,20 +57,28 @@ class TrainConfig:
     vocab_size: int | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for name, minimum in (("batch_size", 1), ("steps", 0), ("seed", 0), ("dim", 1),
+                              ("patch_pool", 1), ("max_length", 1)):
+            check_number(name, getattr(self, name), integer=True, minimum=minimum)
+        for name in ("learning_rate", "beta1", "beta2", "epsilon", "init_scale"):
+            check_number(name, getattr(self, name))
+        if self.vocab_size is not None:
+            check_number("vocab_size", self.vocab_size, integer=True)
+        if not isinstance(self.use_positions, bool):
+            raise TypeError(f"use_positions must be true or false, got {self.use_positions!r}")
+        if not isinstance(self.region_grid, (list, tuple)) or len(self.region_grid) != 2:
+            raise TypeError(f"region_grid must be two integers, got {self.region_grid!r}")
+        self.region_grid = tuple(check_number("region_grid entry", n, integer=True, minimum=1)
+                                 for n in self.region_grid)
+        if isinstance(self.loss, dict):
+            self.loss = LossConfig(**self.loss)
+        elif not isinstance(self.loss, LossConfig):
+            raise TypeError(f"'loss' must be an object of loss settings, got {self.loss!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {b}")
-        if isinstance(self.loss, dict):
-            self.loss = LossConfig(**self.loss)
-        elif not isinstance(self.loss, LossConfig):
-            raise TypeError(f"'loss' must be an object of loss settings, got {self.loss!r}")
-        self.region_grid = tuple(self.region_grid)
 
     def to_dict(self) -> dict:
         d = asdict(self)

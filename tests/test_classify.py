@@ -1,5 +1,7 @@
 """Linear-probe and zero-shot tests against scalar oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,17 @@ from glre.classify import (
     image_features,
     probe_predict,
     PromptSet,
+    _sigmoid,
     zero_shot_scores,
 )
-from glre.datapipe import PATHOLOGIES, LabelVector, SynthConfig, synth_paired_dataset
+from glre.datapipe import (
+    BLANK,
+    PATHOLOGIES,
+    LabelVector,
+    SynthConfig,
+    labels_to_matrix,
+    synth_paired_dataset,
+)
 from glre.errors import ShapeError, VocabularyError
 from glre.metrics import roc_auc
 from glre.trainer import TrainConfig, train
@@ -102,6 +112,63 @@ def test_probe_policies_differ_only_on_uncertain_rows():
     for k in (0, 1, 3, 4):
         np.testing.assert_array_equal(excl.weights[k], pos.weights[k])
     assert np.abs(excl.weights[2] - pos.weights[2]).max() > 0
+
+
+def loop_probe(x, labels, config):
+    """The per-pathology gradient-descent loop the fused fit replaced.
+
+    Returns weights, bias, loss history, skipped names and warning texts.
+    """
+    y, mask = labels_to_matrix(labels, uncertain_policy=config.uncertain_policy)
+    w = np.zeros((len(PATHOLOGIES), x.shape[1]))
+    b = np.zeros(len(PATHOLOGIES))
+    active, warned = [], []
+    for k, name in enumerate(PATHOLOGIES):
+        visible = y[mask[:, k], k]
+        if visible.size == 0 or visible.min() == visible.max():
+            warned.append(f"probe skips {name!r}: labels are single-class or fully masked")
+        else:
+            active.append(k)
+    history = []
+    for _ in range(config.epochs):
+        p = _sigmoid(x @ w.T + b)
+        losses = []
+        for k in active:
+            mk = mask[:, k]
+            count = mk.sum()
+            err = p[mk, k] - y[mk, k]
+            w[k] -= config.learning_rate * (err @ x[mk]) / count
+            b[k] -= config.learning_rate * err.sum() / count
+            eps = 1e-12
+            losses.append(float(-np.mean(y[mk, k] * np.log(p[mk, k] + eps)
+                                         + (1 - y[mk, k]) * np.log(1 - p[mk, k] + eps))))
+        history.append(float(np.mean(losses)) if losses else 0.0)
+    skipped = [PATHOLOGIES[k] for k in range(len(PATHOLOGIES)) if k not in active]
+    return w, b, history, skipped, warned
+
+
+@pytest.mark.parametrize("policy", ["exclude", "pos", "neg"])
+def test_fused_probe_matches_per_pathology_loop(policy):
+    rng = np.random.default_rng(12)
+    config = ProbeConfig(epochs=150, learning_rate=0.1, uncertain_policy=policy)
+    for _ in range(4):
+        n, d = int(rng.integers(12, 60)), int(rng.integers(1, 10))
+        x = rng.normal(size=(n, d))
+        values = rng.choice(np.array([1, 0, -1, BLANK], dtype=object), size=(n, 5))
+        single, masked = rng.choice(5, size=2, replace=False)
+        values[:, single] = rng.choice(np.array([0, BLANK], dtype=object), size=n)
+        values[:, masked] = -1  # masked under "exclude", single-class otherwise
+        labels = [LabelVector(tuple(row)) for row in values]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_linear_probe(x, labels, config)
+        w, b, history, skipped, warned = loop_probe(x, labels, config)
+        np.testing.assert_allclose(model.weights, w, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.bias, b, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.metadata["loss_history"], history, rtol=1e-12, atol=0)
+        assert model.metadata["skipped"] == skipped
+        assert [str(c.message) for c in caught] == warned
+        assert len(skipped) >= 2 and np.abs(model.weights).max() > 0
 
 
 def test_probe_predict_matches_scalar_oracle():

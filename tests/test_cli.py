@@ -482,31 +482,26 @@ def _write_json(path, payload):
 # each case writes its inputs and returns (argv, text the error must name)
 
 
-def _unknown_section_key(command):
+def _setting(command, section, named, name):
+    """`command` run with `section` as its config section; the error names `named`."""
     def case(tmp_path, pipeline):
-        cfg = _write_json(tmp_path / "cfg.json", {command: {"bogus": 1}})
+        cfg = _write_json(tmp_path / "cfg.json", {command: section})
         flags = {"train": ["--manifest", pipeline["data"] / "train.jsonl"],
                  "probe": ["--checkpoint", pipeline["checkpoint"],
                            "--manifest", pipeline["data"] / "train.jsonl"],
                  "zeroshot": ["--checkpoint", pipeline["checkpoint"],
                               "--manifest", pipeline["data"] / "heldout.jsonl"]}
-        return [command, "--config", cfg, *flags.get(command, [])], "bogus"
-    case.__name__ = f"unknown_{command}_key"
+        return [command, "--config", cfg, *flags.get(command, [])], named
+    case.__name__ = name
     return case
 
 
-def _zeroshot_text_weight(tmp_path, pipeline):
-    cfg = _write_json(tmp_path / "cfg.json", {"zeroshot": {"global_weight": "high"}})
-    return ["zeroshot", "--config", cfg, "--checkpoint", pipeline["checkpoint"],
-            "--manifest", pipeline["data"] / "heldout.jsonl"], "global_weight"
+def _unknown_section_key(command):
+    return _setting(command, {"bogus": 1}, "bogus", f"unknown_{command}_key")
 
 
 def _train_loss(loss, name, named="weight_global_i2t"):
-    def case(tmp_path, pipeline):
-        cfg = _write_json(tmp_path / "cfg.json", {"train": {"steps": 3, "loss": loss}})
-        return ["train", "--config", cfg, "--manifest", pipeline["data"] / "train.jsonl"], named
-    case.__name__ = f"train_loss_{name}"
-    return case
+    return _setting("train", {"steps": 3, "loss": loss}, named, f"train_loss_{name}")
 
 
 def _lexicon_file(payload, name=None):
@@ -540,11 +535,20 @@ def _manifest_line(**fields):
     _unknown_section_key("synth"),
     _unknown_section_key("probe"),
     _unknown_section_key("zeroshot"),
-    _zeroshot_text_weight,
+    _setting("zeroshot", {"global_weight": "high"}, "global_weight", "zeroshot_text_weight"),
     _train_loss([1], "list", "'loss'"),
     _train_loss({"weight_global_i2t": "abc"}, "weight_abc"),
     _train_loss({"weight_global_i2t": "1"}, "weight_str_number"),
     _train_loss({"weight_global_i2t": True}, "weight_bool"),
+    _setting("train", {"dim": "8"}, "dim", "train_dim_str"),
+    _setting("train", {"batch_size": 2.5}, "batch_size", "train_batch_size_float"),
+    _setting("train", {"steps": 2.5}, "steps", "train_steps_float"),
+    _setting("train", {"seed": True}, "seed", "train_seed_bool"),
+    _setting("train", {"use_positions": "yes"}, "use_positions", "train_use_positions_str"),
+    _setting("train", {"vocab_size": "40"}, "vocab_size", "train_vocab_size_str"),
+    _setting("train", {"region_grid": [3]}, "region_grid", "train_region_grid_one"),
+    _setting("train", {"region_grid": [3, 1.5]}, "region_grid", "train_region_grid_float"),
+    _setting("probe", {"epochs": 2.5}, "epochs", "probe_epochs_float"),
     _lexicon_file({}),
     _lexicon_file([]),
     _lexicon_file({"mentions": [], "negations": [], "uncertainties": []}, "mentions_list"),
@@ -561,6 +565,30 @@ def test_malformed_json_input_exits_2(pipeline, tmp_path, capsys, case):
     argv, named = case(tmp_path, pipeline)
     assert run(*argv, "--out-dir", tmp_path / "out") == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    _setting("train", {"patch_pool": 0}, "patch_pool", "train_patch_pool_0"),
+    _setting("train", {"max_length": 0}, "max_length", "train_max_length_0"),
+    _setting("train", {"region_grid": [0, 3]}, "region_grid", "train_region_grid_0"),
+    _setting("train", {"learning_rate": float("nan")}, "learning_rate", "train_lr_nan"),
+    _setting("train", {"epsilon": float("inf")}, "epsilon", "train_epsilon_inf"),
+    _setting("train", {"init_scale": float("nan")}, "init_scale", "train_init_scale_nan"),
+    _train_loss({"tau_global": float("nan")}, "tau_nan", "tau_global"),
+    _train_loss({"weight_local_t2i": float("-inf")}, "weight_minus_inf", "weight_local_t2i"),
+    _setting("probe", {"learning_rate": float("nan")}, "learning_rate", "probe_lr_nan"),
+    _setting("zeroshot", {"global_weight": float("nan")}, "global_weight",
+             "zeroshot_weight_nan"),
+    _setting("synth", {"noise": float("nan")}, "noise", "synth_noise_nan"),
+    _setting("synth", {"background": float("inf")}, "background", "synth_background_inf"),
+], ids=lambda case: case.__name__)
+def test_bad_setting_value_exits_1_before_reading_images(pipeline, tmp_path, capsys,
+                                                         monkeypatch, case):
+    argv, named = case(tmp_path, pipeline)
+    monkeypatch.setattr(glre.cli, "read_pgm", lambda path: pytest.fail(f"read {path}"))
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out" / "images").exists()
 
 
 def test_module_entry_point_runs():

@@ -17,7 +17,6 @@ from .classify import (
     PromptSet,
     default_prompts,
     fit_linear_probe,
-    global_feature_matrix,
     image_features,
     probe_predict,
     zero_shot_scores,
@@ -58,7 +57,7 @@ from .encoders import (
     PARAM_NAMES,
     TokenSequence,
     adaptive_mean_pool,
-    encode_image_toy,
+    encode_image_patches,
     encode_text_toy,
     image_patch_matrix,
     read_pgm,

@@ -3,9 +3,10 @@
 The probe is five logistic regressions on frozen global image features,
 fitted together: each gradient-descent epoch is one masked GEMM over all
 five heads, with single-class or fully masked pathologies left at zero.
-Zero-shot scoring encodes per-pathology text prompts with the trained text
-encoder and ranks images by a mix of global cosine and local attention
-alignment against each prompt.
+Zero-shot scoring encodes all per-pathology text prompts as one batch with
+the trained text encoder and ranks images by a mix of global cosine and
+local attention alignment against each prompt. Images are encoded as one
+batch, whose (N, D) global rows are the probe's features.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .crossmodal import pairwise_scores
 from .datapipe import PATHOLOGIES, labels_to_matrix
-from .encoders import LocalGlobalFeatures, encode_image_toy, encode_text_toy
+from . import encoders
+from .encoders import LocalGlobalFeatures, encode_image_patches, encode_text_toy
 from .errors import FormatError, ShapeError, check_number
 from .trainer import Checkpoint, encode_report
 
@@ -180,35 +182,31 @@ def default_prompts() -> PromptSet:
     })
 
 
-def image_features(records, ckpt: Checkpoint) -> list[LocalGlobalFeatures]:
-    """Frozen encoder outputs for records carrying inline images."""
-    feats = []
+def image_features(records, ckpt: Checkpoint) -> LocalGlobalFeatures:
+    """Frozen encoder outputs for records carrying inline images, as one batch."""
+    patches = []
     for rec in records:
         if rec.image is None:
             raise ValueError(f"record {rec.study_id!r} has no image attached")
-        feats.append(encode_image_toy(rec.image, ckpt.params))
-    return feats
+        # looked up on the module, so a wrapper installed there sees each call
+        patches.append(encoders.image_patch_matrix(rec.image, ckpt.params.patch_pool))
+    return encode_image_patches(patches, ckpt.params)
 
 
-def global_feature_matrix(feats: list[LocalGlobalFeatures]) -> np.ndarray:
-    """[N x D] matrix of the (1, D) global rows, detached from any tape."""
-    return np.concatenate([f.global_feat.numpy() for f in feats])
-
-
-def zero_shot_scores(feats: list[LocalGlobalFeatures], prompts: PromptSet,
+def zero_shot_scores(feats: LocalGlobalFeatures, prompts: PromptSet,
                      ckpt: Checkpoint, global_weight: float = 0.5,
                      local_weight: float = 0.5) -> np.ndarray:
     """[M x 5] class scores from trained-encoder prompt similarities.
 
-    All prompts are scored in one ``pairwise_scores`` call. For each image and
-    prompt: global_weight * cosine of globals plus local_weight * attention
-    alignment of prompt words against the image regions; a class scores the
-    mean over its prompts. Defaults give the equal global/local mix.
+    All prompts are encoded in one call and scored in one ``pairwise_scores``
+    call. For each image and prompt: global_weight * cosine of globals plus
+    local_weight * attention alignment of prompt words against the image
+    regions; a class scores the mean over its prompts. Defaults give the
+    equal global/local mix.
     """
-    texts = [encode_text_toy(encode_report(p, ckpt.vocab, ckpt.config), ckpt.params)
-             for name in PATHOLOGIES for p in prompts.prompts[name]]
-    if not feats:
-        return np.zeros((0, len(PATHOLOGIES)))
+    texts = encode_text_toy([encode_report(p, ckpt.vocab, ckpt.config)
+                             for name in PATHOLOGIES for p in prompts.prompts[name]],
+                            ckpt.params)
     g, l = pairwise_scores(feats, texts, ckpt.config.loss)
     mixed = global_weight * g.numpy() + local_weight * l.numpy()
     bounds = np.cumsum([0] + [len(prompts.prompts[name]) for name in PATHOLOGIES])

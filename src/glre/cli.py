@@ -32,7 +32,6 @@ from .classify import (
     PromptSet,
     default_prompts,
     fit_linear_probe,
-    global_feature_matrix,
     image_features,
     probe_predict,
     zero_shot_scores,
@@ -54,8 +53,9 @@ from .datapipe import (
 )
 from .encoders import (
     ImageGrid,
-    encode_image_toy,
+    encode_image_patches,
     encode_text_toy,
+    image_patch_matrix,
     read_pgm,
     save_embeddings,
     write_pgm,
@@ -91,11 +91,8 @@ class RunReport:
     content_hash: str | None = None
     wall_clock_seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def runreport_fingerprint(path) -> str:
@@ -278,7 +275,7 @@ def _cmd_label(args, config, out_dir: Path) -> RunReport:
     write_manifest(records, out)
     return RunReport(
         command="label",
-        config_hash=_digest({"lexicon": lexicon.to_dict()}),
+        config_hash=_digest({"lexicon": asdict(lexicon)}),
         outputs=[_out_key(out, out_dir)],
     )
 
@@ -308,8 +305,10 @@ def _cmd_split(args, config, out_dir: Path) -> RunReport:
     if require_report:
         records = filter_with_report(records)
     sizes_raw = _require(_opt(args, config, "sizes"), "--sizes")
+    if not isinstance(sizes_raw, (str, dict)):
+        raise FormatError(f"'sizes' must be a string or an object, got {sizes_raw!r}")
     sizes = _parse_sizes(sizes_raw) if isinstance(sizes_raw, str) else dict(sizes_raw)
-    seed = int(_opt(args, config, "seed", 0))
+    seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
 
     split = make_splits(records, sizes, seed)
     split.save(out_dir / "split.json")
@@ -330,8 +329,8 @@ def _cmd_split(args, config, out_dir: Path) -> RunReport:
 def _cmd_subset(args, config, out_dir: Path) -> RunReport:
     manifest = _require(_opt(args, config, "manifest"), "--manifest")
     records = read_manifest(manifest)
-    cap = int(_require(_opt(args, config, "cap"), "--cap"))
-    seed = int(_opt(args, config, "seed", 0))
+    cap = check_number("cap", _require(_opt(args, config, "cap"), "--cap"), integer=True, minimum=0)
+    seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
     subset = build_single_disease_subset(records, cap, seed)
     out = _out_path(out_dir, _opt(args, config, "out", "subset.json"))
     out.write_text(json.dumps(subset, indent=2, sort_keys=True) + "\n")
@@ -344,7 +343,7 @@ def _cmd_subset(args, config, out_dir: Path) -> RunReport:
 
 def _cmd_synth(args, config, out_dir: Path) -> RunReport:
     scfg = _from_section(SynthConfig, "synth", _section(config, "synth"))
-    seed = int(_opt(args, config, "seed", 0))
+    seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
     train_recs, heldout = synth_paired_dataset(scfg, seed)
     (out_dir / "images").mkdir(exist_ok=True)
     for rec in (*train_recs, *heldout):
@@ -353,12 +352,10 @@ def _cmd_synth(args, config, out_dir: Path) -> RunReport:
         rec.image_path = rel
     write_manifest(train_recs, out_dir / "train.jsonl")
     write_manifest(heldout, out_dir / "heldout.jsonl")
-    cfg_dict = asdict(scfg)
-    cfg_dict["region_grid"] = list(scfg.region_grid)
     return RunReport(
         command="synth", seed=seed,
         outputs=["train.jsonl", "heldout.jsonl", "images"],
-        config_hash=_digest({"synth": cfg_dict, "seed": seed}),
+        config_hash=_digest({"synth": asdict(scfg), "seed": seed}),
     )
 
 
@@ -394,8 +391,7 @@ def _cmd_probe(args, config, out_dir: Path) -> RunReport:
     ckpt, records = _load_scoring_inputs(args, config)
     label_matrix(records)  # every record must be labeled; fails before encoding
     feats = image_features(records, ckpt)
-    model = fit_linear_probe(global_feature_matrix(feats),
-                             [r.labels for r in records], pcfg)
+    model = fit_linear_probe(feats.global_feat.numpy(), [r.labels for r in records], pcfg)
     model.save(out_dir / "probe.json")
     outputs = ["probe.json"]
 
@@ -403,8 +399,7 @@ def _cmd_probe(args, config, out_dir: Path) -> RunReport:
     if score_manifest:
         srecs = read_manifest(score_manifest)
         _attach_images(srecs, score_manifest, ckpt.config.region_grid)
-        sfeats = image_features(srecs, ckpt)
-        probs = probe_predict(model, global_feature_matrix(sfeats))
+        probs = probe_predict(model, image_features(srecs, ckpt).global_feat.numpy())
         _write_scores(out_dir / "probe_scores.csv",
                       [r.study_id for r in srecs], probs)
         outputs.append("probe_scores.csv")
@@ -426,8 +421,9 @@ def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
     ckpt, records = _load_scoring_inputs(args, config)
     prompts_path = _opt(args, config, "prompts")
     prompts = PromptSet.load(prompts_path) if prompts_path else default_prompts()
-    feats = image_features(records, ckpt)
-    scores = zero_shot_scores(feats, prompts, ckpt, global_weight=gw, local_weight=lw)
+    scores = (zero_shot_scores(image_features(records, ckpt), prompts, ckpt,
+                               global_weight=gw, local_weight=lw)
+              if records else np.zeros((0, len(PATHOLOGIES))))
     _write_scores(out_dir / "zeroshot_scores.csv",
                   [r.study_id for r in records], scores)
     return RunReport(
@@ -452,7 +448,8 @@ def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
     items = {}
     for rec in records:
         if rec.image is not None:
-            items[f"{rec.study_id}:image"] = encode_image_toy(rec.image, ckpt.params)
+            patches = image_patch_matrix(rec.image, ckpt.params.patch_pool)
+            items[f"{rec.study_id}:image"] = encode_image_patches([patches], ckpt.params)
         if rec.report_text.strip():
             seq = encode_report(rec.report_text, ckpt.vocab, ckpt.config)
             items[f"{rec.study_id}:text"] = encode_text_toy(seq, ckpt.params)

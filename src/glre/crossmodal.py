@@ -4,11 +4,12 @@ The cross-modal score of an image/text pair has a global part (cosine of the
 two global vectors) and a local part: each word attends over the image
 regions via a sharpened softmax of the word x region similarities, and the
 per-word cosines between words and their attention contexts are folded with
-a smooth maximum. ``pairwise_scores`` computes both parts for every pair of a
-batch as two taped ops with hand-written adjoints; training, zero-shot
-scoring and retrieval all call it. ``contrastive_loss`` is one more taped op:
-the symmetric InfoNCE terms over the two score matrices in both pairing
-directions, weighted and summed, with one adjoint for all four.
+a smooth maximum. ``pairwise_scores`` computes both parts for every pair of
+an image and a text feature batch, as the encoders emit them, in two taped
+ops with hand-written adjoints; training, zero-shot scoring and retrieval
+all call it. ``contrastive_loss`` is one more taped op: the symmetric
+InfoNCE terms over the two score matrices in both pairing directions,
+weighted and summed, with one adjoint for all four.
 
 The local kernel (``align`` and its adjoint) scores a block of images
 against all padded words at once and does its elementwise work in region
@@ -33,6 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, check_number
 from . import numerics as nm
+from .encoders import LocalGlobalFeatures
 from .numerics import _NORM_FLOOR, Tensor
 
 
@@ -67,7 +69,6 @@ class LossBreakdown:
     local_i2t: float
     local_t2i: float
     total: Tensor
-    config: LossConfig
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -129,7 +130,7 @@ def contrastive_loss(global_matrix: Tensor, local_matrix: Tensor,
         return grads[0] + grads[1].T, grads[2] + grads[3].T
 
     total = nm._emit(np.asarray(total), (global_matrix, local_matrix), bw)
-    return LossBreakdown(*terms, total=total, config=config)
+    return LossBreakdown(*terms, total=total)
 
 
 # Block budget of the local kernel: a block of images is sized so that its
@@ -211,74 +212,80 @@ def _align_adjoint(al: Alignment, regions: np.ndarray, words: np.ndarray,
     return g_regions, g_words
 
 
+def _rows(tensors) -> np.ndarray:
+    """The tensors' rows stacked in order; a lone tensor's buffer is not copied."""
+    return tensors[0].data if len(tensors) == 1 else np.concatenate([t.data for t in tensors])
+
+
 def pairwise_scores(image_feats, text_feats, config: LossConfig):
     """Global and local B_i x B_t score matrices; [i, j] scores image i vs text j.
 
-    Each matrix is one taped op with a hand-written adjoint. The global one
-    is a single matmul of the concatenated (1, D) global rows. The local one
-    pads the texts to the longest and runs ``align`` over blocks of images
-    with equal region counts, each block's context slab within
-    ``_BLOCK_ELEMENTS`` elements. Under a recording tape each block's region-sized state is kept
-    for the adjoint, which rebuilds only the block's contexts; no
-    (B_i, B_t, T, D) array is ever held.
+    Each side is a LocalGlobalFeatures batch or a list of them, scored in
+    order. Each matrix is one taped op with a hand-written adjoint. The
+    global one is a single matmul of the global rows. The local one pads the
+    words to the longest text and runs ``align`` over blocks of the (B_i, R,
+    D) regions, so all images need one region count R; each block's context
+    slab stays within ``_BLOCK_ELEMENTS`` elements. Under a recording tape
+    each block's region-sized state is kept for the adjoint, which rebuilds
+    only the block's contexts; no (B_i, B_t, T, D) array is ever held.
     """
-    if not image_feats or not text_feats:
-        raise ShapeError(f"empty batch: {len(image_feats)} images, {len(text_feats)} texts")
-    dim = image_feats[0].local.shape[-1]
-    for f in (*image_feats, *text_feats):
-        if (f.local.ndim != 2 or f.local.shape[0] == 0 or f.local.shape[1] != dim
-                or f.global_feat.shape != (1, dim)):
-            raise ShapeError(f"{f.modality} features need non-empty (n, {dim}) local rows "
-                             f"and a (1, {dim}) global row, got {f.local.shape} and "
-                             f"{f.global_feat.shape}")
+    images = [image_feats] if isinstance(image_feats, LocalGlobalFeatures) else list(image_feats)
+    texts = [text_feats] if isinstance(text_feats, LocalGlobalFeatures) else list(text_feats)
+    if not images or not texts:
+        raise ShapeError(f"empty batch: {len(images)} images, {len(texts)} texts")
+    dim = images[0].local.shape[-1]
+    for f in (*images, *texts):
+        n = f.lengths
+        if (f.local.ndim != 2 or f.local.shape[1] != dim or min(n, default=0) < 1
+                or sum(n) != f.local.shape[0] or f.global_feat.shape != (len(n), dim)):
+            raise ShapeError(f"{f.modality} features need (n_k >= 1, {dim}) rows and a global "
+                             f"row per study, got {f.local.shape}, {f.global_feat.shape}, {n}")
+    region_counts = {r for f in images for r in f.lengths}
+    if len(region_counts) != 1:
+        raise ShapeError(f"images must share one region count, got {sorted(region_counts)}")
 
-    img_g = tuple(f.global_feat for f in image_feats)
-    txt_g = tuple(f.global_feat for f in text_feats)
-    gi = np.concatenate([t.data for t in img_g])
-    gt = np.concatenate([t.data for t in txt_g])
+    img_g, txt_g = (tuple(f.global_feat for f in side) for side in (images, texts))
+    gi, gt = _rows(img_g), _rows(txt_g)
+    img_split, txt_split = (np.cumsum([len(f.lengths) for f in side])[:-1]
+                            for side in (images, texts))
 
     def global_bw(g):
-        return (*(g @ gt)[:, None], *(g.T @ gi)[:, None])
+        return (*np.split(g @ gt, img_split), *np.split(g.T @ gi, txt_split))
 
     global_matrix = nm._emit(gi @ gt.T, img_g + txt_g, global_bw)
 
-    img_l = tuple(f.local for f in image_feats)
-    txt_l = tuple(f.local for f in text_feats)
-    lengths = [t.shape[0] for t in txt_l]
-    padded = np.zeros((len(txt_l), max(lengths), dim))
-    for j, t in enumerate(txt_l):
-        padded[j, : lengths[j]] = t.data
-    mask = np.arange(padded.shape[1]) < np.array(lengths)[:, None]
+    img_l, txt_l = (tuple(f.local for f in side) for side in (images, texts))
+    regions = _rows(img_l).reshape(len(gi), -1, dim)
+    lengths = np.array([n for f in texts for n in f.lengths])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.zeros((*mask.shape, dim))
+    padded[mask] = _rows(txt_l)
     words = padded.reshape(-1, dim)
     word_norms = np.sqrt(np.einsum("nd,nd->n", words, words))
     lam1, lam2 = config.lambda1, config.lambda2
     # the adjoint exists only if _emit will record this op
     keep = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_l)
     per_block = max(1, _BLOCK_ELEMENTS // words.size)
-    local = np.empty((len(img_l), len(txt_l)))
+    local = np.empty((len(gi), len(gt)))
     kept = []
-    start = 0
-    while start < len(img_l):
-        stop = start + 1
-        while (stop < len(img_l) and stop - start < per_block
-               and img_l[stop].shape == img_l[start].shape):
-            stop += 1
-        regions = np.stack([v.data for v in img_l[start:stop]])
-        al = align(regions, words, word_norms, mask, lam1, lam2)
-        local[start:stop] = al.scores
+    for start in range(0, len(gi), per_block):
+        block = regions[start : start + per_block]
+        al = align(block, words, word_norms, mask, lam1, lam2)
+        local[start : start + per_block] = al.scores
         if keep:
-            kept.append((start, stop, regions, al))
-        start = stop
+            kept.append((start, block, al))
 
     def local_bw(g):
-        g_regions = []
+        g_regions = np.empty_like(regions)
         g_words = np.zeros_like(words)
-        for start, stop, regions, al in kept:
-            gv, gw = _align_adjoint(al, regions, words, word_norms, lam1, g[start:stop])
-            g_regions.extend(gv)
+        for start, block, al in kept:
+            stop = start + len(block)
+            gv, gw = _align_adjoint(al, block, words, word_norms, lam1, g[start:stop])
+            g_regions[start:stop] = gv
             g_words += gw
-        g_words = g_words.reshape(padded.shape)
-        return (*g_regions, *(g_words[j, :n] for j, n in enumerate(lengths)))
+        g_words = g_words.reshape(padded.shape)[mask]
+        return (*np.split(g_regions.reshape(-1, dim), img_split * regions.shape[1]),
+                *np.split(g_words, np.cumsum([t.shape[0] for t in txt_l])[:-1]))
 
     local_matrix = nm._emit(local, img_l + txt_l, local_bw)
     return global_matrix, local_matrix

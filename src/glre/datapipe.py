@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import ImageGrid
-from .errors import FormatError, SplitSizeError, VocabularyError, check_number
+from .errors import FormatError, SplitSizeError, VocabularyError, check_grid, check_number
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
 
@@ -45,10 +45,6 @@ class LabelVector:
         for v in self.values:
             if v not in _ALLOWED:
                 raise ValueError(f"label {v!r} not in {{1, 0, -1, blank}}")
-
-    @classmethod
-    def blank(cls) -> "LabelVector":
-        return cls((BLANK,) * len(PATHOLOGIES))
 
     @classmethod
     def positive_for(cls, pathology: str) -> "LabelVector":
@@ -117,9 +113,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def encode(self, text: str) -> list[int]:
         ids = []
         for tok in tokenize(text):
@@ -163,11 +156,8 @@ class Lexicon:
             if cue != cue.lower():
                 raise ValueError(f"cue {cue!r} must be lowercase")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Lexicon":
@@ -402,15 +392,17 @@ class SplitManifest:
 def make_splits(records, sizes: dict, seed: int) -> SplitManifest:
     """Seeded sampling without replacement into named splits.
 
-    `sizes` maps split name to a count, or to "rest" for at most one split
-    that absorbs the remainder. Requesting more records than available
-    raises SplitSizeError.
+    `sizes` maps split name to a count (an integer >= 0), or to "rest" for
+    at most one split that absorbs the remainder. Requesting more records
+    than available raises SplitSizeError.
     """
     ids = [r.study_id for r in records]
     rest_names = [name for name, v in sizes.items() if v == "rest"]
     if len(rest_names) > 1:
         raise ValueError(f"only one split may be 'rest', got {rest_names}")
-    requested = sum(int(v) for v in sizes.values() if v != "rest")
+    counts = {name: check_number(f"sizes entry {name!r}", v, integer=True, minimum=0)
+              for name, v in sizes.items() if v != "rest"}
+    requested = sum(counts.values())
     if requested > len(ids):
         raise SplitSizeError(requested, len(ids))
 
@@ -418,12 +410,9 @@ def make_splits(records, sizes: dict, seed: int) -> SplitManifest:
     order = rng.permutation(len(ids))
     cursor = 0
     splits: dict[str, list[str]] = {}
-    for name, size in sizes.items():
-        if size == "rest":
-            continue
-        take = order[cursor : cursor + int(size)]
-        cursor += int(size)
-        splits[name] = [ids[i] for i in take]
+    for name, size in counts.items():
+        splits[name] = [ids[i] for i in order[cursor : cursor + size]]
+        cursor += size
     if rest_names:
         splits[rest_names[0]] = [ids[i] for i in order[cursor:]]
     return SplitManifest(seed=int(seed), splits=splits, source_hash=manifest_hash(records))
@@ -486,6 +475,10 @@ class SynthConfig:
     background: float = 0.5
 
     def __post_init__(self):
+        for name, minimum in (("n_classes", 1), ("n_train", 0), ("n_heldout", 0),
+                              ("image_size", 1)):
+            check_number(name, getattr(self, name), integer=True, minimum=minimum)
+        self.region_grid = check_grid("region_grid", self.region_grid)
         check_number("noise", self.noise)
         check_number("background", self.background)
         if not 1 <= self.n_classes <= len(PATHOLOGIES):

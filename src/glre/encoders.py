@@ -1,12 +1,13 @@
 """Toy image/text encoders producing local and global feature matrices.
 
-Both encoders emit a LocalGlobalFeatures pair: per-region or per-token rows
-(L2-normalized, (n, D)) plus one normalized (1, D) global row; every tensor
-they record is 2-D. The image side mean-pools every grid region to a small
-patch vector in one pass over the image and projects it; the text side
-looks up token embeddings. The global row is a projection of the mean of
-the pre-normalization rows. save_embeddings writes features in the GLRE1
-layout for use outside glre; nothing in the package reads it back.
+Each encoder runs once per batch of studies and emits a LocalGlobalFeatures
+batch: every study's L2-normalized per-region or per-token rows, stacked,
+plus one normalized global row per study; every tensor they record is 2-D.
+The image side mean-pools every grid region to a small patch vector and
+projects all patches in one matmul; the text side gathers all token
+embeddings at once. A study's global row is a projection of the mean of its
+pre-normalization rows. save_embeddings writes single-study features in the
+GLRE1 layout for use outside glre; nothing in the package reads it back.
 """
 
 from __future__ import annotations
@@ -82,15 +83,19 @@ class TokenSequence:
 
 @dataclass
 class LocalGlobalFeatures:
-    """Unit-norm (n, D) local rows plus one unit-norm (1, D) global row."""
+    """B studies (one by default): (sum n_k, D) unit-norm local rows, study k's
+    n_k rows contiguous; (B, D) unit-norm global rows; lengths holds the n_k."""
 
     local: Tensor
     global_feat: Tensor
     modality: str
+    lengths: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.modality not in ("image", "text"):
             raise ValueError(f"modality must be image or text, got {self.modality!r}")
+        if self.lengths is None:
+            self.lengths = (self.local.shape[0],)
 
 
 PARAM_NAMES = ("patch_proj", "patch_bias", "token_table", "global_proj_image", "global_proj_text")
@@ -190,45 +195,42 @@ def sinusoidal_positions(length: int, dim: int, scale: float = 0.05) -> np.ndarr
     return scale * table
 
 
-def _global_from_rows(pre_rows: Tensor, proj: Tensor) -> Tensor:
-    """Normalized (1, D) projection of the mean of pre-normalization rows."""
-    return nm.l2_normalize_rows(nm.matmul(nm.mean_rows(pre_rows), proj))
+def encode_image_patches(patches, params: EncoderParams) -> LocalGlobalFeatures:
+    """Encode a batch of images from their pre-pooled (R_k, P) patch matrices.
 
-
-def encode_image_patches(patches: np.ndarray, params: EncoderParams) -> LocalGlobalFeatures:
-    """Project pre-pooled R x P patch vectors; lets callers cache the pooling."""
-    if patches.ndim != 2 or patches.shape[1] != params.patch_proj.shape[0]:
-        raise ShapeError(
-            f"patch matrix shape {patches.shape} does not match projection "
-            f"{params.patch_proj.shape}"
-        )
-    pre = nm.add(nm.matmul(nm.constant(patches), params.patch_proj), params.patch_bias)
-    local = nm.l2_normalize_rows(pre)
-    global_feat = _global_from_rows(pre, params.global_proj_image)
-    return LocalGlobalFeatures(local=local, global_feat=global_feat, modality="image")
-
-
-def encode_image_toy(img: ImageGrid, params: EncoderParams) -> LocalGlobalFeatures:
-    """Mean-pool each region to a patch vector, project, normalize.
-
-    The global row projects the mean of the un-normalized region features,
-    so it keeps magnitude information that per-row normalization discards.
+    The global rows project the mean of un-normalized region features, so they
+    keep magnitude information that per-row normalization discards.
     """
-    return encode_image_patches(image_patch_matrix(img, params.patch_pool), params)
-
-
-def encode_text_toy(seq: TokenSequence, params: EncoderParams) -> LocalGlobalFeatures:
-    """Embedding lookup per token (optional sinusoidal positions), normalize."""
-    if seq.vocab_size != params.vocab_size:
-        raise VocabularyError(
-            f"sequence vocabulary {seq.vocab_size} != table size {params.vocab_size}"
-        )
-    pre = nm.row_gather(params.token_table, list(seq.ids))
-    if params.use_positions:
-        pre = nm.add(pre, nm.constant(sinusoidal_positions(len(seq), params.dim)))
+    p = params.patch_proj.shape[0]
+    if len(patches) == 0 or any(m.ndim != 2 or m.shape[1] != p for m in patches):
+        raise ShapeError(f"need a non-empty list of (R, {p}) patch matrices, got shapes "
+                         f"{[m.shape for m in patches]}")
+    lengths = tuple(m.shape[0] for m in patches)
+    pre = nm.add(nm.matmul(nm.constant(np.concatenate(patches)), params.patch_proj),
+                 params.patch_bias)
     local = nm.l2_normalize_rows(pre)
-    global_feat = _global_from_rows(pre, params.global_proj_text)
-    return LocalGlobalFeatures(local=local, global_feat=global_feat, modality="text")
+    global_feat = nm.l2_normalize_rows(
+        nm.matmul(nm.mean_rows(pre, lengths), params.global_proj_image))
+    return LocalGlobalFeatures(local, global_feat, "image", lengths)
+
+
+def encode_text_toy(seqs, params: EncoderParams) -> LocalGlobalFeatures:
+    """Embed one TokenSequence or a list of them (optional positions), normalize."""
+    seqs = [seqs] if isinstance(seqs, TokenSequence) else list(seqs)
+    if not seqs:
+        raise ShapeError("need at least one token sequence")
+    bad = [seq.vocab_size for seq in seqs if seq.vocab_size != params.vocab_size]
+    if bad:
+        raise VocabularyError(f"sequence vocabulary {bad[0]} != table size {params.vocab_size}")
+    lengths = tuple(len(seq) for seq in seqs)
+    pre = nm.row_gather(params.token_table, [i for seq in seqs for i in seq.ids])
+    if params.use_positions:
+        table = sinusoidal_positions(max(lengths), params.dim)
+        pre = nm.add(pre, nm.constant(np.concatenate([table[:n] for n in lengths])))
+    local = nm.l2_normalize_rows(pre)
+    global_feat = nm.l2_normalize_rows(
+        nm.matmul(nm.mean_rows(pre, lengths), params.global_proj_text))
+    return LocalGlobalFeatures(local, global_feat, "text", lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ _MODALITY_CODE = {"image": 0, "text": 1}
 
 
 def save_embeddings(path, items: dict[str, LocalGlobalFeatures]) -> None:
-    """Write features keyed by study ID in the GLRE1 binary layout."""
+    """Write single-study features keyed by study ID in the GLRE1 binary layout."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(items)))

@@ -20,17 +20,24 @@ class ParameterError(ValueError):
 def check_number(name: str, value, integer: bool = False, minimum=None):
     """`value` unchanged if it is a finite number (an integer if `integer`), >= `minimum`.
 
-    Bools are not numbers here. A wrong type raises TypeError, which the CLI
-    reports as a format error (exit 2); NaN, +-inf or a value below `minimum`
-    raises ParameterError (exit 1).
+    Bools are not numbers here. A wrong type raises SettingTypeError (CLI exit
+    2); NaN, +-inf or a value below `minimum` raises ParameterError (exit 1).
     """
     if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
-        raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        raise SettingTypeError(
+            f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     if not isinstance(value, Integral) and not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value!r}")
     return value
+
+
+def check_grid(name: str, value) -> tuple:
+    """`value` as a tuple of two integers >= 1, each checked by check_number."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise SettingTypeError(f"{name} must be two integers, got {value!r}")
+    return tuple(check_number(f"{name} entry", n, integer=True, minimum=1) for n in value)
 
 
 class DegenerateRowError(ValueError):
@@ -62,6 +69,10 @@ class FormatError(ValueError):
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
+
+
+class SettingTypeError(FormatError, TypeError):
+    """A setting has the wrong type: a format error that is also a TypeError."""
 
 
 class ConsistencyError(ValueError):

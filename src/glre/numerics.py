@@ -2,13 +2,13 @@
 
 The operation set holds only what the shipped model records: matmul, add
 (broadcasting limited to scalars and row vectors), row normalization, row
-gather and the mean of the rows. The encoders are composed from these, and
-every tensor they record is 2-D: local rows are (n, D) and the global
-feature is a (1, D) row. The fused ops live beside the code that
-needs them and record through ``_emit`` with their own adjoints:
-``crossmodal.pairwise_scores`` emits the batched global and local score
-matrices, and ``crossmodal.contrastive_loss`` the weighted symmetric InfoNCE
-loss over both.
+gather and segment means of rows. The encoders run once per batch, composed
+from these; every tensor they record is 2-D: all studies' local rows stacked
+as (sum n_k, D) and one (B, D) global row per study. The fused ops live
+beside the code that needs them and record through ``_emit`` with their own
+adjoints: ``crossmodal.pairwise_scores`` emits the batched global and local
+score matrices, and ``crossmodal.contrastive_loss`` the weighted symmetric
+InfoNCE loss over both.
 
 Recording model: ops record onto the innermost active ``GradTape`` whenever
 any input requires gradients. A tape replays its records in exact reverse
@@ -304,14 +304,17 @@ def row_gather(x: Tensor, indices) -> Tensor:
     return _emit(x.data[idx], (x,), bw)
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Average of the row vectors of a 2-D (m, n) tensor, as a (1, n) row."""
+def mean_rows(x: Tensor, lengths) -> Tensor:
+    """Means of consecutive runs of lengths[k] >= 1 rows of a 2-D tensor, one row each."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"mean_rows needs a 2-D tensor, got shape {x.shape}")
-    m = x.shape[0]
+    counts = np.asarray(lengths, dtype=np.int64)
+    if (x.ndim != 2 or counts.ndim != 1 or counts.size == 0 or counts.min() < 1
+            or counts.sum() != x.shape[0]):
+        raise ShapeError(f"mean_rows needs a 2-D tensor and positive lengths summing to its "
+                         f"rows, got shape {x.shape} and lengths {counts.tolist()}")
+    starts = np.cumsum(counts) - counts
     return _emit(
-        x.data.mean(axis=0, keepdims=True),
+        np.add.reduceat(x.data, starts, axis=0) / counts[:, None],
         (x,),
-        lambda g: (np.repeat(g / m, m, axis=0),),
+        lambda g: (np.repeat(g / counts[:, None], counts, axis=0),),
     )

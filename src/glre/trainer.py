@@ -31,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     TrainingDivergenceError,
     VersionError,
+    check_grid,
     check_number,
 )
 from .numerics import GradTape, Tensor, backward
@@ -66,10 +67,7 @@ class TrainConfig:
             check_number("vocab_size", self.vocab_size, integer=True)
         if not isinstance(self.use_positions, bool):
             raise TypeError(f"use_positions must be true or false, got {self.use_positions!r}")
-        if not isinstance(self.region_grid, (list, tuple)) or len(self.region_grid) != 2:
-            raise TypeError(f"region_grid must be two integers, got {self.region_grid!r}")
-        self.region_grid = tuple(check_number("region_grid entry", n, integer=True, minimum=1)
-                                 for n in self.region_grid)
+        self.region_grid = check_grid("region_grid", self.region_grid)
         if isinstance(self.loss, dict):
             self.loss = LossConfig(**self.loss)
         elif not isinstance(self.loss, LossConfig):
@@ -80,22 +78,13 @@ class TrainConfig:
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {b}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["region_grid"] = list(self.region_grid)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
     def hash(self) -> str:
         """Digest of everything that shapes the model or the random stream.
 
         `steps` is excluded: a run stopped early and resumed to a longer
         horizon is still the same experiment.
         """
-        d = self.to_dict()
+        d = asdict(self)
         d.pop("steps")
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
 
@@ -231,8 +220,8 @@ def train(records, config: TrainConfig, log_path=None,
             pointer += take
 
             with GradTape() as tape:
-                imgs = [encode_image_patches(patches[i], params) for i in batch]
-                txts = [encode_text_toy(sequences[i], params) for i in batch]
+                imgs = encode_image_patches([patches[i] for i in batch], params)
+                txts = encode_text_toy([sequences[i] for i in batch], params)
                 breakdown = total_loss(imgs, txts, config.loss)
                 backward(breakdown.total, tape)
             grads = {name: p.grad for name, p in params.parameters().items()}
@@ -277,7 +266,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = {
         "step": ckpt.step,
         "adam_t": ckpt.adam.t,
-        "config": ckpt.config.to_dict(),
+        "config": asdict(ckpt.config),
         "config_hash": ckpt.config_hash,
         "vocab": list(ckpt.vocab.tokens),
         "rng_state": _encode_rng_state(ckpt.rng_state),
@@ -350,7 +339,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError("checkpoint 'arrays' must list entries with 'name' and a 'shape' "
                           "of non-negative ints", offset=pos)
     try:
-        config = TrainConfig.from_dict(header["config"])
+        config = TrainConfig(**header["config"])
         rng_state = _decode_rng_state(header["rng_state"])
         vocab = Vocabulary(tuple(header["vocab"]))
         d = config.dim

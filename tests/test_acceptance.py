@@ -83,25 +83,27 @@ def _op_battery(rng) -> float:
     w_td = rng.normal(size=(T, D))
     w_dt = rng.normal(size=(D, T))
     w_t = rng.normal(size=(T,))
-    w_1d = rng.normal(size=(1, D))
+    cut = int(rng.integers(1, T))  # two segments of unequal length, T being odd
+    w_seg = rng.normal(size=(2, D))
     w_gd = rng.normal(size=(6, D))
 
     # pairwise scores: 3 images x 4 texts of ragged length (T = 1, 5, 2, 3),
-    # image 2's regions scaled below the 1e-12 norm floor (a near-zero
-    # context) and held constant, so its cosines stay guarded under FD steps
-    def feats(rows, modality, scale=1.0, leaf=True):
-        local = scale * rng.normal(size=(rows, D))
+    # each side a batch of two studies between batches of one. Image 2's
+    # regions are scaled below the 1e-12 norm floor (a near-zero context)
+    # and held constant, so its cosines stay guarded under FD steps.
+    def feats(lengths, modality, scale=1.0, leaf=True):
+        local = scale * rng.normal(size=(sum(lengths), D))
         make = _leaf if leaf else nm.constant
-        return LocalGlobalFeatures(local=make(local), global_feat=_leaf(rng.normal(size=(1, D))),
-                                   modality=modality)
+        return LocalGlobalFeatures(make(local), _leaf(rng.normal(size=(len(lengths), D))),
+                                   modality, lengths)
 
-    imgs = [feats(R, "image"), feats(R, "image"), feats(R, "image", 1e-14, leaf=False)]
-    txts = [feats(n, "text") for n in (1, T, 2, 3)]
+    imgs = [feats((R, R), "image"), feats((R,), "image", 1e-14, leaf=False)]
+    txts = [feats((1,), "text"), feats((T, 2), "text"), feats((3,), "text")]
     w_34 = rng.normal(size=(3, 4))
     loss_cfg = LossConfig(lambda1=float(rng.uniform(1.0, 6.0)),
                           lambda2=float(rng.uniform(1.0, 6.0)))
     g_leaves = [f.global_feat for f in imgs + txts]
-    l_leaves = [f.local for f in imgs[:2] + txts]
+    l_leaves = [f.local for f in imgs[:1] + txts]
     # fused InfoNCE over two 4 x 4 score matrices with random temperatures
     # and weights, one of them 0. Temperatures stay at or above 0.2: below
     # that, softmax entries and so true gradients fall under 1e-6, where the
@@ -131,7 +133,7 @@ def _op_battery(rng) -> float:
         (lambda: ws(ref.scale(x, -1.7), w_td), [x]),
         (lambda: ws(nm.row_gather(x, ids), w_gd), [x]),
         (lambda: ref.tensor_sum(ref.mul(x, nm.constant(w_td))), [x]),
-        (lambda: ws(nm.mean_rows(x), w_1d), [x]),
+        (lambda: ws(nm.mean_rows(x, [cut, T - cut]), w_seg), [x]),
         (lambda: ws(ref.rowwise_cosine(x, x2), w_t), [x, x2]),
         (lambda: ws(pairwise_scores(imgs, txts, loss_cfg)[0], w_34), g_leaves),
         (lambda: ws(pairwise_scores(imgs, txts, loss_cfg)[1], w_34), l_leaves),
@@ -144,8 +146,8 @@ def _op_battery(rng) -> float:
 
 
 def _composed_graph_error(rng) -> float:
-    """FD check through encoders and the full contrastive loss (B=3, T=5,
-    R=4, D=8)."""
+    """FD check through the batched encoders, as train calls them, and the full
+    contrastive loss (B=3, T=5, R=4, D=8)."""
     B, T, R, D, V = 3, 5, 4, 8, 12
     params = EncoderParams.initialize(dim=D, vocab_size=V, patch_pool=2, rng=rng)
     patches = [rng.uniform(0.0, 1.0, size=(R, 4)) for _ in range(B)]
@@ -154,8 +156,8 @@ def _composed_graph_error(rng) -> float:
     cfg = LossConfig()
 
     def f():
-        imgs = [encode_image_patches(p, params) for p in patches]
-        txts = [encode_text_toy(s, params) for s in seqs]
+        imgs = encode_image_patches(patches, params)
+        txts = encode_text_toy(seqs, params)
         return total_loss(imgs, txts, cfg).total
 
     return max_rel_error(f, list(params.parameters().values()),

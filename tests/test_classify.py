@@ -10,7 +10,6 @@ from glre.classify import (
     ProbeModel,
     default_prompts,
     fit_linear_probe,
-    global_feature_matrix,
     image_features,
     probe_predict,
     PromptSet,
@@ -283,7 +282,7 @@ def test_matching_global_scores_one_with_local_disabled(trained):
     # oracle: mean global cosine per class, computed directly
     from glre.encoders import encode_text_toy
     from glre.trainer import encode_report
-    img_g = feats[0].global_feat.numpy()[0]
+    img_g = feats.global_feat.numpy()[0]
     for k, name in enumerate(PATHOLOGIES):
         vals = []
         for p in prompts.prompts[name]:
@@ -303,6 +302,6 @@ def test_zero_shot_argmax_shift_invariant(trained):
 def test_feature_matrix_shape(trained):
     ckpt, held = trained
     feats = image_features(held[:5], ckpt)
-    mat = global_feature_matrix(feats)
+    mat = feats.global_feat.numpy()
     assert mat.shape == (5, 16)
     np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-10)

@@ -21,7 +21,8 @@ from glre.datapipe import (
     synth_lexicon,
     write_manifest,
 )
-from glre.encoders import ImageGrid, encode_image_toy, encode_text_toy, read_pgm, save_embeddings
+from glre.encoders import (ImageGrid, encode_image_patches, encode_text_toy, image_patch_matrix,
+                           read_pgm, save_embeddings)
 from glre.trainer import encode_report, load_checkpoint
 
 
@@ -344,7 +345,8 @@ def test_export_embeddings_round_trip(pipeline, tmp_path):
     for rec in read_manifest(pipeline["data"] / "heldout.jsonl"):
         image = ImageGrid(read_pgm(pipeline["data"] / rec.image_path),
                           region_grid=ckpt.config.region_grid)
-        items[f"{rec.study_id}:image"] = encode_image_toy(image, ckpt.params)
+        patches = image_patch_matrix(image, ckpt.params.patch_pool)
+        items[f"{rec.study_id}:image"] = encode_image_patches([patches], ckpt.params)
         seq = encode_report(rec.report_text, ckpt.vocab, ckpt.config)
         items[f"{rec.study_id}:text"] = encode_text_toy(seq, ckpt.params)
     save_embeddings(tmp_path / "expected.bin", items)
@@ -504,6 +506,19 @@ def _train_loss(loss, name, named="weight_global_i2t"):
     return _setting("train", {"steps": 3, "loss": loss}, named, f"train_loss_{name}")
 
 
+def _top_level(command, payload):
+    """`command` run with `payload` as its whole config; the error names its key."""
+    (named, value), = payload.items()
+
+    def case(tmp_path, pipeline):
+        _flat_manifest(tmp_path / "in.jsonl", n=2)
+        cfg = _write_json(tmp_path / "cfg.json", payload)
+        manifest = [] if command == "synth" else ["--manifest", tmp_path / "in.jsonl"]
+        return [command, "--config", cfg, *manifest], named
+    case.__name__ = f"{command}_{named}_{type(value).__name__}"
+    return case
+
+
 def _lexicon_file(payload, name=None):
     def case(tmp_path, pipeline):
         _flat_manifest(tmp_path / "in.jsonl", n=2)
@@ -549,6 +564,16 @@ def _manifest_line(**fields):
     _setting("train", {"region_grid": [3]}, "region_grid", "train_region_grid_one"),
     _setting("train", {"region_grid": [3, 1.5]}, "region_grid", "train_region_grid_float"),
     _setting("probe", {"epochs": 2.5}, "epochs", "probe_epochs_float"),
+    _setting("synth", {"n_train": 2.5}, "n_train", "synth_n_train_float"),
+    _setting("synth", {"n_heldout": "9"}, "n_heldout", "synth_n_heldout_str"),
+    _setting("synth", {"n_classes": True}, "n_classes", "synth_n_classes_bool"),
+    _setting("synth", {"image_size": 24.0}, "image_size", "synth_image_size_float"),
+    _setting("synth", {"region_grid": [3, "3"]}, "region_grid", "synth_region_grid_str"),
+    _setting("synth", {"region_grid": 3}, "region_grid", "synth_region_grid_int"),
+    _top_level("synth", {"seed": [1]}),
+    _top_level("subset", {"cap": {"a": 1}}),
+    _top_level("split", {"sizes": 5}),
+    _top_level("split", {"sizes": {"a": "x"}}),
     _lexicon_file({}),
     _lexicon_file([]),
     _lexicon_file({"mentions": [], "negations": [], "uncertainties": []}, "mentions_list"),
@@ -581,6 +606,10 @@ def test_malformed_json_input_exits_2(pipeline, tmp_path, capsys, case):
              "zeroshot_weight_nan"),
     _setting("synth", {"noise": float("nan")}, "noise", "synth_noise_nan"),
     _setting("synth", {"background": float("inf")}, "background", "synth_background_inf"),
+    _setting("synth", {"region_grid": [0, 3]}, "region_grid", "synth_region_grid_0"),
+    _setting("synth", {"n_train": -1}, "n_train", "synth_n_train_negative"),
+    _setting("synth", {"image_size": 0}, "image_size", "synth_image_size_0"),
+    _top_level("split", {"sizes": {"a": -3}}),
 ], ids=lambda case: case.__name__)
 def test_bad_setting_value_exits_1_before_reading_images(pipeline, tmp_path, capsys,
                                                          monkeypatch, case):

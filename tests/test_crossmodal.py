@@ -506,19 +506,60 @@ def test_pairwise_scores_over_several_blocks_match_pair_oracle():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_pairwise_mixed_region_counts_match_pair_oracle():
-    # a block holds images of one region count, so a change of count starts one
+def test_pairwise_mixed_region_counts_raise_shape_error():
+    # the local kernel views all image regions as one (B, R, D) array
     rng = np.random.default_rng(27)
     imgs = []
-    for r in (4, 4, 2, 4, 1, 1):
-        imgs.extend(_ragged_batch(rng, [], 1, r, 8, requires_grad=True)[0])
-    _, txts = _ragged_batch(rng, [3, 1, 5], 0, 1, 8, requires_grad=True)
-    cfg = LossConfig(lambda1=2.0, lambda2=4.0)
-    g, l = pairwise_scores(imgs, txts, cfg)
-    _, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
+    for r in (4, 4, 2):
+        imgs.extend(_ragged_batch(rng, [], 1, r, 8)[0])
+    _, txts = _ragged_batch(rng, [3, 1], 0, 1, 8)
+    with pytest.raises(ShapeError, match="region count"):
+        pairwise_scores(imgs, txts, LossConfig())
+    with pytest.raises(ShapeError, match="region count"):
+        pairwise_scores(_merge(imgs[1:]), txts, LossConfig())
+
+
+def _merge(feats):
+    """One batch holding the rows of single-study features, as fresh leaves."""
+    def leaf(attr):
+        return nm.Tensor(np.concatenate([getattr(f, attr).numpy() for f in feats]),
+                         requires_grad=True)
+    return LocalGlobalFeatures(leaf("local"), leaf("global_feat"), feats[0].modality,
+                               tuple(n for f in feats for n in f.lengths))
+
+
+def test_pairwise_batches_mixed_with_single_studies_match_pair_oracle():
+    # each side mixes multi-study batches with batches of one; scores and
+    # gradients must be those of the same studies passed one by one
+    rng = np.random.default_rng(30)
+    imgs, txts = _ragged_batch(rng, [3, 1, 5, 2, 4, 1], 5, 4, 8, requires_grad=True)
+    img_side = [_merge(imgs[:3]), imgs[3], _merge(imgs[4:])]
+    txt_side = [txts[0], _merge(txts[1:4]), _merge(txts[4:])]
+    cfg = LossConfig(lambda1=3.0, lambda2=6.0)
+    g, l = pairwise_scores(img_side, txt_side, cfg)
+    g_want, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
+    np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
-    for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    wg, wl = rng.normal(size=(2, len(imgs), len(txts)))
+
+    def weighted(i_side, t_side):
+        g, l = pairwise_scores(i_side, t_side, cfg)
+        return nm.add(ref.tensor_sum(ref.mul(g, nm.constant(wg))),
+                      ref.tensor_sum(ref.mul(l, nm.constant(wl))))
+
+    def stacked(i_side, t_side):
+        leaves = [getattr(f, attr) for attr in ("local", "global_feat")
+                  for f in i_side + t_side]
+        grads = analytic_grads(lambda: weighted(i_side, t_side), leaves)
+        return np.concatenate([gr.reshape(-1) for gr in grads])
+
+    np.testing.assert_allclose(stacked(img_side, txt_side), stacked(imgs, txts),
+                               rtol=0, atol=1e-12)
+    # a whole batch per side is the same as the list of its parts
+    g1, l1 = pairwise_scores(_merge(imgs), _merge(txts), cfg)
+    np.testing.assert_array_equal(g1.numpy(), g.numpy())
+    np.testing.assert_array_equal(l1.numpy(), l.numpy())
 
 
 def test_pairwise_near_cancelling_contexts_match_pair_oracle():
@@ -626,6 +667,9 @@ def test_pairwise_scores_rejects_bad_shapes():
                                  modality="text")
     with pytest.raises(ShapeError):
         pairwise_scores(imgs, [vector], cfg)
+    miscounted = LocalGlobalFeatures(txts[1].local, txts[1].global_feat, "text", (2,))
+    with pytest.raises(ShapeError):
+        pairwise_scores(imgs, miscounted, cfg)
 
 
 def test_total_loss_gradients_finite_difference():

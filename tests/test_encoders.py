@@ -13,7 +13,6 @@ from glre.encoders import (
     TokenSequence,
     adaptive_mean_pool,
     encode_image_patches,
-    encode_image_toy,
     encode_text_toy,
     image_patch_matrix,
     read_pgm,
@@ -23,8 +22,13 @@ from glre.encoders import (
 )
 from glre.errors import FormatError, ShapeError, VocabularyError
 
-from gradcheck import max_rel_error
-from reference_ops import tensor_sum
+from gradcheck import analytic_grads, max_rel_error
+from reference_ops import mul, tensor_sum
+
+
+def encode_image(img, params):
+    """One image encoded as a batch of one."""
+    return encode_image_patches([image_patch_matrix(img, params.patch_pool)], params)
 
 
 def make_params(dim=8, vocab=12, patch_pool=2, seed=0, **kw):
@@ -115,7 +119,7 @@ def test_adaptive_pool_too_small():
 
 def test_constant_image_gives_identical_local_rows():
     img = ImageGrid(np.full((6, 6), 0.5), region_grid=(3, 3))
-    out = encode_image_toy(img, make_params())
+    out = encode_image(img, make_params())
     rows = out.local.numpy()
     for r in range(1, 9):
         np.testing.assert_allclose(rows[r], rows[0], atol=1e-12)
@@ -123,7 +127,7 @@ def test_constant_image_gives_identical_local_rows():
 
 def test_single_region_shapes():
     img = ImageGrid(np.linspace(0, 1, 16).reshape(4, 4), region_grid=(1, 1))
-    out = encode_image_toy(img, make_params())
+    out = encode_image(img, make_params())
     assert out.local.shape == (1, 8)
     assert out.global_feat.shape == (1, 8)
     assert np.linalg.norm(out.global_feat.numpy()) == pytest.approx(1.0, abs=1e-10)
@@ -137,8 +141,8 @@ def test_local_rows_change_only_in_modified_region():
     px2[2:4, 2:4] = rng.uniform(0.2, 0.8, size=(2, 2))  # region 4 only
     img_b = ImageGrid(px2, region_grid=(3, 3))
     params = make_params()
-    rows_a = encode_image_toy(img_a, params).local.numpy()
-    rows_b = encode_image_toy(img_b, params).local.numpy()
+    rows_a = encode_image(img_a, params).local.numpy()
+    rows_b = encode_image(img_b, params).local.numpy()
     for r in range(9):
         if r == 4:
             assert np.abs(rows_a[r] - rows_b[r]).max() > 1e-8
@@ -149,7 +153,7 @@ def test_local_rows_change_only_in_modified_region():
 def test_image_encoder_unit_norm_rows():
     rng = np.random.default_rng(1)
     img = ImageGrid(rng.uniform(size=(12, 12)), region_grid=(3, 3))
-    out = encode_image_toy(img, make_params(patch_pool=4))
+    out = encode_image(img, make_params(patch_pool=4))
     norms = np.linalg.norm(out.local.numpy(), axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
     assert np.linalg.norm(out.global_feat.numpy()) == pytest.approx(1.0, abs=1e-10)
@@ -159,8 +163,8 @@ def test_image_encoder_deterministic():
     rng = np.random.default_rng(2)
     img = ImageGrid(rng.uniform(size=(6, 6)), region_grid=(2, 2))
     params = make_params(patch_pool=3)
-    a = encode_image_toy(img, params)
-    b = encode_image_toy(img, params)
+    a = encode_image(img, params)
+    b = encode_image(img, params)
     np.testing.assert_array_equal(a.local.numpy(), b.local.numpy())
     np.testing.assert_array_equal(a.global_feat.numpy(), b.global_feat.numpy())
 
@@ -234,7 +238,7 @@ def test_image_encoder_gradients():
     probe = nm.constant(rng.normal(size=(6, 1)))
 
     def f():
-        out = encode_image_toy(img, params)
+        out = encode_image(img, params)
         s = nm.matmul(out.local, probe)
         g = nm.matmul(out.global_feat, probe)
         return nm.add(tensor_sum(s), tensor_sum(g))
@@ -267,12 +271,65 @@ def test_encoder_tape_records_and_2d_outputs():
     params = make_params()
     patches = np.random.default_rng(9).uniform(size=(9, 4))
     seq = TokenSequence((4, 1, 4), vocab_size=12)
-    for encode, arg, want in ((encode_image_patches, patches, 6), (encode_text_toy, seq, 5)):
+    for encode, arg, want in ((encode_image_patches, [patches], 6), (encode_text_toy, seq, 5)):
         with nm.GradTape() as tape:
             out = encode(arg, params)
         assert len(tape) == want
         assert out.global_feat.shape == (1, 8)
         assert all(rec[0].ndim == 2 for rec in tape._records)
+
+
+@pytest.mark.parametrize("use_positions", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_encoders_match_batches_of_one(use_positions, seed):
+    # random ragged batches: the batched call's rows, global rows and
+    # parameter gradients equal those of one call per study
+    rng = np.random.default_rng(seed)
+    params = make_params(dim=6, vocab=9, seed=seed, use_positions=use_positions)
+    b = int(rng.integers(1, 7))
+    patches = [rng.uniform(size=(int(rng.integers(1, 6)), 4)) for _ in range(b)]
+    seqs = [TokenSequence(rng.integers(0, 9, size=int(rng.integers(1, 8))), vocab_size=9)
+            for _ in range(b)]
+    image_leaves = [params.patch_proj, params.patch_bias, params.global_proj_image]
+    text_leaves = [params.token_table, params.global_proj_text]
+    for encode, batch, studies, leaves in (
+            (encode_image_patches, patches, [[p] for p in patches], image_leaves),
+            (encode_text_toy, seqs, seqs, text_leaves)):
+        whole = encode(batch, params)
+        parts = [encode(study, params) for study in studies]
+        assert whole.lengths == tuple(n for f in parts for n in f.lengths)
+        for attr in ("local", "global_feat"):
+            np.testing.assert_allclose(
+                getattr(whole, attr).numpy(),
+                np.concatenate([getattr(f, attr).numpy() for f in parts]), rtol=0, atol=1e-12)
+        w_local = rng.normal(size=whole.local.shape)
+        w_global = rng.normal(size=whole.global_feat.shape)
+        rows = np.cumsum((0,) + whole.lengths)
+
+        def readout(out, k=slice(None), r=slice(None)):
+            return nm.add(tensor_sum(mul(out.local, nm.constant(w_local[r]))),
+                          tensor_sum(mul(out.global_feat, nm.constant(w_global[k]))))
+
+        def one_by_one():
+            total = nm.constant(0.0)
+            for k, study in enumerate(studies):
+                total = nm.add(total, readout(encode(study, params), slice(k, k + 1),
+                                              slice(rows[k], rows[k + 1])))
+            return total
+
+        got = analytic_grads(lambda: readout(encode(batch, params)), leaves)
+        for g, want in zip(got, analytic_grads(one_by_one, leaves)):
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+
+
+def test_encoders_reject_empty_batches():
+    with pytest.raises(ShapeError):
+        encode_image_patches([], make_params())
+    with pytest.raises(ShapeError):
+        encode_image_patches([np.ones((3, 5))], make_params())
+    for use_positions in (False, True):
+        with pytest.raises(ShapeError):
+            encode_text_toy([], make_params(use_positions=use_positions))
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,11 @@ def test_tapes_in_two_threads_record_independently():
 def test_reductions_shapes_and_values():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert tensor_sum(x).item() == 10.0
-    np.testing.assert_array_equal(mean_rows(x).numpy(), [[2.0, 3.0]])
+    np.testing.assert_array_equal(mean_rows(x, [2]).numpy(), [[2.0, 3.0]])
+    np.testing.assert_array_equal(mean_rows(x, [1, 1]).numpy(), x.numpy())
+    for lengths in ([3], [2, 0], [], [[2]]):
+        with pytest.raises(ShapeError):
+            mean_rows(x, lengths)
 
 
 def test_tensor_rejects_nonfinite_values():
@@ -382,7 +386,7 @@ def test_per_op_gradients_match_finite_differences(op_name):
         w43 = constant(rng.normal(size=(4, 3)))
         w44 = constant(rng.normal(size=(4, 4)))
         v3 = constant(rng.normal(size=3))
-        v14 = constant(rng.normal(size=(1, 4)))
+        w24 = constant(rng.normal(size=(2, 4)))
 
         if op_name == "matmul":
             f = lambda: tensor_sum(mul(matmul(a, b), w32))
@@ -415,7 +419,7 @@ def test_per_op_gradients_match_finite_differences(op_name):
             f = lambda: tensor_sum(a)
             inputs = [a]
         elif op_name == "mean_rows":
-            f = lambda: tensor_sum(mul(mean_rows(a), v14))
+            f = lambda: tensor_sum(mul(mean_rows(a, [2, 1]), w24))
             inputs = [a]
         else:  # cosine
             f = lambda: tensor_sum(mul(rowwise_cosine(a, c), v3))

@@ -138,20 +138,23 @@ def test_config_validation():
         TrainConfig(beta1=1.0)
 
 
-def test_b16_step_records_179_tape_ops(monkeypatch):
-    # 16 images x 6 ops + 16 texts x 5 ops + 2 score matrices + 1 loss
+def test_b16_step_records_14_tape_ops(monkeypatch):
+    # one image batch (6 ops), one text batch (5 ops), 2 score matrices and
+    # 1 loss; each encoder runs once per step, whatever the batch size
     import glre.trainer as trainer_mod
 
-    counts = []
+    calls = []
 
-    def counting_backward(loss, tape):
-        counts.append(len(tape))
-        real_backward(loss, tape)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name if name != "backward" else len(args[1]))
+            return fn(*args)
+        return wrapper
 
-    real_backward = trainer_mod.backward
-    monkeypatch.setattr(trainer_mod, "backward", counting_backward)
-    train(small_dataset(n_train=32), small_config(batch_size=16, steps=1))
-    assert counts == [179]
+    for name in ("encode_image_patches", "encode_text_toy", "backward"):
+        monkeypatch.setattr(trainer_mod, name, counting(name, getattr(trainer_mod, name)))
+    train(small_dataset(n_train=32), small_config(batch_size=16, steps=2))
+    assert calls == ["encode_image_patches", "encode_text_toy", 14] * 2
 
 
 def test_zero_steps_returns_initialization():

@@ -88,6 +88,7 @@ class RunReport:
     auc: dict | None = None
     auc_mean: float | None = None
     auc_std: float | None = None
+    class_counts: dict | None = None  # eval: {pathology: {"n_pos", "n_neg"}} of kept labels
     content_hash: str | None = None
     wall_clock_seconds: float = 0.0
 
@@ -133,10 +134,19 @@ def _content_hash(out_dir: Path, outputs: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
+# top-level config entries that name a file or directory
+_PATH_KEYS = ("manifest", "score_manifest", "checkpoint", "resume", "prompts",
+              "lexicon", "scores", "labels", "out", "out_dir")
+
+
 def _load_json(path) -> dict:
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise FormatError(f"config file {path} must hold a JSON object")
+    for key in _PATH_KEYS:
+        if key in payload and not isinstance(payload[key], str):
+            raise FormatError(f"config entry {key!r} in {path} must be a path string, "
+                              f"got {type(payload[key]).__name__}")
     return payload
 
 
@@ -234,7 +244,9 @@ def _roc_curves(args, config):
     """Per-pathology ROC of the --scores file against the --labels manifest.
 
     A pathology whose kept labels are single-class maps to None. Returns the
-    curves and the config hash that eval and export-roc both report.
+    curves, each pathology's kept positive and negative counts (undefined
+    curves included), and the config hash that eval and export-roc both
+    report.
     """
     scores_path = _require(_opt(args, config, "scores"), "--scores")
     labels_path = _require(_opt(args, config, "labels"), "--labels")
@@ -248,15 +260,18 @@ def _roc_curves(args, config):
             f"{len(missing)} scored studies absent from the label manifest, "
             f"first {missing[0]!r}")
     y, mask = label_matrix([by_id[sid] for sid in ids], uncertain_policy=policy)
-    curves = {}
+    curves, counts = {}, {}
     for k, name in enumerate(PATHOLOGIES):
         keep = mask[:, k]
+        truth = y[keep, k].astype(int)
+        n_pos = int(truth.sum())
+        counts[name] = {"n_pos": n_pos, "n_neg": len(truth) - n_pos}
         try:
-            curves[name] = roc_auc(scores[keep, k], y[keep, k].astype(int))
+            curves[name] = roc_auc(scores[keep, k], truth)
         except UndefinedAucError:
             curves[name] = None
-    return curves, _digest({"uncertain_policy": policy, "scores": _digest(ids),
-                            "labels": manifest_hash(label_records)})
+    return curves, counts, _digest({"uncertain_policy": policy, "scores": _digest(ids),
+                                    "labels": manifest_hash(label_records)})
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +450,12 @@ def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
 
 
 def _cmd_eval(args, config, out_dir: Path) -> RunReport:
-    curves, config_hash = _roc_curves(args, config)
+    curves, counts, config_hash = _roc_curves(args, config)
     per = {name: c.auc if c is not None else None for name, c in curves.items()}
     defined = [auc for auc in per.values() if auc is not None]
     mean, std = aggregate_auc(defined) if defined else (None, None)
     return RunReport(command="eval", auc=per, auc_mean=mean, auc_std=std,
-                     config_hash=config_hash)
+                     class_counts=counts, config_hash=config_hash)
 
 
 def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
@@ -465,7 +480,7 @@ def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
 
 
 def _cmd_export_roc(args, config, out_dir: Path) -> RunReport:
-    curves, config_hash = _roc_curves(args, config)
+    curves, _, config_hash = _roc_curves(args, config)
     outputs = []
     for name, curve in curves.items():
         if curve is not None:

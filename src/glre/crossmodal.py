@@ -11,18 +11,23 @@ all call it. ``contrastive_loss`` is one more taped op: the symmetric
 InfoNCE terms over the two score matrices in both pairing directions,
 weighted and summed, with one adjoint for all four.
 
-The local kernel (``align`` and its adjoint) scores a block of images
-against all padded words at once and does its elementwise work in region
-space (R regions), not feature space (D features): the similarities and
-attention weights come from matmuls, and the context . word dot is
-sum_r a_r s_r. Only the context norm needs the (images, words, D) contexts
-c = a V: one GEMM writes them and one ``einsum`` reads them. The norm is not
-taken from the region Gram as a (V V^T) a^T, because that form cancels when
-|c| is much smaller than |v| and loses the score's precision there. Blocks
-are sized so that one context slab stays within ``_BLOCK_ELEMENTS``, which
-bounds the memory of large calls such as 200 x 200 retrieval. A taped call
-keeps each block's region-sized state for the adjoint; a forward-only call
-keeps nothing.
+The local kernel (``align`` and its adjoint) scores a block of I images
+against all N padded words at once and does its elementwise work in region
+space (R regions), not feature space (D features). Its state is
+region-major, (I, R, N): one GEMM of the stacked (I*R, D) regions against
+the words gives the similarities, and the sharpened softmax and the
+context . word dot sum_r a_r s_r are reductions over axis 1, each over
+whole rows of N words. The adjoint reads only that region-sized state and
+the (I, R, R) region Gram V V^T: c . v_r is (V V^T) a, and the pull of |c|
+on the regions is ((a g) a^T) V, so the backward pass never forms an
+(I, N, D) array. The forward does: |c| is the norm of the explicit
+contexts c = a V, which one GEMM writes and one ``einsum`` reads. The norm
+is not taken from the Gram as a (V V^T) a^T, because that form cancels
+when |c| is much smaller than |v| and loses the score's precision there.
+Blocks are sized so that one context slab stays within ``_BLOCK_ELEMENTS``,
+which bounds the memory of large calls such as 200 x 200 retrieval. A taped
+call keeps each block's region-sized state for the adjoint; a forward-only
+call keeps nothing.
 """
 
 from __future__ import annotations
@@ -133,25 +138,28 @@ def contrastive_loss(global_matrix: Tensor, local_matrix: Tensor,
     return LossBreakdown(*terms, total=total)
 
 
-# Block budget of the local kernel: a block of images is sized so that its
-# (images, words, features) context slab holds at most this many float64
-# elements (512 KiB), unless one image's slab alone is larger.
+# Block budget of the local kernel: a block of images is sized so that the
+# (images, words, features) context slab of its forward pass holds at most
+# this many float64 elements (512 KiB), unless one image's slab alone is larger.
 _BLOCK_ELEMENTS = 1 << 16
 
 
 class Alignment(NamedTuple):
     """Local alignment of a block of I images against N = B*T padded words.
 
-    Everything here is region-sized or smaller, so a taped call keeps it for
-    the adjoint. Norms read 1 where a cosine is guarded, so dividing by them
-    is always safe.
+    The state is region-major: the (I, R, N) arrays put the R regions of an
+    image on the middle axis and the words on the last, so every softmax and
+    every sum over regions reduces whole rows of N words at once. Everything
+    here is region-sized or smaller, so a taped call keeps it for the
+    adjoint. Norms read 1 where a cosine is guarded, so dividing by them is
+    always safe.
     """
 
-    sims: np.ndarray           # (N, I, R) word . region products
-    weights: np.ndarray        # (N, I, R) sharpened softmax over regions
-    context_norms: np.ndarray  # (N, I)
-    cosines: np.ndarray        # (N, I) cosine(context, word), 0 where guarded
-    word_weights: np.ndarray   # (N, I) d score / d cosine, 0 where guarded or padded
+    sims: np.ndarray           # (I, R, N) region . word products
+    weights: np.ndarray        # (I, R, N) sharpened softmax over regions (axis 1)
+    context_norms: np.ndarray  # (I, N)
+    cosines: np.ndarray        # (I, N) cosine(context, word), 0 where guarded
+    word_weights: np.ndarray   # (I, N) d score / d cosine, 0 where guarded or padded
     scores: np.ndarray         # (I, B) local alignment score per image and text
 
 
@@ -163,53 +171,69 @@ def align(regions: np.ndarray, words: np.ndarray, word_norms: np.ndarray,
     T words each (N = B*T); `word_norms` is (N,); `mask` is (B, T) and keeps
     the real words. Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t))
     over the kept words, with contexts c_t = a_t V and attention weights
-    a_t = softmax_r(lambda1 * s_t), s_t = w_t V^T. The dot c_t . w_t is
-    sum_r a_tr s_tr; |c_t| comes from the context itself (see the module
-    docstring). A context or word whose norm is below 1e-12 gets cosine 0
-    and no gradient, the guard of the per-pair test oracle's row cosine.
+    a_t = softmax_r(lambda1 * s_t), s_t = w_t V^T. One GEMM of the stacked
+    (I*R, D) regions against the words gives the (I, R, N) similarities; the
+    softmax and the dot c_t . w_t = sum_r a_tr s_tr reduce over axis 1.
+    |c_t| comes from the explicit contexts (see the module docstring). A
+    context or word whose norm is below 1e-12 gets cosine 0 and no gradient,
+    the guard of the per-pair test oracle's row cosine.
     """
     n_img, r, d = regions.shape
     b, t = mask.shape
-    sims = (words @ regions.reshape(n_img * r, d).T).reshape(b * t, n_img, r)
-    z = lambda1 * sims
-    e = np.exp(z - z.max(axis=2, keepdims=True))
-    weights = e / e.sum(axis=2, keepdims=True)
-    dots = np.einsum("nir,nir->ni", weights, sims)
-    contexts = np.matmul(weights.transpose(1, 0, 2), regions)
-    cn = np.sqrt(np.einsum("ind,ind->ni", contexts, contexts))
-    ok = (cn > _NORM_FLOOR) & (word_norms > _NORM_FLOOR)[:, None]
+    sims = (regions.reshape(n_img * r, d) @ words.T).reshape(n_img, r, b * t)
+    weights = lambda1 * sims
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    dots = np.einsum("irn,irn->in", weights, sims)
+    contexts = np.matmul(weights.transpose(0, 2, 1), regions)
+    cn = np.sqrt(np.einsum("ind,ind->in", contexts, contexts))
+    ok = (cn > _NORM_FLOOR) & (word_norms > _NORM_FLOOR)
     cn = np.where(ok, cn, 1.0)
-    wn = np.where(ok, word_norms[:, None], 1.0)
+    wn = np.where(ok, word_norms, 1.0)
     cosines = np.where(ok, dots / (cn * wn), 0.0)
-    x = np.where(mask.reshape(-1, 1), lambda2 * cosines, -np.inf).reshape(b, t, n_img)
-    m = x.max(axis=1, keepdims=True)
+    x = np.where(mask.reshape(-1), lambda2 * cosines, -np.inf).reshape(n_img, b, t)
+    m = x.max(axis=2, keepdims=True)
     ex = np.exp(x - m)
-    total = ex.sum(axis=1, keepdims=True)
-    scores = ((m[:, 0] + np.log(total[:, 0])) * (1.0 / lambda2)).T
-    word_weights = (ex / total).reshape(b * t, n_img) * ok
+    total = ex.sum(axis=2, keepdims=True)
+    scores = (m[..., 0] + np.log(total[..., 0])) * (1.0 / lambda2)
+    word_weights = (ex / total).reshape(n_img, b * t) * ok
     return Alignment(sims, weights, cn, cosines, word_weights, scores)
 
 
 def _align_adjoint(al: Alignment, regions: np.ndarray, words: np.ndarray,
                    word_norms: np.ndarray, lambda1: float, g: np.ndarray):
-    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D)."""
+    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D).
+
+    Reads only the region-sized forward state and the (I, R, R) region Gram
+    V V^T, never the contexts: the c . v_r that |c| passes to the attention
+    weights is (V V^T) a, and the -g_cn * c it passes to the regions is
+    ((a g_cn) a^T) V. No (I, N, D) array is formed; the D-sized work is one
+    GEMM of the similarity gradient against the words and one against the
+    regions, plus the (I, R, R) @ (I, R, D) pull.
+    """
     n_img, r, d = regions.shape
     b = g.shape[1]
-    g_cos = (g.T[:, None, :] * al.word_weights.reshape(b, -1, n_img)).reshape(-1, n_img)
+    g_cos = (g[:, :, None] * al.word_weights.reshape(n_img, b, -1)).reshape(n_img, -1)
     wn = np.where(word_norms > _NORM_FLOOR, word_norms, 1.0)
-    g_dot = g_cos / (al.context_norms * wn[:, None])
-    g_cn = g_cos * al.cosines / al.context_norms ** 2  # |c| passes -g_cn * c to c
+    g_dot = (g_cos / (al.context_norms * wn))[:, None, :]
+    g_cn = (g_cos * al.cosines / al.context_norms ** 2)[:, None, :]
     a = al.weights
-    contexts = np.matmul(a.transpose(1, 0, 2), regions)
-    cv = np.matmul(contexts, regions.transpose(0, 2, 1)).transpose(1, 0, 2)
-    g_a = g_dot[..., None] * al.sims - g_cn[..., None] * cv
-    g_s = (lambda1 * (g_a - np.einsum("nir,nir->ni", g_a, a)[..., None]) + g_dot[..., None]) * a
-    g_s = g_s.reshape(-1, n_img * r)
-    g_regions = ((g_s.T @ words).reshape(n_img, r, d)
-                 - np.matmul((a * g_cn[..., None]).transpose(1, 2, 0), contexts))
-    g_words = (g_s @ regions.reshape(n_img * r, d)
-               - ((g_cos * al.cosines).sum(axis=1) / wn ** 2)[:, None] * words)
-    return g_regions, g_words
+    # g_s = a * (lambda1 * (g_a - sum_r g_a a) + g_dot) with
+    # g_a = g_dot * s - g_cn * (V V^T) a, built in place in one buffer
+    g_s = np.matmul(np.matmul(regions, regions.transpose(0, 2, 1)), a)
+    g_s *= -g_cn
+    g_s += g_dot * al.sims
+    g_s -= np.einsum("irn,irn->in", g_s, a)[:, None, :]
+    g_s *= lambda1
+    g_s += g_dot
+    g_s *= a
+    g_s = g_s.reshape(n_img * r, -1)
+    g_regions = g_s @ words
+    g_regions -= np.matmul(np.matmul(a * g_cn, a.transpose(0, 2, 1)), regions).reshape(-1, d)
+    g_words = g_s.T @ regions.reshape(n_img * r, d)
+    g_words -= ((g_cos * al.cosines).sum(axis=0) / wn ** 2)[:, None] * words
+    return g_regions.reshape(n_img, r, d), g_words
 
 
 def _rows(tensors) -> np.ndarray:
@@ -226,8 +250,8 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     words to the longest text and runs ``align`` over blocks of the (B_i, R,
     D) regions, so all images need one region count R; each block's context
     slab stays within ``_BLOCK_ELEMENTS`` elements. Under a recording tape
-    each block's region-sized state is kept for the adjoint, which rebuilds
-    only the block's contexts; no (B_i, B_t, T, D) array is ever held.
+    each block's region-sized state is kept for the adjoint, which needs no
+    contexts; no (B_i, B_t, T, D) array is ever held.
     """
     images = [image_feats] if isinstance(image_feats, LocalGlobalFeatures) else list(image_feats)
     texts = [text_feats] if isinstance(text_feats, LocalGlobalFeatures) else list(text_feats)

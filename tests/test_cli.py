@@ -322,6 +322,31 @@ def test_eval_uncertain_policy_changes_result(tmp_path):
     assert report["auc"]["edema"] is None
 
 
+def test_eval_reports_kept_class_counts_per_pathology(tmp_path):
+    # atelectasis holds 1, 0, -1, 1, 0, 1; the other columns are blank, which
+    # counts as negative, so their AUC is undefined but their counts are not
+    labels = [1, 0, -1, 1, 0, 1]
+    records = [StudyRecord(study_id=f"s{i}",
+                           labels=LabelVector((v,) + (None,) * (len(PATHOLOGIES) - 1)))
+               for i, v in enumerate(labels)]
+    write_manifest(records, tmp_path / "labels.jsonl")
+    with open(tmp_path / "scores.csv", "w") as fh:
+        fh.write("study_id," + ",".join(PATHOLOGIES) + "\n")
+        for i in range(len(labels)):
+            fh.write(f"s{i}," + ",".join([repr(0.1 * i)] * len(PATHOLOGIES)) + "\n")
+    for policy, pos, neg in (("exclude", 3, 2), ("pos", 4, 2), ("neg", 3, 3)):
+        out = tmp_path / policy
+        assert run("eval", "--scores", tmp_path / "scores.csv",
+                   "--labels", tmp_path / "labels.jsonl",
+                   "--uncertain-policy", policy, "--out-dir", out) == 0
+        report = report_of(out, "eval")
+        assert report["class_counts"]["atelectasis"] == {"n_pos": pos, "n_neg": neg}
+        for name in PATHOLOGIES[1:]:
+            assert report["auc"][name] is None
+            assert report["class_counts"][name] == {"n_pos": 0, "n_neg": 6}
+        assert set(report["auc"]) == set(report["class_counts"]) == set(PATHOLOGIES)
+
+
 def test_export_roc_writes_curve_files(pipeline, tmp_path):
     zs = tmp_path / "zs"
     assert run("zeroshot", "--checkpoint", pipeline["checkpoint"],
@@ -535,6 +560,20 @@ def _prompts_list(tmp_path, pipeline):
             "--prompts", prompts], "prompts.json"
 
 
+def _path_entry(command, key):
+    """`command` with the path entry `key` set to a number in its config."""
+    def case(tmp_path, pipeline):
+        cfg = _write_json(tmp_path / "cfg.json", {key: 5})
+        given = {"checkpoint": pipeline["checkpoint"],
+                 "manifest": pipeline["data"] / "heldout.jsonl"}
+        needs = {"label": ["manifest"], "train": ["manifest"],
+                 "zeroshot": ["checkpoint", "manifest"]}[command]
+        flags = [x for k in needs if k != key for x in (f"--{k}", given[k])]
+        return [command, "--config", cfg, *flags], repr(key)
+    case.__name__ = f"{command}_{key}_int"
+    return case
+
+
 def _manifest_line(**fields):
     def case(tmp_path, pipeline):
         _flat_manifest(tmp_path / "in.jsonl", n=2)
@@ -585,6 +624,10 @@ def _manifest_line(**fields):
     _manifest_line(study_id=5),
     _manifest_line(report=5),
     _manifest_line(labels=5),
+    _path_entry("label", "manifest"),
+    _path_entry("zeroshot", "checkpoint"),
+    _path_entry("zeroshot", "prompts"),
+    _path_entry("train", "resume"),
 ], ids=lambda case: case.__name__.lstrip("_"))
 def test_malformed_json_input_exits_2(pipeline, tmp_path, capsys, case):
     argv, named = case(tmp_path, pipeline)

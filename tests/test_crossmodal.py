@@ -490,20 +490,23 @@ def test_pairwise_gradients_match_pair_oracle():
 
 
 def test_pairwise_scores_over_several_blocks_match_pair_oracle():
-    # 40 images x 12 texts of 20 words at D=16 exceed the block budget, so
-    # the local kernel scores them in at least three blocks of images
+    # each case exceeds the block budget, so the local kernel scores it in at
+    # least three blocks of images: 40 images x 12 texts of 20 words at D=16,
+    # and the training shape, B=16 with 9 regions at D=64 against ragged
+    # texts of 11-19 words
     rng = np.random.default_rng(26)
-    n_images, lengths, r, dim = 40, [20] * 12, 9, 16
-    per_block = max(1, crossmodal._BLOCK_ELEMENTS // (sum(lengths) * dim))
-    assert math.ceil(n_images / per_block) >= 3
-    imgs, txts = _ragged_batch(rng, lengths, n_images, r, dim, requires_grad=True)
     cfg = LossConfig(lambda1=3.0, lambda2=6.0)
-    g, l = pairwise_scores(imgs, txts, cfg)
-    g_want, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
-    np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
-    for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    ragged = [11, 19, 14, 12, 17, 15, 13, 18, 16, 11, 19, 12, 15, 17, 14, 13]
+    for n_images, lengths, r, dim in ((40, [20] * 12, 9, 16), (16, ragged, 9, 64)):
+        per_block = max(1, crossmodal._BLOCK_ELEMENTS // (len(lengths) * max(lengths) * dim))
+        assert math.ceil(n_images / per_block) >= 3
+        imgs, txts = _ragged_batch(rng, lengths, n_images, r, dim, requires_grad=True)
+        g, l = pairwise_scores(imgs, txts, cfg)
+        g_want, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
+        np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+        for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_pairwise_mixed_region_counts_raise_shape_error():

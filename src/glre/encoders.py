@@ -12,6 +12,7 @@ GLRE1 layout for use outside glre; nothing in the package reads it back.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -101,6 +102,14 @@ class LocalGlobalFeatures:
 PARAM_NAMES = ("patch_proj", "patch_bias", "token_table", "global_proj_image", "global_proj_text")
 
 
+def param_shapes(dim: int, vocab_size: int, patch_pool: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each trainable tensor in PARAM_NAMES order: the one parameter
+    layout, shared by init draws, Adam's moments and GLCK checkpoints."""
+    return {"patch_proj": (patch_pool * patch_pool, dim), "patch_bias": (dim,),
+            "token_table": (vocab_size, dim), "global_proj_image": (dim, dim),
+            "global_proj_text": (dim, dim)}
+
+
 @dataclass
 class EncoderParams:
     """All trainable tensors for the two toy encoders.
@@ -120,8 +129,7 @@ class EncoderParams:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dim}")
-        for name in PARAM_NAMES:
-            t = getattr(self, name)
+        for name, t in self.parameters().items():
             if not np.all(np.isfinite(t.data)):
                 raise ValueError(f"parameter {name} contains non-finite values")
 
@@ -140,27 +148,16 @@ class EncoderParams:
     def initialize(cls, dim: int, vocab_size: int, patch_pool: int = 8,
                    use_positions: bool = False, rng: np.random.Generator | None = None,
                    init_scale: float = 0.05) -> "EncoderParams":
-        """Seeded uniform(-init_scale, init_scale) initialization.
+        """Seeded uniform(-init_scale, init_scale) draws, in param_shapes order.
 
         The small scale keeps initial cosines near zero, so the initial
         contrastive loss sits near ln(batch size).
         """
         rng = rng if rng is not None else np.random.default_rng(0)
-        p = patch_pool * patch_pool
-
-        def u(*shape):
-            return Tensor(rng.uniform(-init_scale, init_scale, size=shape),
-                          requires_grad=True)
-
-        return cls(
-            patch_proj=u(p, dim),
-            patch_bias=u(dim),
-            token_table=u(vocab_size, dim),
-            global_proj_image=u(dim, dim),
-            global_proj_text=u(dim, dim),
-            patch_pool=patch_pool,
-            use_positions=use_positions,
-        )
+        tensors = {name: Tensor(rng.uniform(-init_scale, init_scale, size=shape),
+                                requires_grad=True)
+                   for name, shape in param_shapes(dim, vocab_size, patch_pool).items()}
+        return cls(patch_pool=patch_pool, use_positions=use_positions, **tensors)
 
 
 def adaptive_mean_pool(blocks: np.ndarray, out: int) -> np.ndarray:
@@ -283,45 +280,30 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         fh.write(quant.tobytes())
 
 
+# a field of ten or more significant digits does not match, so int() never
+# sees an oversized number
+_PGM_HEADER = re.compile(rb"P5" + rb"\s(?:\s|#[^\n]*\n)*0*(\d{1,9})" * 3 + rb"\s")
+
+
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into float intensities in [0,1]."""
+    """Read a binary PGM into float intensities in [0,1].
+
+    The header is b"P5", then width, height and maxval (which must be 255),
+    each after a separator that starts with whitespace and may hold '#'
+    comments running to the end of their line; one whitespace byte ends it.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(blob):
-            c = blob[pos : pos + 1]
-            if c == b"#":
-                while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError("truncated PGM header", offset=start)
-        return blob[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
-        raise FormatError(f"bad PGM magic {magic!r}, expected b'P5'", offset=0)
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise FormatError(f"non-numeric PGM header field: {exc}", offset=pos) from exc
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise FormatError(f"malformed PGM header {blob[:32]!r}: expected b'P5', width, "
+                          "height and maxval, each after whitespace", offset=0)
+    width, height, maxval = (int(digits) for digits in header.groups())
+    pos = header.end()
     if width < 1 or height < 1:
         raise FormatError(f"bad PGM dimensions {width}x{height}", offset=pos)
     if maxval != 255:
         raise FormatError(f"only 8-bit PGM supported, maxval {maxval}", offset=pos)
-    pos += 1  # single whitespace byte after maxval
     need = width * height
     raster = blob[pos : pos + need]
     if len(raster) < need:

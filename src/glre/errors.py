@@ -54,7 +54,7 @@ class NonScalarLossError(ValueError):
 
 
 class TapeStateError(RuntimeError):
-    """A gradient tape was replayed twice without a reset."""
+    """A gradient tape was replayed twice."""
 
 
 class VocabularyError(ValueError):

@@ -112,7 +112,7 @@ class GradTape:
     """Ordered record of executed operations for one reverse sweep.
 
     Use as a context manager to make it the active tape. ``backward`` may run
-    once per recording; call ``reset`` to reuse the object.
+    once per tape; record a new tape for another sweep.
     """
 
     def __init__(self):
@@ -130,11 +130,6 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def reset(self) -> None:
-        self._records.clear()
-        self._tracked.clear()
-        self._consumed = False
-
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
         self._records.append((out, inputs, backward_fn))
         for t in inputs:
@@ -149,7 +144,7 @@ class GradTape:
         zeros. Existing ``.grad`` buffers are accumulated into, not replaced.
         """
         if self._consumed:
-            raise TapeStateError("backward already ran on this tape; call reset() first")
+            raise TapeStateError("backward already ran on this tape; record a new one")
         if loss.ndim != 0:
             raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
         self._consumed = True

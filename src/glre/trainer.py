@@ -3,6 +3,10 @@
 All randomness (init, epoch shuffling) flows from one seeded generator whose
 state is stored in every checkpoint, so a resumed run consumes the exact
 random stream of an uninterrupted one and reproduces it bit for bit.
+
+The parameters have one flat layout, encoders.param_shapes in PARAM_NAMES
+order: Adam updates them as one vector with moments in the same layout, and
+a GLCK1 checkpoint stores parameters, m and v as one payload.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from .crossmodal import LossConfig, total_loss
 from .datapipe import Vocabulary
 from .encoders import (
     EncoderParams,
-    PARAM_NAMES,
     TokenSequence,
     encode_image_patches,
     encode_text_toy,
     image_patch_matrix,
+    param_shapes,
 )
 from .errors import (
     ConsistencyError,
@@ -91,43 +95,54 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """Adam's moments as flat float64 vectors in the parameter layout (each
+    tensor row-major, in PARAM_NAMES order), plus the shared step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
-        return cls(
-            m={k: np.zeros(p.shape) for k, p in params.parameters().items()},
-            v={k: np.zeros(p.shape) for k, p in params.parameters().items()},
-        )
-
-
-def _assign(t: Tensor, arr: np.ndarray) -> None:
-    """Swap a tensor's buffer in place (parameter update, not a taped op)."""
-    new = np.asarray(arr, dtype=np.float64, order="C")
-    new.flags.writeable = False
-    t.data = new
+        size = sum(p.size for p in params.parameters().values())
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def optimizer_step(params: EncoderParams, grads: dict[str, np.ndarray],
                    state: AdamState, config: TrainConfig) -> None:
-    """One Adam update with bias correction, in place."""
+    """One bias-corrected Adam update of the flat parameter vector.
+
+    A missing gradient counts as zero; a non-finite one raises
+    TrainingDivergenceError naming its parameter before anything changes.
+    Each tensor is rebound to a read-only view of one new parameter vector.
+    """
+    tensors = params.parameters()
+    g = np.concatenate([np.zeros(t.size) if grads.get(name) is None else grads[name].ravel()
+                        for name, t in tensors.items()])
+    if not np.isfinite(g).all():
+        raise TrainingDivergenceError(next(name for name in tensors if grads.get(name) is not None
+                                           and not np.isfinite(grads[name]).all()))
     state.t += 1
-    b1, b2, eps = config.beta1, config.beta2, config.epsilon
-    for name, tensor in params.parameters().items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros(tensor.shape)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError(name)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** state.t)
-        v_hat = state.v[name] / (1 - b2 ** state.t)
-        _assign(tensor, tensor.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
+    b1, b2 = config.beta1, config.beta2
+    # products and sums in the order of b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and
+    # p - lr*m_hat/(sqrt(v_hat) + eps), so in-place updates round the same
+    state.m *= b1
+    state.m += (1 - b1) * g
+    state.v *= b2
+    state.v += (1 - b2) * g * g
+    step = config.learning_rate * (state.m / (1 - b1 ** state.t))
+    step /= np.sqrt(state.v / (1 - b2 ** state.t)) + config.epsilon
+    flat = np.concatenate([t.data.ravel() for t in tensors.values()])
+    flat -= step
+    flat.flags.writeable = False
+    for t, view in zip(tensors.values(), _views(flat, [t.shape for t in tensors.values()])):
+        t.data = view
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive pieces of `flat`, reshaped to each of `shapes` in turn."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [piece.reshape(shape) for shape, piece in zip(shapes, np.split(flat, ends[:-1]))]
 
 
 @dataclass
@@ -184,16 +199,17 @@ def train(records, config: TrainConfig, log_path=None,
     """
     if resume_from is not None:
         if resume_from.config_hash != config.hash():
-            raise ConsistencyError(
-                "checkpoint was produced under a different configuration"
-            )
+            raise ConsistencyError("checkpoint was produced under a different configuration")
+        order = list(resume_from.order)
+        pointer = resume_from.pointer
+        if sorted(order) != list(range(len(records))) or not 0 <= pointer <= len(records):
+            raise ConsistencyError(f"checkpoint's epoch order covers {len(order)} studies "
+                                   f"(at {pointer}), but {len(records)} were given")
         patches, sequences, vocab = _prepare(records, config, resume_from.vocab)
         params = resume_from.params
         adam = resume_from.adam
         rng = np.random.default_rng()
         rng.bit_generator.state = resume_from.rng_state
-        order = list(resume_from.order)
-        pointer = resume_from.pointer
         start_step = resume_from.step
     else:
         patches, sequences, vocab = _prepare(records, config, None)
@@ -253,16 +269,16 @@ _HEADER_KEYS = ("step", "adam_t", "config", "config_hash", "vocab", "rng_state",
                 "order", "pointer", "arrays")
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Versioned binary: magic, version, JSON header, then f64 buffers."""
-    arrays: list[tuple[str, np.ndarray]] = []
-    for name, tensor in ckpt.params.parameters().items():
-        arrays.append((f"param/{name}", tensor.data))
-    for name in PARAM_NAMES:
-        arrays.append((f"adam_m/{name}", ckpt.adam.m[name]))
-    for name in PARAM_NAMES:
-        arrays.append((f"adam_v/{name}", ckpt.adam.v[name]))
+def _array_entries(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
+    """The header's `arrays` list: parameters, then Adam's m, then v."""
+    return [{"name": f"{kind}/{name}", "shape": list(shape)}
+            for kind in ("param", "adam_m", "adam_v") for name, shape in shapes.items()]
 
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Versioned binary: magic, version, JSON header, then one f64 payload of
+    the parameters, Adam's m and v, in the layout the header's `arrays` spell."""
+    tensors = ckpt.params.parameters()
     header = {
         "step": ckpt.step,
         "adam_t": ckpt.adam.t,
@@ -272,16 +288,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "rng_state": _encode_rng_state(ckpt.rng_state),
         "order": [int(i) for i in ckpt.order],
         "pointer": ckpt.pointer,
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+        "arrays": _array_entries({name: t.shape for name, t in tensors.items()}),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = np.concatenate([t.data.ravel() for t in tensors.values()]
+                             + [ckpt.adam.m, ckpt.adam.v], dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(payload)
 
 
 def _encode_rng_state(state: dict) -> dict:
@@ -303,9 +320,8 @@ def _decode_rng_state(payload: dict) -> dict:
     }
 
 
-def _is_shape(shape) -> bool:
-    return isinstance(shape, list) and all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -316,14 +332,12 @@ def load_checkpoint(path) -> Checkpoint:
     pos = len(_MAGIC)
     if len(blob) < pos + 8:
         raise FormatError("truncated checkpoint header", offset=pos)
-    (version,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    version, header_len = struct.unpack_from("<II", blob, pos)
+    pos += 8
     if version != _VERSION:
         raise VersionError(
             f"checkpoint format version {version} is not supported (expected {_VERSION})"
         )
-    (header_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
     if len(blob) < pos + header_len:
         raise FormatError("truncated checkpoint header", offset=pos)
     try:
@@ -333,69 +347,40 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
     if missing:
         raise FormatError(f"checkpoint header lacks {', '.join(missing)}", offset=pos)
-    if not isinstance(header["arrays"], list) or any(
-            not isinstance(m, dict) or not {"name", "shape"} <= m.keys()
-            or not _is_shape(m["shape"]) for m in header["arrays"]):
-        raise FormatError("checkpoint 'arrays' must list entries with 'name' and a 'shape' "
-                          "of non-negative ints", offset=pos)
+    if not (all(_is_count(header[k]) for k in ("step", "adam_t", "pointer"))
+            and isinstance(header["order"], list) and all(map(_is_count, header["order"]))):
+        raise FormatError("checkpoint 'step', 'adam_t' and 'pointer' must be non-negative "
+                          "integers and 'order' a list of them", offset=pos)
     try:
         config = TrainConfig(**header["config"])
         rng_state = _decode_rng_state(header["rng_state"])
         vocab = Vocabulary(tuple(header["vocab"]))
-        d = config.dim
-        shapes = {"patch_proj": (config.patch_pool ** 2, d), "patch_bias": (d,),
-                  "token_table": (len(vocab), d), "global_proj_image": (d, d),
-                  "global_proj_text": (d, d)}
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc!r}", offset=pos) from exc
-    header_pos = pos
+    shapes = param_shapes(config.dim, len(vocab), config.patch_pool)
+    if header["arrays"] != _array_entries(shapes):
+        raise FormatError("checkpoint 'arrays' must list the param/, adam_m/ and adam_v/ "
+                          "arrays in PARAM_NAMES order, shaped as the config and "
+                          "vocabulary give", offset=pos)
     pos += header_len
 
-    buffers: dict[str, np.ndarray] = {}
-    for meta in header["arrays"]:
-        shape = tuple(meta["shape"])
-        count = math.prod(shape)
-        nbytes = 8 * count
-        if len(blob) < pos + nbytes:
-            raise FormatError(
-                f"truncated checkpoint: array {meta['name']!r} needs {nbytes} bytes",
-                offset=pos,
-            )
-        buffers[meta["name"]] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=pos
-        ).reshape(shape).copy()
-        pos += nbytes
-    if pos != len(blob):
-        raise FormatError(f"{len(blob) - pos} trailing bytes after the last checkpoint array",
-                          offset=pos)
-
-    for kind in ("param", "adam_m", "adam_v"):
-        for name in PARAM_NAMES:
-            key = f"{kind}/{name}"
-            if key not in buffers:
-                raise FormatError(f"checkpoint lacks array {key!r}", offset=pos)
-            if buffers[key].shape != shapes[name]:
-                raise FormatError(f"checkpoint array {key!r} has shape "
-                                  f"{list(buffers[key].shape)}, config and vocabulary "
-                                  f"give {list(shapes[name])}", offset=header_pos)
-    kwargs = {}
-    for name in PARAM_NAMES:
-        kwargs[name] = Tensor(buffers[f"param/{name}"], requires_grad=True)
-    params = EncoderParams(patch_pool=config.patch_pool,
-                           use_positions=config.use_positions, **kwargs)
-    adam = AdamState(
-        m={name: buffers[f"adam_m/{name}"] for name in PARAM_NAMES},
-        v={name: buffers[f"adam_v/{name}"] for name in PARAM_NAMES},
-        t=header["adam_t"],
-    )
+    size = sum(math.prod(shape) for shape in shapes.values())
+    end = pos + 3 * 8 * size
+    if len(blob) != end:
+        raise FormatError(f"checkpoint payload has {len(blob) - pos} bytes, its header "
+                          f"gives {end - pos}", offset=min(len(blob), end))
+    flat, m, v = np.frombuffer(blob, dtype="<f8", count=3 * size, offset=pos).reshape(3, size)
+    tensors = {name: Tensor(view, requires_grad=True)
+               for name, view in zip(shapes, _views(flat, list(shapes.values())))}
     return Checkpoint(
-        params=params,
-        adam=adam,
+        params=EncoderParams(patch_pool=config.patch_pool,
+                             use_positions=config.use_positions, **tensors),
+        adam=AdamState(m=m.copy(), v=v.copy(), t=header["adam_t"]),
         step=header["step"],
         config=config,
         config_hash=header["config_hash"],
         vocab=vocab,
         rng_state=rng_state,
-        order=[int(i) for i in header["order"]],
+        order=header["order"],
         pointer=header["pointer"],
     )

@@ -244,6 +244,26 @@ def test_train_resume_matches_uninterrupted(pipeline, tmp_path):
     assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+def test_resume_on_studies_outside_checkpoint_order_exits_1(tmp_path, capsys, steps):
+    # after 1 step at B=4 the saved epoch order indexes past the 8 studies
+    # resumed on; after 2 it sits at their end and would reshuffle over them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"n_train": 20, "n_heldout": 2},
+                               "train": {"steps": steps, "dim": 8, "batch_size": 4}}))
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps({"train": {"steps": 5, "dim": 8, "batch_size": 4}}))
+    data = tmp_path / "data"
+    assert run("synth", "--config", cfg, "--seed", 3, "--out-dir", data) == 0
+    lines = (data / "train.jsonl").read_text().splitlines(keepends=True)
+    (data / "first8.jsonl").write_text("".join(lines[:8]))
+    assert run("train", "--config", cfg, "--seed", 3, "--manifest", data / "train.jsonl",
+               "--out-dir", tmp_path / "a") == 0
+    assert run("train", "--config", longer, "--seed", 3, "--manifest", data / "first8.jsonl",
+               "--resume", tmp_path / "a" / "checkpoint.bin", "--out-dir", tmp_path / "b") == 1
+    assert "epoch order covers 20 studies" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # zeroshot / probe / eval / exports
 # ---------------------------------------------------------------------------
@@ -481,9 +501,44 @@ def _flattened_patch_proj(header):
     meta["shape"] = [meta["shape"][0] * meta["shape"][1]]
 
 
+def _string_step(header):
+    header["step"] = "5"
+
+
+def _string_pointer(header):
+    header["pointer"] = "x"
+
+
+def _string_adam_t(header):
+    header["adam_t"] = "x"
+
+
+def _bool_adam_t(header):
+    header["adam_t"] = True
+
+
+def _negative_pointer(header):
+    header["pointer"] = -1
+
+
+def _fractional_order_entry(header):
+    header["order"][0] = 0.5
+
+
+def _order_not_a_list(header):
+    header["order"] = {}
+
+
+def _arrays_out_of_order(header):
+    header["arrays"][:2] = header["arrays"][1::-1]
+
+
 @pytest.mark.parametrize("mutate", [_drop_arrays, _unknown_config_key, _rng_without_state,
                                     _negative_shape, _non_int_shape, _trailing_bytes,
-                                    _flattened_patch_proj])
+                                    _flattened_patch_proj, _string_step, _string_pointer,
+                                    _string_adam_t, _bool_adam_t, _negative_pointer,
+                                    _fractional_order_entry, _order_not_a_list,
+                                    _arrays_out_of_order])
 def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate):
     # a mutator edits the header in place and may return bytes to append
     blob = pipeline["checkpoint"].read_bytes()

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from glre import numerics as nm
 from glre.encoders import (
@@ -457,3 +459,57 @@ def test_pgm_write_is_deterministic(tmp_path):
     write_pgm(a, px)
     write_pgm(b, px)
     assert a.read_bytes() == b.read_bytes()
+
+
+
+# read_pgm cases: a valid header, or one with exactly one part broken
+_PGM_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_PGM_COMMENT = st.sampled_from([b"# note\n", b"#3 4 255\n", b"#\n"])
+_PGM_MORE = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), max_size=2).map(b"".join)
+_PGM_JUNK = st.sampled_from([b"-3", b"+4", b"3x", b"1e2", b"9" * 12, b"\xff", b"x", b"1_0"])
+
+
+def _pgm_sep(first):
+    return st.tuples(first, _PGM_MORE).map(b"".join)
+
+
+def _pgm_decimal(value):
+    return st.integers(0, 12).map(lambda zeros: b"0" * zeros + str(value).encode())
+
+
+@st.composite
+def _pgm_case(draw):
+    """Header and raster bytes, and the (height, width) read_pgm must return or None."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    parts = [b"P5", draw(_pgm_sep(_PGM_SPACE)), draw(_pgm_decimal(width)),
+             draw(_pgm_sep(_PGM_SPACE)), draw(_pgm_decimal(height)),
+             draw(_pgm_sep(_PGM_SPACE)), draw(_pgm_decimal(255)), draw(_PGM_SPACE)]
+    need = width * height
+    parts.append(draw(st.binary(min_size=need, max_size=need + 2)))  # the raster
+    broken = draw(st.sampled_from([None, None, None, *range(len(parts))]))
+    if broken is not None:
+        bad = {0: st.sampled_from([b"P2", b"P6", b"5", b"p5", b" P5"]),
+               1: _pgm_sep(_PGM_COMMENT), 3: _pgm_sep(_PGM_COMMENT), 5: _pgm_sep(_PGM_COMMENT),
+               2: st.one_of(_PGM_JUNK, _pgm_decimal(0)), 4: st.one_of(_PGM_JUNK, _pgm_decimal(0)),
+               6: st.one_of(_PGM_JUNK, _pgm_decimal(1), _pgm_decimal(65535)),
+               7: st.sampled_from([b"#", b"x"]), 8: st.binary(max_size=need - 1)}
+        parts[broken] = draw(bad[broken])
+    return b"".join(parts[:-1]), parts[-1], (height, width) if broken is None else None
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_pgm_case())
+def test_pgm_mutated_headers_raise_format_error_or_read_exactly(tmp_path, case):
+    header, raster, shape = case
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + raster)
+    try:
+        pixels = read_pgm(path)
+    except FormatError:
+        assert shape is None
+        return
+    assert shape is not None and pixels.shape == shape
+    expected = np.frombuffer(raster, dtype=np.uint8, count=shape[0] * shape[1]) / 255.0
+    assert np.array_equal(pixels, expected.reshape(shape))
+    assert 0.0 <= pixels.min() and pixels.max() <= 1.0

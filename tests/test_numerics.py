@@ -244,8 +244,6 @@ def test_backward_twice_without_reset_errors():
     backward(loss, tape)
     with pytest.raises(TapeStateError):
         backward(loss, tape)
-    tape.reset()
-    assert len(tape) == 0
 
 
 def test_composite_loss_gradient_matches_finite_differences():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -68,9 +69,10 @@ def test_moments_decay_after_activity():
     ones = {k: np.ones(p.shape) for k, p in params.parameters().items()}
     zero = {k: np.zeros(p.shape) for k, p in params.parameters().items()}
     optimizer_step(params, ones, state, cfg)
-    m_after_first = state.m["patch_proj"].copy()
+    patch_proj = slice(0, params.patch_proj.size)  # the first tensor of the flat layout
+    m_after_first = state.m[patch_proj].copy()
     optimizer_step(params, zero, state, cfg)
-    np.testing.assert_allclose(state.m["patch_proj"], cfg.beta1 * m_after_first)
+    np.testing.assert_allclose(state.m[patch_proj], cfg.beta1 * m_after_first)
 
 
 def test_adam_quadratic_matches_independent_recurrence():
@@ -84,7 +86,7 @@ def test_adam_quadratic_matches_independent_recurrence():
             return params_dict
 
     holder = OneParam()
-    state = AdamState(m={"x": np.zeros((1, 1))}, v={"x": np.zeros((1, 1))})
+    state = AdamState(m=np.zeros(1), v=np.zeros(1))
 
     # independent scalar recurrence
     xs, ms, vs = 1.0, 0.0, 0.0
@@ -102,14 +104,49 @@ def test_adam_quadratic_matches_independent_recurrence():
     assert abs(x.item()) < 0.05
 
 
+def test_flat_adam_matches_per_parameter_loop():
+    # the per-tensor update that the flat vector replaced, kept as the oracle
+    params = make_params(seed=3)
+    ref = {k: p.data.copy() for k, p in params.parameters().items()}
+    ref_m = {k: np.zeros(p.shape) for k, p in ref.items()}
+    ref_v = {k: np.zeros(p.shape) for k, p in ref.items()}
+    state = AdamState.for_params(params)
+    cfg = TrainConfig(learning_rate=3e-2, steps=1)
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    rng = np.random.default_rng(11)
+    for t in range(1, 7):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+                 for k, p in ref.items()}
+        grads["global_proj_text" if t % 2 else "patch_bias"] = None
+        optimizer_step(params, grads, state, cfg)
+        for k in ref:
+            g = np.zeros(ref[k].shape) if grads[k] is None else grads[k]
+            ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
+            ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
+            m_hat = ref_m[k] / (1 - b1 ** t)
+            v_hat = ref_v[k] / (1 - b2 ** t)
+            ref[k] = ref[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        assert state.t == t
+        for k, p in params.parameters().items():
+            assert np.array_equal(p.data, ref[k]) and not p.data.flags.writeable
+        assert np.array_equal(state.m, np.concatenate([ref_m[k].ravel() for k in ref]))
+        assert np.array_equal(state.v, np.concatenate([ref_v[k].ravel() for k in ref]))
+
+
 def test_nan_gradient_names_parameter():
     params = make_params()
     state = AdamState.for_params(params)
-    grads = {k: np.zeros(p.shape) for k, p in params.parameters().items()}
+    grads = {k: np.ones(p.shape) for k, p in params.parameters().items()}
     grads["token_table"][0, 0] = np.nan
+    grads["global_proj_text"][1, 1] = np.inf
+    before = {k: p.data.copy() for k, p in params.parameters().items()}
     with pytest.raises(TrainingDivergenceError) as exc:
         optimizer_step(params, grads, state, TrainConfig())
     assert exc.value.param_name == "token_table"
+    # nothing moves, not even the parameters ahead of the bad one
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+    for k, p in params.parameters().items():
+        np.testing.assert_array_equal(p.data, before[k])
 
 
 def test_two_runs_same_seed_bit_identical_params():
@@ -252,6 +289,35 @@ def test_checkpoint_round_trip_fields(tmp_path):
     for k in ckpt.params.parameters():
         np.testing.assert_array_equal(back.params.parameters()[k].data,
                                       ckpt.params.parameters()[k].data)
+
+
+def test_checkpoint_payload_follows_header_arrays(tmp_path):
+    # slice the payload by the header's own `arrays` list and match every
+    # slice to the tensor or moment it names; a swap of m and v made in both
+    # save and load would still round-trip, but not pass this
+    ckpt = train(small_dataset(), small_config(steps=6))
+    path = tmp_path / "l.ck"
+    save_checkpoint(ckpt, path)
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 9)
+    header = json.loads(blob[13 : 13 + length])
+    payload = np.frombuffer(blob, dtype="<f8", offset=13 + length)
+    tensors = ckpt.params.parameters()
+    offsets = np.cumsum([0] + [t.size for t in tensors.values()])
+    moments = {"adam_m": ckpt.adam.m, "adam_v": ckpt.adam.v}
+    expected = {f"param/{k}": t.data for k, t in tensors.items()}
+    for kind, flat in moments.items():
+        for k, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            expected[f"{kind}/{k}"] = flat[lo:hi].reshape(tensors[k].shape)
+    assert [m["name"] for m in header["arrays"]] == list(expected)
+    pos = 0
+    for meta in header["arrays"]:
+        size = math.prod(meta["shape"])
+        piece = payload[pos : pos + size].reshape(meta["shape"])
+        assert np.array_equal(piece, expected[meta["name"]]), meta["name"]
+        pos += size
+    assert pos == payload.size
+    assert not np.array_equal(ckpt.adam.m, ckpt.adam.v)
 
 
 def test_truncated_checkpoint(tmp_path):

@@ -17,17 +17,18 @@ space (R regions), not feature space (D features). Its state is
 region-major, (I, R, N): one GEMM of the stacked (I*R, D) regions against
 the words gives the similarities, and the sharpened softmax and the
 context . word dot sum_r a_r s_r are reductions over axis 1, each over
-whole rows of N words. The adjoint reads only that region-sized state and
-the (I, R, R) region Gram V V^T: c . v_r is (V V^T) a, and the pull of |c|
-on the regions is ((a g) a^T) V, so the backward pass never forms an
-(I, N, D) array. The forward does: |c| is the norm of the explicit
-contexts c = a V, which one GEMM writes and one ``einsum`` reads. The norm
-is not taken from the Gram as a (V V^T) a^T, because that form cancels
-when |c| is much smaller than |v| and loses the score's precision there.
-Blocks are sized so that one context slab stays within ``_BLOCK_ELEMENTS``,
-which bounds the memory of large calls such as 200 x 200 retrieval. A taped
-call keeps each block's region-sized state for the adjoint; a forward-only
-call keeps nothing.
+whole rows of N words. The contexts c = a V themselves are never formed.
+Their norms come from the (I, R, R) region Gram: (V V^T) a gives each
+c . v_r, and |c|^2 = a . (V V^T) a. That form cancels when |c| is much
+smaller than the regions it averages, so the few columns under the cut
+|c|^2 < _GRAM_KAPPA (sum_r a_r |v_r|)^2 are recomputed from their explicit
+contexts. The adjoint reads the same (V V^T) a, kept from the forward, and
+pulls |c| onto the regions as ((a g) a^T) V, so neither pass holds an
+(I, N, D) array. Blocks are sized so that each (I, R, N) array stays within
+``_BLOCK_ELEMENTS``: a B=16 training step is one block, and the budget
+bounds the memory of large calls such as 200 x 200 retrieval. A taped call
+keeps each block's region-sized state for the adjoint; a forward-only call
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -138,10 +139,27 @@ def contrastive_loss(global_matrix: Tensor, local_matrix: Tensor,
     return LossBreakdown(*terms, total=total)
 
 
-# Block budget of the local kernel: a block of images is sized so that the
-# (images, words, features) context slab of its forward pass holds at most
-# this many float64 elements (512 KiB), unless one image's slab alone is larger.
+# Block budget of the local kernel: a block of images is sized so that each
+# of its region-major (images, regions, words) arrays holds at most this many
+# float64 elements (512 KiB), unless one image's arrays alone are larger. A
+# B=16 training batch (16 x 9 x 304 = 43,776 elements) is one block; 200 x 200
+# retrieval (9 x 3,800 per image) runs one image per block. A taped block
+# keeps three such arrays, in one buffer, for the adjoint.
 _BLOCK_ELEMENTS = 1 << 16
+
+# A context norm read off the region Gram, |c|^2 = a^T (V V^T) a, is trusted
+# where |c|^2 >= _GRAM_KAPPA * (sum_r a_r |v_r|)^2 and recomputed from the
+# explicit context elsewhere. The rounding error of the Gram form is at most
+# gamma_{D+2R} (sum_r a_r |v_r|)^2 (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 3), so above the cut its relative error in |c|^2 is at most
+# gamma_{D+2R} / _GRAM_KAPPA: 9.1e-12 at D=64, R=9 in the worst case, and of
+# order sqrt(D+2R) u / _GRAM_KAPPA = 1e-12 for rounding errors of random sign,
+# halved again in |c| and scaled by |cos| <= 1 in the score. In the seed-7
+# synthetic pipeline the smallest |c|^2 against that scale is 0.09 in training
+# and 0.15 in 200 x 200 retrieval, so no column there takes the explicit form;
+# only near-cancelling contexts do. A smaller cut loosens the bound in
+# proportion; a larger one sends more columns to the explicit form.
+_GRAM_KAPPA = 1e-3
 
 
 class Alignment(NamedTuple):
@@ -151,12 +169,16 @@ class Alignment(NamedTuple):
     image on the middle axis and the words on the last, so every softmax and
     every sum over regions reduces whole rows of N words at once. Everything
     here is region-sized or smaller, so a taped call keeps it for the
-    adjoint. Norms read 1 where a cosine is guarded, so dividing by them is
-    always safe.
+    adjoint; ``region_dots`` holds c_t . v_r = ((V V^T) a)_rt, from which the
+    forward took |c| and the adjoint takes the pull of |c| on the weights.
+    The adjoint uses ``sims`` and ``region_dots`` as its work buffers, so
+    an Alignment serves one adjoint call. Norms read 1 where a cosine is
+    guarded, so dividing by them is always safe.
     """
 
     sims: np.ndarray           # (I, R, N) region . word products
     weights: np.ndarray        # (I, R, N) sharpened softmax over regions (axis 1)
+    region_dots: np.ndarray    # (I, R, N) (V V^T) a: context . region products
     context_norms: np.ndarray  # (I, N)
     cosines: np.ndarray        # (I, N) cosine(context, word), 0 where guarded
     word_weights: np.ndarray   # (I, N) d score / d cosine, 0 where guarded or padded
@@ -164,30 +186,50 @@ class Alignment(NamedTuple):
 
 
 def align(regions: np.ndarray, words: np.ndarray, word_norms: np.ndarray,
-          mask: np.ndarray, lambda1: float, lambda2: float) -> Alignment:
+          mask: np.ndarray, lambda1: float, lambda2: float,
+          words_t: np.ndarray | None = None) -> Alignment:
     """Local alignment of a block of images against every text at once.
 
     `regions` is (I, R, D); `words` is (N, D), the rows of B texts padded to
     T words each (N = B*T); `word_norms` is (N,); `mask` is (B, T) and keeps
-    the real words. Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t))
-    over the kept words, with contexts c_t = a_t V and attention weights
+    the real words; `words_t`, if given, is ``words.T`` as a C-contiguous
+    (D, N) array, which a caller scoring several blocks makes once.
+    Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t)) over the kept
+    words, with contexts c_t = a_t V and attention weights
     a_t = softmax_r(lambda1 * s_t), s_t = w_t V^T. One GEMM of the stacked
     (I*R, D) regions against the words gives the (I, R, N) similarities; the
     softmax and the dot c_t . w_t = sum_r a_tr s_tr reduce over axis 1.
-    |c_t| comes from the explicit contexts (see the module docstring). A
-    context or word whose norm is below 1e-12 gets cosine 0 and no gradient,
-    the guard of the per-pair test oracle's row cosine.
+    |c_t|^2 = a_t^T (V V^T) a_t comes from the (I, R, R) region Gram; the few
+    columns where that form may have cancelled, |c_t|^2 < _GRAM_KAPPA *
+    (sum_r a_tr |v_r|)^2, are recomputed from their explicit contexts. No
+    (I, N, D) array is formed. A context or word whose norm is below 1e-12
+    gets cosine 0 and no gradient, the guard of the per-pair test oracle's
+    row cosine.
     """
     n_img, r, d = regions.shape
     b, t = mask.shape
-    sims = (regions.reshape(n_img * r, d) @ words.T).reshape(n_img, r, b * t)
-    weights = lambda1 * sims
+    if words_t is None:
+        words_t = np.ascontiguousarray(words.T)
+    # one allocation for the three kept (I, R, N) arrays: as three ~350 KB
+    # arrays at the B=16 shape, the heap gave them back to the OS when a step
+    # freed them and page-faulted them in again on the next (~300 faults a call)
+    sims, weights, region_dots = np.empty((3, n_img, r, b * t))
+    np.matmul(regions.reshape(n_img * r, d), words_t, out=sims.reshape(n_img * r, b * t))
+    np.multiply(sims, lambda1, out=weights)
     weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=1, keepdims=True)
     dots = np.einsum("irn,irn->in", weights, sims)
-    contexts = np.matmul(weights.transpose(0, 2, 1), regions)
-    cn = np.sqrt(np.einsum("ind,ind->in", contexts, contexts))
+    gram = np.matmul(regions, regions.transpose(0, 2, 1))
+    np.matmul(gram, weights, out=region_dots)
+    cn2 = np.einsum("irn,irn->in", weights, region_dots)
+    region_norms = np.sqrt(gram.diagonal(axis1=1, axis2=2))
+    scale = np.matmul(region_norms[:, None, :], weights)[:, 0, :]
+    ii, nn = np.nonzero(cn2 < _GRAM_KAPPA * scale * scale)
+    if ii.size:
+        contexts = np.einsum("kr,krd->kd", weights[ii, :, nn], regions[ii])
+        cn2[ii, nn] = np.einsum("kd,kd->k", contexts, contexts)
+    cn = np.sqrt(cn2)
     ok = (cn > _NORM_FLOOR) & (word_norms > _NORM_FLOOR)
     cn = np.where(ok, cn, 1.0)
     wn = np.where(ok, word_norms, 1.0)
@@ -198,42 +240,49 @@ def align(regions: np.ndarray, words: np.ndarray, word_norms: np.ndarray,
     total = ex.sum(axis=2, keepdims=True)
     scores = (m[..., 0] + np.log(total[..., 0])) * (1.0 / lambda2)
     word_weights = (ex / total).reshape(n_img, b * t) * ok
-    return Alignment(sims, weights, cn, cosines, word_weights, scores)
+    return Alignment(sims, weights, region_dots, cn, cosines, word_weights, scores)
 
 
 def _align_adjoint(al: Alignment, regions: np.ndarray, words: np.ndarray,
-                   word_norms: np.ndarray, lambda1: float, g: np.ndarray):
-    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D).
+                   wn: np.ndarray, lambda1: float, g: np.ndarray):
+    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D),
+    the latter without its word-norm term.
 
-    Reads only the region-sized forward state and the (I, R, R) region Gram
-    V V^T, never the contexts: the c . v_r that |c| passes to the attention
-    weights is (V V^T) a, and the -g_cn * c it passes to the regions is
-    ((a g_cn) a^T) V. No (I, N, D) array is formed; the D-sized work is one
-    GEMM of the similarity gradient against the words and one against the
-    regions, plus the (I, R, R) @ (I, R, D) pull.
+    `wn` is the (N,) word norms with guarded ones read as 1. Reads only the
+    region-sized forward state, never the contexts: the c . v_r that |c|
+    passes to the attention weights is the kept (V V^T) a, and the -g_cn * c
+    it passes to the regions is ((a g_cn) a^T) V. No (I, N, D) array is
+    formed; the D-sized work is one GEMM of the similarity gradient against
+    the words and one against the regions, plus the (I, R, R) @ (I, R, D)
+    pull. The word-norm term of the word gradient, -(coef / |w|^2) w, is the
+    same product for every block, so the third return value is this block's
+    (N,) share of coef and the caller applies it once. The (I, R, N) work is
+    done in place in ``al.region_dots`` and ``al.sims``, which are spent
+    afterwards.
     """
     n_img, r, d = regions.shape
     b = g.shape[1]
     g_cos = (g[:, :, None] * al.word_weights.reshape(n_img, b, -1)).reshape(n_img, -1)
-    wn = np.where(word_norms > _NORM_FLOOR, word_norms, 1.0)
     g_dot = (g_cos / (al.context_norms * wn))[:, None, :]
     g_cn = (g_cos * al.cosines / al.context_norms ** 2)[:, None, :]
     a = al.weights
     # g_s = a * (lambda1 * (g_a - sum_r g_a a) + g_dot) with
-    # g_a = g_dot * s - g_cn * (V V^T) a, built in place in one buffer
-    g_s = np.matmul(np.matmul(regions, regions.transpose(0, 2, 1)), a)
+    # g_a = g_dot * s - g_cn * (V V^T) a, built in place in al's buffers
+    g_s = al.region_dots
     g_s *= -g_cn
-    g_s += g_dot * al.sims
+    work = al.sims
+    work *= g_dot
+    g_s += work
     g_s -= np.einsum("irn,irn->in", g_s, a)[:, None, :]
     g_s *= lambda1
     g_s += g_dot
     g_s *= a
     g_s = g_s.reshape(n_img * r, -1)
     g_regions = g_s @ words
-    g_regions -= np.matmul(np.matmul(a * g_cn, a.transpose(0, 2, 1)), regions).reshape(-1, d)
+    pull = np.multiply(a, g_cn, out=work)
+    g_regions -= np.matmul(np.matmul(pull, a.transpose(0, 2, 1)), regions).reshape(-1, d)
     g_words = g_s.T @ regions.reshape(n_img * r, d)
-    g_words -= ((g_cos * al.cosines).sum(axis=0) / wn ** 2)[:, None] * words
-    return g_regions.reshape(n_img, r, d), g_words
+    return g_regions.reshape(n_img, r, d), g_words, (g_cos * al.cosines).sum(axis=0)
 
 
 def _rows(tensors) -> np.ndarray:
@@ -247,11 +296,11 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     Each side is a LocalGlobalFeatures batch or a list of them, scored in
     order. Each matrix is one taped op with a hand-written adjoint. The
     global one is a single matmul of the global rows. The local one pads the
-    words to the longest text and runs ``align`` over blocks of the (B_i, R,
-    D) regions, so all images need one region count R; each block's context
-    slab stays within ``_BLOCK_ELEMENTS`` elements. Under a recording tape
-    each block's region-sized state is kept for the adjoint, which needs no
-    contexts; no (B_i, B_t, T, D) array is ever held.
+    words to the longest text, transposes them once, and runs ``align`` over
+    blocks of the (B_i, R, D) regions, so all images need one region count
+    R; each block's (I, R, N) arrays stay within ``_BLOCK_ELEMENTS`` elements.
+    Under a recording tape each block's region-sized state is kept for the
+    adjoint, which needs no contexts; no (B_i, B_t, T, D) array is ever held.
     """
     images = [image_feats] if isinstance(image_feats, LocalGlobalFeatures) else list(image_feats)
     texts = [text_feats] if isinstance(text_feats, LocalGlobalFeatures) else list(text_feats)
@@ -282,32 +331,41 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     regions = _rows(img_l).reshape(len(gi), -1, dim)
     lengths = np.array([n for f in texts for n in f.lengths])
     mask = np.arange(lengths.max()) < lengths[:, None]
+    txt_rows = _rows(txt_l)
     padded = np.zeros((*mask.shape, dim))
-    padded[mask] = _rows(txt_l)
+    padded[mask] = txt_rows
     words = padded.reshape(-1, dim)
+    words_t = np.ascontiguousarray(words.T)
     word_norms = np.sqrt(np.einsum("nd,nd->n", words, words))
     lam1, lam2 = config.lambda1, config.lambda2
     # the adjoint exists only if _emit will record this op
     keep = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_l)
-    per_block = max(1, _BLOCK_ELEMENTS // words.size)
+    per_block = max(1, _BLOCK_ELEMENTS // (regions.shape[1] * len(words)))
     local = np.empty((len(gi), len(gt)))
     kept = []
     for start in range(0, len(gi), per_block):
         block = regions[start : start + per_block]
-        al = align(block, words, word_norms, mask, lam1, lam2)
+        al = align(block, words, word_norms, mask, lam1, lam2, words_t)
         local[start : start + per_block] = al.scores
         if keep:
             kept.append((start, block, al))
 
     def local_bw(g):
+        wn = np.where(word_norms > _NORM_FLOOR, word_norms, 1.0)
         g_regions = np.empty_like(regions)
-        g_words = np.zeros_like(words)
+        g_words = coef = None
         for start, block, al in kept:
             stop = start + len(block)
-            gv, gw = _align_adjoint(al, block, words, word_norms, lam1, g[start:stop])
-            g_regions[start:stop] = gv
-            g_words += gw
+            g_regions[start:stop], gw, cw = _align_adjoint(al, block, words, wn, lam1,
+                                                           g[start:stop])
+            if g_words is None:
+                g_words, coef = gw, cw
+            else:
+                g_words += gw
+                coef += cw
+        # the word-norm term, -(coef / |w|^2) w, once for all blocks and real words
         g_words = g_words.reshape(padded.shape)[mask]
+        g_words -= (coef / wn ** 2).reshape(mask.shape)[mask][:, None] * txt_rows
         return (*np.split(g_regions.reshape(-1, dim), img_split * regions.shape[1]),
                 *np.split(g_words, np.cumsum([t.shape[0] for t in txt_l])[:-1]))
 

@@ -292,9 +292,12 @@ def row_gather(x: Tensor, indices) -> Tensor:
         raise IndexError(f"row index out of range for {x.shape[0]} rows")
 
     def bw(g):
-        gx = np.zeros(x.shape)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        # one bincount bin per (row, column): bincount adds each bin's weights
+        # onto zero in order of occurrence, as np.add.at does, so the sums are
+        # bit-identical to it (np.add.reduceat's pairwise sums are not)
+        d = x.shape[1]
+        bins = (idx[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(bins, weights=g.ravel(), minlength=x.size).reshape(x.shape),)
 
     return _emit(x.data[idx], (x,), bw)
 

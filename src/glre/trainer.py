@@ -200,6 +200,9 @@ def train(records, config: TrainConfig, log_path=None,
     if resume_from is not None:
         if resume_from.config_hash != config.hash():
             raise ConsistencyError("checkpoint was produced under a different configuration")
+        if resume_from.step > config.steps:
+            raise ConsistencyError(f"checkpoint is at step {resume_from.step}, past the "
+                                   f"{config.steps} steps configured")
         order = list(resume_from.order)
         pointer = resume_from.pointer
         if sorted(order) != list(range(len(records))) or not 0 <= pointer <= len(records):

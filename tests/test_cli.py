@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import glre
+from glre import trainer
 from glre.cli import main, runreport_fingerprint
 from glre.datapipe import (
     PATHOLOGIES,
@@ -262,6 +263,30 @@ def test_resume_on_studies_outside_checkpoint_order_exits_1(tmp_path, capsys, st
     assert run("train", "--config", longer, "--seed", 3, "--manifest", data / "first8.jsonl",
                "--resume", tmp_path / "a" / "checkpoint.bin", "--out-dir", tmp_path / "b") == 1
     assert "epoch order covers 20 studies" in capsys.readouterr().err
+
+
+def test_resume_past_configured_steps_exits_1(tmp_path, capsys, monkeypatch):
+    # a checkpoint at step 5 resumed with "steps": 2 would otherwise come back
+    # stamped step 2 while holding the step-5 parameters and moments
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"n_train": 20, "n_heldout": 2},
+                               "train": {"steps": 5, "dim": 8, "batch_size": 4}}))
+    shorter = tmp_path / "shorter.json"
+    shorter.write_text(json.dumps({"train": {"steps": 2, "dim": 8, "batch_size": 4}}))
+    data = tmp_path / "data"
+    assert run("synth", "--config", cfg, "--seed", 3, "--out-dir", data) == 0
+    assert run("train", "--config", cfg, "--seed", 3, "--manifest", data / "train.jsonl",
+               "--out-dir", tmp_path / "a") == 0
+    capsys.readouterr()
+
+    def no_pooling(*args):
+        raise AssertionError("an image was pooled")
+
+    monkeypatch.setattr(trainer, "image_patch_matrix", no_pooling)
+    assert run("train", "--config", shorter, "--seed", 3, "--manifest", data / "train.jsonl",
+               "--resume", tmp_path / "a" / "checkpoint.bin", "--out-dir", tmp_path / "b") == 1
+    assert "checkpoint is at step 5, past the 2 steps configured" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "checkpoint.bin").exists()
 
 
 # ---------------------------------------------------------------------------

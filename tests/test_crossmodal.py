@@ -489,19 +489,38 @@ def test_pairwise_gradients_match_pair_oracle():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_pairwise_scores_over_several_blocks_match_pair_oracle():
-    # each case exceeds the block budget, so the local kernel scores it in at
-    # least three blocks of images: 40 images x 12 texts of 20 words at D=16,
-    # and the training shape, B=16 with 9 regions at D=64 against ragged
-    # texts of 11-19 words
+def _count_blocks(monkeypatch):
+    """Patch crossmodal.align to record the image count of each call; returns
+    the list it appends to."""
+    calls = []
+    real = crossmodal.align
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(crossmodal, "align", counting)
+    return calls
+
+
+def test_pairwise_scores_over_several_blocks_match_pair_oracle(monkeypatch):
+    # a block holds at most _BLOCK_ELEMENTS // (R * N) images, N = B * T padded
+    # words. 40 images with 16 regions against 12 texts of 20 words at D=16
+    # exceed it, so the local kernel scores them in three blocks; the training
+    # shape, B=16 with 9 regions at D=64 against ragged texts of 11-19 words,
+    # fits in exactly one
     rng = np.random.default_rng(26)
     cfg = LossConfig(lambda1=3.0, lambda2=6.0)
     ragged = [11, 19, 14, 12, 17, 15, 13, 18, 16, 11, 19, 12, 15, 17, 14, 13]
-    for n_images, lengths, r, dim in ((40, [20] * 12, 9, 16), (16, ragged, 9, 64)):
-        per_block = max(1, crossmodal._BLOCK_ELEMENTS // (len(lengths) * max(lengths) * dim))
-        assert math.ceil(n_images / per_block) >= 3
+    calls = _count_blocks(monkeypatch)
+    for n_images, lengths, r, dim, blocks in ((40, [20] * 12, 16, 16, 3),
+                                              (16, ragged, 9, 64, 1)):
+        per_block = max(1, crossmodal._BLOCK_ELEMENTS // (r * len(lengths) * max(lengths)))
+        assert math.ceil(n_images / per_block) == blocks
         imgs, txts = _ragged_batch(rng, lengths, n_images, r, dim, requires_grad=True)
+        calls.clear()
         g, l = pairwise_scores(imgs, txts, cfg)
+        assert len(calls) == blocks and sum(calls) == n_images
         g_want, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
         np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
@@ -565,32 +584,57 @@ def test_pairwise_batches_mixed_with_single_studies_match_pair_oracle():
     np.testing.assert_array_equal(l1.numpy(), l.numpy())
 
 
+def _near_cancelling_image(rng, u, scale, e):
+    """Two unit-scale regions u and -u + 2 scale e: a word orthogonal to both
+    attends to them about equally, so its context is about scale e."""
+    return LocalGlobalFeatures(
+        local=nm.Tensor(np.stack([u, -u + 2 * scale * e]), requires_grad=True),
+        global_feat=nm.Tensor(unit_rows(rng, 1, len(u)), requires_grad=True),
+        modality="image")
+
+
+def _words_orthogonal_to(rng, u, n):
+    """A text of n unit-norm words orthogonal to the unit vector u."""
+    dim = len(u)
+    w = rng.normal(size=(n, dim))
+    w -= np.outer(w @ u, u)
+    return LocalGlobalFeatures(
+        local=nm.Tensor(w / np.linalg.norm(w, axis=1, keepdims=True), requires_grad=True),
+        global_feat=nm.Tensor(unit_rows(rng, 1, dim), requires_grad=True),
+        modality="text")
+
+
+def _fallback_columns(imgs, txts, lambda1):
+    """(images, real words) mask of the columns whose context norm the kernel
+    takes from the explicit contexts: |c|^2 < kappa (sum_r a_r |v_r|)^2, with
+    |c| computed here from the contexts themselves."""
+    regions = np.stack([f.local.numpy() for f in imgs])
+    words = np.concatenate([f.local.numpy() for f in txts])
+    a = np.exp(lambda1 * np.einsum("ird,nd->irn", regions, words))
+    a /= a.sum(axis=1, keepdims=True)
+    contexts = np.einsum("irn,ird->ind", a, regions)
+    scale = np.einsum("ir,irn->in", np.linalg.norm(regions, axis=2), a)
+    return (contexts ** 2).sum(axis=2) < crossmodal._GRAM_KAPPA * scale ** 2
+
+
 def test_pairwise_near_cancelling_contexts_match_pair_oracle():
     # regions u and -u + delta, against words orthogonal to u, get nearly
     # equal attention, so each context is about delta / 2: |c| runs from 1e-1
-    # down to 1e-4. A context norm read off the region Gram, a (V V^T) a^T,
-    # cancels here and misses both bounds; the kernel's norm of c does not.
+    # down to 1e-4. The Gram form a^T (V V^T) a of |c|^2 cancels here and
+    # would miss both bounds, so every column but those at |c| = 1e-1 takes
+    # the kernel's fallback to the explicit contexts.
     rng = np.random.default_rng(25)
     dim = 8
     u = unit_rows(rng, 1, dim)[0]
-
-    def feats(local, modality):
-        return LocalGlobalFeatures(
-            local=nm.Tensor(local, requires_grad=True),
-            global_feat=nm.Tensor(unit_rows(rng, 1, dim), requires_grad=True),
-            modality=modality)
-
-    imgs = [feats(np.stack([u, -u + 2 * scale * unit_rows(rng, 1, dim)[0]]), "image")
+    imgs = [_near_cancelling_image(rng, u, scale, unit_rows(rng, 1, dim)[0])
             for scale in (1e-1, 1e-2, 1e-3, 1e-4)]
-    txts = []
-    for n in (1, 3, 5):
-        w = rng.normal(size=(n, dim))
-        w -= np.outer(w @ u, u)
-        txts.append(feats(w / np.linalg.norm(w, axis=1, keepdims=True), "text"))
+    txts = [_words_orthogonal_to(rng, u, n) for n in (1, 3, 5)]
     cfg = LossConfig(lambda1=4.0, lambda2=5.0)
     att = attention_contexts(similarity_matrix(txts[-1].local, imgs[-1].local),
                              imgs[-1].local, cfg.lambda1)
     assert np.linalg.norm(att.contexts.numpy(), axis=1).max() < 3e-4
+    fallback = _fallback_columns(imgs, txts, cfg.lambda1)
+    assert fallback[1:].all() and not fallback[0].any()
 
     _, l = pairwise_scores(imgs, txts, cfg)
     _, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
@@ -598,6 +642,35 @@ def test_pairwise_near_cancelling_contexts_match_pair_oracle():
     # gradients grow like 1/|c|, so each is compared against its own scale
     for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_pairwise_block_mixing_gram_and_fallback_columns_matches_pair_oracle(monkeypatch):
+    # one block of images: two with near-cancelling regions, whose contexts
+    # take the explicit fallback, and three random ones, whose context norms
+    # come from the region Gram. Under the mild sharpening lambda1 = 1, |c|
+    # runs from scale to about 1.4 scale across words, so |c|^2 stays within
+    # 2.2e-4 to 8e-4 of the region scale: just under the cut. A smaller |c|
+    # makes the gradients themselves ill-conditioned (they grow like 1/|c|),
+    # and the oracle no longer resolves them to 1e-12
+    rng = np.random.default_rng(28)
+    dim = 8
+    u = unit_rows(rng, 1, dim)[0]
+    imgs = [_near_cancelling_image(rng, u, scale, unit_rows(rng, 1, dim)[0])
+            for scale in (1.5e-2, 2e-2)]
+    imgs += _ragged_batch(rng, [], 3, 2, dim, requires_grad=True)[0]
+    txts = [_words_orthogonal_to(rng, u, n) for n in (2, 4, 1)]
+    cfg = LossConfig(lambda1=1.0, lambda2=5.0)
+    fallback = _fallback_columns(imgs, txts, cfg.lambda1)
+    assert fallback[:2].all() and not fallback[2:].any()
+
+    calls = _count_blocks(monkeypatch)
+    g, l = pairwise_scores(imgs, txts, cfg)
+    assert calls == [len(imgs)]
+    g_want, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
+    np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+    for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_pairwise_scores_bit_identical_with_and_without_tape():

@@ -187,6 +187,24 @@ def test_row_gather_repeated_rows_accumulate_gradient():
     np.testing.assert_array_equal(table.grad, expected)
 
 
+def test_row_gather_gradient_is_bitwise_np_add_at():
+    # every bit, signed zeros included, must be those of np.add.at's in-order
+    # accumulation, so the rows mix magnitudes whose sum depends on the order
+    # of addition
+    rng = np.random.default_rng(40)
+    for n_ids, rows in ((1, 1), (7, 3), (60, 5), (300, 54), (0, 4)):
+        ids = rng.integers(0, rows, size=n_ids)
+        g = rng.normal(size=(n_ids, 6)) * 10.0 ** rng.integers(-8, 9, size=(n_ids, 6))
+        g[rng.random(size=g.shape) < 0.1] = -0.0
+        table = Tensor(np.zeros((rows, 6)), requires_grad=True)
+        with GradTape() as tape:
+            loss = tensor_sum(mul(row_gather(table, ids), constant(g)))
+        backward(loss, tape)
+        want = np.zeros((rows, 6))
+        np.add.at(want, ids, g)
+        assert table.grad.tobytes() == want.tobytes()
+
+
 def test_row_gather_out_of_range():
     with pytest.raises(IndexError):
         row_gather(Tensor(np.zeros((2, 2))), [0, 2])

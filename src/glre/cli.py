@@ -53,9 +53,8 @@ from .datapipe import (
 )
 from .encoders import (
     ImageGrid,
-    encode_image_patches,
+    LocalGlobalFeatures,
     encode_text_toy,
-    image_patch_matrix,
     read_pgm,
     save_embeddings,
     write_pgm,
@@ -69,6 +68,7 @@ from .errors import (
     check_number,
 )
 from .metrics import aggregate_auc, roc_auc
+from .numerics import Tensor
 from .trainer import TrainConfig, encode_report, load_checkpoint, save_checkpoint, train
 
 
@@ -458,16 +458,27 @@ def _cmd_eval(args, config, out_dir: Path) -> RunReport:
                      class_counts=counts, config_hash=config_hash)
 
 
+def _per_study(feats: LocalGlobalFeatures):
+    """Each study of a feature batch, in order, as single-study features."""
+    rows = np.split(feats.local.data, np.cumsum(feats.lengths)[:-1])
+    for local, glob in zip(rows, feats.global_feat.data):
+        yield LocalGlobalFeatures(Tensor(local), Tensor(glob[None]), feats.modality)
+
+
 def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
     ckpt, records = _load_scoring_inputs(args, config)
+    imaged = [rec for rec in records if rec.image is not None]
+    seqs = [encode_report(rec.report_text, ckpt.vocab, ckpt.config)
+            for rec in records if rec.report_text.strip()]
+    # each side is encoded in one call, then handed out study by study
+    images = _per_study(image_features(imaged, ckpt)) if imaged else iter(())
+    texts = _per_study(encode_text_toy(seqs, ckpt.params)) if seqs else iter(())
     items = {}
     for rec in records:
         if rec.image is not None:
-            patches = image_patch_matrix(rec.image, ckpt.params.patch_pool)
-            items[f"{rec.study_id}:image"] = encode_image_patches([patches], ckpt.params)
+            items[f"{rec.study_id}:image"] = next(images)
         if rec.report_text.strip():
-            seq = encode_report(rec.report_text, ckpt.vocab, ckpt.config)
-            items[f"{rec.study_id}:text"] = encode_text_toy(seq, ckpt.params)
+            items[f"{rec.study_id}:text"] = next(texts)
     if not items:
         raise InsufficientDataError("no images or reports to export")
     out = _out_path(out_dir, _opt(args, config, "out", "embeddings.bin"))

@@ -13,22 +13,23 @@ weighted and summed, with one adjoint for all four.
 
 The local kernel (``align`` and its adjoint) scores a block of I images
 against all N padded words at once and does its elementwise work in region
-space (R regions), not feature space (D features). Its state is
-region-major, (I, R, N): one GEMM of the stacked (I*R, D) regions against
-the words gives the similarities, and the sharpened softmax and the
-context . word dot sum_r a_r s_r are reductions over axis 1, each over
-whole rows of N words. The contexts c = a V themselves are never formed.
-Their norms come from the (I, R, R) region Gram: (V V^T) a gives each
-c . v_r, and |c|^2 = a . (V V^T) a. That form cancels when |c| is much
-smaller than the regions it averages, so the few columns under the cut
-|c|^2 < _GRAM_KAPPA (sum_r a_r |v_r|)^2 are recomputed from their explicit
-contexts. The adjoint reads the same (V V^T) a, kept from the forward, and
-pulls |c| onto the regions as ((a g) a^T) V, so neither pass holds an
-(I, N, D) array. Blocks are sized so that each (I, R, N) array stays within
-``_BLOCK_ELEMENTS``: a B=16 training step is one block, and the budget
-bounds the memory of large calls such as 200 x 200 retrieval. A taped call
-keeps each block's region-sized state for the adjoint; a forward-only call
-keeps nothing.
+space (R regions), not feature space (D features). The words live in one
+array, the C-contiguous (D, N) matrix that the similarity GEMM reads; only
+the adjoint copies it, once, to the (N, D) layout of its word GEMM. The
+state is region-major, (I, R, N): one GEMM of the stacked (I*R, D) regions
+against the words gives the similarities, and the sharpened softmax and the
+context . word dot sum_r a_r s_r are reductions over axis 1, each over whole
+rows of N words. The contexts c = a V themselves are never formed. Their
+norms come from the (I, R, R) region Gram: (V V^T) a gives each c . v_r, and
+|c|^2 = a . (V V^T) a. That form cancels when |c| is much smaller than the
+regions it averages, so the few columns under the cut |c|^2 < _GRAM_KAPPA
+(sum_r a_r |v_r|)^2 are recomputed from their explicit contexts. The adjoint
+reads the same (V V^T) a, kept from the forward, and pulls |c| onto the
+regions as ((a g) a^T) V, so neither pass holds an (I, N, D) array. A taped
+call keeps the state of every image for its adjoint, so it runs as one block
+and one adjoint call. A forward-only call keeps nothing and runs in blocks
+sized so that each (I, R, N) array stays within ``_BLOCK_ELEMENTS``, which
+bounds the memory of large calls such as 200 x 200 retrieval.
 """
 
 from __future__ import annotations
@@ -139,12 +140,12 @@ def contrastive_loss(global_matrix: Tensor, local_matrix: Tensor,
     return LossBreakdown(*terms, total=total)
 
 
-# Block budget of the local kernel: a block of images is sized so that each
-# of its region-major (images, regions, words) arrays holds at most this many
-# float64 elements (512 KiB), unless one image's arrays alone are larger. A
-# B=16 training batch (16 x 9 x 304 = 43,776 elements) is one block; 200 x 200
-# retrieval (9 x 3,800 per image) runs one image per block. A taped block
-# keeps three such arrays, in one buffer, for the adjoint.
+# Block budget of a forward-only local call: a block of images is sized so
+# that each of its region-major (images, regions, words) arrays holds at most
+# this many float64 elements (512 KiB), unless one image's arrays alone are
+# larger; 200 x 200 retrieval (9 x 3,800 per image) runs one image per block.
+# A taped call is one block whatever its size: its adjoint needs the state of
+# every image, so splitting it would keep the same arrays and bound nothing.
 _BLOCK_ELEMENTS = 1 << 16
 
 # A context norm read off the region Gram, |c|^2 = a^T (V V^T) a, is trusted
@@ -185,15 +186,14 @@ class Alignment(NamedTuple):
     scores: np.ndarray         # (I, B) local alignment score per image and text
 
 
-def align(regions: np.ndarray, words: np.ndarray, word_norms: np.ndarray,
-          mask: np.ndarray, lambda1: float, lambda2: float,
-          words_t: np.ndarray | None = None) -> Alignment:
+def align(regions: np.ndarray, words_t: np.ndarray, word_norms: np.ndarray,
+          mask: np.ndarray, lambda1: float, lambda2: float) -> Alignment:
     """Local alignment of a block of images against every text at once.
 
-    `regions` is (I, R, D); `words` is (N, D), the rows of B texts padded to
-    T words each (N = B*T); `word_norms` is (N,); `mask` is (B, T) and keeps
-    the real words; `words_t`, if given, is ``words.T`` as a C-contiguous
-    (D, N) array, which a caller scoring several blocks makes once.
+    `regions` is (I, R, D); `words_t` is the C-contiguous (D, N) array whose
+    columns are the words of B texts, each padded to T words with zero
+    columns (N = B*T); `word_norms` is (N,); `mask` is (B, T) and keeps the
+    real words.
     Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t)) over the kept
     words, with contexts c_t = a_t V and attention weights
     a_t = softmax_r(lambda1 * s_t), s_t = w_t V^T. One GEMM of the stacked
@@ -208,8 +208,6 @@ def align(regions: np.ndarray, words: np.ndarray, word_norms: np.ndarray,
     """
     n_img, r, d = regions.shape
     b, t = mask.shape
-    if words_t is None:
-        words_t = np.ascontiguousarray(words.T)
     # one allocation for the three kept (I, R, N) arrays: as three ~350 KB
     # arrays at the B=16 shape, the heap gave them back to the OS when a step
     # freed them and page-faulted them in again on the next (~300 faults a call)
@@ -243,25 +241,24 @@ def align(regions: np.ndarray, words: np.ndarray, word_norms: np.ndarray,
     return Alignment(sims, weights, region_dots, cn, cosines, word_weights, scores)
 
 
-def _align_adjoint(al: Alignment, regions: np.ndarray, words: np.ndarray,
-                   wn: np.ndarray, lambda1: float, g: np.ndarray):
-    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D),
-    the latter without its word-norm term.
+def _align_adjoint(al: Alignment, regions: np.ndarray, words_t: np.ndarray,
+                   word_norms: np.ndarray, lambda1: float, g: np.ndarray):
+    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D).
 
-    `wn` is the (N,) word norms with guarded ones read as 1. Reads only the
+    Takes the arguments ``align`` took, with `g` (I, B). Reads only the
     region-sized forward state, never the contexts: the c . v_r that |c|
     passes to the attention weights is the kept (V V^T) a, and the -g_cn * c
     it passes to the regions is ((a g_cn) a^T) V. No (I, N, D) array is
     formed; the D-sized work is one GEMM of the similarity gradient against
-    the words and one against the regions, plus the (I, R, R) @ (I, R, D)
-    pull. The word-norm term of the word gradient, -(coef / |w|^2) w, is the
-    same product for every block, so the third return value is this block's
-    (N,) share of coef and the caller applies it once. The (I, R, N) work is
-    done in place in ``al.region_dots`` and ``al.sims``, which are spent
-    afterwards.
+    an (N, D) copy of the words and one against the regions, plus the
+    (I, R, R) @ (I, R, D) pull. The word gradient is finished, word-norm term
+    -(coef / |w|^2) w included; the caller drops the rows of padded words.
+    The (I, R, N) work is done in place in ``al.region_dots`` and
+    ``al.sims``, which are spent afterwards.
     """
     n_img, r, d = regions.shape
     b = g.shape[1]
+    wn = np.where(word_norms > _NORM_FLOOR, word_norms, 1.0)
     g_cos = (g[:, :, None] * al.word_weights.reshape(n_img, b, -1)).reshape(n_img, -1)
     g_dot = (g_cos / (al.context_norms * wn))[:, None, :]
     g_cn = (g_cos * al.cosines / al.context_norms ** 2)[:, None, :]
@@ -278,11 +275,16 @@ def _align_adjoint(al: Alignment, regions: np.ndarray, words: np.ndarray,
     g_s += g_dot
     g_s *= a
     g_s = g_s.reshape(n_img * r, -1)
+    # a contiguous copy, not the words_t.T view: OpenBLAS runs this product on
+    # the view with two threads at shapes where it runs the copy with one
+    # (B=8 training took twice the CPU time), and the copy's bits are the same
+    words = np.ascontiguousarray(words_t.T)
     g_regions = g_s @ words
     pull = np.multiply(a, g_cn, out=work)
     g_regions -= np.matmul(np.matmul(pull, a.transpose(0, 2, 1)), regions).reshape(-1, d)
     g_words = g_s.T @ regions.reshape(n_img * r, d)
-    return g_regions.reshape(n_img, r, d), g_words, (g_cos * al.cosines).sum(axis=0)
+    g_words -= ((g_cos * al.cosines).sum(axis=0) / wn ** 2)[:, None] * words
+    return g_regions.reshape(n_img, r, d), g_words
 
 
 def _rows(tensors) -> np.ndarray:
@@ -295,12 +297,13 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
 
     Each side is a LocalGlobalFeatures batch or a list of them, scored in
     order. Each matrix is one taped op with a hand-written adjoint. The
-    global one is a single matmul of the global rows. The local one pads the
-    words to the longest text, transposes them once, and runs ``align`` over
-    blocks of the (B_i, R, D) regions, so all images need one region count
-    R; each block's (I, R, N) arrays stay within ``_BLOCK_ELEMENTS`` elements.
-    Under a recording tape each block's region-sized state is kept for the
-    adjoint, which needs no contexts; no (B_i, B_t, T, D) array is ever held.
+    global one is a single matmul of the global rows. The local one scatters
+    the words, padded to the longest text, into one C-contiguous (D, N)
+    array and runs ``align`` on the (B_i, R, D) regions, so all images need
+    one region count R. Under a recording tape that is one ``align`` call,
+    whose region-sized state one ``_align_adjoint`` call reads; a
+    forward-only call runs in blocks whose (I, R, N) arrays stay within
+    ``_BLOCK_ELEMENTS`` elements. No (B_i, B_t, T, D) array is ever held.
     """
     images = [image_feats] if isinstance(image_feats, LocalGlobalFeatures) else list(image_feats)
     texts = [text_feats] if isinstance(text_feats, LocalGlobalFeatures) else list(text_feats)
@@ -331,43 +334,26 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     regions = _rows(img_l).reshape(len(gi), -1, dim)
     lengths = np.array([n for f in texts for n in f.lengths])
     mask = np.arange(lengths.max()) < lengths[:, None]
+    real = mask.reshape(-1)
     txt_rows = _rows(txt_l)
-    padded = np.zeros((*mask.shape, dim))
-    padded[mask] = txt_rows
-    words = padded.reshape(-1, dim)
-    words_t = np.ascontiguousarray(words.T)
-    word_norms = np.sqrt(np.einsum("nd,nd->n", words, words))
+    words_t = np.zeros((dim, real.size))
+    words_t[:, real] = txt_rows.T
+    # padded words keep norm 0, which align's cosine guard reads as no word
+    word_norms = np.zeros(real.size)
+    word_norms[real] = np.sqrt(np.einsum("nd,nd->n", txt_rows, txt_rows))
     lam1, lam2 = config.lambda1, config.lambda2
-    # the adjoint exists only if _emit will record this op
-    keep = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_l)
-    per_block = max(1, _BLOCK_ELEMENTS // (regions.shape[1] * len(words)))
+    # a recorded op (as _emit decides) needs every image's state: one block
+    taped = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_l)
+    per_block = len(gi) if taped else max(1, _BLOCK_ELEMENTS // (regions.shape[1] * real.size))
     local = np.empty((len(gi), len(gt)))
-    kept = []
     for start in range(0, len(gi), per_block):
-        block = regions[start : start + per_block]
-        al = align(block, words, word_norms, mask, lam1, lam2, words_t)
+        al = align(regions[start : start + per_block], words_t, word_norms, mask, lam1, lam2)
         local[start : start + per_block] = al.scores
-        if keep:
-            kept.append((start, block, al))
 
     def local_bw(g):
-        wn = np.where(word_norms > _NORM_FLOOR, word_norms, 1.0)
-        g_regions = np.empty_like(regions)
-        g_words = coef = None
-        for start, block, al in kept:
-            stop = start + len(block)
-            g_regions[start:stop], gw, cw = _align_adjoint(al, block, words, wn, lam1,
-                                                           g[start:stop])
-            if g_words is None:
-                g_words, coef = gw, cw
-            else:
-                g_words += gw
-                coef += cw
-        # the word-norm term, -(coef / |w|^2) w, once for all blocks and real words
-        g_words = g_words.reshape(padded.shape)[mask]
-        g_words -= (coef / wn ** 2).reshape(mask.shape)[mask][:, None] * txt_rows
+        g_regions, g_words = _align_adjoint(al, regions, words_t, word_norms, lam1, g)
         return (*np.split(g_regions.reshape(-1, dim), img_split * regions.shape[1]),
-                *np.split(g_words, np.cumsum([t.shape[0] for t in txt_l])[:-1]))
+                *np.split(g_words[real], np.cumsum([t.shape[0] for t in txt_l])[:-1]))
 
     local_matrix = nm._emit(local, img_l + txt_l, local_bw)
     return global_matrix, local_matrix

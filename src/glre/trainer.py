@@ -6,12 +6,14 @@ random stream of an uninterrupted one and reproduces it bit for bit.
 
 The parameters have one flat layout, encoders.param_shapes in PARAM_NAMES
 order: Adam updates them as one vector with moments in the same layout, and
-a GLCK1 checkpoint stores parameters, m and v as one payload.
+a GLCK1 checkpoint stores parameters, m and v as one payload, whose SHA-256
+the loader checks.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -195,7 +197,9 @@ def train(records, config: TrainConfig, log_path=None,
     Batches walk a seeded epoch permutation; a leftover chunk of fewer than
     2 studies is dropped and a fresh epoch begins. With `resume_from`, the
     random stream, moments, and epoch position continue where the saved run
-    stopped, so the result is bit-identical to never having stopped.
+    stopped, so the result is bit-identical to never having stopped; the log
+    at `log_path` keeps its first `resume_from.step` lines and the resumed
+    steps follow them.
     """
     if resume_from is not None:
         if resume_from.config_hash != config.hash():
@@ -228,6 +232,11 @@ def train(records, config: TrainConfig, log_path=None,
         start_step = 0
 
     n = len(records)
+    if log_path and resume_from is not None:
+        # a log that runs past the checkpoint would repeat its later steps
+        with open(log_path, "a+b") as fh:
+            fh.seek(0)
+            fh.truncate(sum(map(len, itertools.islice(fh, start_step))))
     log_fh = open(log_path, "w" if resume_from is None else "a") if log_path else None
     try:
         for step in range(start_step, config.steps):
@@ -267,9 +276,9 @@ def train(records, config: TrainConfig, log_path=None,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"GLCK1"
-_VERSION = 1
+_VERSION = 2  # 2 added the header's payload_sha256
 _HEADER_KEYS = ("step", "adam_t", "config", "config_hash", "vocab", "rng_state",
-                "order", "pointer", "arrays")
+                "order", "pointer", "arrays", "payload_sha256")
 
 
 def _array_entries(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
@@ -280,8 +289,11 @@ def _array_entries(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Versioned binary: magic, version, JSON header, then one f64 payload of
-    the parameters, Adam's m and v, in the layout the header's `arrays` spell."""
+    the parameters, Adam's m and v, in the layout the header's `arrays` spell.
+    The header's `payload_sha256` is the hex SHA-256 of the payload bytes."""
     tensors = ckpt.params.parameters()
+    payload = np.concatenate([t.data.ravel() for t in tensors.values()]
+                             + [ckpt.adam.m, ckpt.adam.v], dtype="<f8")
     header = {
         "step": ckpt.step,
         "adam_t": ckpt.adam.t,
@@ -292,10 +304,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "order": [int(i) for i in ckpt.order],
         "pointer": ckpt.pointer,
         "arrays": _array_entries({name: t.shape for name, t in tensors.items()}),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.concatenate([t.data.ravel() for t in tensors.values()]
-                             + [ckpt.adam.m, ckpt.adam.v], dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
@@ -372,6 +383,8 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) != end:
         raise FormatError(f"checkpoint payload has {len(blob) - pos} bytes, its header "
                           f"gives {end - pos}", offset=min(len(blob), end))
+    if hashlib.sha256(blob[pos:end]).hexdigest() != header["payload_sha256"]:
+        raise FormatError("checkpoint payload does not match its SHA-256 digest", offset=pos)
     flat, m, v = np.frombuffer(blob, dtype="<f8", count=3 * size, offset=pos).reshape(3, size)
     tensors = {name: Tensor(view, requires_grad=True)
                for name, view in zip(shapes, _views(flat, list(shapes.values())))}

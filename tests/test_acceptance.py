@@ -202,8 +202,9 @@ def test_criterion_2_loss_anchors():
         regions, words = rng.normal(size=(r, 6)), rng.normal(size=(t, 6))
         regions /= np.linalg.norm(regions, axis=1, keepdims=True)
         words /= np.linalg.norm(words, axis=1, keepdims=True)
-        al = align(regions[None], words, np.linalg.norm(words, axis=1),
-                   np.ones((1, t), dtype=bool), lambda1=4.0, lambda2=5.0)
+        al = align(regions[None], np.ascontiguousarray(words.T),
+                   np.linalg.norm(words, axis=1), np.ones((1, t), dtype=bool),
+                   lambda1=4.0, lambda2=5.0)
         sums = al.weights.sum(axis=1)  # (I, R, N): regions on axis 1
         worst = max(worst, float(np.abs(sums - 1.0).max()))
     assert worst < 1e-9, f"attention row sums off by {worst:.2e}"

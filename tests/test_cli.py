@@ -245,6 +245,26 @@ def test_train_resume_matches_uninterrupted(pipeline, tmp_path):
     assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
 
 
+def test_resume_truncates_a_log_that_runs_past_the_checkpoint(pipeline, tmp_path):
+    # resuming a step-2 checkpoint into a directory whose log already holds
+    # steps 0-3 must leave the log of an uninterrupted 4-step run, not 6 lines
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"train": {"steps": 2, "dim": 16, "batch_size": 8}}))
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"train": {"steps": 4, "dim": 16, "batch_size": 8}}))
+    manifest = pipeline["data"] / "train.jsonl"
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("train", "--config", short, "--seed", 5, "--manifest", manifest,
+               "--out-dir", a) == 0
+    assert run("train", "--config", full, "--seed", 5, "--manifest", manifest,
+               "--out-dir", b) == 0
+    uninterrupted = (b / "train_log.jsonl").read_bytes()
+    assert run("train", "--config", full, "--seed", 5, "--manifest", manifest,
+               "--resume", a / "checkpoint.bin", "--out-dir", b) == 0
+    assert (b / "train_log.jsonl").read_bytes() == uninterrupted
+    assert len(uninterrupted.splitlines()) == 4
+
+
 @pytest.mark.parametrize("steps", [1, 2])
 def test_resume_on_studies_outside_checkpoint_order_exits_1(tmp_path, capsys, steps):
     # after 1 step at B=4 the saved epoch order indexes past the 8 studies
@@ -579,6 +599,36 @@ def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate)
                "--manifest", pipeline["data"] / "heldout.jsonl",
                "--out-dir", tmp_path) == 2
     assert f"offset {len(body) if tail else start}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part", ["param", "adam_m", "adam_v"])
+def test_checkpoint_with_a_flipped_payload_bit_exits_2(pipeline, tmp_path, capsys, part):
+    # the payload is the parameters, then adam_m, then adam_v, in three equal
+    # thirds; one flipped bit in the middle of a third breaks the digest
+    blob = bytearray(pipeline["checkpoint"].read_bytes())
+    (length,) = struct.unpack_from("<I", blob, 9)
+    start = 13 + length
+    third = (len(blob) - start) // 3
+    blob[start + ("param", "adam_m", "adam_v").index(part) * third + third // 2] ^= 0x10
+    bad = tmp_path / "flipped.bin"
+    bad.write_bytes(bytes(blob))
+    assert run("zeroshot", "--checkpoint", bad,
+               "--manifest", pipeline["data"] / "heldout.jsonl",
+               "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "SHA-256" in err and f"offset {start}" in err
+    assert not (tmp_path / "zeroshot_scores.csv").exists()
+
+
+def test_version_1_checkpoint_exits_2(pipeline, tmp_path, capsys):
+    blob = bytearray(pipeline["checkpoint"].read_bytes())
+    blob[5:9] = struct.pack("<I", 1)
+    old = tmp_path / "v1.bin"
+    old.write_bytes(bytes(blob))
+    assert run("zeroshot", "--checkpoint", old,
+               "--manifest", pipeline["data"] / "heldout.jsonl",
+               "--out-dir", tmp_path) == 2
+    assert "version 1 is not supported (expected 2)" in capsys.readouterr().err
 
 
 def _write_json(path, payload):

@@ -504,11 +504,12 @@ def _count_blocks(monkeypatch):
 
 
 def test_pairwise_scores_over_several_blocks_match_pair_oracle(monkeypatch):
-    # a block holds at most _BLOCK_ELEMENTS // (R * N) images, N = B * T padded
-    # words. 40 images with 16 regions against 12 texts of 20 words at D=16
-    # exceed it, so the local kernel scores them in three blocks; the training
-    # shape, B=16 with 9 regions at D=64 against ragged texts of 11-19 words,
-    # fits in exactly one
+    # a forward-only block holds at most _BLOCK_ELEMENTS // (R * N) images,
+    # N = B * T padded words. 40 images with 16 regions against 12 texts of 20
+    # words at D=16 exceed it, so the untaped local kernel scores them in three
+    # blocks; the training shape, B=16 with 9 regions at D=64 against ragged
+    # texts of 11-19 words, fits in exactly one. A taped call is always one
+    # block: its adjoint needs the state of every image
     rng = np.random.default_rng(26)
     cfg = LossConfig(lambda1=3.0, lambda2=6.0)
     ragged = [11, 19, 14, 12, 17, 15, 13, 18, 16, 11, 19, 12, 15, 17, 14, 13]
@@ -524,8 +525,10 @@ def test_pairwise_scores_over_several_blocks_match_pair_oracle(monkeypatch):
         g_want, l_want = pairwise_oracle(imgs, txts, cfg.lambda1, cfg.lambda2)
         np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+        calls.clear()
         for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert calls == [n_images]
 
 
 def test_pairwise_mixed_region_counts_raise_shape_error():

@@ -421,7 +421,7 @@ def _cmd_probe(args, config, out_dir: Path) -> RunReport:
     return RunReport(
         command="probe", outputs=outputs,
         config_hash=_digest({"probe": asdict(pcfg),
-                             "checkpoint": ckpt.config_hash}),
+                             "checkpoint": ckpt.config.hash()}),
     )
 
 
@@ -443,7 +443,7 @@ def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
                   [r.study_id for r in records], scores)
     return RunReport(
         command="zeroshot", outputs=["zeroshot_scores.csv"],
-        config_hash=_digest({"checkpoint": ckpt.config_hash,
+        config_hash=_digest({"checkpoint": ckpt.config.hash(),
                              "prompts": prompts.prompts,
                              "global_weight": gw, "local_weight": lw}),
     )
@@ -485,7 +485,7 @@ def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
     save_embeddings(out, items)
     return RunReport(
         command="export-embeddings", outputs=[_out_key(out, out_dir)],
-        config_hash=_digest({"checkpoint": ckpt.config_hash,
+        config_hash=_digest({"checkpoint": ckpt.config.hash(),
                              "records": sorted(items)}),
     )
 

@@ -117,7 +117,6 @@ class GradTape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._tracked: dict[int, Tensor] = {}
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -132,16 +131,14 @@ class GradTape:
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
         self._records.append((out, inputs, backward_fn))
-        for t in inputs:
-            if t.requires_grad:
-                self._tracked.setdefault(id(t), t)
-        self._tracked.setdefault(id(out), out)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``.grad`` for every requires_grad tensor seen by this tape.
+        """Add d(loss)/dt to ``.grad`` of every requires_grad tensor t the loss
+        reaches through this tape, the loss itself included.
 
-        Tensors recorded on the tape but not influencing the loss receive
-        zeros. Existing ``.grad`` buffers are accumulated into, not replaced.
+        A tensor the loss does not reach keeps its ``.grad``: None unless an
+        earlier sweep set it. Existing ``.grad`` buffers are accumulated into,
+        not replaced.
         """
         if self._consumed:
             raise TapeStateError("backward already ran on this tape; record a new one")
@@ -149,27 +146,22 @@ class GradTape:
             raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
         self._consumed = True
 
-        flowing: dict[int, np.ndarray] = {id(loss): np.ones(())}
+        # id -> (tensor, gradient flowing into it so far)
+        flowing: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones(()))}
         for out, inputs, backward_fn in reversed(self._records):
-            g_out = flowing.get(id(out))
-            if g_out is None:
+            entry = flowing.get(id(out))
+            if entry is None:
                 continue
-            for t, contrib in zip(inputs, backward_fn(g_out)):
+            for t, contrib in zip(inputs, backward_fn(entry[1])):
                 if contrib is None or not t.requires_grad:
                     continue
                 seen = flowing.get(id(t))
-                flowing[id(t)] = contrib if seen is None else seen + contrib
+                flowing[id(t)] = (t, contrib if seen is None else seen[1] + contrib)
 
-        for t in self._tracked.values():
-            if not t.requires_grad:
-                continue
-            piece = flowing.get(id(t))
-            if piece is None:
-                piece = np.zeros(t.shape)
-            else:
-                piece = np.array(piece, dtype=np.float64)
-                piece = piece.reshape(t.shape)
-            t.grad = piece if t.grad is None else t.grad + piece
+        for t, piece in flowing.values():
+            if t.requires_grad:
+                piece = np.array(piece, dtype=np.float64).reshape(t.shape)
+                t.grad = piece if t.grad is None else t.grad + piece
 
 
 class _TapeStack(threading.local):

@@ -1,21 +1,25 @@
 """Deterministic mini-batch training of the toy encoders with checkpoints.
 
 All randomness (init, epoch shuffling) flows from one seeded generator whose
-state is stored in every checkpoint, so a resumed run consumes the exact
-random stream of an uninterrupted one and reproduces it bit for bit.
+state is stored in every checkpoint. A fresh run starts from the step-0
+checkpoint that `initial_checkpoint` builds and a resumed one from a saved
+checkpoint, down the same path, so a resumed run consumes the exact random
+stream of an uninterrupted one and reproduces it bit for bit.
 
 The parameters have one flat layout, encoders.param_shapes in PARAM_NAMES
 order: Adam updates them as one vector with moments in the same layout, and
-a GLCK1 checkpoint stores parameters, m and v as one payload, whose SHA-256
-the loader checks.
+a GLCK1 checkpoint stores parameters, m and v as one payload. A SHA-256 of
+everything before it ends the file, and the loader checks it first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -155,7 +159,6 @@ class Checkpoint:
     adam: AdamState
     step: int
     config: TrainConfig
-    config_hash: str
     vocab: Vocabulary
     rng_state: dict
     order: list[int]
@@ -168,26 +171,29 @@ def encode_report(text: str, vocab: Vocabulary, config: TrainConfig) -> TokenSeq
     return TokenSequence(tuple(ids), vocab_size=len(vocab), max_length=config.max_length)
 
 
-def _prepare(records, config: TrainConfig, vocab: Vocabulary | None):
-    """Patch matrices, token sequences, and the vocabulary for a dataset."""
-    if len(records) < 2:
-        raise InsufficientDataError(
-            f"training needs at least 2 paired studies, got {len(records)}"
-        )
-    for rec in records:
-        if rec.image is None or not rec.report_text.strip():
-            raise InsufficientDataError(
-                f"study {rec.study_id!r} is missing an image or a report"
-            )
-    if vocab is None:
-        vocab = Vocabulary.from_texts(r.report_text for r in records)
+def initial_checkpoint(records, config: TrainConfig) -> Checkpoint:
+    """The step-0 state of a fresh run: the dataset's vocabulary, the seeded
+    init, the first epoch permutation, and the generator state after them."""
+    vocab = Vocabulary.from_texts(r.report_text for r in records)
+    rng = np.random.default_rng(config.seed)
+    params = EncoderParams.initialize(
+        config.dim, len(vocab), patch_pool=config.patch_pool,
+        use_positions=config.use_positions, rng=rng, init_scale=config.init_scale,
+    )
+    order = [int(i) for i in rng.permutation(len(records))]
+    return Checkpoint(params=params, adam=AdamState.for_params(params), step=0, config=config,
+                      vocab=vocab, rng_state=rng.bit_generator.state, order=order, pointer=0)
+
+
+def _prepare(records, config: TrainConfig, vocab: Vocabulary):
+    """Patch matrices and token sequences of a dataset under `vocab`."""
     if config.vocab_size is not None and config.vocab_size != len(vocab):
         raise ConsistencyError(
             f"config expects vocabulary of {config.vocab_size}, dataset has {len(vocab)}"
         )
     patches = [image_patch_matrix(r.image, config.patch_pool) for r in records]
     sequences = [encode_report(r.report_text, vocab, config) for r in records]
-    return patches, sequences, vocab
+    return patches, sequences
 
 
 def train(records, config: TrainConfig, log_path=None,
@@ -195,51 +201,40 @@ def train(records, config: TrainConfig, log_path=None,
     """Run `config.steps` total optimization steps over paired studies.
 
     Batches walk a seeded epoch permutation; a leftover chunk of fewer than
-    2 studies is dropped and a fresh epoch begins. With `resume_from`, the
-    random stream, moments, and epoch position continue where the saved run
-    stopped, so the result is bit-identical to never having stopped; the log
-    at `log_path` keeps its first `resume_from.step` lines and the resumed
-    steps follow them.
+    2 studies is dropped and a fresh epoch begins. A fresh run is a resume
+    from `initial_checkpoint(records, config)`: either way the random
+    stream, moments, and epoch position continue from the start state, so a
+    resumed run is bit-identical to one that never stopped. The log at
+    `log_path` keeps one existing line per step of the start state (none for
+    a fresh run), and the new steps follow them.
     """
-    if resume_from is not None:
-        if resume_from.config_hash != config.hash():
-            raise ConsistencyError("checkpoint was produced under a different configuration")
-        if resume_from.step > config.steps:
-            raise ConsistencyError(f"checkpoint is at step {resume_from.step}, past the "
-                                   f"{config.steps} steps configured")
-        order = list(resume_from.order)
-        pointer = resume_from.pointer
-        if sorted(order) != list(range(len(records))) or not 0 <= pointer <= len(records):
-            raise ConsistencyError(f"checkpoint's epoch order covers {len(order)} studies "
-                                   f"(at {pointer}), but {len(records)} were given")
-        patches, sequences, vocab = _prepare(records, config, resume_from.vocab)
-        params = resume_from.params
-        adam = resume_from.adam
-        rng = np.random.default_rng()
-        rng.bit_generator.state = resume_from.rng_state
-        start_step = resume_from.step
-    else:
-        patches, sequences, vocab = _prepare(records, config, None)
-        rng = np.random.default_rng(config.seed)
-        params = EncoderParams.initialize(
-            config.dim, len(vocab), patch_pool=config.patch_pool,
-            use_positions=config.use_positions, rng=rng,
-            init_scale=config.init_scale,
-        )
-        adam = AdamState.for_params(params)
-        order = list(rng.permutation(len(records)))
-        pointer = 0
-        start_step = 0
-
+    if len(records) < 2:
+        raise InsufficientDataError(f"training needs at least 2 paired studies, got {len(records)}")
+    for rec in records:
+        if rec.image is None or not rec.report_text.strip():
+            raise InsufficientDataError(f"study {rec.study_id!r} is missing an image or a report")
+    state = resume_from if resume_from is not None else initial_checkpoint(records, config)
+    if state.config.hash() != config.hash():
+        raise ConsistencyError("checkpoint was produced under a different configuration")
+    if state.step > config.steps:
+        raise ConsistencyError(f"checkpoint is at step {state.step}, past the "
+                               f"{config.steps} steps configured")
     n = len(records)
-    if log_path and resume_from is not None:
-        # a log that runs past the checkpoint would repeat its later steps
-        with open(log_path, "a+b") as fh:
-            fh.seek(0)
-            fh.truncate(sum(map(len, itertools.islice(fh, start_step))))
-    log_fh = open(log_path, "w" if resume_from is None else "a") if log_path else None
-    try:
-        for step in range(start_step, config.steps):
+    order, pointer = list(state.order), state.pointer
+    if sorted(order) != list(range(n)) or not 0 <= pointer <= n:
+        raise ConsistencyError(f"checkpoint's epoch order covers {len(order)} studies "
+                               f"(at {pointer}), but {n} were given")
+    patches, sequences = _prepare(records, config, state.vocab)
+    params, adam = state.params, state.adam
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state.rng_state
+
+    with open(log_path, "a+b") if log_path else contextlib.nullcontext() as log_fh:
+        if log_fh is not None:
+            # a log that runs past the start state would repeat its later steps
+            log_fh.seek(0)
+            log_fh.truncate(sum(map(len, itertools.islice(log_fh, state.step))))
+        for step in range(state.step, config.steps):
             if n - pointer < 2:
                 order = list(rng.permutation(n))
                 pointer = 0
@@ -259,14 +254,10 @@ def train(records, config: TrainConfig, log_path=None,
 
             if log_fh is not None:
                 row = {"step": step, **breakdown.as_dict()}
-                log_fh.write(json.dumps(row, sort_keys=True) + "\n")
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+                log_fh.write(json.dumps(row, sort_keys=True).encode() + b"\n")
 
     return Checkpoint(
-        params=params, adam=adam, step=config.steps, config=config,
-        config_hash=config.hash(), vocab=vocab,
+        params=params, adam=adam, step=config.steps, config=config, vocab=state.vocab,
         rng_state=rng.bit_generator.state, order=order, pointer=pointer,
     )
 
@@ -276,9 +267,9 @@ def train(records, config: TrainConfig, log_path=None,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"GLCK1"
-_VERSION = 2  # 2 added the header's payload_sha256
-_HEADER_KEYS = ("step", "adam_t", "config", "config_hash", "vocab", "rng_state",
-                "order", "pointer", "arrays", "payload_sha256")
+_VERSION = 3  # 2 added a payload digest; 3 replaced it with a trailer over the whole file
+_HEADER_KEYS = ("step", "adam_t", "config", "vocab", "rng_state", "order", "pointer", "arrays")
+_DIGEST_SIZE = 32
 
 
 def _array_entries(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
@@ -288,50 +279,40 @@ def _array_entries(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Versioned binary: magic, version, JSON header, then one f64 payload of
-    the parameters, Adam's m and v, in the layout the header's `arrays` spell.
-    The header's `payload_sha256` is the hex SHA-256 of the payload bytes."""
+    """Versioned binary: magic, version, header length, JSON header, one f64
+    payload of the parameters, Adam's m and v in the layout the header's
+    `arrays` spell, then the 32-byte SHA-256 of every byte before it.
+
+    The file is written beside `path` and renamed over it, so a save that
+    fails part-way leaves any earlier file at `path` as it was.
+    """
     tensors = ckpt.params.parameters()
-    payload = np.concatenate([t.data.ravel() for t in tensors.values()]
-                             + [ckpt.adam.m, ckpt.adam.v], dtype="<f8")
     header = {
         "step": ckpt.step,
         "adam_t": ckpt.adam.t,
         "config": asdict(ckpt.config),
-        "config_hash": ckpt.config_hash,
         "vocab": list(ckpt.vocab.tokens),
-        "rng_state": _encode_rng_state(ckpt.rng_state),
+        "rng_state": ckpt.rng_state,
         "order": [int(i) for i in ckpt.order],
         "pointer": ckpt.pointer,
         "arrays": _array_entries({name: t.shape for name, t in tensors.items()}),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
-
-
-def _encode_rng_state(state: dict) -> dict:
-    """PCG64 state uses 128-bit ints; stringify them for JSON."""
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {k: str(v) for k, v in state["state"].items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-
-
-def _decode_rng_state(payload: dict) -> dict:
-    return {
-        "bit_generator": payload["bit_generator"],
-        "state": {k: int(v) for k, v in payload["state"].items()},
-        "has_uint32": payload["has_uint32"],
-        "uinteger": payload["uinteger"],
-    }
+    payload = np.concatenate([t.data.ravel() for t in tensors.values()]
+                             + [ckpt.adam.m, ckpt.adam.v], dtype="<f8")
+    digest = hashlib.sha256()
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for part in (_MAGIC, struct.pack("<II", _VERSION, len(blob)), blob, payload):
+                digest.update(part)
+                fh.write(part)
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _is_count(x) -> bool:
@@ -352,7 +333,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise VersionError(
             f"checkpoint format version {version} is not supported (expected {_VERSION})"
         )
-    if len(blob) < pos + header_len:
+    trailer = len(blob) - _DIGEST_SIZE
+    if trailer < pos or hashlib.sha256(blob[:trailer]).digest() != blob[trailer:]:
+        raise FormatError("checkpoint does not match its SHA-256 digest",
+                          offset=max(trailer, pos))
+    # a hand-made file can carry a valid digest, so every field is still checked
+    if trailer < pos + header_len:
         raise FormatError("truncated checkpoint header", offset=pos)
     try:
         header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
@@ -367,9 +353,14 @@ def load_checkpoint(path) -> Checkpoint:
                           "integers and 'order' a list of them", offset=pos)
     try:
         config = TrainConfig(**header["config"])
-        rng_state = _decode_rng_state(header["rng_state"])
         vocab = Vocabulary(tuple(header["vocab"]))
-    except (KeyError, TypeError, AttributeError) as exc:
+        # numpy's setter rounds a fractional value and ignores unknown keys;
+        # the state must read back from a generator exactly as stored
+        rng = np.random.default_rng()
+        rng.bit_generator.state = header["rng_state"]
+        if rng.bit_generator.state != header["rng_state"]:
+            raise ValueError("rng_state does not read back as stored")
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc!r}", offset=pos) from exc
     shapes = param_shapes(config.dim, len(vocab), config.patch_pool)
     if header["arrays"] != _array_entries(shapes):
@@ -380,11 +371,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     size = sum(math.prod(shape) for shape in shapes.values())
     end = pos + 3 * 8 * size
-    if len(blob) != end:
-        raise FormatError(f"checkpoint payload has {len(blob) - pos} bytes, its header "
-                          f"gives {end - pos}", offset=min(len(blob), end))
-    if hashlib.sha256(blob[pos:end]).hexdigest() != header["payload_sha256"]:
-        raise FormatError("checkpoint payload does not match its SHA-256 digest", offset=pos)
+    if trailer != end:
+        raise FormatError(f"checkpoint payload has {trailer - pos} bytes, its header "
+                          f"gives {end - pos}", offset=min(trailer, end))
     flat, m, v = np.frombuffer(blob, dtype="<f8", count=3 * size, offset=pos).reshape(3, size)
     tensors = {name: Tensor(view, requires_grad=True)
                for name, view in zip(shapes, _views(flat, list(shapes.values())))}
@@ -394,9 +383,8 @@ def load_checkpoint(path) -> Checkpoint:
         adam=AdamState(m=m.copy(), v=v.copy(), t=header["adam_t"]),
         step=header["step"],
         config=config,
-        config_hash=header["config_hash"],
         vocab=vocab,
-        rng_state=rng_state,
+        rng_state=rng.bit_generator.state,
         order=header["order"],
         pointer=header["pointer"],
     )

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline and its exit-code contract."""
 
+import hashlib
 import json
 import os
 import struct
@@ -197,7 +198,7 @@ def test_train_produces_loadable_checkpoint_and_log(pipeline):
             (pipeline["run"] / "train_log.jsonl").read_text().splitlines()]
     assert [r["step"] for r in rows] == list(range(40))
     report = report_of(pipeline["run"], "train")
-    assert report["config_hash"] == ckpt.config_hash
+    assert report["config_hash"] == ckpt.config.hash()
     assert report["seed"] == 5
 
 
@@ -263,6 +264,62 @@ def test_resume_truncates_a_log_that_runs_past_the_checkpoint(pipeline, tmp_path
                "--resume", a / "checkpoint.bin", "--out-dir", b) == 0
     assert (b / "train_log.jsonl").read_bytes() == uninterrupted
     assert len(uninterrupted.splitlines()) == 4
+
+
+class _Killed(Exception):
+    """A crash the CLI does not handle, standing in for a killed process."""
+
+
+def test_resume_after_a_run_killed_between_checkpoints(pipeline, tmp_path, monkeypatch):
+    # a resume from step 2 toward step 6 dies in step 4, after logging steps
+    # 2-3; resuming the step-2 checkpoint again must still give the
+    # uninterrupted run's log and checkpoint, byte for byte
+    configs = {}
+    for steps in (2, 6):
+        configs[steps] = tmp_path / f"steps{steps}.json"
+        configs[steps].write_text(json.dumps({"train": {"steps": steps, "dim": 16,
+                                                         "batch_size": 8}}))
+    manifest = pipeline["data"] / "train.jsonl"
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("train", "--config", configs[6], "--seed", 5, "--manifest", manifest,
+               "--out-dir", b) == 0
+    assert run("train", "--config", configs[2], "--seed", 5, "--manifest", manifest,
+               "--out-dir", a) == 0
+    step2 = tmp_path / "step2.bin"
+    step2.write_bytes((a / "checkpoint.bin").read_bytes())
+    real_step = trainer.optimizer_step
+
+    def killed_in_step_4(params, grads, state, config):
+        if state.t == 4:  # Adam has taken one update per finished step
+            raise _Killed
+        real_step(params, grads, state, config)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "optimizer_step", killed_in_step_4)
+        with pytest.raises(_Killed):
+            run("train", "--config", configs[6], "--seed", 5, "--manifest", manifest,
+                "--resume", a / "checkpoint.bin", "--out-dir", a)
+    assert len((a / "train_log.jsonl").read_bytes().splitlines()) == 4
+    assert (a / "checkpoint.bin").read_bytes() == step2.read_bytes()
+    assert run("train", "--config", configs[6], "--seed", 5, "--manifest", manifest,
+               "--resume", a / "checkpoint.bin", "--out-dir", a) == 0
+    for name in ("train_log.jsonl", "checkpoint.bin"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_fresh_run_replaces_a_longer_log(pipeline, tmp_path):
+    # a fresh run starts from step 0, so it keeps none of an existing log
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"train": {"steps": 2, "dim": 16, "batch_size": 8}}))
+    manifest = pipeline["data"] / "train.jsonl"
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("train", "--config", pipeline["cfg"], "--seed", 5, "--manifest", manifest,
+               "--out-dir", a) == 0
+    for out in (a, b):
+        assert run("train", "--config", short, "--seed", 5, "--manifest", manifest,
+                   "--out-dir", out) == 0
+    assert (a / "train_log.jsonl").read_bytes() == (b / "train_log.jsonl").read_bytes()
+    assert len((a / "train_log.jsonl").read_bytes().splitlines()) == 2
 
 
 @pytest.mark.parametrize("steps", [1, 2])
@@ -528,6 +585,15 @@ def _rng_without_state(header):
     del header["rng_state"]["state"]
 
 
+def _fractional_rng_inc(header):
+    # numpy's state setter would take 1.5 as 1
+    header["rng_state"]["state"]["inc"] = 1.5
+
+
+def _negative_rng_inc(header):
+    header["rng_state"]["state"]["inc"] = -1
+
+
 def _negative_shape(header):
     header["arrays"][0]["shape"] = [-1]
 
@@ -579,14 +645,16 @@ def _arrays_out_of_order(header):
 
 
 @pytest.mark.parametrize("mutate", [_drop_arrays, _unknown_config_key, _rng_without_state,
+                                    _fractional_rng_inc, _negative_rng_inc,
                                     _negative_shape, _non_int_shape, _trailing_bytes,
                                     _flattened_patch_proj, _string_step, _string_pointer,
                                     _string_adam_t, _bool_adam_t, _negative_pointer,
                                     _fractional_order_entry, _order_not_a_list,
                                     _arrays_out_of_order])
 def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate):
-    # a mutator edits the header in place and may return bytes to append
-    blob = pipeline["checkpoint"].read_bytes()
+    # a mutator edits the header in place and may return bytes to append; the
+    # file is signed again, so the edit reaches the check made for it
+    blob = pipeline["checkpoint"].read_bytes()[:-32]  # without the SHA-256 trailer
     start = 13  # magic (5 bytes), version and header length (4 bytes each)
     (length,) = struct.unpack_from("<I", blob, start - 4)
     header = json.loads(blob[start : start + length])
@@ -594,7 +662,7 @@ def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate)
     raw = json.dumps(header).encode("utf-8")
     body = blob[: start - 4] + struct.pack("<I", len(raw)) + raw + blob[start + length :]
     bad = tmp_path / "bad_header.bin"
-    bad.write_bytes(body + tail)
+    bad.write_bytes(body + tail + hashlib.sha256(body + tail).digest())
     assert run("zeroshot", "--checkpoint", bad,
                "--manifest", pipeline["data"] / "heldout.jsonl",
                "--out-dir", tmp_path) == 2
@@ -604,11 +672,13 @@ def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, mutate)
 @pytest.mark.parametrize("part", ["param", "adam_m", "adam_v"])
 def test_checkpoint_with_a_flipped_payload_bit_exits_2(pipeline, tmp_path, capsys, part):
     # the payload is the parameters, then adam_m, then adam_v, in three equal
-    # thirds; one flipped bit in the middle of a third breaks the digest
+    # thirds; one flipped bit in the middle of a third breaks the file's
+    # digest, which the 32-byte trailer holds
     blob = bytearray(pipeline["checkpoint"].read_bytes())
     (length,) = struct.unpack_from("<I", blob, 9)
     start = 13 + length
-    third = (len(blob) - start) // 3
+    trailer = len(blob) - 32
+    third = (trailer - start) // 3
     blob[start + ("param", "adam_m", "adam_v").index(part) * third + third // 2] ^= 0x10
     bad = tmp_path / "flipped.bin"
     bad.write_bytes(bytes(blob))
@@ -616,19 +686,38 @@ def test_checkpoint_with_a_flipped_payload_bit_exits_2(pipeline, tmp_path, capsy
                "--manifest", pipeline["data"] / "heldout.jsonl",
                "--out-dir", tmp_path) == 2
     err = capsys.readouterr().err
-    assert "SHA-256" in err and f"offset {start}" in err
+    assert "SHA-256" in err and f"offset {trailer}" in err
     assert not (tmp_path / "zeroshot_scores.csv").exists()
 
 
-def test_version_1_checkpoint_exits_2(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_checkpoint_version_exits_2(pipeline, tmp_path, capsys, version):
     blob = bytearray(pipeline["checkpoint"].read_bytes())
-    blob[5:9] = struct.pack("<I", 1)
-    old = tmp_path / "v1.bin"
+    blob[5:9] = struct.pack("<I", version)
+    old = tmp_path / "old.bin"
     old.write_bytes(bytes(blob))
     assert run("zeroshot", "--checkpoint", old,
                "--manifest", pipeline["data"] / "heldout.jsonl",
                "--out-dir", tmp_path) == 2
-    assert "version 1 is not supported (expected 2)" in capsys.readouterr().err
+    assert f"version {version} is not supported (expected 3)" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_changed_rng_state_digit_exits_2(pipeline, tmp_path, capsys):
+    # the header is under the digest too: one changed digit of the stored
+    # PCG64 increment would otherwise resume on a different random stream
+    blob = pipeline["checkpoint"].read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 9)
+    inc = json.loads(blob[13 : 13 + length])["rng_state"]["state"]["inc"]
+    digits = str(inc).encode()
+    at = blob.index(digits, 13) + len(digits) // 2
+    changed = bytes([b"0123456789"[(blob[at] - ord("0") + 1) % 10]])
+    bad = tmp_path / "changed_inc.bin"
+    bad.write_bytes(blob[:at] + changed + blob[at + 1 :])
+    assert run("zeroshot", "--checkpoint", bad,
+               "--manifest", pipeline["data"] / "heldout.jsonl",
+               "--out-dir", tmp_path) == 2
+    assert "SHA-256" in capsys.readouterr().err
+    assert not (tmp_path / "zeroshot_scores.csv").exists()
 
 
 def _write_json(path, payload):

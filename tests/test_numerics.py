@@ -218,14 +218,14 @@ def test_backward_of_sum_gives_ones():
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
-def test_backward_independent_tensor_gets_zeros():
+def test_backward_independent_tensor_grad_stays_none():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([3.0, 4.0], requires_grad=True)
     with GradTape() as tape:
         _ = scale(x, 2.0)  # on the tape, but not feeding the loss
         loss = tensor_sum(y)
     backward(loss, tape)
-    np.testing.assert_array_equal(x.grad, np.zeros(2))
+    assert x.grad is None
     np.testing.assert_array_equal(y.grad, np.ones(2))
 
 

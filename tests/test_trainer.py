@@ -16,6 +16,7 @@ from glre.errors import (
     TrainingDivergenceError,
     VersionError,
 )
+from glre import trainer
 from glre.numerics import Tensor
 from glre.trainer import (
     AdamState,
@@ -281,7 +282,7 @@ def test_checkpoint_round_trip_fields(tmp_path):
     save_checkpoint(ckpt, path)
     back = load_checkpoint(path)
     assert back.step == 10
-    assert back.config_hash == cfg.hash()
+    assert back.config.hash() == cfg.hash()
     assert back.vocab.tokens == ckpt.vocab.tokens
     assert back.order == ckpt.order and back.pointer == ckpt.pointer
     assert back.rng_state == ckpt.rng_state
@@ -301,7 +302,7 @@ def test_checkpoint_payload_follows_header_arrays(tmp_path):
     blob = path.read_bytes()
     (length,) = struct.unpack_from("<I", blob, 9)
     header = json.loads(blob[13 : 13 + length])
-    payload = np.frombuffer(blob, dtype="<f8", offset=13 + length)
+    payload = np.frombuffer(blob[:-32], dtype="<f8", offset=13 + length)  # before the digest
     tensors = ckpt.params.parameters()
     offsets = np.cumsum([0] + [t.size for t in tensors.values()])
     moments = {"adam_m": ckpt.adam.m, "adam_v": ckpt.adam.v}
@@ -318,6 +319,49 @@ def test_checkpoint_payload_follows_header_arrays(tmp_path):
         pos += size
     assert pos == payload.size
     assert not np.array_equal(ckpt.adam.m, ckpt.adam.v)
+
+
+class _FailingWrites:
+    """A file whose writes stop after `budget` bytes with a full disk."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.fh.write(data[: self.budget])
+        self.budget -= min(self.budget, len(data))
+        if self.budget == 0:
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failure", ["mid_write", "at_rename"])
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failure):
+    # a resumed run saves over the checkpoint it started from; a save that
+    # dies part-way must leave that file as it was and no temp file behind
+    records = small_dataset()
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(train(records, small_config(steps=2)), path)
+    before = path.read_bytes()
+    later = train(records, small_config(steps=4))
+    if failure == "mid_write":
+        monkeypatch.setattr(trainer, "open", lambda name, mode: _FailingWrites(
+            open(name, mode), len(before) // 2), raising=False)
+    else:
+        def no_rename(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(trainer.os, "replace", no_rename)
+    with pytest.raises(OSError):
+        save_checkpoint(later, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
 
 def test_truncated_checkpoint(tmp_path):

@@ -22,7 +22,8 @@ from .crossmodal import pairwise_scores
 from .datapipe import PATHOLOGIES, labels_to_matrix
 from . import encoders
 from .encoders import LocalGlobalFeatures, encode_image_patches, encode_text_toy
-from .errors import FormatError, ShapeError, check_number
+from .errors import FormatError, ShapeError, check_number, is_str_list
+from .files import write_json
 from .trainer import Checkpoint, encode_report
 
 
@@ -61,9 +62,8 @@ class ProbeModel:
             raise ValueError("probe parameters must be finite")
 
     def save(self, path) -> None:
-        payload = {"weights": self.weights.tolist(), "bias": self.bias.tolist(),
-                   "metadata": self.metadata}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(path, {"weights": self.weights.tolist(), "bias": self.bias.tolist(),
+                          "metadata": self.metadata})
 
     @classmethod
     def load(cls, path) -> "ProbeModel":
@@ -164,13 +164,13 @@ class PromptSet:
             self.prompts[name] = list(dict.fromkeys(plist))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.prompts, indent=2, sort_keys=True) + "\n")
+        write_json(path, self.prompts)
 
     @classmethod
     def load(cls, path) -> "PromptSet":
         prompts = json.loads(Path(path).read_text())
-        if not isinstance(prompts, dict):
-            raise FormatError(f"prompt file {path} must hold a JSON object")
+        if not (isinstance(prompts, dict) and all(map(is_str_list, prompts.values()))):
+            raise FormatError(f"prompt file {path} must map names to lists of strings")
         return cls(prompts=prompts)
 
 

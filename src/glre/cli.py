@@ -67,6 +67,7 @@ from .errors import (
     VersionError,
     check_number,
 )
+from .files import write_csv, write_json
 from .metrics import aggregate_auc, roc_auc
 from .numerics import Tensor
 from .trainer import TrainConfig, encode_report, load_checkpoint, save_checkpoint, train
@@ -91,9 +92,6 @@ class RunReport:
     class_counts: dict | None = None  # eval: {pathology: {"n_pos", "n_neg"}} of kept labels
     content_hash: str | None = None
     wall_clock_seconds: float = 0.0
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def runreport_fingerprint(path) -> str:
@@ -211,12 +209,8 @@ def _out_key(path: Path, out_dir: Path) -> str:
 
 
 def _write_scores(path, ids, scores) -> None:
-    scores = np.asarray(scores, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["study_id", *PATHOLOGIES])
-        for sid, row in zip(ids, scores):
-            w.writerow([sid, *[repr(float(v)) for v in row]])
+    write_csv(path, ["study_id", *PATHOLOGIES],
+              ([sid, *row] for sid, row in zip(ids, np.asarray(scores, dtype=np.float64))))
 
 
 def _read_scores(path):
@@ -348,7 +342,7 @@ def _cmd_subset(args, config, out_dir: Path) -> RunReport:
     seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
     subset = build_single_disease_subset(records, cap, seed)
     out = _out_path(out_dir, _opt(args, config, "out", "subset.json"))
-    out.write_text(json.dumps(subset, indent=2, sort_keys=True) + "\n")
+    write_json(out, subset)
     return RunReport(
         command="subset", seed=seed, outputs=[_out_key(out, out_dir)],
         config_hash=_digest({"cap": cap, "seed": seed,
@@ -603,7 +597,7 @@ def _dispatch(args) -> int:
     report.wall_clock_seconds = time.perf_counter() - started
 
     report_path = out_dir / f"run_report_{args.command.replace('-', '_')}.json"
-    report.save(report_path)
+    write_json(report_path, asdict(report))
     line = f"{args.command}: wrote {report_path}"
     if report.auc_mean is not None:
         line += f" (mean AUC {report.auc_mean:.4f})"

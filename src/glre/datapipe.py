@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import ImageGrid
-from .errors import FormatError, SplitSizeError, VocabularyError, check_grid, check_number
+from .errors import (FormatError, SplitSizeError, VocabularyError, check_grid, check_number,
+                     is_str_list)
+from .files import write_file, write_json
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
 
@@ -130,10 +132,6 @@ class Vocabulary:
 _LEXICON_KEYS = {"mentions", "negations", "uncertainties"}
 
 
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 @dataclass
 class Lexicon:
     """Mention phrases per pathology plus global negation/uncertainty cues.
@@ -157,7 +155,7 @@ class Lexicon:
                 raise ValueError(f"cue {cue!r} must be lowercase")
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path) -> "Lexicon":
@@ -166,9 +164,9 @@ class Lexicon:
             raise FormatError(f"lexicon {path} must be a JSON object with keys "
                               f"{', '.join(sorted(_LEXICON_KEYS))}")
         mentions, window = payload["mentions"], payload.get("negation_window", 6)
-        if not (isinstance(mentions, dict) and all(map(_is_str_list, mentions.values()))
-                and _is_str_list(payload["negations"])
-                and _is_str_list(payload["uncertainties"])
+        if not (isinstance(mentions, dict) and all(map(is_str_list, mentions.values()))
+                and is_str_list(payload["negations"])
+                and is_str_list(payload["uncertainties"])
                 and isinstance(window, int) and not isinstance(window, bool)):
             raise FormatError(f"lexicon {path}: mentions must map names to lists of "
                               f"strings, negations and uncertainties must be lists of "
@@ -314,16 +312,13 @@ def label_matrix(records, uncertain_policy: str = "exclude"):
 
 def write_manifest(records, path) -> None:
     """One JSON object per line; images referenced by path, not inlined."""
-    with open(path, "w") as fh:
-        for rec in records:
-            row = {
-                "study_id": rec.study_id,
-                "view": rec.view,
-                "report": rec.report_text,
-                "image_path": rec.image_path,
-                "labels": rec.labels.as_list() if rec.labels is not None else None,
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_file(path, "".join(json.dumps({
+        "study_id": rec.study_id,
+        "view": rec.view,
+        "report": rec.report_text,
+        "image_path": rec.image_path,
+        "labels": rec.labels.as_list() if rec.labels is not None else None,
+    }, sort_keys=True) + "\n" for rec in records))
 
 
 def read_manifest(path) -> list[StudyRecord]:
@@ -338,9 +333,11 @@ def read_manifest(path) -> list[StudyRecord]:
                 f"manifest {path} line {n}: expected a JSON object with 'study_id' and 'view'")
         report, labels = row.get("report", ""), row.get("labels")
         if not (isinstance(row["study_id"], str) and isinstance(report, str)
-                and isinstance(labels, (list, type(None)))):
+                and isinstance(row.get("image_path"), (str, type(None)))
+                and isinstance(labels, (list, type(None)))
+                and not any(isinstance(v, (list, dict)) for v in labels or ())):
             raise FormatError(f"manifest {path} line {n}: 'study_id' and 'report' must be "
-                              f"strings and 'labels' a list")
+                              f"strings, 'image_path' a string or null and 'labels' a flat list")
         records.append(StudyRecord(
             study_id=row["study_id"],
             view=row["view"],
@@ -378,9 +375,8 @@ class SplitManifest:
     source_hash: str
 
     def save(self, path) -> None:
-        payload = {"seed": self.seed, "source_hash": self.source_hash,
-                   "splits": self.splits}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(path, {"seed": self.seed, "source_hash": self.source_hash,
+                          "splits": self.splits})
 
     @classmethod
     def load(cls, path) -> "SplitManifest":

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ShapeError, VocabularyError
+from .files import write_file
 from . import numerics as nm
 from .numerics import Tensor
 
@@ -240,25 +241,22 @@ _MODALITY_CODE = {"image": 0, "text": 1}
 
 def save_embeddings(path, items: dict[str, LocalGlobalFeatures]) -> None:
     """Write single-study features keyed by study ID in the GLRE1 binary layout."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(items)))
-        for study_id, feats in items.items():
-            raw_id = study_id.encode("utf-8")
-            if len(raw_id) > 0xFFFF:
-                raise ValueError(f"study id too long to encode: {study_id!r}")
-            local = np.asarray(feats.local.data, dtype=np.float32)
-            glob = np.asarray(feats.global_feat.data, dtype=np.float32)
-            rows, dim = local.shape
-            if glob.shape != (1, dim):
-                raise ShapeError(
-                    f"global row shape {glob.shape} does not match (1, {dim})"
-                )
-            fh.write(struct.pack("<H", len(raw_id)))
-            fh.write(raw_id)
-            fh.write(struct.pack("<BII", _MODALITY_CODE[feats.modality], rows, dim))
-            fh.write(local.astype("<f4").tobytes())
-            fh.write(glob.astype("<f4").tobytes())
+    parts = [_MAGIC, struct.pack("<I", len(items))]
+    for study_id, feats in items.items():
+        raw_id = study_id.encode("utf-8")
+        if len(raw_id) > 0xFFFF:
+            raise ValueError(f"study id too long to encode: {study_id!r}")
+        local = np.asarray(feats.local.data, dtype=np.float32)
+        glob = np.asarray(feats.global_feat.data, dtype=np.float32)
+        rows, dim = local.shape
+        if glob.shape != (1, dim):
+            raise ShapeError(
+                f"global row shape {glob.shape} does not match (1, {dim})"
+            )
+        parts += [struct.pack("<H", len(raw_id)), raw_id,
+                  struct.pack("<BII", _MODALITY_CODE[feats.modality], rows, dim),
+                  local.astype("<f4").tobytes(), glob.astype("<f4").tobytes()]
+    write_file(path, b"".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +273,7 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         raise ValueError("pixel intensities must lie in [0, 1]")
     quant = np.rint(arr * 255.0).astype(np.uint8)
     h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quant.tobytes())
+    write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + quant.tobytes())
 
 
 # a field of ten or more significant digits does not match, so int() never

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check of numeric settings.
+"""Exception types shared across the package, and the shared checks of settings.
 
 Contract violations (bad shapes, bad parameters, unusable data) derive from
 ValueError; state-machine misuse derives from RuntimeError. The CLI maps the
@@ -38,6 +38,10 @@ def check_grid(name: str, value) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SettingTypeError(f"{name} must be two integers, got {value!r}")
     return tuple(check_number(f"{name} entry", n, integer=True, minimum=1) for n in value)
+
+
+def is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 class DegenerateRowError(ValueError):

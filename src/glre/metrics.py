@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UndefinedAucError
+from .files import write_csv
 
 
 @dataclass
@@ -34,11 +34,7 @@ class RocCurve:
         return float(trapezoid(self.tpr, self.fpr))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr", "threshold"])
-            for f, t, th in zip(self.fpr, self.tpr, self.thresholds):
-                writer.writerow([repr(float(f)), repr(float(t)), repr(float(th))])
+        write_csv(path, ["fpr", "tpr", "threshold"], zip(self.fpr, self.tpr, self.thresholds))
 
 
 def roc_auc(scores, labels) -> RocCurve:

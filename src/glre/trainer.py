@@ -9,7 +9,8 @@ stream of an uninterrupted one and reproduces it bit for bit.
 The parameters have one flat layout, encoders.param_shapes in PARAM_NAMES
 order: Adam updates them as one vector with moments in the same layout, and
 a GLCK1 checkpoint stores parameters, m and v as one payload. A SHA-256 of
-everything before it ends the file, and the loader checks it first.
+everything before it ends the file, and the loader checks it first. Unlike
+the checkpoint, written whole by `files.write_file`, the step log is appended.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -44,6 +44,7 @@ from .errors import (
     check_grid,
     check_number,
 )
+from .files import write_file
 from .numerics import GradTape, Tensor, backward
 
 
@@ -283,8 +284,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload of the parameters, Adam's m and v in the layout the header's
     `arrays` spell, then the 32-byte SHA-256 of every byte before it.
 
-    The file is written beside `path` and renamed over it, so a save that
-    fails part-way leaves any earlier file at `path` as it was.
+    Written by `files.write_file`, so a save that fails part-way leaves any
+    earlier file at `path` as it was.
     """
     tensors = ckpt.params.parameters()
     header = {
@@ -300,19 +301,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = np.concatenate([t.data.ravel() for t in tensors.values()]
                              + [ckpt.adam.m, ckpt.adam.v], dtype="<f8")
-    digest = hashlib.sha256()
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            for part in (_MAGIC, struct.pack("<II", _VERSION, len(blob)), blob, payload):
-                digest.update(part)
-                fh.write(part)
-            fh.write(digest.digest())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    body = b"".join((_MAGIC, struct.pack("<II", _VERSION, len(blob)), blob, payload))
+    write_file(path, body + hashlib.sha256(body).digest())
 
 
 def _is_count(x) -> bool:

@@ -501,6 +501,20 @@ def test_export_embeddings_round_trip(pipeline, tmp_path):
         (tmp_path / "expected.bin").read_bytes()
 
 
+def test_export_embeddings_failure_leaves_no_file(pipeline, tmp_path, capsys):
+    # the id is checked while the file's bytes are built, after earlier records
+    records = read_manifest(pipeline["data"] / "heldout.jsonl")
+    records[-1].study_id = "s" * 0x10000
+    for rec in records:
+        rec.image_path = str(pipeline["data"] / rec.image_path)
+    write_manifest(records, tmp_path / "long_id.jsonl")
+    out = tmp_path / "out"
+    assert run("export-embeddings", "--checkpoint", pipeline["checkpoint"],
+               "--manifest", tmp_path / "long_id.jsonl", "--out-dir", out) == 1
+    assert "too long" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # exit codes and argument handling
 # ---------------------------------------------------------------------------
@@ -779,6 +793,18 @@ def _prompts_list(tmp_path, pipeline):
             "--prompts", prompts], "prompts.json"
 
 
+def _prompts_file(name, **classes):
+    """The default prompts with `classes` replaced, as a zeroshot --prompts file."""
+    def case(tmp_path, pipeline):
+        payload = {p: [p] for p in PATHOLOGIES} | classes
+        prompts = _write_json(tmp_path / "prompts.json", payload)
+        return ["zeroshot", "--checkpoint", pipeline["checkpoint"],
+                "--manifest", pipeline["data"] / "heldout.jsonl",
+                "--prompts", prompts], "prompts.json"
+    case.__name__ = f"prompts_{name}"
+    return case
+
+
 def _path_entry(command, key):
     """`command` with the path entry `key` set to a number in its config."""
     def case(tmp_path, pipeline):
@@ -793,13 +819,13 @@ def _path_entry(command, key):
     return case
 
 
-def _manifest_line(**fields):
+def _manifest_line(name=None, **fields):
     def case(tmp_path, pipeline):
         _flat_manifest(tmp_path / "in.jsonl", n=2)
         with open(tmp_path / "in.jsonl", "a") as fh:
             fh.write(json.dumps({"study_id": "bad", "view": "frontal", **fields}) + "\n")
         return ["label", "--manifest", tmp_path / "in.jsonl"], "in.jsonl line 3"
-    case.__name__ = f"manifest_{'_'.join(fields)}"
+    case.__name__ = f"manifest_{name or '_'.join(fields)}"
     return case
 
 
@@ -840,9 +866,16 @@ def _manifest_line(**fields):
     _lexicon_file({"mentions": {}, "negations": [], "uncertainties": [],
                    "negation_window": "6"}, "window_str"),
     _prompts_list,
+    _prompts_file("class_int", atelectasis=5),
+    _prompts_file("prompt_int", edema=["x", 1]),
+    _prompts_file("class_str", edema="edema"),
     _manifest_line(study_id=5),
     _manifest_line(report=5),
     _manifest_line(labels=5),
+    _manifest_line("image_path_int", image_path=5),
+    _manifest_line("image_path_list", image_path=["x"]),
+    _manifest_line("label_list", labels=[[1], 0, 0, 0, 0]),
+    _manifest_line("label_object", labels=[{"a": 1}, 0, 0, 0, 0]),
     _path_entry("label", "manifest"),
     _path_entry("zeroshot", "checkpoint"),
     _path_entry("zeroshot", "prompts"),

@@ -16,7 +16,7 @@ from glre.errors import (
     TrainingDivergenceError,
     VersionError,
 )
-from glre import trainer
+from glre import files
 from glre.numerics import Tensor
 from glre.trainer import (
     AdamState,
@@ -27,6 +27,7 @@ from glre.trainer import (
     save_checkpoint,
     train,
 )
+from test_files import FailingWrites
 
 
 def small_config(**kw):
@@ -321,26 +322,6 @@ def test_checkpoint_payload_follows_header_arrays(tmp_path):
     assert not np.array_equal(ckpt.adam.m, ckpt.adam.v)
 
 
-class _FailingWrites:
-    """A file whose writes stop after `budget` bytes with a full disk."""
-
-    def __init__(self, fh, budget):
-        self.fh, self.budget = fh, budget
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        data = memoryview(data).cast("B")
-        self.fh.write(data[: self.budget])
-        self.budget -= min(self.budget, len(data))
-        if self.budget == 0:
-            raise OSError(28, "No space left on device")
-
-
 @pytest.mark.parametrize("failure", ["mid_write", "at_rename"])
 def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failure):
     # a resumed run saves over the checkpoint it started from; a save that
@@ -351,13 +332,13 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failur
     before = path.read_bytes()
     later = train(records, small_config(steps=4))
     if failure == "mid_write":
-        monkeypatch.setattr(trainer, "open", lambda name, mode: _FailingWrites(
+        monkeypatch.setattr(files, "open", lambda name, mode: FailingWrites(
             open(name, mode), len(before) // 2), raising=False)
     else:
         def no_rename(src, dst):
             raise OSError("rename failed")
 
-        monkeypatch.setattr(trainer.os, "replace", no_rename)
+        monkeypatch.setattr(files.os, "replace", no_rename)
     with pytest.raises(OSError):
         save_checkpoint(later, path)
     assert path.read_bytes() == before

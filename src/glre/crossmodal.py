@@ -12,24 +12,26 @@ InfoNCE terms over the two score matrices in both pairing directions,
 weighted and summed, with one adjoint for all four.
 
 The local kernel (``align`` and its adjoint) scores a block of I images
-against all N padded words at once and does its elementwise work in region
-space (R regions), not feature space (D features). The words live in one
-array, the C-contiguous (D, N) matrix that the similarity GEMM reads; only
-the adjoint copies it, once, to the (N, D) layout of its word GEMM. The
-state is region-major, (I, R, N): one GEMM of the stacked (I*R, D) regions
-against the words gives the similarities, and the sharpened softmax and the
-context . word dot sum_r a_r s_r are reductions over axis 1, each over whole
-rows of N words. The contexts c = a V themselves are never formed. Their
-norms come from the (I, R, R) region Gram: (V V^T) a gives each c . v_r, and
-|c|^2 = a . (V V^T) a. That form cancels when |c| is much smaller than the
-regions it averages, so the few columns under the cut |c|^2 < _GRAM_KAPPA
-(sum_r a_r |v_r|)^2 are recomputed from their explicit contexts. The adjoint
-reads the same (V V^T) a, kept from the forward, and pulls |c| onto the
-regions as ((a g) a^T) V, so neither pass holds an (I, N, D) array. A taped
-call keeps the state of every image for its adjoint, so it runs as one block
-and one adjoint call. A forward-only call keeps nothing and runs in blocks
-sized so that each (I, R, N) array stays within ``_BLOCK_ELEMENTS``, which
-bounds the memory of large calls such as 200 x 200 retrieval.
+against all N words of the B texts at once, the texts laid end to end, and
+does its elementwise work in region space (R regions), not feature space (D
+features). The similarity GEMM reads the words as one C-contiguous (D, N)
+matrix and the adjoint's word GEMM reads the (N, D) rows the text features
+already hold. The state is region-major, (I, R, N): one GEMM of the stacked
+(I*R, D) regions against the words gives the similarities, and the sharpened
+softmax and the context . word dot sum_r a_r s_r are reductions over axis 1,
+each over whole rows of N words. The smooth maximum over each text's words
+is a segment reduction over the texts' runs of columns. The contexts c = a V
+themselves are never formed. Their norms come from the (I, R, R) region
+Gram: (V V^T) a gives each c . v_r, and |c|^2 = a . (V V^T) a. That form
+cancels when |c| is much smaller than the regions it averages, so the few
+columns under the cut |c|^2 < _GRAM_KAPPA (sum_r a_r |v_r|)^2 are recomputed
+from their explicit contexts. The adjoint reads the same (V V^T) a, kept
+from the forward, and pulls |c| onto the regions as ((a g) a^T) V, so
+neither pass holds an (I, N, D) array. A taped call keeps the state of every
+image for its adjoint, so it runs as one block and one adjoint call. A
+forward-only call keeps nothing and runs in blocks sized so that each
+(I, R, N) array stays within ``_BLOCK_ELEMENTS``, which bounds the memory of
+large calls such as 200 x 200 retrieval.
 """
 
 from __future__ import annotations
@@ -143,7 +145,8 @@ def contrastive_loss(global_matrix: Tensor, local_matrix: Tensor,
 # Block budget of a forward-only local call: a block of images is sized so
 # that each of its region-major (images, regions, words) arrays holds at most
 # this many float64 elements (512 KiB), unless one image's arrays alone are
-# larger; 200 x 200 retrieval (9 x 3,800 per image) runs one image per block.
+# larger; 200 x 200 retrieval (9 x 2,956 per image at seed 7) runs two images
+# per block.
 # A taped call is one block whatever its size: its adjoint needs the state of
 # every image, so splitting it would keep the same arrays and bound nothing.
 _BLOCK_ELEMENTS = 1 << 16
@@ -164,7 +167,7 @@ _GRAM_KAPPA = 1e-3
 
 
 class Alignment(NamedTuple):
-    """Local alignment of a block of I images against N = B*T padded words.
+    """Local alignment of a block of I images against the N words of B texts.
 
     The state is region-major: the (I, R, N) arrays put the R regions of an
     image on the middle axis and the words on the last, so every softmax and
@@ -182,23 +185,24 @@ class Alignment(NamedTuple):
     region_dots: np.ndarray    # (I, R, N) (V V^T) a: context . region products
     context_norms: np.ndarray  # (I, N)
     cosines: np.ndarray        # (I, N) cosine(context, word), 0 where guarded
-    word_weights: np.ndarray   # (I, N) d score / d cosine, 0 where guarded or padded
+    word_weights: np.ndarray   # (I, N) d score / d cosine, 0 where guarded
     scores: np.ndarray         # (I, B) local alignment score per image and text
 
 
 def align(regions: np.ndarray, words_t: np.ndarray, word_norms: np.ndarray,
-          mask: np.ndarray, lambda1: float, lambda2: float) -> Alignment:
+          lengths: np.ndarray, lambda1: float, lambda2: float) -> Alignment:
     """Local alignment of a block of images against every text at once.
 
     `regions` is (I, R, D); `words_t` is the C-contiguous (D, N) array whose
-    columns are the words of B texts, each padded to T words with zero
-    columns (N = B*T); `word_norms` is (N,); `mask` is (B, T) and keeps the
-    real words.
-    Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t)) over the kept
+    columns are the words of B texts, text after text; `word_norms` is (N,);
+    `lengths` is (B,) and holds each text's word count, all >= 1, summing
+    to N.
+    Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t)) over a text's
     words, with contexts c_t = a_t V and attention weights
     a_t = softmax_r(lambda1 * s_t), s_t = w_t V^T. One GEMM of the stacked
     (I*R, D) regions against the words gives the (I, R, N) similarities; the
-    softmax and the dot c_t . w_t = sum_r a_tr s_tr reduce over axis 1.
+    softmax and the dot c_t . w_t = sum_r a_tr s_tr reduce over axis 1; the
+    log-sum-exp over each text's words is a ``reduceat`` over its columns.
     |c_t|^2 = a_t^T (V V^T) a_t comes from the (I, R, R) region Gram; the few
     columns where that form may have cancelled, |c_t|^2 < _GRAM_KAPPA *
     (sum_r a_tr |v_r|)^2, are recomputed from their explicit contexts. No
@@ -207,12 +211,12 @@ def align(regions: np.ndarray, words_t: np.ndarray, word_norms: np.ndarray,
     row cosine.
     """
     n_img, r, d = regions.shape
-    b, t = mask.shape
-    # one allocation for the three kept (I, R, N) arrays: as three ~350 KB
+    n = words_t.shape[1]
+    # one allocation for the three kept (I, R, N) arrays: as three ~270 KB
     # arrays at the B=16 shape, the heap gave them back to the OS when a step
     # freed them and page-faulted them in again on the next (~300 faults a call)
-    sims, weights, region_dots = np.empty((3, n_img, r, b * t))
-    np.matmul(regions.reshape(n_img * r, d), words_t, out=sims.reshape(n_img * r, b * t))
+    sims, weights, region_dots = np.empty((3, n_img, r, n))
+    np.matmul(regions.reshape(n_img * r, d), words_t, out=sims.reshape(n_img * r, n))
     np.multiply(sims, lambda1, out=weights)
     weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
@@ -232,34 +236,35 @@ def align(regions: np.ndarray, words_t: np.ndarray, word_norms: np.ndarray,
     cn = np.where(ok, cn, 1.0)
     wn = np.where(ok, word_norms, 1.0)
     cosines = np.where(ok, dots / (cn * wn), 0.0)
-    x = np.where(mask.reshape(-1), lambda2 * cosines, -np.inf).reshape(n_img, b, t)
-    m = x.max(axis=2, keepdims=True)
-    ex = np.exp(x - m)
-    total = ex.sum(axis=2, keepdims=True)
-    scores = (m[..., 0] + np.log(total[..., 0])) * (1.0 / lambda2)
-    word_weights = (ex / total).reshape(n_img, b * t) * ok
+    x = lambda2 * cosines
+    starts = np.cumsum(lengths) - lengths
+    m = np.maximum.reduceat(x, starts, axis=1)
+    ex = np.exp(x - np.repeat(m, lengths, axis=1))
+    total = np.add.reduceat(ex, starts, axis=1)
+    scores = (m + np.log(total)) * (1.0 / lambda2)
+    word_weights = ex / np.repeat(total, lengths, axis=1) * ok
     return Alignment(sims, weights, region_dots, cn, cosines, word_weights, scores)
 
 
-def _align_adjoint(al: Alignment, regions: np.ndarray, words_t: np.ndarray,
-                   word_norms: np.ndarray, lambda1: float, g: np.ndarray):
+def _align_adjoint(al: Alignment, regions: np.ndarray, words: np.ndarray,
+                   word_norms: np.ndarray, lengths: np.ndarray, lambda1: float,
+                   g: np.ndarray):
     """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D).
 
-    Takes the arguments ``align`` took, with `g` (I, B). Reads only the
+    Takes the arguments ``align`` took, with the words as the C-contiguous
+    (N, D) rows the text features hold, and `g` (I, B). Reads only the
     region-sized forward state, never the contexts: the c . v_r that |c|
     passes to the attention weights is the kept (V V^T) a, and the -g_cn * c
     it passes to the regions is ((a g_cn) a^T) V. No (I, N, D) array is
     formed; the D-sized work is one GEMM of the similarity gradient against
-    an (N, D) copy of the words and one against the regions, plus the
-    (I, R, R) @ (I, R, D) pull. The word gradient is finished, word-norm term
-    -(coef / |w|^2) w included; the caller drops the rows of padded words.
-    The (I, R, N) work is done in place in ``al.region_dots`` and
-    ``al.sims``, which are spent afterwards.
+    the words and one against the regions, plus the (I, R, R) @ (I, R, D)
+    pull. The word gradient is finished, word-norm term -(coef / |w|^2) w
+    included, and has one row per word. The (I, R, N) work is done in place
+    in ``al.region_dots`` and ``al.sims``, which are spent afterwards.
     """
     n_img, r, d = regions.shape
-    b = g.shape[1]
     wn = np.where(word_norms > _NORM_FLOOR, word_norms, 1.0)
-    g_cos = (g[:, :, None] * al.word_weights.reshape(n_img, b, -1)).reshape(n_img, -1)
+    g_cos = np.repeat(g, lengths, axis=1) * al.word_weights
     g_dot = (g_cos / (al.context_norms * wn))[:, None, :]
     g_cn = (g_cos * al.cosines / al.context_norms ** 2)[:, None, :]
     a = al.weights
@@ -275,10 +280,6 @@ def _align_adjoint(al: Alignment, regions: np.ndarray, words_t: np.ndarray,
     g_s += g_dot
     g_s *= a
     g_s = g_s.reshape(n_img * r, -1)
-    # a contiguous copy, not the words_t.T view: OpenBLAS runs this product on
-    # the view with two threads at shapes where it runs the copy with one
-    # (B=8 training took twice the CPU time), and the copy's bits are the same
-    words = np.ascontiguousarray(words_t.T)
     g_regions = g_s @ words
     pull = np.multiply(a, g_cn, out=work)
     g_regions -= np.matmul(np.matmul(pull, a.transpose(0, 2, 1)), regions).reshape(-1, d)
@@ -297,13 +298,15 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
 
     Each side is a LocalGlobalFeatures batch or a list of them, scored in
     order. Each matrix is one taped op with a hand-written adjoint. The
-    global one is a single matmul of the global rows. The local one scatters
-    the words, padded to the longest text, into one C-contiguous (D, N)
+    global one is a single matmul of the global rows. The local one takes
+    the N words of all texts as the (N, D) rows the text features hold, one
+    text after another, transposes them once into a C-contiguous (D, N)
     array and runs ``align`` on the (B_i, R, D) regions, so all images need
     one region count R. Under a recording tape that is one ``align`` call,
-    whose region-sized state one ``_align_adjoint`` call reads; a
-    forward-only call runs in blocks whose (I, R, N) arrays stay within
-    ``_BLOCK_ELEMENTS`` elements. No (B_i, B_t, T, D) array is ever held.
+    whose region-sized state one ``_align_adjoint`` call reads on the same
+    (N, D) rows; a forward-only call runs in blocks whose (I, R, N) arrays
+    stay within ``_BLOCK_ELEMENTS`` elements. No (B_i, N, D) array is ever
+    held.
     """
     images = [image_feats] if isinstance(image_feats, LocalGlobalFeatures) else list(image_feats)
     texts = [text_feats] if isinstance(text_feats, LocalGlobalFeatures) else list(text_feats)
@@ -333,27 +336,22 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     img_l, txt_l = (tuple(f.local for f in side) for side in (images, texts))
     regions = _rows(img_l).reshape(len(gi), -1, dim)
     lengths = np.array([n for f in texts for n in f.lengths])
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    real = mask.reshape(-1)
     txt_rows = _rows(txt_l)
-    words_t = np.zeros((dim, real.size))
-    words_t[:, real] = txt_rows.T
-    # padded words keep norm 0, which align's cosine guard reads as no word
-    word_norms = np.zeros(real.size)
-    word_norms[real] = np.sqrt(np.einsum("nd,nd->n", txt_rows, txt_rows))
+    words_t = np.ascontiguousarray(txt_rows.T)
+    word_norms = np.sqrt(np.einsum("nd,nd->n", txt_rows, txt_rows))
     lam1, lam2 = config.lambda1, config.lambda2
     # a recorded op (as _emit decides) needs every image's state: one block
     taped = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_l)
-    per_block = len(gi) if taped else max(1, _BLOCK_ELEMENTS // (regions.shape[1] * real.size))
+    per_block = len(gi) if taped else max(1, _BLOCK_ELEMENTS // regions.shape[1] // len(txt_rows))
     local = np.empty((len(gi), len(gt)))
     for start in range(0, len(gi), per_block):
-        al = align(regions[start : start + per_block], words_t, word_norms, mask, lam1, lam2)
+        al = align(regions[start : start + per_block], words_t, word_norms, lengths, lam1, lam2)
         local[start : start + per_block] = al.scores
 
     def local_bw(g):
-        g_regions, g_words = _align_adjoint(al, regions, words_t, word_norms, lam1, g)
+        g_regions, g_words = _align_adjoint(al, regions, txt_rows, word_norms, lengths, lam1, g)
         return (*np.split(g_regions.reshape(-1, dim), img_split * regions.shape[1]),
-                *np.split(g_words[real], np.cumsum([t.shape[0] for t in txt_l])[:-1]))
+                *np.split(g_words, np.cumsum([t.shape[0] for t in txt_l])[:-1]))
 
     local_matrix = nm._emit(local, img_l + txt_l, local_bw)
     return global_matrix, local_matrix

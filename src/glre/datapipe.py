@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import ImageGrid
-from .errors import (FormatError, SplitSizeError, VocabularyError, check_grid, check_number,
-                     is_str_list)
+from .errors import (ConsistencyError, FormatError, SplitSizeError, VocabularyError,
+                     check_grid, check_number, is_str_list)
 from .files import write_file, write_json
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
@@ -322,8 +322,9 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[StudyRecord]:
-    """Parse a JSONL manifest; every line needs `study_id` and `view`."""
-    records = []
+    """Parse a JSONL manifest; every line needs `study_id` and `view`, and no
+    two lines may share a `study_id`."""
+    records, first_line = [], {}
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -332,12 +333,19 @@ def read_manifest(path) -> list[StudyRecord]:
             raise FormatError(
                 f"manifest {path} line {n}: expected a JSON object with 'study_id' and 'view'")
         report, labels = row.get("report", ""), row.get("labels")
-        if not (isinstance(row["study_id"], str) and isinstance(report, str)
+        # labels are ints or null: a JSON true or 1.0 equals 1 but is no label
+        if not (isinstance(row["study_id"], str) and isinstance(row["view"], str)
+                and isinstance(report, str)
                 and isinstance(row.get("image_path"), (str, type(None)))
                 and isinstance(labels, (list, type(None)))
-                and not any(isinstance(v, (list, dict)) for v in labels or ())):
-            raise FormatError(f"manifest {path} line {n}: 'study_id' and 'report' must be "
-                              f"strings, 'image_path' a string or null and 'labels' a flat list")
+                and all(v is None or type(v) is int for v in labels or ())):
+            raise FormatError(f"manifest {path} line {n}: 'study_id', 'view' and 'report' must "
+                              f"be strings, 'image_path' a string or null and 'labels' a list "
+                              f"of integers or nulls")
+        if row["study_id"] in first_line:
+            raise ConsistencyError(f"manifest {path} line {n}: study_id {row['study_id']!r} "
+                                   f"repeats line {first_line[row['study_id']]}")
+        first_line[row["study_id"]] = n
         records.append(StudyRecord(
             study_id=row["study_id"],
             view=row["view"],

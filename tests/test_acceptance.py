@@ -203,7 +203,7 @@ def test_criterion_2_loss_anchors():
         regions /= np.linalg.norm(regions, axis=1, keepdims=True)
         words /= np.linalg.norm(words, axis=1, keepdims=True)
         al = align(regions[None], np.ascontiguousarray(words.T),
-                   np.linalg.norm(words, axis=1), np.ones((1, t), dtype=bool),
+                   np.linalg.norm(words, axis=1), np.array([t]),
                    lambda1=4.0, lambda2=5.0)
         sums = al.weights.sum(axis=1)  # (I, R, N): regions on axis 1
         worst = max(worst, float(np.abs(sums - 1.0).max()))

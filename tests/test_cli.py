@@ -587,6 +587,34 @@ def test_manifest_line_without_study_id_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"view": "sideways"}, "sideways"),
+    ({"labels": [2, 0, 0, 0, 0]}, "label 2"),
+], ids=["view", "label"])
+def test_manifest_value_of_right_type_outside_its_range_exits_1(tmp_path, capsys, fields,
+                                                                 named):
+    manifest = tmp_path / "in.jsonl"
+    _flat_manifest(manifest, n=2)
+    with open(manifest, "a") as fh:
+        fh.write(json.dumps({"study_id": "x", "view": "frontal", **fields}) + "\n")
+    assert run("label", "--manifest", manifest, "--out-dir", tmp_path) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["label", "split"])
+def test_repeated_study_id_exits_1_naming_both_lines(tmp_path, capsys, command):
+    manifest = tmp_path / "in.jsonl"
+    lines = [{"study_id": "a", "view": "frontal", "report": "first"},
+             {"study_id": "b", "view": "frontal", "report": "other"},
+             {"study_id": "a", "view": "lateral", "report": "second"}]
+    manifest.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    sizes = ["--sizes", "all=rest"] if command == "split" else []
+    assert run(command, "--manifest", manifest, *sizes, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "'a'" in err and "line 3" in err and "line 1" in err
+    assert not list((tmp_path / "out").glob("*.jsonl"))
+
+
 def _drop_arrays(header):
     del header["arrays"]
 
@@ -870,6 +898,9 @@ def _manifest_line(name=None, **fields):
     _prompts_file("prompt_int", edema=["x", 1]),
     _prompts_file("class_str", edema="edema"),
     _manifest_line(study_id=5),
+    _manifest_line(view=5),
+    _manifest_line("label_true", labels=[True, 0, 0, 0, 0]),
+    _manifest_line("label_float", labels=[0, 0, 1.0, 0, 0]),
     _manifest_line(report=5),
     _manifest_line(labels=5),
     _manifest_line("image_path_int", image_path=5),

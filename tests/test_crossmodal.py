@@ -505,7 +505,7 @@ def _count_blocks(monkeypatch):
 
 def test_pairwise_scores_over_several_blocks_match_pair_oracle(monkeypatch):
     # a forward-only block holds at most _BLOCK_ELEMENTS // (R * N) images,
-    # N = B * T padded words. 40 images with 16 regions against 12 texts of 20
+    # N the words of all texts. 40 images with 16 regions against 12 texts of 20
     # words at D=16 exceed it, so the untaped local kernel scores them in three
     # blocks; the training shape, B=16 with 9 regions at D=64 against ragged
     # texts of 11-19 words, fits in exactly one. A taped call is always one
@@ -516,7 +516,7 @@ def test_pairwise_scores_over_several_blocks_match_pair_oracle(monkeypatch):
     calls = _count_blocks(monkeypatch)
     for n_images, lengths, r, dim, blocks in ((40, [20] * 12, 16, 16, 3),
                                               (16, ragged, 9, 64, 1)):
-        per_block = max(1, crossmodal._BLOCK_ELEMENTS // (r * len(lengths) * max(lengths)))
+        per_block = max(1, crossmodal._BLOCK_ELEMENTS // (r * sum(lengths)))
         assert math.ceil(n_images / per_block) == blocks
         imgs, txts = _ragged_batch(rng, lengths, n_images, r, dim, requires_grad=True)
         calls.clear()
@@ -529,6 +529,34 @@ def test_pairwise_scores_over_several_blocks_match_pair_oracle(monkeypatch):
         for got, want in zip(*_kernel_and_oracle_grads(imgs, txts, cfg, rng)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert calls == [n_images]
+
+
+def test_local_kernel_holds_one_column_per_word(monkeypatch):
+    # texts of 1, 7 and 2 words: the kernel's (I, R, N) state has N = 10
+    # columns, one per word, and its adjoint hands back one row per word
+    rng = np.random.default_rng(31)
+    imgs, txts = _ragged_batch(rng, [1, 7, 2], 2, 3, 8, requires_grad=True)
+    kept, word_grads = [], []
+    real_align, real_adjoint = crossmodal.align, crossmodal._align_adjoint
+
+    def recording_align(*args, **kwargs):
+        al = real_align(*args, **kwargs)
+        kept.append([al.sims.shape, al.weights.shape, al.region_dots.shape])
+        return al
+
+    def recording_adjoint(*args, **kwargs):
+        g_regions, g_words = real_adjoint(*args, **kwargs)
+        word_grads.append(g_words.shape)
+        return g_regions, g_words
+
+    monkeypatch.setattr(crossmodal, "align", recording_align)
+    monkeypatch.setattr(crossmodal, "_align_adjoint", recording_adjoint)
+    leaves = [f.local for f in txts]
+    grads = analytic_grads(
+        lambda: ref.tensor_sum(pairwise_scores(imgs, txts, LossConfig())[1]), leaves)
+    assert kept == [[(2, 3, 10)] * 3]
+    assert word_grads == [(10, 8)]
+    assert [gr.shape for gr in grads] == [(1, 8), (7, 8), (2, 8)]
 
 
 def test_pairwise_mixed_region_counts_raise_shape_error():

@@ -18,6 +18,7 @@ from .classify import (
     default_prompts,
     fit_linear_probe,
     image_features,
+    mixed_scores,
     probe_predict,
     zero_shot_scores,
 )
@@ -45,7 +46,6 @@ from .datapipe import (
     manifest_hash,
     read_manifest,
     split_sentences,
-    synth_lexicon,
     synth_paired_dataset,
     tokenize,
     write_manifest,

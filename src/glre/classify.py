@@ -1,12 +1,12 @@
-"""Downstream heads over trained encoders: linear probe and zero-shot.
+"""Downstream heads over trained encoders: linear probe, mixed scores, zero-shot.
 
 The probe is five logistic regressions on frozen global image features,
 fitted together: each gradient-descent epoch is one masked GEMM over all
 five heads, with single-class or fully masked pathologies left at zero.
-Zero-shot scoring encodes all per-pathology text prompts as one batch with
-the trained text encoder and ranks images by a mix of global cosine and
-local attention alignment against each prompt. Images are encoded as one
-batch, whose (N, D) global rows are the probe's features.
+Mixed scoring encodes texts as one batch and scores every image against
+each by a mix of global cosine and local attention alignment; retrieval
+ranks by it and zero-shot averages it over each pathology's prompts. Images
+are encoded as one batch, whose (N, D) global rows are the probe's features.
 """
 
 from __future__ import annotations
@@ -64,12 +64,6 @@ class ProbeModel:
     def save(self, path) -> None:
         write_json(path, {"weights": self.weights.tolist(), "bias": self.bias.tolist(),
                           "metadata": self.metadata})
-
-    @classmethod
-    def load(cls, path) -> "ProbeModel":
-        payload = json.loads(Path(path).read_text())
-        return cls(weights=np.array(payload["weights"]), bias=np.array(payload["bias"]),
-                   metadata=payload.get("metadata", {}))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -163,9 +157,6 @@ class PromptSet:
                 raise ValueError(f"empty prompt for pathology {name!r}")
             self.prompts[name] = list(dict.fromkeys(plist))
 
-    def save(self, path) -> None:
-        write_json(path, self.prompts)
-
     @classmethod
     def load(cls, path) -> "PromptSet":
         prompts = json.loads(Path(path).read_text())
@@ -193,22 +184,28 @@ def image_features(records, ckpt: Checkpoint) -> LocalGlobalFeatures:
     return encode_image_patches(patches, ckpt.params)
 
 
+def mixed_scores(feats: LocalGlobalFeatures, texts, ckpt: Checkpoint,
+                 global_weight: float = 0.5, local_weight: float = 0.5) -> np.ndarray:
+    """[M x T] scores of every image against every text string.
+
+    The texts are encoded in one call under the checkpoint's vocabulary and
+    scored in one ``pairwise_scores`` call: global_weight * cosine of globals
+    plus local_weight * attention alignment of each text's words against the
+    image regions.
+    """
+    encoded = encode_text_toy([encode_report(t, ckpt.vocab, ckpt.config) for t in texts],
+                              ckpt.params)
+    g, l = pairwise_scores(feats, encoded, ckpt.config.loss)
+    return global_weight * g.numpy() + local_weight * l.numpy()
+
+
 def zero_shot_scores(feats: LocalGlobalFeatures, prompts: PromptSet,
                      ckpt: Checkpoint, global_weight: float = 0.5,
                      local_weight: float = 0.5) -> np.ndarray:
-    """[M x 5] class scores from trained-encoder prompt similarities.
-
-    All prompts are encoded in one call and scored in one ``pairwise_scores``
-    call. For each image and prompt: global_weight * cosine of globals plus
-    local_weight * attention alignment of prompt words against the image
-    regions; a class scores the mean over its prompts. Defaults give the
-    equal global/local mix.
-    """
-    texts = encode_text_toy([encode_report(p, ckpt.vocab, ckpt.config)
-                             for name in PATHOLOGIES for p in prompts.prompts[name]],
-                            ckpt.params)
-    g, l = pairwise_scores(feats, texts, ckpt.config.loss)
-    mixed = global_weight * g.numpy() + local_weight * l.numpy()
+    """[M x 5] class scores: per class, the mean of its prompts' mixed scores.
+    All prompts are scored in one ``mixed_scores`` call."""
+    mixed = mixed_scores(feats, [p for name in PATHOLOGIES for p in prompts.prompts[name]],
+                         ckpt, global_weight, local_weight)
     bounds = np.cumsum([0] + [len(prompts.prompts[name]) for name in PATHOLOGIES])
     return np.stack([mixed[:, a:b].mean(axis=1) for a, b in zip(bounds, bounds[1:])],
                     axis=1)

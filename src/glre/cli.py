@@ -616,7 +616,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _dispatch(args)
-    except (FormatError, VersionError, json.JSONDecodeError, OSError) as exc:
+    except (FormatError, VersionError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

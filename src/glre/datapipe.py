@@ -14,7 +14,7 @@ import hashlib
 import json
 import re
 import string
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,9 +153,6 @@ class Lexicon:
         for cue in list(self.negations) + list(self.uncertainties):
             if cue != cue.lower():
                 raise ValueError(f"cue {cue!r} must be lowercase")
-
-    def save(self, path) -> None:
-        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path) -> "Lexicon":
@@ -322,8 +319,8 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[StudyRecord]:
-    """Parse a JSONL manifest; every line needs `study_id` and `view`, and no
-    two lines may share a `study_id`."""
+    """Parse a JSONL manifest: every line needs `study_id` and `view`, may add
+    only `report`, `image_path` and `labels`, and no two share a `study_id`."""
     records, first_line = [], {}
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -332,6 +329,9 @@ def read_manifest(path) -> list[StudyRecord]:
         if not isinstance(row, dict) or not {"study_id", "view"} <= row.keys():
             raise FormatError(
                 f"manifest {path} line {n}: expected a JSON object with 'study_id' and 'view'")
+        unknown = row.keys() - {"study_id", "view", "report", "image_path", "labels"}
+        if unknown:
+            raise FormatError(f"manifest {path} line {n}: unknown key {min(unknown)!r}")
         report, labels = row.get("report", ""), row.get("labels")
         # labels are ints or null: a JSON true or 1.0 equals 1 but is no label
         if not (isinstance(row["study_id"], str) and isinstance(row["view"], str)
@@ -385,12 +385,6 @@ class SplitManifest:
     def save(self, path) -> None:
         write_json(path, {"seed": self.seed, "source_hash": self.source_hash,
                           "splits": self.splits})
-
-    @classmethod
-    def load(cls, path) -> "SplitManifest":
-        payload = json.loads(Path(path).read_text())
-        return cls(seed=payload["seed"], splits=payload["splits"],
-                   source_hash=payload["source_hash"])
 
 
 def make_splits(records, sizes: dict, seed: int) -> SplitManifest:
@@ -513,14 +507,6 @@ _DISTRACTORS = (
 )
 
 
-def synth_lexicon() -> Lexicon:
-    """Minimal lexicon matching the synthetic report templates."""
-    base = default_lexicon()
-    mentions = {name: [name] for name in PATHOLOGIES}
-    return Lexicon(mentions=mentions, negations=base.negations,
-                   uncertainties=base.uncertainties)
-
-
 def _home_regions(n_regions: int, n_classes: int) -> list[int]:
     """Evenly spread class home regions across the grid."""
     return [round(i * (n_regions - 1) / max(n_classes - 1, 1)) for i in range(n_classes)]
@@ -538,7 +524,8 @@ def synth_paired_dataset(config: SynthConfig, seed: int):
     Images carry a class-specific home texture plus per-instance zone
     textures; reports name the class, severity, and active zones. Labels are
     constructed positive for the study's class and blank elsewhere, which
-    matches what label_report derives with synth_lexicon.
+    matches what label_report derives from a lexicon whose one mention
+    phrase per pathology is its name.
     """
     rng = np.random.default_rng(seed)
     gr, gc = config.region_grid

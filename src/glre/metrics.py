@@ -28,11 +28,6 @@ class RocCurve:
     n_pos: int
     n_neg: int
 
-    def trapezoid_area(self) -> float:
-        # numpy >= 2.0 has only ``trapezoid``; numpy < 2.0 has only ``trapz``.
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        return float(trapezoid(self.tpr, self.fpr))
-
     def write_csv(self, path) -> None:
         write_csv(path, ["fpr", "tpr", "threshold"], zip(self.fpr, self.tpr, self.thresholds))
 

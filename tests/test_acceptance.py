@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from glre import numerics as nm
-from glre.classify import image_features
+from glre.classify import image_features, mixed_scores
 from glre.cli import _attach_images
 from glre.cli import main as cli_main
 from glre.cli import runreport_fingerprint
@@ -39,7 +39,7 @@ from glre.encoders import (
     encode_text_toy,
 )
 from glre.metrics import aggregate_auc, retrieval_top1, roc_auc
-from glre.trainer import encode_report, load_checkpoint
+from glre.trainer import load_checkpoint
 
 import reference_ops as ref
 from golden_corpus import GOLDEN
@@ -357,10 +357,7 @@ def test_criterion_7_end_to_end_synthetic(e2e):
     held = read_manifest(a["data"] / "heldout.jsonl")
     _attach_images(held, a["data"] / "heldout.jsonl", ckpt.config.region_grid)
     imgs = image_features(held, ckpt)
-    txts = [encode_text_toy(encode_report(r.report_text, ckpt.vocab, ckpt.config),
-                            ckpt.params) for r in held]
-    g, l = pairwise_scores(imgs, txts, ckpt.config.loss)
-    top1 = retrieval_top1(0.5 * g.numpy() + 0.5 * l.numpy())
+    top1 = retrieval_top1(mixed_scores(imgs, [r.report_text for r in held], ckpt))
     assert top1["image_to_text"] >= 0.80 and top1["text_to_image"] >= 0.80, top1
 
     total = a["elapsed"] + (time.perf_counter() - started)

@@ -18,9 +18,9 @@ from glre.datapipe import (
     PATHOLOGIES,
     LabelVector,
     StudyRecord,
+    default_lexicon,
     label_report,
     read_manifest,
-    synth_lexicon,
     write_manifest,
 )
 from glre.encoders import (ImageGrid, encode_image_patches, encode_text_toy, image_patch_matrix,
@@ -77,17 +77,24 @@ def test_label_matches_library_labeler(tmp_path):
     assert run("label", "--manifest", tmp_path / "in.jsonl",
                "--out-dir", out_dir) == 0
     labeled = read_manifest(out_dir / "labeled.jsonl")
-    from glre.datapipe import default_lexicon
     lex = default_lexicon()
     for rec, text in zip(labeled, reports):
         assert rec.labels == label_report(text, lex)
 
 
+def _write_name_lexicon(path, negation_window=6):
+    """A lexicon file whose one mention phrase per pathology is its name."""
+    base = default_lexicon()
+    path.write_text(json.dumps({"mentions": {name: [name] for name in PATHOLOGIES},
+                                "negations": base.negations,
+                                "uncertainties": base.uncertainties,
+                                "negation_window": negation_window}))
+
+
 def test_label_with_custom_lexicon(tmp_path):
     records = [StudyRecord(study_id="a", report_text="mild edema is present.")]
     write_manifest(records, tmp_path / "in.jsonl")
-    lex = synth_lexicon()
-    lex.save(tmp_path / "lex.json")
+    _write_name_lexicon(tmp_path / "lex.json")
     assert run("label", "--manifest", tmp_path / "in.jsonl",
                "--lexicon", tmp_path / "lex.json", "--out-dir", tmp_path) == 0
     labeled = read_manifest(tmp_path / "labeled.jsonl")
@@ -99,9 +106,7 @@ def test_label_config_hash_covers_negation_window(tmp_path):
     write_manifest(records, tmp_path / "in.jsonl")
     hashes = []
     for window in (6, 1):
-        lex = synth_lexicon()
-        lex.negation_window = window
-        lex.save(tmp_path / f"lex{window}.json")
+        _write_name_lexicon(tmp_path / f"lex{window}.json", negation_window=window)
         out = tmp_path / f"out{window}"
         assert run("label", "--manifest", tmp_path / "in.jsonl",
                    "--lexicon", tmp_path / f"lex{window}.json", "--out-dir", out) == 0
@@ -857,6 +862,11 @@ def _manifest_line(name=None, **fields):
     return case
 
 
+def _manifest_unknown_key(tmp_path, pipeline):
+    argv, _ = _manifest_line(labls=[1, 0, 0, 0, 0])(tmp_path, pipeline)
+    return argv, "in.jsonl line 3: unknown key 'labls'"
+
+
 @pytest.mark.parametrize("case", [
     _unknown_section_key("train"),
     _unknown_section_key("synth"),
@@ -907,6 +917,7 @@ def _manifest_line(name=None, **fields):
     _manifest_line("image_path_list", image_path=["x"]),
     _manifest_line("label_list", labels=[[1], 0, 0, 0, 0]),
     _manifest_line("label_object", labels=[{"a": 1}, 0, 0, 0, 0]),
+    _manifest_unknown_key,
     _path_entry("label", "manifest"),
     _path_entry("zeroshot", "checkpoint"),
     _path_entry("zeroshot", "prompts"),
@@ -916,6 +927,21 @@ def test_malformed_json_input_exits_2(pipeline, tmp_path, capsys, case):
     argv, named = case(tmp_path, pipeline)
     assert run(*argv, "--out-dir", tmp_path / "out") == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["manifest", "config", "prompts", "lexicon", "scores"])
+def test_input_file_that_is_not_utf8_exits_2(pipeline, tmp_path, capsys, kind):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"a": "\xff"}\n')
+    held, ckpt = pipeline["data"] / "heldout.jsonl", pipeline["checkpoint"]
+    argv = {"manifest": ["label", "--manifest", bad],
+            "config": ["label", "--config", bad, "--manifest", held],
+            "prompts": ["zeroshot", "--checkpoint", ckpt, "--manifest", held,
+                        "--prompts", bad],
+            "lexicon": ["label", "--manifest", held, "--lexicon", bad],
+            "scores": ["eval", "--scores", bad, "--labels", held]}[kind]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", [

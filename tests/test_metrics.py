@@ -145,23 +145,8 @@ def test_trapezoid_area_equals_mann_whitney_auc():
             labels[0] = 0
         scores = np.round(rng.normal(size=n), 1)
         curve = roc_auc(scores, labels)
-        assert curve.trapezoid_area() == pytest.approx(curve.auc, abs=1e-12)
-
-
-def test_trapezoid_area_falls_back_to_trapz_without_trapezoid(monkeypatch):
-    # numpy < 2.0 (still allowed by pyproject) has ``trapz`` but no ``trapezoid``.
-    calls = []
-
-    def reference_trapz(y, x):
-        calls.append(1)
-        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
-
-    monkeypatch.delattr(np, "trapezoid", raising=False)
-    monkeypatch.setattr(np, "trapz", reference_trapz, raising=False)
-    curve = roc_auc([0.9, 0.8, 0.8, 0.4, 0.4, 0.1], [1, 0, 1, 1, 0, 0])
-    assert curve.trapezoid_area() == pytest.approx(curve.auc, abs=1e-12)
-    assert calls == [1]
+        area = np.sum(np.diff(curve.fpr) * (curve.tpr[1:] + curve.tpr[:-1]) / 2.0)
+        assert area == pytest.approx(curve.auc, abs=1e-12)
 
 
 def test_roc_csv_round_trip(tmp_path):

@@ -14,16 +14,15 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .crossmodal import pairwise_scores
-from .datapipe import PATHOLOGIES, labels_to_matrix
+from .datapipe import PATHOLOGIES, labels_to_matrix, tokenize
 from . import encoders
 from .encoders import LocalGlobalFeatures, encode_image_patches, encode_text_toy
 from .errors import FormatError, ShapeError, check_number, is_str_list
-from .files import write_json
+from .files import reading, write_json
 from .trainer import Checkpoint, encode_report
 
 
@@ -140,7 +139,7 @@ def probe_predict(model: ProbeModel, features) -> np.ndarray:
 
 @dataclass
 class PromptSet:
-    """At least one prompt string per pathology.
+    """At least one prompt string per pathology, each holding at least one token.
 
     Repeated prompts within a class are dropped (first occurrence wins), so
     listing a prompt twice cannot tilt the class mean.
@@ -153,15 +152,17 @@ class PromptSet:
             plist = self.prompts.get(name)
             if not plist:
                 raise ValueError(f"prompt set missing pathology {name!r}")
-            if any(not p.strip() for p in plist):
-                raise ValueError(f"empty prompt for pathology {name!r}")
+            for p in plist:
+                if not tokenize(p):
+                    raise ValueError(f"prompt {p!r} for pathology {name!r} has no tokens")
             self.prompts[name] = list(dict.fromkeys(plist))
 
     @classmethod
     def load(cls, path) -> "PromptSet":
-        prompts = json.loads(Path(path).read_text())
-        if not (isinstance(prompts, dict) and all(map(is_str_list, prompts.values()))):
-            raise FormatError(f"prompt file {path} must map names to lists of strings")
+        with reading(path) as data:
+            prompts = json.loads(data.decode("utf-8"))
+            if not (isinstance(prompts, dict) and all(map(is_str_list, prompts.values()))):
+                raise FormatError("a prompt file must map names to lists of strings")
         return cls(prompts=prompts)
 
 

@@ -11,7 +11,7 @@ probe, zeroshot and export-embeddings load their checkpoint and images
 through one helper; eval and export-roc share one per-pathology ROC pass.
 
 Exit codes: 0 success, 1 contract errors (bad values, bad state),
-2 I/O and file-format errors.
+2 I/O and file-format errors, each naming the file at fault.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -63,11 +64,12 @@ from .errors import (
     ConsistencyError,
     FormatError,
     InsufficientDataError,
+    SettingTypeError,
     UndefinedAucError,
     VersionError,
     check_number,
 )
-from .files import write_csv, write_json
+from .files import reading, write_csv, write_json
 from .metrics import aggregate_auc, roc_auc
 from .numerics import Tensor
 from .trainer import TrainConfig, encode_report, load_checkpoint, save_checkpoint, train
@@ -100,7 +102,8 @@ def runreport_fingerprint(path) -> str:
     Two runs of the same command over the same inputs and seed must agree
     on this fingerprint even though their timings differ.
     """
-    payload = json.loads(Path(path).read_text())
+    with reading(path) as data:
+        payload = json.loads(data.decode("utf-8"))
     payload.pop("wall_clock_seconds", None)
     return _digest(payload)
 
@@ -122,7 +125,8 @@ def _content_hash(out_dir: Path, outputs: list[str]) -> str:
     for p in files:
         h.update(_out_key(p, out_dir).encode("utf-8"))
         h.update(b"\x00")
-        h.update(p.read_bytes())
+        with reading(p) as data:
+            h.update(data)
         h.update(b"\x00")
     return h.hexdigest()
 
@@ -132,28 +136,48 @@ def _content_hash(out_dir: Path, outputs: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-# top-level config entries that name a file or directory
-_PATH_KEYS = ("manifest", "score_manifest", "checkpoint", "resume", "prompts",
-              "lexicon", "scores", "labels", "out", "out_dir")
+# every flag: whether a config entry of its name must be a path string, and its
+# add_argument settings (argparse derives the dest from the flag)
+_FLAGS = {
+    "--config": (False, {"help": "JSON config file; flags override it"}),
+    "--seed": (False, {"type": int, "help": "seed for all randomness"}),
+    "--out-dir": (True, {"help": "artifact directory (default .)"}),
+    "--manifest": (True, {"help": "input manifest (JSONL, one study per line)"}),
+    "--lexicon": (True, {"help": "phrase lexicon JSON (default: built-in)"}),
+    "--out": (True, {"help": "output file name (default depends on the command)"}),
+    "--sizes": (False, {"help": "split sizes, e.g. train=2552,test=727 or test=rest"}),
+    "--view": (False, {"help": "keep only records with this view"}),
+    "--require-report": (False, {"action": "store_true", "default": None,
+                                 "help": "drop records with empty reports"}),
+    "--cap": (False, {"type": int, "help": "per-class study cap"}),
+    "--resume": (True, {"help": "checkpoint to continue training from"}),
+    "--checkpoint": (True, {"help": "trained checkpoint file"}),
+    "--score-manifest": (True, {"help": "extra manifest to score with the fitted probe"}),
+    "--uncertain-policy": (False, {"choices": ("exclude", "pos", "neg"),
+                                   "help": "how -1 labels enter binary evaluation"}),
+    "--prompts": (True, {"help": "prompt set JSON (default: built-in prompts)"}),
+    "--scores": (True, {"help": "scores CSV (study_id plus one column per pathology)"}),
+    "--labels": (True, {"help": "labeled manifest to evaluate against"}),
+}
+_PATH_KEYS = tuple(flag[2:].replace("-", "_") for flag, (path, _) in _FLAGS.items() if path)
 
 
 def _load_json(path) -> dict:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise FormatError(f"config file {path} must hold a JSON object")
-    for key in _PATH_KEYS:
-        if key in payload and not isinstance(payload[key], str):
-            raise FormatError(f"config entry {key!r} in {path} must be a path string, "
-                              f"got {type(payload[key]).__name__}")
+    with reading(path) as data:
+        payload = json.loads(data.decode("utf-8"))
+        if not isinstance(payload, dict):
+            raise FormatError("a config file must hold a JSON object")
+        for key in _PATH_KEYS:
+            if key in payload and not isinstance(payload[key], str):
+                raise FormatError(f"config entry {key!r} must be a path string, "
+                                  f"got {type(payload[key]).__name__}")
     return payload
 
 
 def _opt(args, config: dict, key: str, default=None):
     """Flag value if given, else config value, else default."""
     v = getattr(args, key, None)
-    if v is not None:
-        return v
-    return config.get(key, default)
+    return v if v is not None else config.get(key, default)
 
 
 def _require(value, flag: str):
@@ -165,16 +189,16 @@ def _require(value, flag: str):
 def _section(config: dict, name: str) -> dict:
     sec = config.get(name, {})
     if not isinstance(sec, dict):
-        raise FormatError(f"config section {name!r} must be a JSON object")
+        raise SettingTypeError(f"config section {name!r} must be a JSON object")
     return dict(sec)
 
 
 def _from_section(cls, name: str, values: dict):
-    """Settings object from a config section; unknown keys or bad types are format errors."""
+    """Settings object from a config section; unknown keys or bad types are setting type errors."""
     try:
         return cls(**values)
     except TypeError as exc:
-        raise FormatError(f"config section {name!r}: {exc}") from exc
+        raise SettingTypeError(f"config section {name!r}: {exc}") from exc
 
 
 def _attach_images(records, manifest_path, region_grid) -> None:
@@ -215,22 +239,21 @@ def _write_scores(path, ids, scores) -> None:
 
 def _read_scores(path):
     expected = ["study_id", *PATHOLOGIES]
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    ids, rows = [], []
+    with reading(path) as data:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
         header = next(reader, None)
         if header != expected:
-            raise FormatError(f"scores file {path} must start with header {expected}")
-        for n, line in enumerate(reader, start=2):
+            raise FormatError(f"a scores file must start with header {expected}")
+        for line in reader:
+            n = reader.line_num  # the file's line: a quoted newline puts it past the row
             if len(line) != len(expected):
-                raise FormatError(f"scores file {path} line {n}: expected "
-                                  f"{len(expected)} fields, got {len(line)}")
+                raise FormatError(f"line {n}: expected {len(expected)} fields, got {len(line)}")
             ids.append(line[0])
             try:
                 rows.append([float(v) for v in line[1:]])
             except ValueError as exc:
-                raise FormatError(f"scores file {path} line {n}: {exc}") from exc
+                raise FormatError(f"line {n}: {exc}") from exc
     return ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(PATHOLOGIES))
 
 
@@ -274,8 +297,7 @@ def _roc_curves(args, config):
 
 
 def _cmd_label(args, config, out_dir: Path) -> RunReport:
-    manifest = _require(_opt(args, config, "manifest"), "--manifest")
-    records = read_manifest(manifest)
+    records = read_manifest(_require(_opt(args, config, "manifest"), "--manifest"))
     lex_path = _opt(args, config, "lexicon")
     lexicon = Lexicon.load(lex_path) if lex_path else default_lexicon()
     for rec in records:
@@ -305,8 +327,7 @@ def _parse_sizes(spec: str) -> dict:
 
 
 def _cmd_split(args, config, out_dir: Path) -> RunReport:
-    manifest = _require(_opt(args, config, "manifest"), "--manifest")
-    records = read_manifest(manifest)
+    records = read_manifest(_require(_opt(args, config, "manifest"), "--manifest"))
     view = _opt(args, config, "view")
     if view is not None:
         records = [r for r in records if r.view == view]
@@ -315,7 +336,7 @@ def _cmd_split(args, config, out_dir: Path) -> RunReport:
         records = filter_with_report(records)
     sizes_raw = _require(_opt(args, config, "sizes"), "--sizes")
     if not isinstance(sizes_raw, (str, dict)):
-        raise FormatError(f"'sizes' must be a string or an object, got {sizes_raw!r}")
+        raise SettingTypeError(f"'sizes' must be a string or an object, got {sizes_raw!r}")
     sizes = _parse_sizes(sizes_raw) if isinstance(sizes_raw, str) else dict(sizes_raw)
     seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
 
@@ -336,8 +357,7 @@ def _cmd_split(args, config, out_dir: Path) -> RunReport:
 
 
 def _cmd_subset(args, config, out_dir: Path) -> RunReport:
-    manifest = _require(_opt(args, config, "manifest"), "--manifest")
-    records = read_manifest(manifest)
+    records = read_manifest(_require(_opt(args, config, "manifest"), "--manifest"))
     cap = check_number("cap", _require(_opt(args, config, "cap"), "--cap"), integer=True, minimum=0)
     seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
     subset = build_single_disease_subset(records, cap, seed)
@@ -376,8 +396,7 @@ def _cmd_train(args, config, out_dir: Path) -> RunReport:
     elif "seed" in config:
         tdict.setdefault("seed", config["seed"])
     tcfg = _from_section(TrainConfig, "train", tdict)
-    records = read_manifest(manifest)
-    records = filter_with_report(records)
+    records = filter_with_report(read_manifest(manifest))
     _attach_images(records, manifest, tcfg.region_grid)
     resume_path = _opt(args, config, "resume")
     resume = load_checkpoint(resume_path) if resume_path else None
@@ -497,20 +516,6 @@ def _cmd_export_roc(args, config, out_dir: Path) -> RunReport:
     return RunReport(command="export-roc", outputs=outputs, config_hash=config_hash)
 
 
-_HANDLERS = {
-    "label": _cmd_label,
-    "split": _cmd_split,
-    "subset": _cmd_subset,
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "probe": _cmd_probe,
-    "zeroshot": _cmd_zeroshot,
-    "eval": _cmd_eval,
-    "export-embeddings": _cmd_export_embeddings,
-    "export-roc": _cmd_export_roc,
-}
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
@@ -529,57 +534,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="glre", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    flag_help = {
-        "--manifest": "input manifest (JSONL, one study per line)",
-        "--lexicon": "phrase lexicon JSON (default: built-in)",
-        "--out": "output file name (default depends on the command)",
-        "--sizes": "split sizes, e.g. train=2552,test=727 or test=rest",
-        "--view": "keep only records with this view",
-        "--resume": "checkpoint to continue training from",
-        "--checkpoint": "trained checkpoint file",
-        "--score-manifest": "extra manifest to score with the fitted probe",
-        "--prompts": "prompt set JSON (default: built-in prompts)",
-        "--scores": "scores CSV (study_id plus one column per pathology)",
-        "--labels": "labeled manifest to evaluate against",
-    }
-
-    def add(name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str, *flags: str) -> None:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="seed for all randomness")
-        p.add_argument("--out-dir", dest="out_dir", help="artifact directory (default .)")
-        for flag in flags:
-            if flag == "--require-report":
-                p.add_argument(flag, dest="require_report", action="store_true",
-                               default=None, help="drop records with empty reports")
-            elif flag == "--uncertain-policy":
-                p.add_argument(flag, dest="uncertain_policy",
-                               choices=("exclude", "pos", "neg"),
-                               help="how -1 labels enter binary evaluation")
-            elif flag == "--cap":
-                p.add_argument(flag, type=int, help="per-class study cap")
-            else:
-                p.add_argument(flag, help=flag_help[flag])
-        return p
+        p.set_defaults(handler=handler)
+        for flag in ("--config", "--seed", "--out-dir", *flags):
+            p.add_argument(flag, **_FLAGS[flag][1])
 
-    add("label", "derive rule-based labels for a manifest",
+    add("label", _cmd_label, "derive rule-based labels for a manifest",
         "--manifest", "--lexicon", "--out")
-    add("split", "seeded disjoint splits of a manifest",
+    add("split", _cmd_split, "seeded disjoint splits of a manifest",
         "--manifest", "--sizes", "--view", "--require-report")
-    add("subset", "single-disease study subsets per pathology",
+    add("subset", _cmd_subset, "single-disease study subsets per pathology",
         "--manifest", "--cap", "--out")
-    add("synth", "generate the paired synthetic corpus")
-    add("train", "contrastive training over a paired manifest",
+    add("synth", _cmd_synth, "generate the paired synthetic corpus")
+    add("train", _cmd_train, "contrastive training over a paired manifest",
         "--manifest", "--resume")
-    add("probe", "fit a linear probe on frozen global features",
+    add("probe", _cmd_probe, "fit a linear probe on frozen global features",
         "--checkpoint", "--manifest", "--score-manifest", "--uncertain-policy")
-    add("zeroshot", "prompt-based class scores for images",
+    add("zeroshot", _cmd_zeroshot, "prompt-based class scores for images",
         "--checkpoint", "--manifest", "--prompts")
-    add("eval", "per-pathology AUC of a scores file against labels",
+    add("eval", _cmd_eval, "per-pathology AUC of a scores file against labels",
         "--scores", "--labels", "--uncertain-policy")
-    add("export-embeddings", "write image/text embeddings in GLRE1 format",
-        "--checkpoint", "--manifest", "--out")
-    add("export-roc", "write per-pathology ROC curve CSVs",
+    add("export-embeddings", _cmd_export_embeddings,
+        "write image/text embeddings in GLRE1 format", "--checkpoint", "--manifest", "--out")
+    add("export-roc", _cmd_export_roc, "write per-pathology ROC curve CSVs",
         "--scores", "--labels", "--uncertain-policy")
     return parser
 
@@ -590,8 +568,13 @@ def _dispatch(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    report = _HANDLERS[args.command](args, config, out_dir)
-    if report.seed is None and getattr(args, "seed", None) is not None:
+    try:
+        report = args.handler(args, config, out_dir)
+    except SettingTypeError as exc:
+        # argparse types every flag, so a setting of the wrong type is a config entry
+        exc.args = (f"{args.config}: {exc}",)
+        raise
+    if report.seed is None:
         report.seed = args.seed
     report.content_hash = _content_hash(out_dir, report.outputs)
     report.wall_clock_seconds = time.perf_counter() - started
@@ -616,7 +599,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _dispatch(args)
-    except (FormatError, VersionError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (FormatError, VersionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

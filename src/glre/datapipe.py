@@ -15,14 +15,13 @@ import json
 import re
 import string
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .encoders import ImageGrid
 from .errors import (ConsistencyError, FormatError, SplitSizeError, VocabularyError,
                      check_grid, check_number, is_str_list)
-from .files import write_file, write_json
+from .files import reading, write_file, write_json
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
 
@@ -156,18 +155,19 @@ class Lexicon:
 
     @classmethod
     def load(cls, path) -> "Lexicon":
-        payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict) or not _LEXICON_KEYS <= payload.keys():
-            raise FormatError(f"lexicon {path} must be a JSON object with keys "
-                              f"{', '.join(sorted(_LEXICON_KEYS))}")
-        mentions, window = payload["mentions"], payload.get("negation_window", 6)
-        if not (isinstance(mentions, dict) and all(map(is_str_list, mentions.values()))
-                and is_str_list(payload["negations"])
-                and is_str_list(payload["uncertainties"])
-                and isinstance(window, int) and not isinstance(window, bool)):
-            raise FormatError(f"lexicon {path}: mentions must map names to lists of "
-                              f"strings, negations and uncertainties must be lists of "
-                              f"strings, and negation_window must be an integer")
+        with reading(path) as data:
+            payload = json.loads(data.decode("utf-8"))
+            if not isinstance(payload, dict) or not _LEXICON_KEYS <= payload.keys():
+                raise FormatError(f"a lexicon must be a JSON object with keys "
+                                  f"{', '.join(sorted(_LEXICON_KEYS))}")
+            mentions, window = payload["mentions"], payload.get("negation_window", 6)
+            if not (isinstance(mentions, dict) and all(map(is_str_list, mentions.values()))
+                    and is_str_list(payload["negations"])
+                    and is_str_list(payload["uncertainties"])
+                    and isinstance(window, int) and not isinstance(window, bool)):
+                raise FormatError("lexicon mentions must map names to lists of strings, "
+                                  "negations and uncertainties must be lists of strings, "
+                                  "and negation_window must be an integer")
         return cls(
             mentions=mentions,
             negations=payload["negations"],
@@ -319,40 +319,43 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[StudyRecord]:
-    """Parse a JSONL manifest: every line needs `study_id` and `view`, may add
-    only `report`, `image_path` and `labels`, and no two share a `study_id`."""
+    """Parse a JSONL manifest (lines end at "\n"): each line needs `study_id` and `view`,
+    may add only `report`, `image_path` and `labels`, and no two share a `study_id`."""
     records, first_line = [], {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        if not isinstance(row, dict) or not {"study_id", "view"} <= row.keys():
-            raise FormatError(
-                f"manifest {path} line {n}: expected a JSON object with 'study_id' and 'view'")
-        unknown = row.keys() - {"study_id", "view", "report", "image_path", "labels"}
-        if unknown:
-            raise FormatError(f"manifest {path} line {n}: unknown key {min(unknown)!r}")
-        report, labels = row.get("report", ""), row.get("labels")
-        # labels are ints or null: a JSON true or 1.0 equals 1 but is no label
-        if not (isinstance(row["study_id"], str) and isinstance(row["view"], str)
-                and isinstance(report, str)
-                and isinstance(row.get("image_path"), (str, type(None)))
-                and isinstance(labels, (list, type(None)))
-                and all(v is None or type(v) is int for v in labels or ())):
-            raise FormatError(f"manifest {path} line {n}: 'study_id', 'view' and 'report' must "
-                              f"be strings, 'image_path' a string or null and 'labels' a list "
-                              f"of integers or nulls")
-        if row["study_id"] in first_line:
-            raise ConsistencyError(f"manifest {path} line {n}: study_id {row['study_id']!r} "
-                                   f"repeats line {first_line[row['study_id']]}")
-        first_line[row["study_id"]] = n
-        records.append(StudyRecord(
-            study_id=row["study_id"],
-            view=row["view"],
-            report_text=report,
-            image_path=row.get("image_path"),
-            labels=LabelVector(tuple(labels)) if labels is not None else None,
-        ))
+    with reading(path) as data:
+        for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"line {n} column {exc.colno}: {exc.msg}") from exc
+            if not isinstance(row, dict) or not {"study_id", "view"} <= row.keys():
+                raise FormatError(f"line {n}: expected a JSON object with 'study_id' and 'view'")
+            unknown = row.keys() - {"study_id", "view", "report", "image_path", "labels"}
+            if unknown:
+                raise FormatError(f"line {n}: unknown key {min(unknown)!r}")
+            report, labels = row.get("report", ""), row.get("labels")
+            # labels are ints or null: a JSON true or 1.0 equals 1 but is no label
+            if not (isinstance(row["study_id"], str) and isinstance(row["view"], str)
+                    and isinstance(report, str)
+                    and isinstance(row.get("image_path"), (str, type(None)))
+                    and isinstance(labels, (list, type(None)))
+                    and all(v is None or type(v) is int for v in labels or ())):
+                raise FormatError(f"line {n}: 'study_id', 'view' and 'report' must be "
+                                  f"strings, 'image_path' a string or null and 'labels' a "
+                                  f"list of integers or nulls")
+            if row["study_id"] in first_line:
+                raise ConsistencyError(f"manifest {path} line {n}: study_id {row['study_id']!r} "
+                                       f"repeats line {first_line[row['study_id']]}")
+            first_line[row["study_id"]] = n
+            records.append(StudyRecord(
+                study_id=row["study_id"],
+                view=row["view"],
+                report_text=report,
+                image_path=row.get("image_path"),
+                labels=LabelVector(tuple(labels)) if labels is not None else None,
+            ))
     return records
 
 

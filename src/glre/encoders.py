@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ShapeError, VocabularyError
-from .files import write_file
+from .files import reading, write_file
 from . import numerics as nm
 from .numerics import Tensor
 
@@ -288,24 +288,23 @@ def read_pgm(path) -> np.ndarray:
     each after a separator that starts with whitespace and may hold '#'
     comments running to the end of their line; one whitespace byte ends it.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = _PGM_HEADER.match(blob)
-    if header is None:
-        raise FormatError(f"malformed PGM header {blob[:32]!r}: expected b'P5', width, "
-                          "height and maxval, each after whitespace", offset=0)
-    width, height, maxval = (int(digits) for digits in header.groups())
-    pos = header.end()
-    if width < 1 or height < 1:
-        raise FormatError(f"bad PGM dimensions {width}x{height}", offset=pos)
-    if maxval != 255:
-        raise FormatError(f"only 8-bit PGM supported, maxval {maxval}", offset=pos)
-    need = width * height
-    raster = blob[pos : pos + need]
-    if len(raster) < need:
-        raise FormatError(
-            f"truncated PGM raster: expected {need} bytes, got {len(raster)}",
-            offset=pos,
-        )
-    arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return arr.astype(np.float64) / 255.0
+    with reading(path) as blob:
+        header = _PGM_HEADER.match(blob)
+        if header is None:
+            raise FormatError(f"malformed PGM header {blob[:32]!r}: expected b'P5', width, "
+                              "height and maxval, each after whitespace", offset=0)
+        width, height, maxval = (int(digits) for digits in header.groups())
+        pos = header.end()
+        if width < 1 or height < 1:
+            raise FormatError(f"bad PGM dimensions {width}x{height}", offset=pos)
+        if maxval != 255:
+            raise FormatError(f"only 8-bit PGM supported, maxval {maxval}", offset=pos)
+        need = width * height
+        raster = blob[pos : pos + need]
+        if len(raster) < need:
+            raise FormatError(
+                f"truncated PGM raster: expected {need} bytes, got {len(raster)}",
+                offset=pos,
+            )
+        arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+        return arr.astype(np.float64) / 255.0

@@ -1,15 +1,39 @@
-"""The one way glre writes an output file: all of it at once, through a temp file.
+"""The one input reader and output writer of glre.
 
-Every writer builds its whole file in memory and hands it to `write_file`, so a
-write that fails part-way leaves any earlier file as it was and no temp file
-behind. `trainer.train`'s step log, appended a line per step, is the one exception.
+Every reader takes a file's bytes from `reading` and parses them inside its
+block, decoding text as UTF-8, so a malformed input of any kind is reported
+the same way: a format error that starts with the file's path. Every writer
+builds its whole file in memory and hands it to `write_file`, so a write that
+fails part-way leaves any earlier file as it was and no temp file behind.
+`trainer.train`'s step log, appended a line per step, is the one exception.
 """
 
 import csv
 import io
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import FormatError, VersionError
+
+
+@contextmanager
+def reading(path):
+    """Yield the bytes of `path`. A FormatError or VersionError raised in the block
+    gains a "<path>: " prefix, keeping its type and offset; a UnicodeDecodeError, a
+    csv.Error or a json.JSONDecodeError (as its line and column) becomes one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        yield data
+    except (FormatError, VersionError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_file(path, data: bytes | str) -> None:

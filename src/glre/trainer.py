@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .crossmodal import LossConfig, total_loss
-from .datapipe import Vocabulary
+from .datapipe import Vocabulary, tokenize
 from .encoders import (
     EncoderParams,
     TokenSequence,
@@ -44,7 +44,7 @@ from .errors import (
     check_grid,
     check_number,
 )
-from .files import write_file
+from .files import reading, write_file
 from .numerics import GradTape, Tensor, backward
 
 
@@ -212,8 +212,8 @@ def train(records, config: TrainConfig, log_path=None,
     if len(records) < 2:
         raise InsufficientDataError(f"training needs at least 2 paired studies, got {len(records)}")
     for rec in records:
-        if rec.image is None or not rec.report_text.strip():
-            raise InsufficientDataError(f"study {rec.study_id!r} is missing an image or a report")
+        if rec.image is None or not tokenize(rec.report_text):
+            raise InsufficientDataError(f"study {rec.study_id!r} has no image or no report tokens")
     state = resume_from if resume_from is not None else initial_checkpoint(records, config)
     if state.config.hash() != config.hash():
         raise ConsistencyError("checkpoint was produced under a different configuration")
@@ -310,63 +310,62 @@ def _is_count(x) -> bool:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:5]!r}", offset=0)
-    pos = len(_MAGIC)
-    if len(blob) < pos + 8:
-        raise FormatError("truncated checkpoint header", offset=pos)
-    version, header_len = struct.unpack_from("<II", blob, pos)
-    pos += 8
-    if version != _VERSION:
-        raise VersionError(
-            f"checkpoint format version {version} is not supported (expected {_VERSION})"
-        )
-    trailer = len(blob) - _DIGEST_SIZE
-    if trailer < pos or hashlib.sha256(blob[:trailer]).digest() != blob[trailer:]:
-        raise FormatError("checkpoint does not match its SHA-256 digest",
-                          offset=max(trailer, pos))
-    # a hand-made file can carry a valid digest, so every field is still checked
-    if trailer < pos + header_len:
-        raise FormatError("truncated checkpoint header", offset=pos)
-    try:
-        header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable checkpoint header: {exc}", offset=pos) from exc
-    missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
-    if missing:
-        raise FormatError(f"checkpoint header lacks {', '.join(missing)}", offset=pos)
-    if not (all(_is_count(header[k]) for k in ("step", "adam_t", "pointer"))
-            and isinstance(header["order"], list) and all(map(_is_count, header["order"]))):
-        raise FormatError("checkpoint 'step', 'adam_t' and 'pointer' must be non-negative "
-                          "integers and 'order' a list of them", offset=pos)
-    try:
-        config = TrainConfig(**header["config"])
-        vocab = Vocabulary(tuple(header["vocab"]))
-        # numpy's setter rounds a fractional value and ignores unknown keys;
-        # the state must read back from a generator exactly as stored
-        rng = np.random.default_rng()
-        rng.bit_generator.state = header["rng_state"]
-        if rng.bit_generator.state != header["rng_state"]:
-            raise ValueError("rng_state does not read back as stored")
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise FormatError(f"malformed checkpoint header: {exc!r}", offset=pos) from exc
-    shapes = param_shapes(config.dim, len(vocab), config.patch_pool)
-    if header["arrays"] != _array_entries(shapes):
-        raise FormatError("checkpoint 'arrays' must list the param/, adam_m/ and adam_v/ "
-                          "arrays in PARAM_NAMES order, shaped as the config and "
-                          "vocabulary give", offset=pos)
-    pos += header_len
+    with reading(path) as blob:
+        if blob[: len(_MAGIC)] != _MAGIC:
+            raise FormatError(f"bad checkpoint magic {blob[:5]!r}", offset=0)
+        pos = len(_MAGIC)
+        if len(blob) < pos + 8:
+            raise FormatError("truncated checkpoint header", offset=pos)
+        version, header_len = struct.unpack_from("<II", blob, pos)
+        pos += 8
+        if version != _VERSION:
+            raise VersionError(
+                f"checkpoint format version {version} is not supported (expected {_VERSION})"
+            )
+        trailer = len(blob) - _DIGEST_SIZE
+        if trailer < pos or hashlib.sha256(blob[:trailer]).digest() != blob[trailer:]:
+            raise FormatError("checkpoint does not match its SHA-256 digest",
+                              offset=max(trailer, pos))
+        # a hand-made file can carry a valid digest, so every field is still checked
+        if trailer < pos + header_len:
+            raise FormatError("truncated checkpoint header", offset=pos)
+        try:
+            header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"unreadable checkpoint header: {exc}", offset=pos) from exc
+        missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
+        if missing:
+            raise FormatError(f"checkpoint header lacks {', '.join(missing)}", offset=pos)
+        if not (all(_is_count(header[k]) for k in ("step", "adam_t", "pointer"))
+                and isinstance(header["order"], list) and all(map(_is_count, header["order"]))):
+            raise FormatError("checkpoint 'step', 'adam_t' and 'pointer' must be non-negative "
+                              "integers and 'order' a list of them", offset=pos)
+        try:
+            config = TrainConfig(**header["config"])
+            vocab = Vocabulary(tuple(header["vocab"]))
+            # numpy's setter rounds a fractional value and ignores unknown keys;
+            # the state must read back from a generator exactly as stored
+            rng = np.random.default_rng()
+            rng.bit_generator.state = header["rng_state"]
+            if rng.bit_generator.state != header["rng_state"]:
+                raise ValueError("rng_state does not read back as stored")
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+            raise FormatError(f"malformed checkpoint header: {exc!r}", offset=pos) from exc
+        shapes = param_shapes(config.dim, len(vocab), config.patch_pool)
+        if header["arrays"] != _array_entries(shapes):
+            raise FormatError("checkpoint 'arrays' must list the param/, adam_m/ and adam_v/ "
+                              "arrays in PARAM_NAMES order, shaped as the config and "
+                              "vocabulary give", offset=pos)
+        pos += header_len
 
-    size = sum(math.prod(shape) for shape in shapes.values())
-    end = pos + 3 * 8 * size
-    if trailer != end:
-        raise FormatError(f"checkpoint payload has {trailer - pos} bytes, its header "
-                          f"gives {end - pos}", offset=min(trailer, end))
-    flat, m, v = np.frombuffer(blob, dtype="<f8", count=3 * size, offset=pos).reshape(3, size)
-    tensors = {name: Tensor(view, requires_grad=True)
-               for name, view in zip(shapes, _views(flat, list(shapes.values())))}
+        size = sum(math.prod(shape) for shape in shapes.values())
+        end = pos + 3 * 8 * size
+        if trailer != end:
+            raise FormatError(f"checkpoint payload has {trailer - pos} bytes, its header "
+                              f"gives {end - pos}", offset=min(trailer, end))
+        flat, m, v = np.frombuffer(blob, dtype="<f8", count=3 * size, offset=pos).reshape(3, size)
+        tensors = {name: Tensor(view, requires_grad=True)
+                   for name, view in zip(shapes, _views(flat, list(shapes.values())))}
     return Checkpoint(
         params=EncoderParams(patch_pool=config.patch_pool,
                              use_positions=config.use_positions, **tensors),

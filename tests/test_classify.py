@@ -234,6 +234,13 @@ def test_prompt_set_validation():
         PromptSet(prompts=bad)
 
 
+def test_prompt_without_tokens_names_class_and_prompt():
+    prompts = {name: [name] for name in PATHOLOGIES}
+    prompts["edema"] = ["edema", "..."]
+    with pytest.raises(ValueError, match=r"'\.\.\.' for pathology 'edema' has no tokens"):
+        PromptSet(prompts=prompts)
+
+
 def test_prompt_set_round_trip(tmp_path):
     prompts = default_prompts()
     path = tmp_path / "prompts.json"

@@ -568,6 +568,16 @@ def test_malformed_scores_header_exits_2(tmp_path, capsys):
                "--out-dir", tmp_path) == 2
 
 
+def test_scores_error_gives_the_line_in_the_file(tmp_path, capsys):
+    # the first row's quoted study id spans two lines, so the short row is line 4
+    scores = tmp_path / "scores.csv"
+    scores.write_text(",".join(["study_id", *PATHOLOGIES]) + '\n"a\nb",1,1,1,1,1\nc,1,1,1,1\n')
+    _flat_manifest(tmp_path / "labels.jsonl", n=2)
+    assert run("eval", "--scores", scores, "--labels", tmp_path / "labels.jsonl",
+               "--out-dir", tmp_path) == 2
+    assert f"{scores}: line 4: expected 6 fields, got 5" in capsys.readouterr().err
+
+
 def test_bad_sizes_value_exits_1(tmp_path, capsys):
     _flat_manifest(tmp_path / "in.jsonl", n=4)
     assert run("split", "--manifest", tmp_path / "in.jsonl",
@@ -857,14 +867,14 @@ def _manifest_line(name=None, **fields):
         _flat_manifest(tmp_path / "in.jsonl", n=2)
         with open(tmp_path / "in.jsonl", "a") as fh:
             fh.write(json.dumps({"study_id": "bad", "view": "frontal", **fields}) + "\n")
-        return ["label", "--manifest", tmp_path / "in.jsonl"], "in.jsonl line 3"
+        return ["label", "--manifest", tmp_path / "in.jsonl"], "in.jsonl: line 3"
     case.__name__ = f"manifest_{name or '_'.join(fields)}"
     return case
 
 
 def _manifest_unknown_key(tmp_path, pipeline):
     argv, _ = _manifest_line(labls=[1, 0, 0, 0, 0])(tmp_path, pipeline)
-    return argv, "in.jsonl line 3: unknown key 'labls'"
+    return argv, "in.jsonl: line 3: unknown key 'labls'"
 
 
 @pytest.mark.parametrize("case", [
@@ -941,7 +951,99 @@ def test_input_file_that_is_not_utf8_exits_2(pipeline, tmp_path, capsys, kind):
             "lexicon": ["label", "--manifest", held, "--lexicon", bad],
             "scores": ["eval", "--scores", bad, "--labels", held]}[kind]
     assert run(*argv, "--out-dir", tmp_path / "out") == 2
-    assert "can't decode byte 0xff" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xff" in err and f"{bad}: " in err
+
+
+# each case writes one damaged input and returns the command that reads it and
+# the start of the message, the damaged file's path, that stderr must hold
+
+
+def _damaged_pgm(name, damage):
+    """zeroshot over one held-out study whose image has gone through `damage`."""
+    def case(tmp_path, pipeline):
+        row = json.loads((pipeline["data"] / "heldout.jsonl").read_text().splitlines()[0])
+        pgm = tmp_path / "bad.pgm"
+        pgm.write_bytes(damage((pipeline["data"] / row["image_path"]).read_bytes()))
+        _write_json(tmp_path / "one.jsonl", {**row, "image_path": "bad.pgm"})
+        return ["zeroshot", "--checkpoint", pipeline["checkpoint"],
+                "--manifest", tmp_path / "one.jsonl"], f"{pgm.resolve()}: "
+    case.__name__ = f"pgm_{name}"
+    return case
+
+
+def _damaged_checkpoint(name, damage):
+    def case(tmp_path, pipeline):
+        ckpt = tmp_path / "bad.bin"
+        ckpt.write_bytes(damage(pipeline["checkpoint"].read_bytes()))
+        return ["zeroshot", "--checkpoint", ckpt,
+                "--manifest", pipeline["data"] / "heldout.jsonl"], f"{ckpt}: "
+    case.__name__ = f"checkpoint_{name}"
+    return case
+
+
+def _manifest_syntax_line_3(tmp_path, pipeline):
+    manifest = tmp_path / "in.jsonl"
+    _flat_manifest(manifest, n=2)
+    with open(manifest, "a") as fh:
+        fh.write('{"study_id": "x", "view": }\n')
+    return ["label", "--manifest", manifest], f"{manifest}: line 3 column 27: Expecting value"
+
+
+def _bad_text(kind, name, text):
+    """The command reading a `kind` file that holds `text`."""
+    def case(tmp_path, pipeline):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_text(text)
+        held, ckpt = pipeline["data"] / "heldout.jsonl", pipeline["checkpoint"]
+        argv = {"config": ["synth", "--config", bad],
+                "prompts": ["zeroshot", "--checkpoint", ckpt, "--manifest", held,
+                            "--prompts", bad],
+                "lexicon": ["label", "--manifest", held, "--lexicon", bad],
+                "scores": ["eval", "--scores", bad, "--labels", held]}[kind]
+        return argv, f"{bad}: "
+    case.__name__ = f"{kind}_{name}"
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    _damaged_pgm("bad_header", lambda blob: b"P6" + blob[2:]),
+    _damaged_pgm("truncated_raster", lambda blob: blob[:-1]),
+    _damaged_checkpoint("bad_magic", lambda blob: b"XLCK1" + blob[5:]),
+    _damaged_checkpoint("flipped_digest", lambda blob: blob[:-1] + bytes([blob[-1] ^ 1])),
+    _manifest_syntax_line_3,
+    _bad_text("config", "trailing_comma", '{"seed": 1,}'),
+    _bad_text("config", "setting_type", '{"synth": {"n_train": 2.5}}'),
+    _bad_text("prompts", "trailing_comma", '{"edema": ["edema"],}'),
+    _bad_text("lexicon", "missing_value", '{"mentions": }'),
+    _bad_text("scores", "field_past_csv_limit", "study_id," + "x" * 200_000 + "\n"),
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_malformed_input_file_exits_2_naming_it(pipeline, tmp_path, capsys, case):
+    argv, named = case(tmp_path, pipeline)
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["zeroshot", "train"])
+def test_text_without_tokens_exits_1_naming_it(pipeline, tmp_path, capsys, command):
+    data = pipeline["data"]
+    if command == "zeroshot":
+        prompts = _write_json(tmp_path / "prompts.json",
+                              {p: [p] for p in PATHOLOGIES} | {"edema": ["edema", "..."]})
+        argv = ["zeroshot", "--checkpoint", pipeline["checkpoint"],
+                "--manifest", data / "heldout.jsonl", "--prompts", prompts]
+        named = ["'...'", "'edema'"]
+    else:
+        rows = [json.loads(line) for line in (data / "train.jsonl").read_text().splitlines()[:4]]
+        for row in rows:
+            row["image_path"] = str(data / row["image_path"])
+        rows[2]["report"] = "..."
+        (tmp_path / "in.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = ["train", "--manifest", tmp_path / "in.jsonl"]
+        named = [repr(rows[2]["study_id"])]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
 
 
 @pytest.mark.parametrize("case", [

@@ -194,6 +194,16 @@ def test_manifest_jsonl_round_trip(tmp_path):
     assert back[1].labels is None
 
 
+def test_manifest_lines_end_only_at_newline(tmp_path):
+    # JSON strings may hold raw U+2028, U+0085 or a form feed; none of them ends a line
+    reports = ["edema\u2028present", "no\x85edema", "page\x0cbreak"]
+    path = tmp_path / "m.jsonl"
+    path.write_bytes("".join(json.dumps({"study_id": f"s{i}", "view": "frontal", "report": r},
+                                        ensure_ascii=False) + "\r\n"
+                             for i, r in enumerate(reports)).encode("utf-8"))
+    assert [r.report_text for r in read_manifest(path)] == reports
+
+
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""The one write path: whole files through a temp file and a rename, and nothing else writes."""
+"""The one read and write path: whole files in through `reading`, out through a temp file
+and a rename, and nothing else reads or writes."""
 
 import ast
+import csv
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from glre import files
 from glre.cli import _write_scores
 from glre.datapipe import LabelVector, SplitManifest, StudyRecord, write_manifest
 from glre.encoders import LocalGlobalFeatures, save_embeddings, write_pgm
+from glre.errors import FormatError, SettingTypeError, VersionError
 from glre.numerics import Tensor
 
 SRC = Path(files.__file__).resolve().parent
@@ -95,6 +100,44 @@ def test_write_file_replaces_the_whole_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def _raise_in_reading(path, exc):
+    with files.reading(path) as data:
+        assert data == b"payload"
+        raise exc
+
+
+@pytest.mark.parametrize("exc", [FormatError("bad field", offset=7), SettingTypeError("bad type"),
+                                 VersionError("version 9")], ids=lambda e: type(e).__name__)
+def test_reading_names_the_file_in_a_format_error(tmp_path, exc):
+    path = tmp_path / "in.bin"
+    path.write_bytes(b"payload")
+    message = str(exc)
+    with pytest.raises(type(exc)) as raised:
+        _raise_in_reading(path, exc)
+    assert raised.value is exc and str(exc) == f"{path}: {message}"
+    assert getattr(exc, "offset", None) == (7 if type(exc) is FormatError else None)
+
+
+@pytest.mark.parametrize("decode, message", [
+    (lambda: json.loads('{"a": 1,\n  }'), "line 2 column 3: Expecting property name"),
+    (lambda: b"\xff".decode("utf-8"), "'utf-8' codec can't decode byte 0xff"),
+    (lambda: next(csv.reader(["x" * 200_000])), "field larger than field limit"),
+], ids=["json", "utf8", "csv"])
+def test_reading_turns_a_decode_error_into_a_format_error(tmp_path, decode, message):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"payload")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+        with files.reading(path):
+            decode()
+
+
+def test_reading_leaves_other_errors_alone(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"payload")
+    with pytest.raises(ValueError, match="^not a format error$"):
+        _raise_in_reading(path, ValueError("not a format error"))
+
+
 def _mode(call: ast.Call):
     """The mode an `open` call passes, or None when it passes none."""
     for kw in call.keywords:
@@ -108,11 +151,12 @@ def _mode(call: ast.Call):
     return args[0] if args else None
 
 
-def direct_writes(path: Path) -> set[tuple[str, str]]:
-    """(enclosing function, call) for each call in one module that writes a file itself.
+def _file_calls(path: Path):
+    """(enclosing function, called name, whether it writes) for each call in one
+    module that reads or writes a file itself.
 
-    A call counts when it is `write_text`, `write_bytes`, or an `open` whose mode
-    is not a constant read mode.
+    Writes are `write_text`, `write_bytes` and an `open` whose mode is not a
+    constant read mode; reads are `read_text`, `read_bytes` and every other `open`.
     """
     found = set()
 
@@ -121,11 +165,13 @@ def direct_writes(path: Path) -> set[tuple[str, str]]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                mode = _mode(child) if name == "open" else None
-                opens_to_write = mode is not None and not (
-                    isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
-                if name in ("write_text", "write_bytes") or opens_to_write:
-                    found.add((scope, name))
+                if name == "open":
+                    mode = _mode(child)
+                    writes = mode is not None and not (
+                        isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+                    found.add((scope, name, writes))
+                elif name in ("write_text", "write_bytes", "read_text", "read_bytes"):
+                    found.add((scope, name, name.startswith("write")))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else scope)
 
@@ -133,8 +179,22 @@ def direct_writes(path: Path) -> set[tuple[str, str]]:
     return found
 
 
+def direct_writes(path: Path) -> set[tuple[str, str]]:
+    """(enclosing function, call) for each call in one module that writes a file itself."""
+    return {(scope, name) for scope, name, writes in _file_calls(path) if writes}
+
+
+def direct_reads(path: Path) -> set[tuple[str, str]]:
+    """(enclosing function, call) for each call in one module that reads a file itself."""
+    return {(scope, name) for scope, name, writes in _file_calls(path) if not writes}
+
+
 def test_scan_finds_the_write_in_the_files_module():
     assert direct_writes(SRC / "files.py") == {("write_file", "open")}
+
+
+def test_scan_finds_the_read_in_the_files_module():
+    assert direct_reads(SRC / "files.py") == {("reading", "open")}
 
 
 def test_only_the_files_module_writes_files():
@@ -143,3 +203,10 @@ def test_only_the_files_module_writes_files():
     found = {(p.name, scope, call) for p in sorted(SRC.glob("*.py")) if p.name != "files.py"
              for scope, call in direct_writes(p)}
     assert found == {("trainer.py", "train", "open")}
+
+
+def test_only_the_files_module_reads_files():
+    # every input is read whole through glre.files.reading
+    found = {(p.name, scope, call) for p in sorted(SRC.glob("*.py")) if p.name != "files.py"
+             for scope, call in direct_reads(p)}
+    assert found == set()

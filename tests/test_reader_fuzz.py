@@ -1,14 +1,17 @@
-"""Fuzz of the scores CSV, prompt JSON and lexicon JSON readers through the CLI.
+"""Fuzz of the scores CSV, prompt, lexicon and config JSON and PGM readers through the CLI.
 
 One field of an otherwise valid file gets an arbitrary value, or one byte
 of it an arbitrary byte, and the command that reads the file runs through
-`glre.cli.main`: `eval` for a scores CSV, `zeroshot` for a prompt file and
-`label` for a lexicon. No exception may escape; a value of the wrong type,
-or a file that is not UTF-8, exits 2 under the CLI contract, and anything
-else exits 0, 1 or 2.
+`glre.cli.main`: `eval` for a scores CSV, `zeroshot` for a prompt file or a
+PGM, `label` for a lexicon and `train` for a config file. No exception may
+escape; a value of the wrong type, or a file that is not UTF-8, exits 2
+under the CLI contract, and anything else exits 0, 1 or 2. Config and PGM
+runs also check that every exit 2 names the mutated file.
 """
 
+import contextlib
 import csv
+import io
 import json
 
 import pytest
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 
 from glre.cli import main
 from glre.datapipe import PATHOLOGIES, default_lexicon
+from glre.encoders import read_pgm
+from glre.errors import FormatError
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
@@ -44,6 +49,14 @@ def _parses_as_float(cell: str) -> bool:
 
 def _run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def _run_naming(path, *argv) -> int:
+    """Exit code of `argv`; an exit 2 must name `path` in its message."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _run(*argv)
+    assert code != 2 or f"{path}: " in err.getvalue(), err.getvalue()
+    return code
 
 
 def _read(work, kind, path) -> int:
@@ -198,3 +211,87 @@ def test_any_byte_in_a_reader_file_exits_cleanly(work, kind, position, byte):
         assert code == 2, blob
     else:
         assert code in (0, 1, 2), blob
+
+
+# ---------------------------------------------------------------------------
+# config JSON (glre train)
+# ---------------------------------------------------------------------------
+
+# setting values: integers stay small, so no mutation asks for a long or large run
+setting_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+_INT_SETTINGS = ("steps", "batch_size", "dim", "patch_pool", "max_length", "seed")
+_FLOAT_SETTINGS = ("learning_rate", "beta1", "beta2", "epsilon", "init_scale")
+
+
+def _config() -> dict:
+    return {"seed": 3, "manifest": "flag.jsonl", "out_dir": "flag",
+            "train": {"steps": 2, "dim": 8, "batch_size": 4, "patch_pool": 2}}
+
+
+def _config_wrong_type(field, key, value) -> bool:
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    return {"file": not isinstance(value, dict),
+            "entry": not (is_int if key == "seed" else isinstance(value, str)),
+            "section": not isinstance(value, dict),
+            "setting": (key in _INT_SETTINGS and not is_int) or (
+                key in _FLOAT_SETTINGS and not (is_int or isinstance(value, float)))}[field]
+
+
+@pytest.mark.parametrize("field", ["file", "entry", "section", "setting"])
+@settings(max_examples=10, deadline=None)
+@given(entry=st.sampled_from(["seed", "manifest", "out_dir"]),
+       setting=st.sampled_from([*_INT_SETTINGS, *_FLOAT_SETTINGS, "region_grid",
+                                "use_positions", "loss", "vocab_size"]),
+       value=setting_values)
+def test_any_config_value_exits_cleanly(work, field, entry, setting, value):
+    payload = _config()
+    if field == "file":
+        payload = value
+    elif field == "entry":
+        payload[entry] = value
+    elif field == "section":
+        payload["train"] = value
+    else:
+        payload["train"][setting] = value
+    path = work / "config.json"
+    path.write_text(json.dumps(payload))
+    # flags name every file, so the config's own path entries are only type-checked
+    code = _run_naming(path, "train", "--config", path, "--manifest",
+                       work / "data" / "train.jsonl", "--out-dir", work / "out")
+    if _config_wrong_type(field, entry if field == "entry" else setting, value):
+        assert code == 2, payload
+    else:
+        assert code in (0, 1, 2), payload
+
+
+# ---------------------------------------------------------------------------
+# PGM (glre zeroshot)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("damage", ["byte", "truncate"])
+@settings(max_examples=15, deadline=None)
+@given(position=st.integers(0, 2**16), byte=st.integers(0, 255))
+def test_any_damaged_pgm_exits_cleanly(work, damage, position, byte):
+    row = json.loads((work / "data" / "heldout.jsonl").read_text().splitlines()[0])
+    blob = bytearray((work / "data" / row["image_path"]).read_bytes())
+    if damage == "byte":
+        blob[position % len(blob)] = byte
+    else:
+        del blob[position % len(blob):]
+    pgm = (work / "bad.pgm").resolve()
+    pgm.write_bytes(blob)
+    (work / "one.jsonl").write_text(json.dumps({**row, "image_path": "bad.pgm"}) + "\n")
+    code = _run_naming(pgm, "zeroshot", "--checkpoint", work / "run" / "checkpoint.bin",
+                       "--manifest", work / "one.jsonl", "--out-dir", work / "out")
+    try:
+        read_pgm(pgm)
+    except FormatError:
+        assert code == 2, bytes(blob)
+    else:
+        assert code in (0, 1, 2), bytes(blob)

@@ -1,11 +1,15 @@
 """Command-line pipeline over manifests: label, split, synth, train, evaluate.
 
-Every subcommand takes an optional JSON config file plus flag overrides
-(flags win), draws all randomness from a single --seed, writes artifacts
+Every subcommand draws all randomness from a single --seed, writes artifacts
 under --out-dir, and finishes with a RunReport JSON describing the run.
-Outputs are byte-identical across reruns with identical inputs and seed;
-the wall-clock field is the one exception, and runreport_fingerprint
-excludes it for comparisons.
+Outputs are byte-identical across reruns with identical inputs and seed, but
+for the wall-clock field, which runreport_fingerprint excludes.
+
+A command's settings are one lookup: its given flags over the top-level
+entries of an optional JSON --config. A setting that a config section also
+holds (train's seed, probe's uncertain_policy) is the flag, else the section's
+entry, else the top-level entry, else the default. A top-level entry named
+after a flag must have the flag's type; a wrong type, null included, exits 2.
 
 probe, zeroshot and export-embeddings load their checkpoint and images
 through one helper; eval and export-roc share one per-pathology ROC pass.
@@ -23,6 +27,7 @@ import io
 import json
 import sys
 import time
+from collections import ChainMap
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -50,6 +55,7 @@ from .datapipe import (
     manifest_hash,
     read_manifest,
     synth_paired_dataset,
+    tokenize,
     write_manifest,
 )
 from .encoders import (
@@ -84,7 +90,7 @@ from .trainer import TrainConfig, encode_report, load_checkpoint, save_checkpoin
 class RunReport:
     """What a subcommand did: inputs digest, outputs, and any scores."""
 
-    command: str
+    command: str = ""  # the subcommand, filled in by _dispatch
     config_hash: str = ""
     seed: int | None = None
     outputs: list[str] = field(default_factory=list)
@@ -136,30 +142,32 @@ def _content_hash(out_dir: Path, outputs: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-# every flag: whether a config entry of its name must be a path string, and its
-# add_argument settings (argparse derives the dest from the flag)
+# every flag's add_argument settings (argparse derives the dest from the flag)
 _FLAGS = {
-    "--config": (False, {"help": "JSON config file; flags override it"}),
-    "--seed": (False, {"type": int, "help": "seed for all randomness"}),
-    "--out-dir": (True, {"help": "artifact directory (default .)"}),
-    "--manifest": (True, {"help": "input manifest (JSONL, one study per line)"}),
-    "--lexicon": (True, {"help": "phrase lexicon JSON (default: built-in)"}),
-    "--out": (True, {"help": "output file name (default depends on the command)"}),
-    "--sizes": (False, {"help": "split sizes, e.g. train=2552,test=727 or test=rest"}),
-    "--view": (False, {"help": "keep only records with this view"}),
-    "--require-report": (False, {"action": "store_true", "default": None,
-                                 "help": "drop records with empty reports"}),
-    "--cap": (False, {"type": int, "help": "per-class study cap"}),
-    "--resume": (True, {"help": "checkpoint to continue training from"}),
-    "--checkpoint": (True, {"help": "trained checkpoint file"}),
-    "--score-manifest": (True, {"help": "extra manifest to score with the fitted probe"}),
-    "--uncertain-policy": (False, {"choices": ("exclude", "pos", "neg"),
-                                   "help": "how -1 labels enter binary evaluation"}),
-    "--prompts": (True, {"help": "prompt set JSON (default: built-in prompts)"}),
-    "--scores": (True, {"help": "scores CSV (study_id plus one column per pathology)"}),
-    "--labels": (True, {"help": "labeled manifest to evaluate against"}),
+    "--config": {"help": "JSON config file; flags override it"},
+    "--seed": {"type": int, "help": "seed for all randomness"},
+    "--out-dir": {"help": "artifact directory (default .)"},
+    "--manifest": {"help": "input manifest (JSONL, one study per line)"},
+    "--lexicon": {"help": "phrase lexicon JSON (default: built-in)"},
+    "--out": {"help": "output file name (default depends on the command)"},
+    "--sizes": {"help": "split sizes, e.g. train=2552,test=727 or test=rest"},
+    "--view": {"help": "keep only records with this view"},
+    "--require-report": {"action": "store_true", "default": None,
+                         "help": "drop records with empty reports"},
+    "--cap": {"type": int, "help": "per-class study cap"},
+    "--resume": {"help": "checkpoint to continue training from"},
+    "--checkpoint": {"help": "trained checkpoint file"},
+    "--score-manifest": {"help": "extra manifest to score with the fitted probe"},
+    "--uncertain-policy": {"choices": ("exclude", "pos", "neg"),
+                           "help": "how -1 labels enter binary evaluation"},
+    "--prompts": {"help": "prompt set JSON (default: built-in prompts)"},
+    "--scores": {"help": "scores CSV (study_id plus one column per pathology)"},
+    "--labels": {"help": "labeled manifest to evaluate against"},
 }
-_PATH_KEYS = tuple(flag[2:].replace("-", "_") for flag, (path, _) in _FLAGS.items() if path)
+# the JSON types a config entry may take in place of each flag; null is none of them
+_ENTRY_TYPES = {flag[2:].replace("-", "_"): (kw.get("type", bool if "action" in kw else str),)
+                for flag, kw in _FLAGS.items()} | {"sizes": (str, dict)}
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
 
 
 def _load_json(path) -> dict:
@@ -167,34 +175,34 @@ def _load_json(path) -> dict:
         payload = json.loads(data.decode("utf-8"))
         if not isinstance(payload, dict):
             raise FormatError("a config file must hold a JSON object")
-        for key in _PATH_KEYS:
-            if key in payload and not isinstance(payload[key], str):
-                raise FormatError(f"config entry {key!r} must be a path string, "
-                                  f"got {type(payload[key]).__name__}")
+        for key, types in _ENTRY_TYPES.items():
+            if key in payload and type(payload[key]) not in types:
+                raise SettingTypeError(
+                    f"config entry {key!r} must be {' or '.join(map(_TYPE_NAMES.get, types))}, "
+                    f"got {json.dumps(payload[key])}")
     return payload
 
 
-def _opt(args, config: dict, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    v = getattr(args, key, None)
-    return v if v is not None else config.get(key, default)
+class _Settings(ChainMap):
+    """A command's given flags (`maps[0]`) over its config's top-level entries. Looking
+    up a setting that neither gives is a contract error; `get` takes a default."""
+
+    def __missing__(self, key):
+        raise ValueError(f"--{key.replace('_', '-')} is required "
+                         "(pass the flag or set it in --config)")
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"{flag} is required (pass the flag or set it in --config)")
-    return value
+def _from_section(cls, s: _Settings, name: str, key: str | None = None):
+    """`cls` from config section `name`; unknown keys or bad types are setting type errors.
 
-
-def _section(config: dict, name: str) -> dict:
-    sec = config.get(name, {})
-    if not isinstance(sec, dict):
+    `key` names a section setting that also has a flag: the flag's value,
+    else the section's entry, else the top-level entry, else the default.
+    """
+    values = s.get(name, {})
+    if not isinstance(values, dict):
         raise SettingTypeError(f"config section {name!r} must be a JSON object")
-    return dict(sec)
-
-
-def _from_section(cls, name: str, values: dict):
-    """Settings object from a config section; unknown keys or bad types are setting type errors."""
+    if key in s and (key in s.maps[0] or key not in values):
+        values = {**values, key: s[key]}
     try:
         return cls(**values)
     except TypeError as exc:
@@ -210,12 +218,11 @@ def _attach_images(records, manifest_path, region_grid) -> None:
             rec.image = ImageGrid(pixels, region_grid=tuple(region_grid))
 
 
-def _load_scoring_inputs(args, config):
+def _load_scoring_inputs(s):
     """The --checkpoint and the --manifest records, images attached."""
-    ckpt = load_checkpoint(_require(_opt(args, config, "checkpoint"), "--checkpoint"))
-    manifest = _require(_opt(args, config, "manifest"), "--manifest")
-    records = read_manifest(manifest)
-    _attach_images(records, manifest, ckpt.config.region_grid)
+    ckpt = load_checkpoint(s["checkpoint"])
+    records = read_manifest(s["manifest"])
+    _attach_images(records, s["manifest"], ckpt.config.region_grid)
     return ckpt, records
 
 
@@ -257,7 +264,7 @@ def _read_scores(path):
     return ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(PATHOLOGIES))
 
 
-def _roc_curves(args, config):
+def _roc_curves(s):
     """Per-pathology ROC of the --scores file against the --labels manifest.
 
     A pathology whose kept labels are single-class maps to None. Returns the
@@ -265,9 +272,8 @@ def _roc_curves(args, config):
     curves included), and the config hash that eval and export-roc both
     report.
     """
-    scores_path = _require(_opt(args, config, "scores"), "--scores")
-    labels_path = _require(_opt(args, config, "labels"), "--labels")
-    policy = _opt(args, config, "uncertain_policy", "exclude")
+    scores_path, labels_path = s["scores"], s["labels"]
+    policy = s.get("uncertain_policy", "exclude")
     ids, scores = _read_scores(scores_path)
     label_records = read_manifest(labels_path)
     by_id = {r.study_id: r for r in label_records}
@@ -296,16 +302,15 @@ def _roc_curves(args, config):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_label(args, config, out_dir: Path) -> RunReport:
-    records = read_manifest(_require(_opt(args, config, "manifest"), "--manifest"))
-    lex_path = _opt(args, config, "lexicon")
+def _cmd_label(s, out_dir: Path) -> RunReport:
+    records = read_manifest(s["manifest"])
+    lex_path = s.get("lexicon")
     lexicon = Lexicon.load(lex_path) if lex_path else default_lexicon()
     for rec in records:
         rec.labels = label_report(rec.report_text, lexicon)
-    out = _out_path(out_dir, _opt(args, config, "out", "labeled.jsonl"))
+    out = _out_path(out_dir, s.get("out", "labeled.jsonl"))
     write_manifest(records, out)
     return RunReport(
-        command="label",
         config_hash=_digest({"lexicon": asdict(lexicon)}),
         outputs=[_out_key(out, out_dir)],
     )
@@ -326,19 +331,16 @@ def _parse_sizes(spec: str) -> dict:
     return sizes
 
 
-def _cmd_split(args, config, out_dir: Path) -> RunReport:
-    records = read_manifest(_require(_opt(args, config, "manifest"), "--manifest"))
-    view = _opt(args, config, "view")
+def _cmd_split(s, out_dir: Path) -> RunReport:
+    records = read_manifest(s["manifest"])
+    view = s.get("view")
     if view is not None:
         records = [r for r in records if r.view == view]
-    require_report = bool(_opt(args, config, "require_report", False))
+    require_report = s.get("require_report", False)
     if require_report:
         records = filter_with_report(records)
-    sizes_raw = _require(_opt(args, config, "sizes"), "--sizes")
-    if not isinstance(sizes_raw, (str, dict)):
-        raise SettingTypeError(f"'sizes' must be a string or an object, got {sizes_raw!r}")
-    sizes = _parse_sizes(sizes_raw) if isinstance(sizes_raw, str) else dict(sizes_raw)
-    seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
+    sizes = _parse_sizes(s["sizes"]) if isinstance(s["sizes"], str) else dict(s["sizes"])
+    seed = check_number("seed", s.get("seed", 0), integer=True, minimum=0)
 
     split = make_splits(records, sizes, seed)
     split.save(out_dir / "split.json")
@@ -349,30 +351,30 @@ def _cmd_split(args, config, out_dir: Path) -> RunReport:
         write_manifest(part, out_dir / f"{name}.jsonl")
         outputs.append(f"{name}.jsonl")
     return RunReport(
-        command="split", seed=seed, outputs=outputs,
+        seed=seed, outputs=outputs,
         config_hash=_digest({"sizes": sizes, "seed": seed, "view": view,
                              "require_report": require_report,
                              "source": manifest_hash(records)}),
     )
 
 
-def _cmd_subset(args, config, out_dir: Path) -> RunReport:
-    records = read_manifest(_require(_opt(args, config, "manifest"), "--manifest"))
-    cap = check_number("cap", _require(_opt(args, config, "cap"), "--cap"), integer=True, minimum=0)
-    seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
+def _cmd_subset(s, out_dir: Path) -> RunReport:
+    records = read_manifest(s["manifest"])
+    cap = check_number("cap", s["cap"], integer=True, minimum=0)
+    seed = check_number("seed", s.get("seed", 0), integer=True, minimum=0)
     subset = build_single_disease_subset(records, cap, seed)
-    out = _out_path(out_dir, _opt(args, config, "out", "subset.json"))
+    out = _out_path(out_dir, s.get("out", "subset.json"))
     write_json(out, subset)
     return RunReport(
-        command="subset", seed=seed, outputs=[_out_key(out, out_dir)],
+        seed=seed, outputs=[_out_key(out, out_dir)],
         config_hash=_digest({"cap": cap, "seed": seed,
                              "source": manifest_hash(records)}),
     )
 
 
-def _cmd_synth(args, config, out_dir: Path) -> RunReport:
-    scfg = _from_section(SynthConfig, "synth", _section(config, "synth"))
-    seed = check_number("seed", _opt(args, config, "seed", 0), integer=True, minimum=0)
+def _cmd_synth(s, out_dir: Path) -> RunReport:
+    scfg = _from_section(SynthConfig, s, "synth")
+    seed = check_number("seed", s.get("seed", 0), integer=True, minimum=0)
     train_recs, heldout = synth_paired_dataset(scfg, seed)
     (out_dir / "images").mkdir(exist_ok=True)
     for rec in (*train_recs, *heldout):
@@ -382,48 +384,39 @@ def _cmd_synth(args, config, out_dir: Path) -> RunReport:
     write_manifest(train_recs, out_dir / "train.jsonl")
     write_manifest(heldout, out_dir / "heldout.jsonl")
     return RunReport(
-        command="synth", seed=seed,
+        seed=seed,
         outputs=["train.jsonl", "heldout.jsonl", "images"],
         config_hash=_digest({"synth": asdict(scfg), "seed": seed}),
     )
 
 
-def _cmd_train(args, config, out_dir: Path) -> RunReport:
-    manifest = _require(_opt(args, config, "manifest"), "--manifest")
-    tdict = _section(config, "train")
-    if getattr(args, "seed", None) is not None:
-        tdict["seed"] = args.seed
-    elif "seed" in config:
-        tdict.setdefault("seed", config["seed"])
-    tcfg = _from_section(TrainConfig, "train", tdict)
+def _cmd_train(s, out_dir: Path) -> RunReport:
+    manifest = s["manifest"]
+    tcfg = _from_section(TrainConfig, s, "train", "seed")
     records = filter_with_report(read_manifest(manifest))
     _attach_images(records, manifest, tcfg.region_grid)
-    resume_path = _opt(args, config, "resume")
+    resume_path = s.get("resume")
     resume = load_checkpoint(resume_path) if resume_path else None
     ckpt = train(records, tcfg, log_path=out_dir / "train_log.jsonl",
                  resume_from=resume)
     save_checkpoint(ckpt, out_dir / "checkpoint.bin")
     return RunReport(
-        command="train", seed=tcfg.seed,
+        seed=tcfg.seed,
         outputs=["checkpoint.bin", "train_log.jsonl"],
         config_hash=tcfg.hash(),
     )
 
 
-def _cmd_probe(args, config, out_dir: Path) -> RunReport:
-    pdict = _section(config, "probe")
-    policy = _opt(args, config, "uncertain_policy")
-    if policy is not None:
-        pdict["uncertain_policy"] = policy
-    pcfg = _from_section(ProbeConfig, "probe", pdict)
-    ckpt, records = _load_scoring_inputs(args, config)
+def _cmd_probe(s, out_dir: Path) -> RunReport:
+    pcfg = _from_section(ProbeConfig, s, "probe", "uncertain_policy")
+    ckpt, records = _load_scoring_inputs(s)
     label_matrix(records)  # every record must be labeled; fails before encoding
     feats = image_features(records, ckpt)
     model = fit_linear_probe(feats.global_feat.numpy(), [r.labels for r in records], pcfg)
     model.save(out_dir / "probe.json")
     outputs = ["probe.json"]
 
-    score_manifest = _opt(args, config, "score_manifest")
+    score_manifest = s.get("score_manifest")
     if score_manifest:
         srecs = read_manifest(score_manifest)
         _attach_images(srecs, score_manifest, ckpt.config.region_grid)
@@ -432,7 +425,7 @@ def _cmd_probe(args, config, out_dir: Path) -> RunReport:
                       [r.study_id for r in srecs], probs)
         outputs.append("probe_scores.csv")
     return RunReport(
-        command="probe", outputs=outputs,
+        outputs=outputs,
         config_hash=_digest({"probe": asdict(pcfg),
                              "checkpoint": ckpt.config.hash()}),
     )
@@ -444,10 +437,10 @@ def _zeroshot_weights(global_weight=0.5, local_weight=0.5) -> tuple[float, float
             float(check_number("local_weight", local_weight)))
 
 
-def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
-    gw, lw = _from_section(_zeroshot_weights, "zeroshot", _section(config, "zeroshot"))
-    ckpt, records = _load_scoring_inputs(args, config)
-    prompts_path = _opt(args, config, "prompts")
+def _cmd_zeroshot(s, out_dir: Path) -> RunReport:
+    gw, lw = _from_section(_zeroshot_weights, s, "zeroshot")
+    ckpt, records = _load_scoring_inputs(s)
+    prompts_path = s.get("prompts")
     prompts = PromptSet.load(prompts_path) if prompts_path else default_prompts()
     scores = (zero_shot_scores(image_features(records, ckpt), prompts, ckpt,
                                global_weight=gw, local_weight=lw)
@@ -455,20 +448,20 @@ def _cmd_zeroshot(args, config, out_dir: Path) -> RunReport:
     _write_scores(out_dir / "zeroshot_scores.csv",
                   [r.study_id for r in records], scores)
     return RunReport(
-        command="zeroshot", outputs=["zeroshot_scores.csv"],
+        outputs=["zeroshot_scores.csv"],
         config_hash=_digest({"checkpoint": ckpt.config.hash(),
                              "prompts": prompts.prompts,
                              "global_weight": gw, "local_weight": lw}),
     )
 
 
-def _cmd_eval(args, config, out_dir: Path) -> RunReport:
-    curves, counts, config_hash = _roc_curves(args, config)
+def _cmd_eval(s, out_dir: Path) -> RunReport:
+    curves, counts, config_hash = _roc_curves(s)
     per = {name: c.auc if c is not None else None for name, c in curves.items()}
     defined = [auc for auc in per.values() if auc is not None]
     mean, std = aggregate_auc(defined) if defined else (None, None)
-    return RunReport(command="eval", auc=per, auc_mean=mean, auc_std=std,
-                     class_counts=counts, config_hash=config_hash)
+    return RunReport(auc=per, auc_mean=mean, auc_std=std, class_counts=counts,
+                     config_hash=config_hash)
 
 
 def _per_study(feats: LocalGlobalFeatures):
@@ -478,11 +471,14 @@ def _per_study(feats: LocalGlobalFeatures):
         yield LocalGlobalFeatures(Tensor(local), Tensor(glob[None]), feats.modality)
 
 
-def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
-    ckpt, records = _load_scoring_inputs(args, config)
+def _cmd_export_embeddings(s, out_dir: Path) -> RunReport:
+    ckpt, records = _load_scoring_inputs(s)
     imaged = [rec for rec in records if rec.image is not None]
-    seqs = [encode_report(rec.report_text, ckpt.vocab, ckpt.config)
-            for rec in records if rec.report_text.strip()]
+    texted = filter_with_report(records)  # train's rule: a blank report has no text entry
+    for rec in texted:
+        if not tokenize(rec.report_text):
+            raise InsufficientDataError(f"study {rec.study_id!r} has no report tokens")
+    seqs = [encode_report(rec.report_text, ckpt.vocab, ckpt.config) for rec in texted]
     # each side is encoded in one call, then handed out study by study
     images = _per_study(image_features(imaged, ckpt)) if imaged else iter(())
     texts = _per_study(encode_text_toy(seqs, ckpt.params)) if seqs else iter(())
@@ -494,17 +490,17 @@ def _cmd_export_embeddings(args, config, out_dir: Path) -> RunReport:
             items[f"{rec.study_id}:text"] = next(texts)
     if not items:
         raise InsufficientDataError("no images or reports to export")
-    out = _out_path(out_dir, _opt(args, config, "out", "embeddings.bin"))
+    out = _out_path(out_dir, s.get("out", "embeddings.bin"))
     save_embeddings(out, items)
     return RunReport(
-        command="export-embeddings", outputs=[_out_key(out, out_dir)],
+        outputs=[_out_key(out, out_dir)],
         config_hash=_digest({"checkpoint": ckpt.config.hash(),
                              "records": sorted(items)}),
     )
 
 
-def _cmd_export_roc(args, config, out_dir: Path) -> RunReport:
-    curves, _, config_hash = _roc_curves(args, config)
+def _cmd_export_roc(s, out_dir: Path) -> RunReport:
+    curves, _, config_hash = _roc_curves(s)
     outputs = []
     for name, curve in curves.items():
         if curve is not None:
@@ -513,7 +509,7 @@ def _cmd_export_roc(args, config, out_dir: Path) -> RunReport:
             outputs.append(rel)
     if not outputs:
         raise UndefinedAucError("no pathology had both label classes present")
-    return RunReport(command="export-roc", outputs=outputs, config_hash=config_hash)
+    return RunReport(outputs=outputs, config_hash=config_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         for flag in ("--config", "--seed", "--out-dir", *flags):
-            p.add_argument(flag, **_FLAGS[flag][1])
+            p.add_argument(flag, **_FLAGS[flag])
 
     add("label", _cmd_label, "derive rule-based labels for a manifest",
         "--manifest", "--lexicon", "--out")
@@ -564,16 +560,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     config = _load_json(args.config) if args.config else {}
-    out_dir = Path(_opt(args, config, "out_dir", "."))
+    s = _Settings({key: value for key, value in vars(args).items()
+                   if key in _ENTRY_TYPES and value is not None}, config)
+    out_dir = Path(s.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     try:
-        report = args.handler(args, config, out_dir)
+        report = args.handler(s, out_dir)
     except SettingTypeError as exc:
         # argparse types every flag, so a setting of the wrong type is a config entry
         exc.args = (f"{args.config}: {exc}",)
         raise
+    report.command = args.command
     if report.seed is None:
         report.seed = args.seed
     report.content_hash = _content_hash(out_dir, report.outputs)

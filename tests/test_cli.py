@@ -1024,7 +1024,7 @@ def test_malformed_input_file_exits_2_naming_it(pipeline, tmp_path, capsys, case
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["zeroshot", "train"])
+@pytest.mark.parametrize("command", ["zeroshot", "train", "export-embeddings"])
 def test_text_without_tokens_exits_1_naming_it(pipeline, tmp_path, capsys, command):
     data = pipeline["data"]
     if command == "zeroshot":
@@ -1039,7 +1039,9 @@ def test_text_without_tokens_exits_1_naming_it(pipeline, tmp_path, capsys, comma
             row["image_path"] = str(data / row["image_path"])
         rows[2]["report"] = "..."
         (tmp_path / "in.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
-        argv = ["train", "--manifest", tmp_path / "in.jsonl"]
+        argv = [command, "--manifest", tmp_path / "in.jsonl"]
+        if command == "export-embeddings":
+            argv += ["--checkpoint", pipeline["checkpoint"]]
         named = [repr(rows[2]["study_id"])]
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
@@ -1072,6 +1074,89 @@ def test_bad_setting_value_exits_1_before_reading_images(pipeline, tmp_path, cap
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out" / "images").exists()
+
+
+# each case is (command, config entry, value); the command's other settings are valid
+_WRONG_TYPES = [("split", "view", 5), ("split", "require_report", "false"),
+                ("split", "sizes", None), ("split", "sizes", 3), ("subset", "cap", None),
+                ("subset", "cap", True), ("eval", "uncertain_policy", 5), ("label", "out", 5)]
+
+
+@pytest.mark.parametrize("command, key, value", _WRONG_TYPES,
+                         ids=[f"{c}-{k}-{json.dumps(v)}" for c, k, v in _WRONG_TYPES])
+def test_config_entry_of_wrong_type_exits_2_naming_it(tmp_path, capsys, command, key, value):
+    _separable_case(tmp_path)
+    flags = {"split": ["--manifest", tmp_path / "labels.jsonl", "--sizes", "all=rest"],
+             "subset": ["--manifest", tmp_path / "labels.jsonl", "--cap", 1],
+             "eval": ["--scores", tmp_path / "scores.csv", "--labels", tmp_path / "labels.jsonl"],
+             "label": ["--manifest", tmp_path / "labels.jsonl"]}[command]
+    if key in ("sizes", "cap"):
+        flags = flags[:2]  # the config entry is the only source of the setting
+    cfg = _write_json(tmp_path / "cfg.json", {key: value})
+    assert run(command, "--config", cfg, *flags, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: config entry {key!r}" in err, err
+    assert not (tmp_path / "out" / f"run_report_{command}.json").exists()
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("label", "--manifest"),
+    ("split", "--sizes"),
+    ("subset", "--cap"),
+    ("zeroshot", "--checkpoint"),
+    ("eval", "--scores"),
+    ("eval", "--labels"),
+])
+def test_missing_required_setting_exits_1(tmp_path, capsys, command, missing):
+    _separable_case(tmp_path)
+    given = {"--manifest": tmp_path / "labels.jsonl", "--labels": tmp_path / "labels.jsonl",
+             "--scores": tmp_path / "scores.csv", "--sizes": "all=rest", "--cap": 1}
+    needs = {"label": ["--manifest"], "split": ["--manifest", "--sizes"],
+             "subset": ["--manifest", "--cap"], "zeroshot": ["--checkpoint", "--manifest"],
+             "eval": ["--scores", "--labels"]}[command]
+    flags = [x for flag in needs if flag != missing for x in (flag, given[flag])]
+    # the config gives other settings, so the lookup reads it and still finds nothing
+    cfg = _write_json(tmp_path / "cfg.json", {"seed": 1, "view": "frontal"})
+    assert run(command, "--config", cfg, *flags, "--out-dir", tmp_path / "out") == 1
+    assert f"{missing} is required (pass the flag or set it in --config)" in \
+        capsys.readouterr().err
+
+
+# a section setting that also has a flag is the flag, else the section's entry,
+# else the top-level entry, else the default; each case gives some of the
+# three (None: not given) and the value that must win
+
+
+@pytest.mark.parametrize("flag, section, top, winner", [
+    (9, 8, 7, 9), (None, 8, 7, 8), (9, None, 7, 9), (9, 8, None, 9),
+    (None, None, 7, 7), (None, 8, None, 8), (9, None, None, 9), (None, None, None, 0),
+])
+def test_train_seed_is_flag_then_section_then_top_level(pipeline, tmp_path, flag, section,
+                                                        top, winner):
+    train = {"steps": 1, "dim": 8, "batch_size": 4} | ({"seed": section} if section else {})
+    cfg = _write_json(tmp_path / "cfg.json", {"train": train} | ({"seed": top} if top else {}))
+    flags = ["--seed", flag] if flag else []
+    assert run("train", "--config", cfg, *flags, "--manifest", pipeline["data"] / "train.jsonl",
+               "--out-dir", tmp_path / "out") == 0
+    assert report_of(tmp_path / "out", "train")["seed"] == winner
+    assert load_checkpoint(tmp_path / "out" / "checkpoint.bin").config.seed == winner
+
+
+@pytest.mark.parametrize("flag, section, top, winner", [
+    ("pos", "neg", "exclude", "pos"), (None, "neg", "pos", "neg"), ("pos", None, "neg", "pos"),
+    ("neg", "pos", None, "neg"), (None, None, "pos", "pos"), (None, "pos", None, "pos"),
+    ("neg", None, None, "neg"), (None, None, None, "exclude"),
+])
+def test_probe_uncertain_policy_is_flag_then_section_then_top_level(pipeline, tmp_path, flag,
+                                                                    section, top, winner):
+    probe = {"epochs": 1} | ({"uncertain_policy": section} if section else {})
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {"probe": probe} | ({"uncertain_policy": top} if top else {}))
+    flags = ["--uncertain-policy", flag] if flag else []
+    assert run("probe", "--config", cfg, *flags, "--checkpoint", pipeline["checkpoint"],
+               "--manifest", pipeline["data"] / "train.jsonl", "--out-dir", tmp_path / "out") == 0
+    model = json.loads((tmp_path / "out" / "probe.json").read_text())
+    assert model["metadata"]["uncertain_policy"] == winner
 
 
 def test_module_entry_point_runs():

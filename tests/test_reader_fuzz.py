@@ -3,10 +3,11 @@
 One field of an otherwise valid file gets an arbitrary value, or one byte
 of it an arbitrary byte, and the command that reads the file runs through
 `glre.cli.main`: `eval` for a scores CSV, `zeroshot` for a prompt file or a
-PGM, `label` for a lexicon and `train` for a config file. No exception may
-escape; a value of the wrong type, or a file that is not UTF-8, exits 2
-under the CLI contract, and anything else exits 0, 1 or 2. Config and PGM
-runs also check that every exit 2 names the mutated file.
+PGM, `label` for a lexicon and `train` for a config file; `split` and `eval`
+also read a config entry named after one of their flags, whose type the flag
+table declares. No exception may escape; a value of the wrong type, or a file
+that is not UTF-8, exits 2 under the CLI contract, and anything else exits 0,
+1 or 2. Config and PGM runs also check that every exit 2 names the mutated file.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glre.cli import main
+from glre.cli import _FLAGS, main
 from glre.datapipe import PATHOLOGIES, default_lexicon
 from glre.encoders import read_pgm
 from glre.errors import FormatError
@@ -267,6 +268,40 @@ def test_any_config_value_exits_cleanly(work, field, entry, setting, value):
         assert code == 2, payload
     else:
         assert code in (0, 1, 2), payload
+
+
+# ---------------------------------------------------------------------------
+# top-level config entries named after a flag (glre split, glre eval)
+# ---------------------------------------------------------------------------
+
+
+def _entry_wrong_type(key, value) -> bool:
+    """Whether `value` is not of the kind the flag table declares for `key`."""
+    kw = _FLAGS["--" + key.replace("_", "-")]
+    if kw.get("type") is int:
+        return type(value) is not int
+    if kw.get("action") == "store_true":
+        return type(value) is not bool
+    return not (isinstance(value, str) or (key == "sizes" and isinstance(value, dict)))
+
+
+@pytest.mark.parametrize("key", ["view", "require_report", "sizes", "uncertain_policy"])
+@settings(max_examples=10, deadline=None)
+@given(value=json_values)
+def test_any_config_entry_for_a_flag_exits_cleanly(work, key, value):
+    path = work / "entry.json"
+    path.write_text(json.dumps({key: value}))
+    held = work / "data" / "heldout.jsonl"
+    if key == "uncertain_policy":
+        _write_scores(work / "scores.csv", _scores_rows(work))
+        argv = ["eval", "--scores", work / "scores.csv", "--labels", held]
+    else:
+        argv = ["split", "--manifest", held, *([] if key == "sizes" else ["--sizes", "all=rest"])]
+    code = _run_naming(path, *argv, "--config", path, "--out-dir", work / "out")
+    if _entry_wrong_type(key, value):
+        assert code == 2, value
+    else:
+        assert code in (0, 1, 2), value
 
 
 # ---------------------------------------------------------------------------

@@ -574,7 +574,7 @@ def _dispatch(args) -> int:
         raise
     report.command = args.command
     if report.seed is None:
-        report.seed = args.seed
+        report.seed = s.get("seed")
     report.content_hash = _content_hash(out_dir, report.outputs)
     report.wall_clock_seconds = time.perf_counter() - started
 

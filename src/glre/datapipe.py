@@ -3,9 +3,10 @@
 Reports are labeled with a transparent rule system over a phrase lexicon:
 sentences split on [.;:], per-sentence verdicts with precedence
 uncertainty > negation > positive, and cross-sentence aggregation
-1 > -1 > 0 > blank. Splits are seeded and reproducible; the synthetic
-generator builds paired image/report studies whose labels round-trip
-through the labeler.
+1 > -1 > 0 > blank. A Lexicon indexes its tokenized phrases by first token
+when it is built, so labeling walks each sentence's tokens once. Splits are
+seeded and reproducible; the synthetic generator builds paired image/report
+studies whose labels round-trip through the labeler.
 """
 
 from __future__ import annotations
@@ -131,13 +132,18 @@ class Vocabulary:
 _LEXICON_KEYS = {"mentions", "negations", "uncertainties"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
     """Mention phrases per pathology plus global negation/uncertainty cues.
 
     negation_window: a negation cue scopes a phrase when the cue's last token
     ends at most this many tokens before the phrase starts (same sentence).
     Uncertainty cues scope the whole sentence.
+
+    Construction tokenizes every phrase once and indexes it by its first
+    token for `label_report`, so a phrase list edited in place afterwards is
+    not seen: build a new Lexicon instead. Construction rejects a phrase with
+    no tokens, a mention key outside PATHOLOGIES and a negative window.
     """
 
     mentions: dict[str, list[str]]
@@ -146,12 +152,26 @@ class Lexicon:
     negation_window: int = 6
 
     def __post_init__(self):
+        check_number("negation_window", self.negation_window, integer=True, minimum=0)
+        for name in self.mentions:
+            if name not in PATHOLOGIES:
+                raise FormatError(f"lexicon mentions: unknown key {name!r}")
         for name in PATHOLOGIES:
             if not self.mentions.get(name):
                 raise ValueError(f"lexicon missing mention phrases for {name!r}")
-        for cue in list(self.negations) + list(self.uncertainties):
-            if cue != cue.lower():
-                raise ValueError(f"cue {cue!r} must be lowercase")
+        # first token -> [(tokens, length, kind)], kind a pathology's index or a cue kind
+        index: dict[str, list[tuple[list[str], int, object]]] = {}
+        phrases = [(p, k) for k, name in enumerate(PATHOLOGIES) for p in self.mentions[name]]
+        phrases += [(c, "negation") for c in self.negations]
+        phrases += [(c, "uncertainty") for c in self.uncertainties]
+        for phrase, kind in phrases:
+            toks = tokenize(phrase)
+            if not toks:
+                raise ValueError(f"lexicon phrase {phrase!r} has no tokens")
+            if isinstance(kind, str) and phrase != phrase.lower():
+                raise ValueError(f"cue {phrase!r} must be lowercase")
+            index.setdefault(toks[0], []).append((toks, len(toks), kind))
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def load(cls, path) -> "Lexicon":
@@ -160,20 +180,18 @@ class Lexicon:
             if not isinstance(payload, dict) or not _LEXICON_KEYS <= payload.keys():
                 raise FormatError(f"a lexicon must be a JSON object with keys "
                                   f"{', '.join(sorted(_LEXICON_KEYS))}")
-            mentions, window = payload["mentions"], payload.get("negation_window", 6)
+            mentions = payload["mentions"]
             if not (isinstance(mentions, dict) and all(map(is_str_list, mentions.values()))
                     and is_str_list(payload["negations"])
-                    and is_str_list(payload["uncertainties"])
-                    and isinstance(window, int) and not isinstance(window, bool)):
+                    and is_str_list(payload["uncertainties"])):
                 raise FormatError("lexicon mentions must map names to lists of strings, "
-                                  "negations and uncertainties must be lists of strings, "
-                                  "and negation_window must be an integer")
-        return cls(
-            mentions=mentions,
-            negations=payload["negations"],
-            uncertainties=payload["uncertainties"],
-            negation_window=window,
-        )
+                                  "and negations and uncertainties must be lists of strings")
+            return cls(
+                mentions=mentions,
+                negations=payload["negations"],
+                uncertainties=payload["uncertainties"],
+                negation_window=payload.get("negation_window", 6),
+            )
 
 
 def default_lexicon() -> Lexicon:
@@ -227,54 +245,36 @@ def split_sentences(text: str) -> list[str]:
     return [p for p in re.split(r"[.;:]", text) if p.strip()]
 
 
-def _find_subsequences(haystack: list[str], needle: list[str]) -> list[int]:
-    """Start indices of every contiguous occurrence of needle in haystack."""
-    n = len(needle)
-    if n == 0 or n > len(haystack):
-        return []
-    return [i for i in range(len(haystack) - n + 1) if haystack[i : i + n] == needle]
-
-
 def label_report(text: str, lexicon: Lexicon) -> LabelVector:
     """Label one report; total over all inputs including the empty string.
 
     Per sentence and pathology: no phrase -> blank; phrase in a sentence with
     any uncertainty cue -> -1; phrase with a negation cue in scope -> 0;
     otherwise 1. Across sentences the strongest verdict wins: 1 > -1 > 0.
+    Each sentence is walked once, testing at each token only the lexicon
+    phrases that start with it; verdicts follow once all its cues are known.
     """
-    mention_tokens = {
-        name: [tokenize(p) for p in phrases] for name, phrases in lexicon.mentions.items()
-    }
-    neg_tokens = [tokenize(c) for c in lexicon.negations]
-    unc_tokens = [tokenize(c) for c in lexicon.uncertainties]
-
-    # cross-sentence precedence, higher wins
-    rank = {POSITIVE: 3, UNCERTAIN: 2, NEGATIVE: 1, BLANK: 0}
-    best: dict[str, object] = {name: BLANK for name in PATHOLOGIES}
-
+    rank = {POSITIVE: 3, UNCERTAIN: 2, NEGATIVE: 1, BLANK: 0}  # across sentences
+    best = [BLANK] * len(PATHOLOGIES)
     for sentence in split_sentences(text):
         toks = tokenize(sentence)
-        if not toks:
-            continue
-        uncertain_here = any(_find_subsequences(toks, cue) for cue in unc_tokens)
-        neg_ends = sorted(
-            start + len(cue)
-            for cue in neg_tokens
-            for start in _find_subsequences(toks, cue)
-        )
-        for name in PATHOLOGIES:
-            for phrase in mention_tokens[name]:
-                for start in _find_subsequences(toks, phrase):
-                    if uncertain_here:
-                        verdict = UNCERTAIN
-                    elif any(0 <= start - end <= lexicon.negation_window
-                             for end in neg_ends):
-                        verdict = NEGATIVE
-                    else:
-                        verdict = POSITIVE
-                    if rank[verdict] > rank[best[name]]:
-                        best[name] = verdict
-    return LabelVector(tuple(best[name] for name in PATHOLOGIES))
+        found: dict[object, list[tuple[int, int]]] = {}  # kind -> [(start, end)]
+        for start, tok in enumerate(toks):
+            for phrase, n, kind in lexicon._index.get(tok, ()):
+                if toks[start : start + n] == phrase:
+                    found.setdefault(kind, []).append((start, start + n))
+        uncertain_here = "uncertainty" in found
+        neg_ends = [end for _, end in found.get("negation", ())]
+        for k in range(len(PATHOLOGIES)):
+            for start, _ in found.get(k, ()):
+                if uncertain_here:
+                    verdict = UNCERTAIN
+                elif any(0 <= start - end <= lexicon.negation_window for end in neg_ends):
+                    verdict = NEGATIVE
+                else:
+                    verdict = POSITIVE
+                best[k] = max(best[k], verdict, key=rank.get)
+    return LabelVector(tuple(best))
 
 
 def labels_to_matrix(label_vectors, uncertain_policy: str = "exclude"):

@@ -4,7 +4,9 @@ perfbench/tracing.py patches glre functions by module and attribute name and
 reports a missing one as a missing span rather than failing, so a rename or
 deletion in glre would silently zero a per-layer metric. The first test
 fails instead. perfbench/workloads.py calls glre's scoring API itself; the
-second test runs that call on a tiny checkpoint.
+second test runs that call on a tiny checkpoint. The third labels the curate
+workload's generated reports with glre's labeler and with the per-phrase scan
+it replaced, which must agree.
 """
 
 import importlib
@@ -15,16 +17,26 @@ from pathlib import Path
 
 import numpy as np
 
+from glre.datapipe import default_lexicon, label_report
+
+import label_oracle
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
 
 
-def test_every_traced_target_is_a_callable_in_glre(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
+def _load(monkeypatch, name, path):
+    """The perfbench module at `path`, loaded by path as `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_is_a_callable_in_glre(monkeypatch):
+    tracing = _load(monkeypatch, "perfbench_tracing", TRACING)
     assert tracing.TARGETS
     missing = [f"{module}.{attr}" for _, module, attr in tracing.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
@@ -34,10 +46,7 @@ def test_every_traced_target_is_a_callable_in_glre(monkeypatch):
 def test_retrieval_workload_runs_on_a_trained_checkpoint(monkeypatch, tmp_path):
     # the evaluate workload drives glre's scoring API directly, so an API
     # change that breaks it fails here rather than as a failed benchmark op
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = _load(monkeypatch, "perfbench_workloads", WORKLOADS)
     (tmp_path / "synth.json").write_text(json.dumps({"synth": {"n_train": 12, "n_heldout": 5}}))
     (tmp_path / "train.json").write_text(json.dumps({"train": {"steps": 2, "batch_size": 4}}))
     data = tmp_path / "data"
@@ -49,3 +58,13 @@ def test_retrieval_workload_runs_on_a_trained_checkpoint(monkeypatch, tmp_path):
                                         data / "heldout.jsonl")
     assert scores.shape == (5, 5)
     assert np.all(np.isfinite(scores))
+
+
+def test_curate_reports_label_as_the_per_phrase_scan_labels_them(monkeypatch):
+    workloads = _load(monkeypatch, "perfbench_workloads", WORKLOADS)
+    studies, _ = workloads.curation_manifest(7, workloads.SIZES["tiny"])
+    lexicon = default_lexicon()
+    reports = [row["report"] for row in studies]
+    assert any(reports)
+    assert ([label_report(text, lexicon) for text in reports]
+            == [label_oracle.label_report(text, lexicon) for text in reports])

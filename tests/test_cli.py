@@ -82,13 +82,18 @@ def test_label_matches_library_labeler(tmp_path):
         assert rec.labels == label_report(text, lex)
 
 
-def _write_name_lexicon(path, negation_window=6):
-    """A lexicon file whose one mention phrase per pathology is its name."""
+_NAMES = {name: [name] for name in PATHOLOGIES}
+
+
+def _name_lexicon(**changes):
+    """A lexicon payload whose one mention phrase per pathology is its name."""
     base = default_lexicon()
-    path.write_text(json.dumps({"mentions": {name: [name] for name in PATHOLOGIES},
-                                "negations": base.negations,
-                                "uncertainties": base.uncertainties,
-                                "negation_window": negation_window}))
+    return {"mentions": _NAMES, "negations": base.negations,
+            "uncertainties": base.uncertainties, "negation_window": 6, **changes}
+
+
+def _write_name_lexicon(path, negation_window=6):
+    path.write_text(json.dumps(_name_lexicon(negation_window=negation_window)))
 
 
 def test_label_with_custom_lexicon(tmp_path):
@@ -112,6 +117,43 @@ def test_label_config_hash_covers_negation_window(tmp_path):
                    "--lexicon", tmp_path / f"lex{window}.json", "--out-dir", out) == 0
         hashes.append(report_of(out, "label")["config_hash"])
     assert hashes[0] != hashes[1]
+
+
+def test_label_config_hash_of_default_lexicon_is_pinned(tmp_path):
+    # the lexicon's phrase index is no dataclass field, so it is not hashed
+    _flat_manifest(tmp_path / "in.jsonl", n=2)
+    assert run("label", "--manifest", tmp_path / "in.jsonl", "--out-dir", tmp_path) == 0
+    assert report_of(tmp_path, "label")["config_hash"] == (
+        "7056cf781fcaceb1a5260a7bf6d1a75fbe1b1baae20aa8ae3a3c230b00bd5546")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"mentions": {**_NAMES, "edema": ["..."]}}, "lexicon phrase '...' has no tokens"),
+    ({"mentions": {**_NAMES, "edema": ["edema", ""]}}, "lexicon phrase '' has no tokens"),
+    ({"negations": ["no", "?"]}, "lexicon phrase '?' has no tokens"),
+    ({"uncertainties": ["possible", "--"]}, "lexicon phrase '--' has no tokens"),
+    ({"negation_window": -1}, "negation_window must be >= 0, got -1"),
+], ids=["mention_dots", "mention_empty", "negation_mark", "uncertainty_dashes",
+        "window_negative"])
+def test_lexicon_entry_that_could_never_match_exits_1(tmp_path, capsys, changes, message):
+    _flat_manifest(tmp_path / "in.jsonl", n=2)
+    lex = _write_json(tmp_path / "lex.json", _name_lexicon(**changes))
+    assert run("label", "--manifest", tmp_path / "in.jsonl", "--lexicon", lex,
+               "--out-dir", tmp_path / "out") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "labeled.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag, entry, recorded", [
+    (None, 3, 3), (5, 3, 5), (5, None, 5), (None, None, None)])
+def test_label_run_report_seed_is_the_flag_else_the_config_entry(tmp_path, flag, entry,
+                                                                  recorded):
+    _flat_manifest(tmp_path / "in.jsonl", n=2)
+    cfg = _write_json(tmp_path / "cfg.json", {} if entry is None else {"seed": entry})
+    seed = [] if flag is None else ["--seed", flag]
+    assert run("label", "--config", cfg, *seed, "--manifest", tmp_path / "in.jsonl",
+               "--out-dir", tmp_path) == 0
+    assert report_of(tmp_path, "label")["seed"] == recorded
 
 
 # ---------------------------------------------------------------------------
@@ -820,11 +862,11 @@ def _top_level(command, payload):
     return case
 
 
-def _lexicon_file(payload, name=None):
+def _lexicon_file(payload, name=None, named="lex.json"):
     def case(tmp_path, pipeline):
         _flat_manifest(tmp_path / "in.jsonl", n=2)
         lex = _write_json(tmp_path / "lex.json", payload)
-        return ["label", "--manifest", tmp_path / "in.jsonl", "--lexicon", lex], "lex.json"
+        return ["label", "--manifest", tmp_path / "in.jsonl", "--lexicon", lex], named
     case.__name__ = f"lexicon_{name or type(payload).__name__}"
     return case
 
@@ -913,6 +955,8 @@ def _manifest_unknown_key(tmp_path, pipeline):
                   "mention_not_str"),
     _lexicon_file({"mentions": {}, "negations": [], "uncertainties": [],
                    "negation_window": "6"}, "window_str"),
+    _lexicon_file(_name_lexicon(mentions={**_NAMES, "Edema": ["edema"]}), "mention_key_unknown",
+                  "lex.json: lexicon mentions: unknown key 'Edema'"),
     _prompts_list,
     _prompts_file("class_int", atelectasis=5),
     _prompts_file("prompt_int", edema=["x", 1]),

@@ -1,11 +1,11 @@
 """Labeler, split, subset, vocabulary, and synthetic-generator tests."""
 
 import json
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glre.datapipe import (
@@ -29,6 +29,7 @@ from glre.datapipe import (
 )
 from glre.errors import SplitSizeError, VocabularyError
 
+import label_oracle
 from golden_corpus import GOLDEN
 
 
@@ -135,6 +136,62 @@ def test_lexicon_json_round_trip(tmp_path):
     assert back.negations == lex.negations
     assert back.uncertainties == lex.uncertainties
     assert back.negation_window == lex.negation_window
+
+
+def test_lexicon_is_frozen_and_its_index_is_no_field():
+    lex = default_lexicon()
+    with pytest.raises(FrozenInstanceError):
+        lex.negation_window = 2
+    with pytest.raises(FrozenInstanceError):
+        lex.mentions = {}
+    assert set(asdict(lex)) == {"mentions", "negations", "uncertainties", "negation_window"}
+
+
+# phrases and reports over a few words, so phrases often share first tokens,
+# overlap or are prefixes of one another and reports repeat them
+_WORDS = ["a", "b", "no", "not", "maybe"]
+_EDGES = [".", ",", ";", ":", "(", ")", "?", "'", "..."]
+
+
+def _word(words):
+    """A word, now and then with edge punctuation (sentence ends among it)."""
+    return st.sampled_from(words * 16 + [w + e for w in words for e in _EDGES]
+                           + [e + w for w in words for e in _EDGES])
+
+
+def _phrase(words):
+    return st.lists(_word(words), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _labeler_case(draw):
+    lexicon = Lexicon(
+        mentions={name: draw(st.lists(_phrase(_WORDS + ["A", "No"]), min_size=1, max_size=3))
+                  for name in PATHOLOGIES},
+        negations=draw(st.lists(_phrase(_WORDS), min_size=1, max_size=3)),
+        uncertainties=draw(st.lists(_phrase(_WORDS), max_size=1)),
+        negation_window=draw(st.integers(0, 8)))
+    text = " ".join(draw(st.lists(_word(_WORDS + ["c"]), min_size=3, max_size=16)))
+    return text, lexicon
+
+
+def _last_word_lexicon(window):
+    """Each pathology's one mention is the last word of its name."""
+    return Lexicon(mentions={name: [name.split()[-1]] for name in PATHOLOGIES},
+                   negations=["no", "no evidence"], uncertainties=["maybe"],
+                   negation_window=window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_labeler_case())
+@example(case=("", _last_word_lexicon(0)))
+@example(case=(" .;: ... (", _last_word_lexicon(0)))
+@example(case=("effusion no; no evidence edema: (atelectasis) maybe", _last_word_lexicon(0)))
+@example(case=("no x x edema. no x x x consolidation. no cardiomegaly x x x cardiomegaly",
+               _last_word_lexicon(2)))
+def test_label_report_agrees_with_the_per_phrase_scan(case):
+    text, lexicon = case
+    assert label_report(text, lexicon) == label_oracle.label_report(text, lexicon)
 
 
 def test_label_matrix_policies():

@@ -75,7 +75,7 @@ from .errors import (
     VersionError,
     check_number,
 )
-from .files import reading, write_csv, write_json
+from .files import reading, step_log, write_csv, write_json
 from .metrics import aggregate_auc, roc_auc
 from .numerics import Tensor
 from .trainer import TrainConfig, encode_report, load_checkpoint, save_checkpoint, train
@@ -246,7 +246,7 @@ def _write_scores(path, ids, scores) -> None:
 
 def _read_scores(path):
     expected = ["study_id", *PATHOLOGIES]
-    ids, rows = [], []
+    line_of, rows = {}, []  # each study id's line in the file; its scores
     with reading(path) as data:
         reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
         header = next(reader, None)
@@ -256,12 +256,15 @@ def _read_scores(path):
             n = reader.line_num  # the file's line: a quoted newline puts it past the row
             if len(line) != len(expected):
                 raise FormatError(f"line {n}: expected {len(expected)} fields, got {len(line)}")
-            ids.append(line[0])
+            if line[0] in line_of:
+                raise ConsistencyError(f"scores {path} line {n}: study_id {line[0]!r} "
+                                       f"repeats line {line_of[line[0]]}")
+            line_of[line[0]] = n
             try:
                 rows.append([float(v) for v in line[1:]])
             except ValueError as exc:
                 raise FormatError(f"line {n}: {exc}") from exc
-    return ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(PATHOLOGIES))
+    return list(line_of), np.asarray(rows, dtype=np.float64).reshape(len(rows), len(PATHOLOGIES))
 
 
 def _roc_curves(s):
@@ -325,6 +328,8 @@ def _parse_sizes(spec: str) -> dict:
         name, _, value = part.partition("=")
         if not name or not value:
             raise ValueError(f"--sizes entries look like name=count, got {part!r}")
+        if name in sizes:
+            raise ValueError(f"--sizes names split {name!r} twice")
         sizes[name] = value if value == "rest" else int(value)
     if not sizes:
         raise ValueError("--sizes named no splits")
@@ -397,8 +402,8 @@ def _cmd_train(s, out_dir: Path) -> RunReport:
     _attach_images(records, manifest, tcfg.region_grid)
     resume_path = s.get("resume")
     resume = load_checkpoint(resume_path) if resume_path else None
-    ckpt = train(records, tcfg, log_path=out_dir / "train_log.jsonl",
-                 resume_from=resume)
+    ckpt = train(records, tcfg, resume_from=resume,
+                 on_step=step_log(out_dir / "train_log.jsonl"))
     save_checkpoint(ckpt, out_dir / "checkpoint.bin")
     return RunReport(
         seed=tcfg.seed,

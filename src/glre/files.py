@@ -5,7 +5,7 @@ block, decoding text as UTF-8, so a malformed input of any kind is reported
 the same way: a format error that starts with the file's path. Every writer
 builds its whole file in memory and hands it to `write_file`, so a write that
 fails part-way leaves any earlier file as it was and no temp file behind.
-`trainer.train`'s step log, appended a line per step, is the one exception.
+`step_log`, the training loss log appended a line per step, is the one exception.
 """
 
 import csv
@@ -59,3 +59,19 @@ def write_csv(path, header, rows) -> None:
     csv.writer(buf).writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
                               for row in [header, *rows])
     write_file(path, buf.getvalue())
+
+
+def step_log(path):
+    """The `on_step` hook of `trainer.train` that keeps a JSON-lines loss log at `path`.
+    Its start call, given the start step k, cuts the log to its first k lines, creating
+    it if absent; each step call appends that step's line and closes the file, so a
+    crashed run keeps every step it logged."""
+    def on_step(step, loss=None):
+        with open(path, "a+b") as fh:  # in append mode every write goes to the end
+            if loss is None:
+                fh.seek(0)
+                fh.truncate(sum(len(line) for _, line in zip(range(step), fh)))
+            else:
+                row = {"step": step, **loss.as_dict()}
+                fh.write(json.dumps(row, sort_keys=True).encode() + b"\n")
+    return on_step

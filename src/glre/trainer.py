@@ -9,15 +9,13 @@ stream of an uninterrupted one and reproduces it bit for bit.
 The parameters have one flat layout, encoders.param_shapes in PARAM_NAMES
 order: Adam updates them as one vector with moments in the same layout, and
 a GLCK1 checkpoint stores parameters, m and v as one payload. A SHA-256 of
-everything before it ends the file, and the loader checks it first. Unlike
-the checkpoint, written whole by `files.write_file`, the step log is appended.
+everything before it ends the file, and the loader checks it first. The
+checkpoint is written whole by `files.write_file`; `train` writes no file.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import itertools
 import json
 import math
 import struct
@@ -69,7 +67,7 @@ class TrainConfig:
     vocab_size: int | None = None
 
     def __post_init__(self):
-        for name, minimum in (("batch_size", 1), ("steps", 0), ("seed", 0), ("dim", 1),
+        for name, minimum in (("batch_size", 2), ("steps", 0), ("seed", 0), ("dim", 1),
                               ("patch_pool", 1), ("max_length", 1)):
             check_number(name, getattr(self, name), integer=True, minimum=minimum)
         for name in ("learning_rate", "beta1", "beta2", "epsilon", "init_scale"):
@@ -197,17 +195,17 @@ def _prepare(records, config: TrainConfig, vocab: Vocabulary):
     return patches, sequences
 
 
-def train(records, config: TrainConfig, log_path=None,
-          resume_from: Checkpoint | None = None) -> Checkpoint:
+def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
+          on_step=None) -> Checkpoint:
     """Run `config.steps` total optimization steps over paired studies.
 
     Batches walk a seeded epoch permutation; a leftover chunk of fewer than
     2 studies is dropped and a fresh epoch begins. A fresh run is a resume
     from `initial_checkpoint(records, config)`: either way the random
     stream, moments, and epoch position continue from the start state, so a
-    resumed run is bit-identical to one that never stopped. The log at
-    `log_path` keeps one existing line per step of the start state (none for
-    a fresh run), and the new steps follow them.
+    resumed run is bit-identical to one that never stopped. Once every input
+    check has passed, `on_step(k)` is called with the start step k, then
+    `on_step(step, loss)` after each step's update with its LossBreakdown.
     """
     if len(records) < 2:
         raise InsufficientDataError(f"training needs at least 2 paired studies, got {len(records)}")
@@ -230,32 +228,27 @@ def train(records, config: TrainConfig, log_path=None,
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
 
-    with open(log_path, "a+b") if log_path else contextlib.nullcontext() as log_fh:
-        if log_fh is not None:
-            # a log that runs past the start state would repeat its later steps
-            log_fh.seek(0)
-            log_fh.truncate(sum(map(len, itertools.islice(log_fh, state.step))))
-        for step in range(state.step, config.steps):
-            if n - pointer < 2:
-                order = list(rng.permutation(n))
-                pointer = 0
-            take = min(config.batch_size, n - pointer)
-            batch = order[pointer : pointer + take]
-            pointer += take
+    if on_step is not None:
+        on_step(state.step)
+    for step in range(state.step, config.steps):
+        if n - pointer < 2:
+            order = list(rng.permutation(n))
+            pointer = 0
+        take = min(config.batch_size, n - pointer)
+        batch = order[pointer : pointer + take]
+        pointer += take
 
-            with GradTape() as tape:
-                imgs = encode_image_patches([patches[i] for i in batch], params)
-                txts = encode_text_toy([sequences[i] for i in batch], params)
-                breakdown = total_loss(imgs, txts, config.loss)
-                backward(breakdown.total, tape)
-            grads = {name: p.grad for name, p in params.parameters().items()}
-            optimizer_step(params, grads, adam, config)
-            for p in params.parameters().values():
-                p.zero_grad()
-
-            if log_fh is not None:
-                row = {"step": step, **breakdown.as_dict()}
-                log_fh.write(json.dumps(row, sort_keys=True).encode() + b"\n")
+        with GradTape() as tape:
+            imgs = encode_image_patches([patches[i] for i in batch], params)
+            txts = encode_text_toy([sequences[i] for i in batch], params)
+            breakdown = total_loss(imgs, txts, config.loss)
+            backward(breakdown.total, tape)
+        grads = {name: p.grad for name, p in params.parameters().items()}
+        optimizer_step(params, grads, adam, config)
+        for p in params.parameters().values():
+            p.zero_grad()
+        if on_step is not None:
+            on_step(step, breakdown)
 
     return Checkpoint(
         params=params, adam=adam, step=config.steps, config=config, vocab=state.vocab,

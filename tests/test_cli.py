@@ -369,6 +369,92 @@ def test_fresh_run_replaces_a_longer_log(pipeline, tmp_path):
     assert len((a / "train_log.jsonl").read_bytes().splitlines()) == 2
 
 
+def _train_config(path, steps, **settings):
+    return _write_json(path, {"train": {"steps": steps, "dim": 16, "batch_size": 8,
+                                        **settings}})
+
+
+def test_every_logged_step_is_on_disk_when_its_step_ends(pipeline, tmp_path, monkeypatch):
+    # a step's line is written and closed before the next step's update, so a
+    # second handle sees lines 0..t-1 as step t updates
+    log = tmp_path / "out" / "train_log.jsonl"
+    on_disk = []
+    real_step = trainer.optimizer_step
+
+    def counting_step(params, grads, state, config):
+        on_disk.append(len(log.read_bytes().splitlines()))
+        real_step(params, grads, state, config)
+
+    monkeypatch.setattr(trainer, "optimizer_step", counting_step)
+    assert run("train", "--config", _train_config(tmp_path / "cfg.json", 30), "--seed", 5,
+               "--manifest", pipeline["data"] / "train.jsonl", "--out-dir", tmp_path / "out") == 0
+    assert on_disk == list(range(30))
+    assert len(log.read_bytes().splitlines()) == 30
+
+
+# each case of a rejected resume returns the manifest to resume on, the
+# resume config's changes and the error that must name the rejection
+
+
+def _other_dim(tmp_path, pipeline):
+    return pipeline["data"] / "train.jsonl", {"dim": 8}, "produced under a different configuration"
+
+
+def _unknown_token_manifest(tmp_path, pipeline):
+    """The pipeline's training studies, one report holding a word outside its vocabulary."""
+    rows = [json.loads(line) for line in (pipeline["data"] / "train.jsonl").read_text()
+            .splitlines()]
+    for row in rows:
+        row["image_path"] = str(pipeline["data"] / row["image_path"])
+    rows[7]["report"] += " zebra"
+    (tmp_path / "in.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return tmp_path / "in.jsonl", {}, "unknown token 'zebra'"
+
+
+@pytest.mark.parametrize("case", [_other_dim, _unknown_token_manifest],
+                         ids=lambda case: case.__name__.lstrip("_"))
+def test_rejected_resume_leaves_the_log_as_it_was(pipeline, tmp_path, capsys, case):
+    # the log holds steps 0-3 and the checkpoint is at step 2: a resume that
+    # cut the log before its inputs were checked would leave 2 lines
+    manifest = pipeline["data"] / "train.jsonl"
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("train", "--config", _train_config(tmp_path / "two.json", 2), "--seed", 5,
+               "--manifest", manifest, "--out-dir", a) == 0
+    assert run("train", "--config", _train_config(tmp_path / "four.json", 4), "--seed", 5,
+               "--manifest", manifest, "--out-dir", b) == 0
+    before = (b / "train_log.jsonl").read_bytes()
+    resume_on, settings, named = case(tmp_path, pipeline)
+    cfg = _train_config(tmp_path / "resume.json", 4, **settings)
+    capsys.readouterr()
+    assert run("train", "--config", cfg, "--seed", 5, "--manifest", resume_on,
+               "--resume", a / "checkpoint.bin", "--out-dir", b) == 1
+    assert named in capsys.readouterr().err
+    assert (b / "train_log.jsonl").read_bytes() == before
+
+
+def test_zero_steps_cut_the_log_to_the_start_step(pipeline, tmp_path):
+    # a fresh zero-step run keeps none of an existing log; a resume with no
+    # steps left keeps the checkpoint's steps and no more
+    manifest = pipeline["data"] / "train.jsonl"
+    a, b = tmp_path / "a", tmp_path / "b"
+    two, four = (_train_config(tmp_path / f"{n}.json", n) for n in (2, 4))
+    assert run("train", "--config", four, "--seed", 5, "--manifest", manifest,
+               "--out-dir", a) == 0
+    assert run("train", "--config", _train_config(tmp_path / "zero.json", 0), "--seed", 5,
+               "--manifest", manifest, "--out-dir", a) == 0
+    assert (a / "train_log.jsonl").read_bytes() == b""
+
+    assert run("train", "--config", two, "--seed", 5, "--manifest", manifest,
+               "--out-dir", a) == 0
+    assert run("train", "--config", four, "--seed", 5, "--manifest", manifest,
+               "--out-dir", b) == 0
+    four_steps = (b / "train_log.jsonl").read_bytes()
+    assert run("train", "--config", two, "--seed", 5, "--manifest", manifest,
+               "--resume", a / "checkpoint.bin", "--out-dir", b) == 0
+    assert (b / "train_log.jsonl").read_bytes() == b"".join(four_steps.splitlines(True)[:2])
+    assert (b / "checkpoint.bin").read_bytes() == (a / "checkpoint.bin").read_bytes()
+
+
 @pytest.mark.parametrize("steps", [1, 2])
 def test_resume_on_studies_outside_checkpoint_order_exits_1(tmp_path, capsys, steps):
     # after 1 step at B=4 the saved epoch order indexes past the 8 studies
@@ -624,6 +710,94 @@ def test_bad_sizes_value_exits_1(tmp_path, capsys):
     _flat_manifest(tmp_path / "in.jsonl", n=4)
     assert run("split", "--manifest", tmp_path / "in.jsonl",
                "--sizes", "train", "--out-dir", tmp_path) == 1
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("train=2,train=3", "--sizes names split 'train' twice"),
+    (",", "--sizes named no splits"),
+], ids=["repeated", "empty"])
+def test_sizes_that_name_a_split_twice_or_none_exit_1(tmp_path, capsys, spec, named):
+    _flat_manifest(tmp_path / "in.jsonl", n=6)
+    out = tmp_path / "out"
+    assert run("split", "--manifest", tmp_path / "in.jsonl", "--sizes", spec,
+               "--out-dir", out) == 1
+    assert named in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "export-roc"])
+def test_scores_that_repeat_a_study_exit_1_naming_both_lines(tmp_path, capsys, command):
+    # a repeated row would count that study's labels twice
+    _separable_case(tmp_path)
+    scores = tmp_path / "scores.csv"
+    lines = scores.read_text().splitlines(keepends=True)
+    scores.write_text("".join(lines + lines[2:3]))
+    out = tmp_path / "out"
+    assert run(command, "--scores", scores, "--labels", tmp_path / "labels.jsonl",
+               "--out-dir", out) == 1
+    assert f"scores {scores} line 12: study_id 's1' repeats line 3" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_export_roc_with_single_class_labels_exits_1(tmp_path, capsys):
+    records = [StudyRecord(study_id=f"s{i}", labels=LabelVector((0,) * len(PATHOLOGIES)))
+               for i in range(4)]
+    write_manifest(records, tmp_path / "labels.jsonl")
+    (tmp_path / "scores.csv").write_text("".join(
+        ",".join(row) + "\n" for row in [["study_id", *PATHOLOGIES],
+                                         *([r.study_id, *"01010"] for r in records)]))
+    assert run("export-roc", "--scores", tmp_path / "scores.csv",
+               "--labels", tmp_path / "labels.jsonl", "--out-dir", tmp_path / "out") == 1
+    assert "no pathology had both label classes present" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_export_embeddings_of_nothing_exits_1(pipeline, tmp_path, capsys):
+    # no image and a blank report: the study has no entry to export
+    write_manifest([StudyRecord(study_id="empty", report_text="  ")], tmp_path / "in.jsonl")
+    assert run("export-embeddings", "--checkpoint", pipeline["checkpoint"],
+               "--manifest", tmp_path / "in.jsonl", "--out-dir", tmp_path / "out") == 1
+    assert "no images or reports to export" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_train_batch_size_1_exits_1_naming_it(pipeline, tmp_path, capsys, monkeypatch):
+    # InfoNCE over one pair has no negatives: every loss is 0 and nothing trains
+    cfg = _write_json(tmp_path / "cfg.json", {"train": {"steps": 2, "dim": 8, "batch_size": 1}})
+    monkeypatch.setattr(glre.cli, "read_pgm", lambda path: pytest.fail(f"read {path}"))
+    assert run("train", "--config", cfg, "--manifest", pipeline["data"] / "train.jsonl",
+               "--out-dir", tmp_path / "out") == 1
+    assert "batch_size must be >= 2, got 1" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_train_with_a_vocab_size_the_dataset_lacks_exits_1(pipeline, tmp_path, capsys):
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {"train": {"steps": 2, "dim": 8, "batch_size": 4, "vocab_size": 3}})
+    vocab = len(load_checkpoint(pipeline["checkpoint"]).vocab)
+    assert run("train", "--config", cfg, "--manifest", pipeline["data"] / "train.jsonl",
+               "--out-dir", tmp_path / "out") == 1
+    assert f"config expects vocabulary of 3, dataset has {vocab}" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def _checkpoint_with_header(path, header: bytes, header_len: int):
+    """A GLCK1 file of version 3 whose header is `header`, with a valid SHA-256 trailer."""
+    body = b"GLCK1" + struct.pack("<II", 3, header_len) + header
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
+
+
+@pytest.mark.parametrize("header, header_len, named", [
+    (b'{"step": 0}', 64, "truncated checkpoint header"),
+    (b'{"step": \xff}', 11, "unreadable checkpoint header"),
+], ids=["truncated", "not_utf8"])
+def test_checkpoint_header_past_the_trailer_or_unreadable_exits_2(pipeline, tmp_path, capsys,
+                                                                  header, header_len, named):
+    ckpt = _checkpoint_with_header(tmp_path / "bad.bin", header, header_len)
+    assert run("zeroshot", "--checkpoint", ckpt,
+               "--manifest", pipeline["data"] / "heldout.jsonl", "--out-dir", tmp_path / "out") == 2
+    assert f"{ckpt}: {named}" in capsys.readouterr().err
 
 
 def test_truncated_checkpoint_exits_2(pipeline, tmp_path, capsys):

@@ -190,7 +190,7 @@ def direct_reads(path: Path) -> set[tuple[str, str]]:
 
 
 def test_scan_finds_the_write_in_the_files_module():
-    assert direct_writes(SRC / "files.py") == {("write_file", "open")}
+    assert direct_writes(SRC / "files.py") == {("write_file", "open"), ("on_step", "open")}
 
 
 def test_scan_finds_the_read_in_the_files_module():
@@ -198,11 +198,10 @@ def test_scan_finds_the_read_in_the_files_module():
 
 
 def test_only_the_files_module_writes_files():
-    # trainer.train appends the step log a line per step; every other output
-    # is written whole through glre.files
+    # every output is written through glre.files, the step log included
     found = {(p.name, scope, call) for p in sorted(SRC.glob("*.py")) if p.name != "files.py"
              for scope, call in direct_writes(p)}
-    assert found == {("trainer.py", "train", "open")}
+    assert found == set()
 
 
 def test_only_the_files_module_reads_files():

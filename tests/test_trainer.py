@@ -17,6 +17,7 @@ from glre.errors import (
     VersionError,
 )
 from glre import files
+from glre.files import step_log
 from glre.numerics import Tensor
 from glre.trainer import (
     AdamState,
@@ -226,8 +227,8 @@ def test_same_seed_identical_log_files(tmp_path):
     records = small_dataset()
     cfg = small_config(steps=25)
     p1, p2 = tmp_path / "log1.jsonl", tmp_path / "log2.jsonl"
-    train(records, cfg, log_path=p1)
-    train(records, cfg, log_path=p2)
+    train(records, cfg, on_step=step_log(p1))
+    train(records, cfg, on_step=step_log(p2))
     assert p1.read_bytes() == p2.read_bytes()
     rows = [json.loads(line) for line in p1.read_text().splitlines()]
     assert [r["step"] for r in rows] == list(range(25))
@@ -243,7 +244,7 @@ def test_initial_loss_near_log_batch_size(tmp_path):
     records = small_dataset()
     cfg = small_config(steps=1, batch_size=8)
     log = tmp_path / "log.jsonl"
-    train(records, cfg, log_path=log)
+    train(records, cfg, on_step=step_log(log))
     first = json.loads(log.read_text().splitlines()[0])
     for key in ("global_i2t", "global_t2i", "local_i2t", "local_t2i"):
         assert 0.0 < first[key] < math.log(8) + 2.5
@@ -253,7 +254,7 @@ def test_loss_moving_average_decreases(tmp_path):
     records = small_dataset(n_train=64)
     cfg = small_config(steps=120, batch_size=8, dim=24)
     log = tmp_path / "log.jsonl"
-    train(records, cfg, log_path=log)
+    train(records, cfg, on_step=step_log(log))
     totals = [json.loads(line)["total"] for line in log.read_text().splitlines()]
     window = 20
     averages = [np.mean(totals[i : i + window])
@@ -379,13 +380,13 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     half_cfg = small_config(steps=20)
 
     log_full = tmp_path / "full.jsonl"
-    full = train(records, full_cfg, log_path=log_full)
+    full = train(records, full_cfg, on_step=step_log(log_full))
 
     log_resume = tmp_path / "resume.jsonl"
-    half = train(records, half_cfg, log_path=log_resume)
+    half = train(records, half_cfg, on_step=step_log(log_resume))
     mid_path = tmp_path / "mid.ck"
     save_checkpoint(half, mid_path)
-    resumed = train(records, full_cfg, log_path=log_resume,
+    resumed = train(records, full_cfg, on_step=step_log(log_resume),
                     resume_from=load_checkpoint(mid_path))
 
     for k in full.params.parameters():

@@ -240,8 +240,7 @@ def _out_key(path: Path, out_dir: Path) -> str:
 
 
 def _write_scores(path, ids, scores) -> None:
-    write_csv(path, ["study_id", *PATHOLOGIES],
-              ([sid, *row] for sid, row in zip(ids, np.asarray(scores, dtype=np.float64))))
+    write_csv(path, ["study_id", *PATHOLOGIES], [ids, *np.asarray(scores, dtype=np.float64).T])
 
 
 def _read_scores(path):

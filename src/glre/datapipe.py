@@ -12,6 +12,7 @@ studies whose labels round-trip through the labeler.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 import string
@@ -286,7 +287,7 @@ def labels_to_matrix(label_vectors, uncertain_policy: str = "exclude"):
     """
     if uncertain_policy not in ("exclude", "pos", "neg"):
         raise ValueError(f"unknown uncertain policy {uncertain_policy!r}")
-    v = np.array([[np.nan if x is BLANK else x for x in lv.values] for lv in label_vectors],
+    v = np.array([lv.values for lv in label_vectors],  # a blank, None, becomes nan
                  dtype=np.float64).reshape(-1, len(PATHOLOGIES))
     uncertain = v == UNCERTAIN
     y = (v == POSITIVE) | (uncertain & (uncertain_policy == "pos"))
@@ -309,53 +310,78 @@ def label_matrix(records, uncertain_policy: str = "exclude"):
 
 def write_manifest(records, path) -> None:
     """One JSON object per line; images referenced by path, not inlined."""
-    write_file(path, "".join(json.dumps({
+    encode = json.JSONEncoder(sort_keys=True).encode
+    write_file(path, "".join(encode({
         "study_id": rec.study_id,
         "view": rec.view,
         "report": rec.report_text,
         "image_path": rec.image_path,
         "labels": rec.labels.as_list() if rec.labels is not None else None,
-    }, sort_keys=True) + "\n" for rec in records))
+    }) + "\n" for rec in records))
 
 
-def read_manifest(path) -> list[StudyRecord]:
-    """Parse a JSONL manifest (lines end at "\n"): each line needs `study_id` and `view`,
-    may add only `report`, `image_path` and `labels`, and no two share a `study_id`."""
-    records, first_line = [], {}
-    with reading(path) as data:
-        for n, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+_SCAN = json.JSONDecoder().scan_once
+_SPACES = re.compile(r"[ \t\r]*").match  # the blanks json.loads skips around a line's value
+_KEYS = frozenset({"study_id", "view", "report", "image_path", "labels"})
+
+
+def _manifest_rows(text: str):
+    """(line number, JSON value) for each non-blank line of `text`, lines ending at "\n".
+
+    The C scanner reads each value in place in `text`. A line it does not read whole,
+    from the line's first non-blank character to its end, goes to json.loads on its
+    own, so every value and every error is the one json.loads gives for that line.
+    """
+    stops = itertools.chain((m.start() for m in re.finditer("\n", text)), [len(text)])
+    start = 0
+    for n, stop in enumerate(stops, start=1):
+        line_start, start = start, stop + 1
+        try:
+            row, end = _SCAN(text, _SPACES(text, line_start).end())
+        except (StopIteration, ValueError):
+            end = -1
+        if end < 0 or _SPACES(text, end).end() != stop:
+            line = text[line_start:stop]
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"line {n} column {exc.colno}: {exc.msg}") from exc
-            if not isinstance(row, dict) or not {"study_id", "view"} <= row.keys():
+        yield n, row
+
+
+def read_manifest(path) -> list[StudyRecord]:
+    """Parse a JSONL manifest (lines end at "\n"): each line needs `study_id` and `view`,
+    may add only `report`, `image_path` and `labels`, and no two share a `study_id`."""
+    records, first_line, vectors = [], {}, {}  # vectors: one LabelVector per labels tuple
+    with reading(path) as data:
+        for n, row in _manifest_rows(data.decode("utf-8")):
+            # JSON yields exact types, so `type(x) is str` accepts what isinstance accepts
+            if type(row) is not dict or "study_id" not in row or "view" not in row:
                 raise FormatError(f"line {n}: expected a JSON object with 'study_id' and 'view'")
-            unknown = row.keys() - {"study_id", "view", "report", "image_path", "labels"}
-            if unknown:
-                raise FormatError(f"line {n}: unknown key {min(unknown)!r}")
-            report, labels = row.get("report", ""), row.get("labels")
+            if not row.keys() <= _KEYS:
+                raise FormatError(f"line {n}: unknown key {min(row.keys() - _KEYS)!r}")
+            study_id, report, labels = row["study_id"], row.get("report", ""), row.get("labels")
             # labels are ints or null: a JSON true or 1.0 equals 1 but is no label
-            if not (isinstance(row["study_id"], str) and isinstance(row["view"], str)
-                    and isinstance(report, str)
-                    and isinstance(row.get("image_path"), (str, type(None)))
-                    and isinstance(labels, (list, type(None)))
-                    and all(v is None or type(v) is int for v in labels or ())):
+            if not (type(study_id) is str and type(row["view"]) is str and type(report) is str
+                    and type(row.get("image_path")) in (str, type(None))
+                    and (labels is None or type(labels) is list
+                         and set(map(type, labels)) <= {int, type(None)})):
                 raise FormatError(f"line {n}: 'study_id', 'view' and 'report' must be "
                                   f"strings, 'image_path' a string or null and 'labels' a "
                                   f"list of integers or nulls")
-            if row["study_id"] in first_line:
-                raise ConsistencyError(f"manifest {path} line {n}: study_id {row['study_id']!r} "
-                                       f"repeats line {first_line[row['study_id']]}")
-            first_line[row["study_id"]] = n
-            records.append(StudyRecord(
-                study_id=row["study_id"],
-                view=row["view"],
-                report_text=report,
-                image_path=row.get("image_path"),
-                labels=LabelVector(tuple(labels)) if labels is not None else None,
-            ))
+            if study_id in first_line:
+                raise ConsistencyError(f"manifest {path} line {n}: study_id {study_id!r} "
+                                       f"repeats line {first_line[study_id]}")
+            first_line[study_id] = n
+            if labels is not None:
+                labels = tuple(labels)
+                if labels not in vectors:
+                    vectors[labels] = LabelVector(labels)
+                labels = vectors[labels]
+            records.append(StudyRecord(study_id=study_id, view=row["view"], report_text=report,
+                                       image_path=row.get("image_path"), labels=labels))
     return records
 
 
@@ -365,11 +391,9 @@ def filter_with_report(records) -> list[StudyRecord]:
 
 
 def manifest_hash(records) -> str:
-    h = hashlib.sha256()
-    for rec in records:
-        h.update(rec.study_id.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+    """SHA-256 of the study ids in order, each UTF-8 encoded and followed by a NUL byte."""
+    return hashlib.sha256(b"".join(rec.study_id.encode("utf-8") + b"\0"
+                                   for rec in records)).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,19 @@ Every reader takes a file's bytes from `reading` and parses them inside its
 block, decoding text as UTF-8, so a malformed input of any kind is reported
 the same way: a format error that starts with the file's path. Every writer
 builds its whole file in memory and hands it to `write_file`, so a write that
-fails part-way leaves any earlier file as it was and no temp file behind.
+fails part-way leaves any earlier file as it was and no temp file behind;
+`write_csv` takes its table as columns and quotes only the string ones.
 `step_log`, the training loss log appended a line per step, is the one exception.
 """
 
 import csv
-import io
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .errors import FormatError, VersionError
 
@@ -53,12 +56,20 @@ def write_json(path, obj) -> None:
     write_file(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path, header, rows) -> None:
-    """The header, then the rows; numbers go in as repr, so they read back exactly."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
-                              for row in [header, *rows])
-    write_file(path, buf.getvalue())
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it: quoted, quotes doubled, if it holds a comma, a quote
+    or a line break."""
+    return '"' + text.replace('"', '""') + '"' if re.search(r'[,"\r\n]', text) else text
+
+
+def write_csv(path, header, columns) -> None:
+    """The header, then one row per column entry, each ending in "\r\n": for rows of two or
+    more fields, the bytes csv.writer writes. A numpy column is written as the repr of each
+    float, so it reads back exactly; any other column holds strings."""
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else map(_csv_field, col)
+             for col in columns]
+    write_file(path, "".join(",".join(row) + "\r\n"
+                             for row in [map(_csv_field, header), *zip(*cells)]))
 
 
 def step_log(path):

@@ -29,7 +29,7 @@ class RocCurve:
     n_neg: int
 
     def write_csv(self, path) -> None:
-        write_csv(path, ["fpr", "tpr", "threshold"], zip(self.fpr, self.tpr, self.thresholds))
+        write_csv(path, ["fpr", "tpr", "threshold"], [self.fpr, self.tpr, self.thresholds])
 
 
 def roc_auc(scores, labels) -> RocCurve:

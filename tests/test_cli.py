@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -669,7 +670,10 @@ def test_no_command_exits_1(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    for name in ("label", "split", "subset", "synth", "train", "probe", "zeroshot", "eval",
+                 "export-embeddings", "export-roc"):
+        assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name  # its help line
 
 
 def test_missing_required_flag_exits_1(capsys):

@@ -1,5 +1,7 @@
 """Labeler, split, subset, vocabulary, and synthetic-generator tests."""
 
+import hashlib
+import itertools
 import json
 from dataclasses import FrozenInstanceError, asdict
 
@@ -20,7 +22,9 @@ from glre.datapipe import (
     filter_with_report,
     label_matrix,
     label_report,
+    labels_to_matrix,
     make_splits,
+    manifest_hash,
     read_manifest,
     split_sentences,
     synth_paired_dataset,
@@ -210,6 +214,16 @@ def test_label_matrix_policies():
         label_matrix(recs, uncertain_policy="drop-all")
 
 
+@pytest.mark.parametrize("policy", ["exclude", "pos", "neg"])
+def test_labels_to_matrix_on_every_label_vector(policy):
+    vectors = [LabelVector(v) for v in itertools.product((1, 0, -1, None), repeat=5)]
+    y, mask = labels_to_matrix(vectors, uncertain_policy=policy)
+    assert y.dtype == np.float64 and y.shape == mask.shape == (1024, 5)
+    for lv, y_row, mask_row in zip(vectors, y.tolist(), mask.tolist()):
+        assert y_row == [float(v == 1 or v == -1 and policy == "pos") for v in lv.values]
+        assert mask_row == [v != -1 or policy != "exclude" for v in lv.values]
+
+
 # ---------------------------------------------------------------------------
 # manifests and filters
 # ---------------------------------------------------------------------------
@@ -259,6 +273,16 @@ def test_manifest_lines_end_only_at_newline(tmp_path):
                                         ensure_ascii=False) + "\r\n"
                              for i, r in enumerate(reports)).encode("utf-8"))
     assert [r.report_text for r in read_manifest(path)] == reports
+
+
+@pytest.mark.parametrize("ids", [[], ["a"], ["s0", "b,c", "café", "", "\u2028"]],
+                         ids=["empty", "one", "several"])
+def test_manifest_hash_digests_the_ids_as_the_per_id_loop_did(ids):
+    h = hashlib.sha256()
+    for sid in ids:  # the first form: one update for each id and one for its NUL
+        h.update(sid.encode("utf-8"))
+        h.update(b"\x00")
+    assert manifest_hash([StudyRecord(sid) for sid in ids]) == h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

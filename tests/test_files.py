@@ -3,12 +3,16 @@ and a rename, and nothing else reads or writes."""
 
 import ast
 import csv
+import io
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glre import files
 from glre.cli import _write_scores
@@ -98,6 +102,29 @@ def test_write_file_replaces_the_whole_file(tmp_path):
     files.write_file(path, "short\n")
     assert path.read_bytes() == b"short\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+_fields = st.text(st.sampled_from(',"\r\n \taZé€\u2028') | st.characters(), max_size=6)
+_floats = st.floats() | st.sampled_from([math.inf, -math.inf, -0.0, math.nan, 5e-324, 1e308])
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(_fields, min_size=n, max_size=n) | st.none(),  # a study_id column, or none
+    st.lists(st.lists(_floats, min_size=n, max_size=n), min_size=1, max_size=3))),
+    header=st.lists(_fields, min_size=4, max_size=4))
+def test_write_csv_writes_the_bytes_csv_writer_writes(tmp_path_factory, table, header):
+    ids, floats = table
+    columns = [*([ids] if ids is not None else []), *map(np.array, floats)]
+    if len(columns) < 2:  # csv.writer quotes an empty field when it is a row's only one
+        columns.append(np.array(floats[0]))
+    header = header[:len(columns)]
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    files.write_csv(path, header, columns)
+    buf = io.StringIO()  # the first form: csv.writer over rows, numbers as repr
+    csv.writer(buf).writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
+                              for row in [header, *zip(*columns)])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def _raise_in_reading(path, exc):

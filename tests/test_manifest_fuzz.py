@@ -1,8 +1,13 @@
-"""Fuzz of the manifest reader through the CLI: any JSON value in any field.
+"""Fuzz of the manifest reader: any JSON value in any field, and damaged files.
 
 One line of a three-line manifest gets an arbitrary JSON value in one field,
 and `glre label` and `glre split` read it. Neither may raise; each exits 0,
 1 or 2, and a value of the wrong type exits 2 under the CLI contract.
+
+A valid manifest damaged by inserted brackets, quotes, blanks and value
+fragments, deleted spans, split lines and joined lines must give
+`read_manifest` and the per-line reader it replaced (manifest_oracle.py)
+the same records, or the same exception and message.
 """
 
 import json
@@ -11,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import manifest_oracle
 from glre.cli import main
+from glre.datapipe import read_manifest
+from glre.errors import FormatError
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
@@ -61,3 +69,75 @@ def test_any_manifest_field_value_exits_cleanly(work, field, value):
             assert code == 2, (argv[0], line)
         else:
             assert code in (0, 1), (argv[0], line)
+
+
+_BASE = "".join(line + end for line, end in zip([
+    '{"study_id": "s0", "view": "frontal", "report": "No edema.", "image_path": "0.pgm", '
+    '"labels": [1, 0, null, -1, null]}',
+    '{"labels": null, "report": "café \\"quoted\\", [x]", "study_id": "s1", "view": "lateral"}',
+    '  {"study_id": "s2", "view": "unknown", "labels": [0, 0, 0, 0, 1]}',
+    '{"study_id": "s3", "view": "frontal", "report": "", "image_path": null, '
+    '"labels": [1, 0, null, -1, null]}'], ["\n", "\r\n", "\n", "\n"]))
+
+_FRAGMENTS = ["{", "}", "[", "]", ",", ":", '"', "\\", "\r", "\x0c", "\xa0", "\ufeff", " ",
+              "\t", "1", "-1", "1.5", "1e999", "true", "null", "NaN", '"x"', "[1]", "{}",
+              '"view": "lateral"', '"study_id": "s0", ']
+
+_damage = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 999), st.sampled_from(_FRAGMENTS)),
+    st.tuples(st.just("delete"), st.integers(0, 999), st.integers(1, 12)),
+    st.tuples(st.just("insert"), st.integers(0, 999), st.just("\n")),  # split a line
+    st.tuples(st.just("join"), st.integers(0, 9), st.sampled_from(["", ",", ", "])))
+
+
+def _damaged(text: str, damage) -> str:
+    for kind, at, arg in damage:
+        if kind == "join":
+            ends = [i for i, c in enumerate(text) if c == "\n"]
+            if ends:
+                i = ends[at % len(ends)]
+                text = text[:i] + arg + text[i + 1:]
+        else:
+            at %= len(text) + 1
+            text = text[:at] + arg + text[at:] if kind == "insert" else text[:at] + text[at + arg:]
+    return text
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # the outcome compared is the exception's type and message
+        return type(exc), str(exc)
+
+
+def _assert_readers_agree(path, text: str):
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_manifest, path) == _outcome(manifest_oracle.read_manifest, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damage=st.lists(_damage, min_size=1, max_size=4))
+def test_read_manifest_agrees_with_the_per_line_reader(work, damage):
+    _assert_readers_agree(work / "damaged.jsonl", _damaged(_BASE, damage))
+
+
+def test_lines_valid_only_when_joined_are_rejected_as_the_per_line_reader_does(work):
+    # joined into one JSON array these three lines are three valid rows
+    path = work / "joined.jsonl"
+    _assert_readers_agree(path, '{"study_id": "a", "view": "frontal", "report": "x\ny"}\n'
+                                '{"study_id": "b", "view": "frontal"}, '
+                                '{"study_id": "c", "view": "frontal"}\n')
+    with pytest.raises(FormatError, match="line 1 column 48: Unterminated string"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("text", [
+    _BASE,
+    _BASE + "\xa0\x0c\n\n \t\r\n",  # blank to str.strip, not to the JSON scanner
+    "\ufeff" + _BASE,
+    _BASE.replace("}\n", "}\n[1,\n2]\n", 1),
+    # scanned from line 2, the array reaches an int that int() refuses: a ValueError
+    _BASE.replace("}\n", "}\n[1,\n" + "1" * 5001 + "]\n", 1),
+], ids=["valid", "unicode_blank", "bom", "array_across_lines", "long_int_across_lines"])
+def test_read_manifest_agrees_with_the_per_line_reader_on_fixed_cases(work, text):
+    _assert_readers_agree(work / "fixed.jsonl", text)

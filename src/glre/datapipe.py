@@ -338,7 +338,7 @@ def _manifest_rows(text: str):
         line_start, start = start, stop + 1
         try:
             row, end = _SCAN(text, _SPACES(text, line_start).end())
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end < 0 or _SPACES(text, end).end() != stop:
             line = text[line_start:stop]
@@ -348,6 +348,8 @@ def _manifest_rows(text: str):
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"line {n} column {exc.colno}: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise FormatError(f"line {n}: {exc}") from exc
         yield n, row
 
 
@@ -375,13 +377,16 @@ def read_manifest(path) -> list[StudyRecord]:
                 raise ConsistencyError(f"manifest {path} line {n}: study_id {study_id!r} "
                                        f"repeats line {first_line[study_id]}")
             first_line[study_id] = n
-            if labels is not None:
-                labels = tuple(labels)
-                if labels not in vectors:
-                    vectors[labels] = LabelVector(labels)
-                labels = vectors[labels]
-            records.append(StudyRecord(study_id=study_id, view=row["view"], report_text=report,
-                                       image_path=row.get("image_path"), labels=labels))
+            try:
+                if labels is not None:
+                    labels = tuple(labels)
+                    if labels not in vectors:
+                        vectors[labels] = LabelVector(labels)
+                    labels = vectors[labels]
+                records.append(StudyRecord(study_id=study_id, view=row["view"], report_text=report,
+                                           image_path=row.get("image_path"), labels=labels))
+            except ValueError as exc:  # the right type, out of range: the CLI's exit 1
+                raise ValueError(f"manifest {path} line {n}: {exc}") from exc
     return records
 
 
@@ -431,15 +436,10 @@ def make_splits(records, sizes: dict, seed: int) -> SplitManifest:
     if requested > len(ids):
         raise SplitSizeError(requested, len(ids))
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ids))
-    cursor = 0
-    splits: dict[str, list[str]] = {}
-    for name, size in counts.items():
-        splits[name] = [ids[i] for i in order[cursor : cursor + size]]
-        cursor += size
-    if rest_names:
-        splits[rest_names[0]] = [ids[i] for i in order[cursor:]]
+    order = np.random.default_rng(seed).permutation(len(ids))
+    # the piece past the last count is the remainder, kept only for a "rest" split
+    pieces = np.split(order, np.cumsum(list(counts.values()), dtype=int))
+    splits = {name: [ids[i] for i in piece] for name, piece in zip([*counts, *rest_names], pieces)}
     return SplitManifest(seed=int(seed), splits=splits, source_hash=manifest_hash(records))
 
 
@@ -452,26 +452,17 @@ def build_single_disease_subset(records, per_class_cap: int, seed: int) -> dict:
     """
     candidates: dict[str, list[str]] = {name: [] for name in PATHOLOGIES}
     for rec in records:
-        if rec.labels is None:
-            continue
-        vals = rec.labels.values
-        if UNCERTAIN in vals:
-            continue
-        pos = [i for i, v in enumerate(vals) if v == POSITIVE]
-        if len(pos) == 1:
-            candidates[PATHOLOGIES[pos[0]]].append(rec.study_id)
+        vals = () if rec.labels is None else rec.labels.values
+        if UNCERTAIN not in vals and vals.count(POSITIVE) == 1:
+            candidates[PATHOLOGIES[vals.index(POSITIVE)]].append(rec.study_id)
 
     rng = np.random.default_rng(seed)
-    classes = {}
-    for name in PATHOLOGIES:
-        pool = candidates[name]
+    for name, pool in candidates.items():
         if len(pool) > per_class_cap:
             pick = rng.choice(len(pool), size=per_class_cap, replace=False)
-            chosen = [pool[i] for i in sorted(pick)]
-        else:
-            chosen = list(pool)
-        classes[name] = {"count": len(chosen), "study_ids": chosen}
-    return {"cap": int(per_class_cap), "seed": int(seed), "classes": classes}
+            candidates[name] = [pool[i] for i in sorted(pick)]
+    return {"cap": int(per_class_cap), "seed": int(seed), "classes": {
+        name: {"count": len(ids), "study_ids": ids} for name, ids in candidates.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -556,66 +547,42 @@ def synth_paired_dataset(config: SynthConfig, seed: int):
     """
     rng = np.random.default_rng(seed)
     gr, gc = config.region_grid
-    n_regions = gr * gc
     region_h, region_w = config.image_size // gr, config.image_size // gc
-    homes = _home_regions(n_regions, config.n_classes)
-    zones = [r for r in range(n_regions) if r not in homes]
+    homes = _home_regions(gr * gc, config.n_classes)
+    zones = [r for r in range(gr * gc) if r not in homes]
 
     # fixed pattern library: one texture per (home region, severity) and
     # per (zone, active level); drawn once so studies share them exactly
     home_tex = {
-        (homes[k], sev): _texture(rng, (region_h, region_w), 0.1, 0.9)
-        for k in range(config.n_classes)
-        for sev in _SEVERITIES
+        (home, sev): _texture(rng, (region_h, region_w), 0.1, 0.9)
+        for home in homes
+        for sev in range(len(_SEVERITIES))
     }
     zone_tex = {
-        (z, lvl): _texture(rng, (region_h, region_w), 0.2, 0.8)
+        (z, level): _texture(rng, (region_h, region_w), 0.2, 0.8)
         for z in zones
-        for lvl in ("low", "high")
+        for level in range(1, len(_ZONE_LEVELS))
     }
 
-    def per_class(total: int, k: int) -> int:
-        base, extra = divmod(total, config.n_classes)
-        return base + (1 if k < extra else 0)
-
     n_combos = len(_SEVERITIES) * len(_ZONE_LEVELS) ** len(zones)
-
-    def decode_combo(code: int):
-        sev = _SEVERITIES[code % len(_SEVERITIES)]
-        code //= len(_SEVERITIES)
-        levels = []
-        for _ in zones:
-            levels.append(_ZONE_LEVELS[code % len(_ZONE_LEVELS)])
-            code //= len(_ZONE_LEVELS)
-        return sev, levels
-
-    train: list[StudyRecord] = []
-    heldout: list[StudyRecord] = []
-    serial = 0
-    for k in range(config.n_classes):
-        name = PATHOLOGIES[k]
-        want_train = per_class(config.n_train, k)
-        want_held = per_class(config.n_heldout, k)
+    train, heldout = [], []
+    for k, (home, name) in enumerate(zip(homes, PATHOLOGIES)):
+        want_train, want_held = (total // config.n_classes + (k < total % config.n_classes)
+                                 for total in (config.n_train, config.n_heldout))
         want = want_train + want_held
-        if want <= n_combos:
-            codes = rng.permutation(n_combos)[:want]
-        else:
-            codes = rng.integers(0, n_combos, size=want)
+        codes = (rng.permutation(n_combos)[:want] if want <= n_combos
+                 else rng.integers(0, n_combos, size=want))
         for j, code in enumerate(codes):
-            sev, levels = decode_combo(int(code))
-            pixels = np.full((config.image_size, config.image_size), config.background)
-
-            def paste(region: int, tex: np.ndarray) -> None:
-                i, jj = divmod(region, gc)
-                pixels[i * region_h : (i + 1) * region_h,
-                       jj * region_w : (jj + 1) * region_w] = tex
-
-            paste(homes[k], home_tex[(homes[k], sev)])
+            code, sev = divmod(int(code), len(_SEVERITIES))
+            tiles = np.full((gr, gc, region_h, region_w), config.background)
+            tiles[divmod(home, gc)] = home_tex[(home, sev)]
             active = []
-            for z, lvl in zip(zones, levels):
-                if lvl != "off":
-                    paste(z, zone_tex[(z, lvl)])
-                    active.append(f"z{z}{lvl}")
+            for z in zones:
+                code, level = divmod(code, len(_ZONE_LEVELS))
+                if level:
+                    tiles[divmod(z, gc)] = zone_tex[(z, level)]
+                    active.append(f"z{z}{_ZONE_LEVELS[level]}")
+            pixels = tiles.swapaxes(1, 2).reshape(config.image_size, config.image_size)
             if config.noise > 0:
                 pixels = pixels + rng.uniform(-config.noise, config.noise, pixels.shape)
             pixels = np.clip(pixels, 0.0, 1.0)
@@ -623,25 +590,12 @@ def synth_paired_dataset(config: SynthConfig, seed: int):
             pixels = np.round(pixels * 255.0) / 255.0
 
             positive = _POSITIVE_TEMPLATES[int(rng.integers(len(_POSITIVE_TEMPLATES)))]
-            sentences = [
-                positive.format(sev=sev, phrase=name),
-                "pattern codes " + (" ".join(active) if active else "none"),
-                _DISTRACTORS[int(rng.integers(len(_DISTRACTORS)))],
-            ]
-            report = ". ".join(sentences) + "."
-
-            rec = StudyRecord(
-                study_id=f"synth-{serial:05d}",
-                view="frontal",
-                report_text=report,
+            distractor = _DISTRACTORS[int(rng.integers(len(_DISTRACTORS)))]
+            report = (f"{positive.format(sev=_SEVERITIES[sev], phrase=name)}. "
+                      f"pattern codes {' '.join(active) or 'none'}. {distractor}.")
+            (train if j < want_train else heldout).append(StudyRecord(
+                study_id=f"synth-{len(train) + len(heldout):05d}", report_text=report,
                 image=ImageGrid(pixels, region_grid=config.region_grid),
-                labels=LabelVector.positive_for(name),
-            )
-            serial += 1
-            (train if j < want_train else heldout).append(rec)
+                labels=LabelVector.positive_for(name)))
 
-    order = rng.permutation(len(train))
-    train = [train[i] for i in order]
-    order = rng.permutation(len(heldout))
-    heldout = [heldout[i] for i in order]
-    return train, heldout
+    return tuple([split[i] for i in rng.permutation(len(split))] for split in (train, heldout))

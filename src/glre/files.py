@@ -23,9 +23,9 @@ from .errors import FormatError, VersionError
 
 @contextmanager
 def reading(path):
-    """Yield the bytes of `path`. A FormatError or VersionError raised in the block
-    gains a "<path>: " prefix, keeping its type and offset; a UnicodeDecodeError, a
-    csv.Error or a json.JSONDecodeError (as its line and column) becomes one."""
+    """Yield the bytes of `path`. A FormatError or VersionError raised in the block gains
+    a "<path>: " prefix, keeping its type and offset; a UnicodeDecodeError, a csv.Error, a
+    RecursionError or a json.JSONDecodeError (as its line and column) becomes one."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -35,7 +35,7 @@ def reading(path):
         raise
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (UnicodeDecodeError, csv.Error, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

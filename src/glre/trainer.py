@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -203,9 +203,10 @@ def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
     2 studies is dropped and a fresh epoch begins. A fresh run is a resume
     from `initial_checkpoint(records, config)`: either way the random
     stream, moments, and epoch position continue from the start state, so a
-    resumed run is bit-identical to one that never stopped. Once every input
-    check has passed, `on_step(k)` is called with the start step k, then
-    `on_step(step, loss)` after each step's update with its LossBreakdown.
+    resumed run is bit-identical to one that never stopped; `resume_from`
+    is left as it was. Once every input check has passed, `on_step(k)` is
+    called with the start step k, then `on_step(step, loss)` after each
+    step's update with its LossBreakdown.
     """
     if len(records) < 2:
         raise InsufficientDataError(f"training needs at least 2 paired studies, got {len(records)}")
@@ -224,7 +225,9 @@ def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
         raise ConsistencyError(f"checkpoint's epoch order covers {len(order)} studies "
                                f"(at {pointer}), but {n} were given")
     patches, sequences = _prepare(records, config, state.vocab)
-    params, adam = state.params, state.adam
+    params = replace(state.params, **{name: Tensor(t.data, requires_grad=True)
+                                      for name, t in state.params.parameters().items()})
+    adam = replace(state.adam, m=state.adam.m.copy(), v=state.adam.v.copy())
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
 

@@ -4,7 +4,9 @@
 hands a line to json.loads only when the scan does not take it whole. This module
 keeps the original reader, which parses every line on its own and checks each row
 with isinstance. Tests use it as the oracle that the scanning reader must agree
-with on every file: the same records, or the same exception type and message.
+with on every file: the same records, or the same exception type and message. A
+value of the right type out of its range names the file and line, as in the
+scanning reader.
 """
 
 import json
@@ -45,11 +47,14 @@ def read_manifest(path) -> list[StudyRecord]:
                 raise ConsistencyError(f"manifest {path} line {n}: study_id {row['study_id']!r} "
                                        f"repeats line {first_line[row['study_id']]}")
             first_line[row["study_id"]] = n
-            records.append(StudyRecord(
-                study_id=row["study_id"],
-                view=row["view"],
-                report_text=report,
-                image_path=row.get("image_path"),
-                labels=LabelVector(tuple(labels)) if labels is not None else None,
-            ))
+            try:
+                records.append(StudyRecord(
+                    study_id=row["study_id"],
+                    view=row["view"],
+                    report_text=report,
+                    image_path=row.get("image_path"),
+                    labels=LabelVector(tuple(labels)) if labels is not None else None,
+                ))
+            except ValueError as exc:
+                raise ValueError(f"manifest {path} line {n}: {exc}") from exc
     return records

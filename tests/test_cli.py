@@ -825,7 +825,8 @@ def test_manifest_line_without_study_id_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("fields, named", [
     ({"view": "sideways"}, "sideways"),
     ({"labels": [2, 0, 0, 0, 0]}, "label 2"),
-], ids=["view", "label"])
+    ({"labels": [1, 0]}, "expected 5 labels, got 2"),
+], ids=["view", "label", "label_count"])
 def test_manifest_value_of_right_type_outside_its_range_exits_1(tmp_path, capsys, fields,
                                                                  named):
     manifest = tmp_path / "in.jsonl"
@@ -833,7 +834,8 @@ def test_manifest_value_of_right_type_outside_its_range_exits_1(tmp_path, capsys
     with open(manifest, "a") as fh:
         fh.write(json.dumps({"study_id": "x", "view": "frontal", **fields}) + "\n")
     assert run("label", "--manifest", manifest, "--out-dir", tmp_path) == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and f"manifest {manifest} line 3: " in err
 
 
 @pytest.mark.parametrize("command", ["label", "split"])
@@ -1159,6 +1161,27 @@ def test_malformed_json_input_exits_2(pipeline, tmp_path, capsys, case):
     argv, named = case(tmp_path, pipeline)
     assert run(*argv, "--out-dir", tmp_path / "out") == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["manifest", "config", "prompts", "lexicon"])
+def test_json_input_nested_past_the_recursion_limit_exits_2(pipeline, tmp_path, capsys, kind):
+    bad = tmp_path / "bad"
+    deep = "[" * 5000
+    held, ckpt = pipeline["data"] / "heldout.jsonl", pipeline["checkpoint"]
+    bad.write_text({"manifest": held.read_text() + f'{{"study_id": "x", "report": {deep}\n',
+                    "config": f'{{"synth": {deep}',
+                    "prompts": f'{{"edema": {deep}',
+                    "lexicon": f'{{"mentions": {deep}'}[kind])
+    argv = {"manifest": ["split", "--manifest", bad, "--sizes", "all=rest"],
+            "config": ["synth", "--config", bad],
+            "prompts": ["zeroshot", "--checkpoint", ckpt, "--manifest", held,
+                        "--prompts", bad],
+            "lexicon": ["label", "--manifest", held, "--lexicon", bad]}[kind]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "maximum recursion depth exceeded" in err and f"{bad}: " in err
+    if kind == "manifest":
+        assert f"{bad}: line {len(held.read_text().splitlines()) + 1}: " in err
 
 
 @pytest.mark.parametrize("kind", ["manifest", "config", "prompts", "lexicon", "scores"])

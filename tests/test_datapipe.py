@@ -34,6 +34,7 @@ from glre.datapipe import (
 from glre.errors import SplitSizeError, VocabularyError
 
 import label_oracle
+import sampler_oracle
 from golden_corpus import GOLDEN
 
 
@@ -456,3 +457,75 @@ def test_synth_rejects_bad_config():
         SynthConfig(n_classes=6)
     with pytest.raises(ValueError):
         SynthConfig(image_size=25)
+
+
+# ---------------------------------------------------------------------------
+# the seeded samplers against their first form (sampler_oracle.py)
+# ---------------------------------------------------------------------------
+
+
+def _study(rec):
+    pixels = rec.image.pixels
+    return (rec.study_id, rec.view, rec.report_text, rec.image_path, rec.labels.values,
+            rec.image.region_grid, pixels.shape, pixels.dtype.str, pixels.tobytes())
+
+
+@st.composite
+def _synth_config(draw):
+    gr, gc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return SynthConfig(n_classes=draw(st.integers(1, min(gr * gc, len(PATHOLOGIES)))),
+                       n_train=draw(st.integers(0, 60)), n_heldout=draw(st.integers(0, 60)),
+                       image_size=int(np.lcm(gr, gc)) * draw(st.integers(1, 2)),
+                       region_grid=(gr, gc), noise=draw(st.sampled_from([0.0, 0.02, 0.3])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_synth_config(), seed=st.integers(0, 2**32 - 1))
+@example(config=SynthConfig(n_classes=1, n_train=60, n_heldout=60, image_size=1,
+                            region_grid=(1, 1), noise=0.0), seed=7)  # 2 combinations
+def test_synth_paired_dataset_matches_its_first_form(config, seed):
+    got = synth_paired_dataset(config, seed)
+    want = sampler_oracle.synth_paired_dataset(config, seed)
+    assert [list(map(_study, part)) for part in got] == [list(map(_study, part))
+                                                         for part in want]
+
+
+def _outcome(sample, *args):
+    try:
+        return sample(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 40), counts=st.lists(st.integers(0, 15), max_size=4),
+       rest_at=st.none() | st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_make_splits_matches_its_first_form(n, counts, rest_at, seed):
+    records = [StudyRecord(study_id=f"s{i:02d}") for i in range(n)]
+    sizes = [(f"split{i}", count) for i, count in enumerate(counts)]
+    if rest_at is not None:
+        sizes.insert(rest_at, ("rest", "rest"))
+    sizes = dict(sizes)
+    got = _outcome(make_splits, records, sizes, seed)
+    want = _outcome(sampler_oracle.make_splits, records, sizes, seed)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert (got.seed, got.source_hash) == (want.seed, want.source_hash)
+        assert list(got.splits.items()) == list(want.splits.items())
+
+
+_label = st.sampled_from([1, 0, 0, None, None, -1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(labels=st.lists(st.none() | st.tuples(*[_label] * len(PATHOLOGIES)), max_size=60),
+       cap=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@example(labels=[(1, 0, None, 0, 0)] * 2 + [(0, 1, 0, None, 0)] * 5, cap=2, seed=3)
+def test_build_single_disease_subset_matches_its_first_form(labels, cap, seed):
+    records = [StudyRecord(study_id=f"s{i:02d}",
+                           labels=None if values is None else LabelVector(values))
+               for i, values in enumerate(labels)]
+    got = build_single_disease_subset(records, cap, seed)
+    want = sampler_oracle.build_single_disease_subset(records, cap, seed)
+    assert json.dumps(got) == json.dumps(want)

@@ -120,11 +120,17 @@ def test_write_csv_writes_the_bytes_csv_writer_writes(tmp_path_factory, table, h
         columns.append(np.array(floats[0]))
     header = header[:len(columns)]
     path = tmp_path_factory.getbasetemp() / "table.csv"
-    files.write_csv(path, header, columns)
     buf = io.StringIO()  # the first form: csv.writer over rows, numbers as repr
     csv.writer(buf).writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
                               for row in [header, *zip(*columns)])
-    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    try:
+        want = buf.getvalue().encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form: both writers refuse it
+        with pytest.raises(UnicodeEncodeError):
+            files.write_csv(path, header, columns)
+        return
+    files.write_csv(path, header, columns)
+    assert path.read_bytes() == want
 
 
 def _raise_in_reading(path, exc):

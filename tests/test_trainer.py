@@ -400,6 +400,24 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert p_full.read_bytes() == p_resumed.read_bytes()
 
 
+def test_resume_leaves_its_start_checkpoint_as_it_was(tmp_path):
+    records = small_dataset(n_train=24)
+    full = train(records, small_config(steps=4))
+    mid = train(records, small_config(steps=2))
+    mid_path, ck_path = tmp_path / "mid.ck", tmp_path / "out.ck"
+    save_checkpoint(mid, mid_path)
+    save_checkpoint(full, ck_path)
+    full_bytes = ck_path.read_bytes()
+
+    first = train(records, small_config(steps=4), resume_from=mid)
+    second = train(records, small_config(steps=4), resume_from=mid)
+    for resumed in (first, second):
+        save_checkpoint(resumed, ck_path)
+        assert ck_path.read_bytes() == full_bytes
+    save_checkpoint(mid, ck_path)
+    assert ck_path.read_bytes() == mid_path.read_bytes()
+
+
 def test_resume_rejects_different_config(tmp_path):
     records = small_dataset()
     ckpt = train(records, small_config(steps=5))

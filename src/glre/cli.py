@@ -308,8 +308,9 @@ def _cmd_label(s, out_dir: Path) -> RunReport:
     records = read_manifest(s["manifest"])
     lex_path = s.get("lexicon")
     lexicon = Lexicon.load(lex_path) if lex_path else default_lexicon()
+    seen: dict = {}  # one sentence memo per command
     for rec in records:
-        rec.labels = label_report(rec.report_text, lexicon)
+        rec.labels = label_report(rec.report_text, lexicon, seen)
     out = _out_path(out_dir, s.get("out", "labeled.jsonl"))
     write_manifest(records, out)
     return RunReport(

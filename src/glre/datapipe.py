@@ -4,7 +4,8 @@ Reports are labeled with a transparent rule system over a phrase lexicon:
 sentences split on [.;:], per-sentence verdicts with precedence
 uncertainty > negation > positive, and cross-sentence aggregation
 1 > -1 > 0 > blank. A Lexicon indexes its tokenized phrases by first token
-when it is built, so labeling walks each sentence's tokens once. Splits are
+when it is built, so labeling walks each sentence's tokens once, and a memo
+the caller passes lets a run label each distinct sentence once. Splits are
 seeded and reproducible; the synthetic generator builds paired image/report
 studies whose labels round-trip through the labeler.
 """
@@ -12,7 +13,6 @@ studies whose labels round-trip through the labeler.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import re
 import string
@@ -241,41 +241,65 @@ def default_lexicon() -> Lexicon:
     )
 
 
+_split_sentences = re.compile(r"[.;:]").split
+_VERDICTS = (BLANK, NEGATIVE, UNCERTAIN, POSITIVE)  # indexed by rank: 1 > -1 > 0 > blank
+
+
 def split_sentences(text: str) -> list[str]:
     """Split on period, semicolon, or colon; drop empty pieces."""
-    return [p for p in re.split(r"[.;:]", text) if p.strip()]
+    return [p for p in _split_sentences(text) if p.strip()]
 
 
-def label_report(text: str, lexicon: Lexicon) -> LabelVector:
+def _sentence_verdicts(sentence: str, lexicon: Lexicon) -> int:
+    """One sentence's verdicts as bits: a verdict of rank r (1, 2, 3 for 0, -1, 1) on
+    pathology k sets bit 3k + r - 1, and a blank sets none. The sentence's tokens are
+    walked once, testing at each token only the lexicon phrases that start with it."""
+    toks = tokenize(sentence)
+    found: dict[object, list[tuple[int, int]]] = {}  # kind -> [(start, end)]
+    for start, tok in enumerate(toks):
+        for phrase, n, kind in lexicon._index.get(tok, ()):
+            if toks[start : start + n] == phrase:
+                found.setdefault(kind, []).append((start, start + n))
+    bits = 0
+    uncertain_here = "uncertainty" in found
+    neg_ends = [end for _, end in found.get("negation", ())]
+    for k in range(len(PATHOLOGIES)):
+        for start, _ in found.get(k, ()):
+            if uncertain_here:
+                rank = 2
+            elif any(0 <= start - end <= lexicon.negation_window for end in neg_ends):
+                rank = 1
+            else:
+                rank = 3
+            bits |= 1 << (3 * k + rank - 1)
+    return bits
+
+
+def label_report(text: str, lexicon: Lexicon, seen: dict | None = None) -> LabelVector:
     """Label one report; total over all inputs including the empty string.
 
     Per sentence and pathology: no phrase -> blank; phrase in a sentence with
     any uncertainty cue -> -1; phrase with a negation cue in scope -> 0;
     otherwise 1. Across sentences the strongest verdict wins: 1 > -1 > 0.
-    Each sentence is walked once, testing at each token only the lexicon
-    phrases that start with it; verdicts follow once all its cues are known.
+
+    `seen` is a dict the caller owns and passes, with the same lexicon, to every
+    call that may share its work. It maps each sentence met to its verdict bits,
+    so a repeated sentence is tokenized and matched once, and each rank tuple to
+    one shared LabelVector.
     """
-    rank = {POSITIVE: 3, UNCERTAIN: 2, NEGATIVE: 1, BLANK: 0}  # across sentences
-    best = [BLANK] * len(PATHOLOGIES)
-    for sentence in split_sentences(text):
-        toks = tokenize(sentence)
-        found: dict[object, list[tuple[int, int]]] = {}  # kind -> [(start, end)]
-        for start, tok in enumerate(toks):
-            for phrase, n, kind in lexicon._index.get(tok, ()):
-                if toks[start : start + n] == phrase:
-                    found.setdefault(kind, []).append((start, start + n))
-        uncertain_here = "uncertainty" in found
-        neg_ends = [end for _, end in found.get("negation", ())]
-        for k in range(len(PATHOLOGIES)):
-            for start, _ in found.get(k, ()):
-                if uncertain_here:
-                    verdict = UNCERTAIN
-                elif any(0 <= start - end <= lexicon.negation_window for end in neg_ends):
-                    verdict = NEGATIVE
-                else:
-                    verdict = POSITIVE
-                best[k] = max(best[k], verdict, key=rank.get)
-    return LabelVector(tuple(best))
+    seen = {} if seen is None else seen
+    bits = 0
+    for sentence in _split_sentences(text):
+        verdicts = seen.get(sentence)
+        if verdicts is None:
+            verdicts = seen[sentence] = _sentence_verdicts(sentence, lexicon)
+        bits |= verdicts
+    # each pathology's rank is the highest of its three bits set
+    ranks = tuple((bits >> 3 * k & 7).bit_length() for k in range(len(PATHOLOGIES)))
+    vector = seen.get(ranks)
+    if vector is None:
+        vector = seen[ranks] = LabelVector(tuple(_VERDICTS[r] for r in ranks))
+    return vector
 
 
 def labels_to_matrix(label_vectors, uncertain_policy: str = "exclude"):
@@ -309,38 +333,62 @@ def label_matrix(records, uncertain_policy: str = "exclude"):
 
 
 def write_manifest(records, path) -> None:
-    """One JSON object per line; images referenced by path, not inlined."""
-    encode = json.JSONEncoder(sort_keys=True).encode
-    write_file(path, "".join(encode({
-        "study_id": rec.study_id,
-        "view": rec.view,
-        "report": rec.report_text,
-        "image_path": rec.image_path,
-        "labels": rec.labels.as_list() if rec.labels is not None else None,
-    }) + "\n" for rec in records))
+    """One JSON object per line, keys sorted; images referenced by path, not inlined.
+
+    `study_id`, `view`, `report_text` and `image_path` must be strings (`image_path`
+    may be None); another type raises TypeError. The bytes are those of
+    json.JSONEncoder(sort_keys=True): each line fills one template with each string
+    escaped as that encoder escapes it, encoding each labels object once.
+    """
+    write_file(path, "".join(_manifest_lines(records)))
 
 
+def _manifest_lines(records):
+    labels_json = {}  # id -> (labels, its JSON); holding the labels keeps the id theirs
+    for rec in records:
+        labels = rec.labels
+        if id(labels) not in labels_json:
+            labels_json[id(labels)] = labels, json.dumps(labels if labels is None
+                                                         else labels.as_list())
+        image_path = "null" if rec.image_path is None else _json_str(rec.image_path)
+        yield (f'{{"image_path": {image_path}, "labels": {labels_json[id(labels)][1]}, '
+               f'"report": {_json_str(rec.report_text)}, '
+               f'"study_id": {_json_str(rec.study_id)}, "view": {_json_str(rec.view)}}}\n')
+
+
+_json_str = json.encoder.encode_basestring_ascii
 _SCAN = json.JSONDecoder().scan_once
 _SPACES = re.compile(r"[ \t\r]*").match  # the blanks json.loads skips around a line's value
 _KEYS = frozenset({"study_id", "view", "report", "image_path", "labels"})
+_STRING_KEYS = ("study_id", "view", "report", "image_path")
+_LABEL_TYPES = frozenset({int, type(None)})
+# JSON text decodes to a lone surrogate only through a \ud800-\udfff escape
+_SURROGATE_ESCAPE = re.compile(r"\\ud[89a-f]", re.IGNORECASE).search
 
 
 def _manifest_rows(text: str):
     """(line number, JSON value) for each non-blank line of `text`, lines ending at "\n".
 
-    The C scanner reads each value in place in `text`. A line it does not read whole,
-    from the line's first non-blank character to its end, goes to json.loads on its
-    own, so every value and every error is the one json.loads gives for that line.
+    The C scanner reads each value in place in `text`, from the line's first non-blank
+    character. A line it does not read whole, to the line's end past trailing blanks,
+    goes to json.loads on its own, so every value and every error is the one json.loads
+    gives for that line.
     """
-    stops = itertools.chain((m.start() for m in re.finditer("\n", text)), [len(text)])
-    start = 0
-    for n, stop in enumerate(stops, start=1):
-        line_start, start = start, stop + 1
+    n, stop, size = 0, -1, len(text)
+    while stop < size:
+        n, line_start = n + 1, stop + 1
+        stop = text.find("\n", line_start)
+        if stop < 0:
+            stop = size
+        # a line starting with "{" has no leading blanks, and a value ending at the
+        # line's end no trailing ones: most manifest lines need neither match
+        start = (line_start if text.startswith("{", line_start)
+                 else _SPACES(text, line_start).end())
         try:
-            row, end = _SCAN(text, _SPACES(text, line_start).end())
+            row, end = _SCAN(text, start)
         except (StopIteration, ValueError, RecursionError):
             end = -1
-        if end < 0 or _SPACES(text, end).end() != stop:
+        if end != stop and (end < 0 or _SPACES(text, end).end() != stop):
             line = text[line_start:stop]
             if not line.strip():
                 continue
@@ -355,24 +403,36 @@ def _manifest_rows(text: str):
 
 def read_manifest(path) -> list[StudyRecord]:
     """Parse a JSONL manifest (lines end at "\n"): each line needs `study_id` and `view`,
-    may add only `report`, `image_path` and `labels`, and no two share a `study_id`."""
+    may add only `report`, `image_path` and `labels`, and no two share a `study_id`.
+    A string whose escapes decode to a lone surrogate, which UTF-8 cannot encode, is a
+    format error."""
     records, first_line, vectors = [], {}, {}  # vectors: one LabelVector per labels tuple
     with reading(path) as data:
-        for n, row in _manifest_rows(data.decode("utf-8")):
+        text = data.decode("utf-8")
+        check_surrogates = _SURROGATE_ESCAPE(text) is not None
+        for n, row in _manifest_rows(text):
             # JSON yields exact types, so `type(x) is str` accepts what isinstance accepts
             if type(row) is not dict or "study_id" not in row or "view" not in row:
                 raise FormatError(f"line {n}: expected a JSON object with 'study_id' and 'view'")
-            if not row.keys() <= _KEYS:
+            if not _KEYS.issuperset(row):
                 raise FormatError(f"line {n}: unknown key {min(row.keys() - _KEYS)!r}")
-            study_id, report, labels = row["study_id"], row.get("report", ""), row.get("labels")
+            study_id, view, report = row["study_id"], row["view"], row.get("report", "")
+            image_path, labels = row.get("image_path"), row.get("labels")
             # labels are ints or null: a JSON true or 1.0 equals 1 but is no label
-            if not (type(study_id) is str and type(row["view"]) is str and type(report) is str
-                    and type(row.get("image_path")) in (str, type(None))
+            if not (type(study_id) is str and type(view) is str and type(report) is str
+                    and (image_path is None or type(image_path) is str)
                     and (labels is None or type(labels) is list
-                         and set(map(type, labels)) <= {int, type(None)})):
+                         and _LABEL_TYPES.issuperset(map(type, labels)))):
                 raise FormatError(f"line {n}: 'study_id', 'view' and 'report' must be "
                                   f"strings, 'image_path' a string or null and 'labels' a "
                                   f"list of integers or nulls")
+            if check_surrogates:
+                for key in _STRING_KEYS:
+                    try:
+                        (row.get(key) or "").encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise FormatError(f"line {n}: {key!r} holds a lone surrogate, which "
+                                          f"UTF-8 cannot encode") from None
             if study_id in first_line:
                 raise ConsistencyError(f"manifest {path} line {n}: study_id {study_id!r} "
                                        f"repeats line {first_line[study_id]}")
@@ -383,8 +443,8 @@ def read_manifest(path) -> list[StudyRecord]:
                     if labels not in vectors:
                         vectors[labels] = LabelVector(labels)
                     labels = vectors[labels]
-                records.append(StudyRecord(study_id=study_id, view=row["view"], report_text=report,
-                                           image_path=row.get("image_path"), labels=labels))
+                # positional: keywords cost a dataclass __init__ ~0.5 us a record
+                records.append(StudyRecord(study_id, view, report, image_path, None, labels))
             except ValueError as exc:  # the right type, out of range: the CLI's exit 1
                 raise ValueError(f"manifest {path} line {n}: {exc}") from exc
     return records

@@ -1,4 +1,4 @@
-"""The manifest reader's first form: every line split off and parsed by json.loads.
+"""The manifest reader's and writer's first forms.
 
 `datapipe.read_manifest` scans each line's value in place in the decoded file and
 hands a line to json.loads only when the scan does not take it whole. This module
@@ -6,14 +6,31 @@ keeps the original reader, which parses every line on its own and checks each ro
 with isinstance. Tests use it as the oracle that the scanning reader must agree
 with on every file: the same records, or the same exception type and message. A
 value of the right type out of its range names the file and line, as in the
-scanning reader.
+scanning reader. A string holding a lone surrogate is rejected here by encoding
+every string of every row, where the scanning reader first searches the file for
+the escape that alone can produce one.
+
+`datapipe.write_manifest` fills one template per line; `write_manifest` here keeps
+the json.JSONEncoder form whose bytes, or exception type, it must give.
 """
 
 import json
 
 from glre.datapipe import LabelVector, StudyRecord
 from glre.errors import ConsistencyError, FormatError
-from glre.files import reading
+from glre.files import reading, write_file
+
+
+def write_manifest(records, path) -> None:
+    """One JSON object per line; images referenced by path, not inlined."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    write_file(path, "".join(encode({
+        "study_id": rec.study_id,
+        "view": rec.view,
+        "report": rec.report_text,
+        "image_path": rec.image_path,
+        "labels": rec.labels.as_list() if rec.labels is not None else None,
+    }) + "\n" for rec in records))
 
 
 def read_manifest(path) -> list[StudyRecord]:
@@ -43,6 +60,12 @@ def read_manifest(path) -> list[StudyRecord]:
                 raise FormatError(f"line {n}: 'study_id', 'view' and 'report' must be "
                                   f"strings, 'image_path' a string or null and 'labels' a "
                                   f"list of integers or nulls")
+            for key in ("study_id", "view", "report", "image_path"):
+                try:
+                    (row.get(key) or "").encode("utf-8")
+                except UnicodeEncodeError:
+                    raise FormatError(f"line {n}: {key!r} holds a lone surrogate, which "
+                                      f"UTF-8 cannot encode") from None
             if row["study_id"] in first_line:
                 raise ConsistencyError(f"manifest {path} line {n}: study_id {row['study_id']!r} "
                                        f"repeats line {first_line[row['study_id']]}")

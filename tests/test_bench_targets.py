@@ -5,8 +5,10 @@ reports a missing one as a missing span rather than failing, so a rename or
 deletion in glre would silently zero a per-layer metric. The first test
 fails instead. perfbench/workloads.py calls glre's scoring API itself; the
 second test runs that call on a tiny checkpoint. The third labels the curate
-workload's generated reports with glre's labeler and with the per-phrase scan
-it replaced, which must agree.
+workload's generated reports with glre's labeler, call by call and through one
+shared sentence memo, and with the per-phrase scan it replaced, which must
+agree. The fourth counts the calls `glre label` makes to the function the
+datapipe.label_report span wraps: one per record, so the span cannot read 0.
 """
 
 import importlib
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+import glre.cli
 from glre.datapipe import default_lexicon, label_report
 
 import label_oracle
@@ -66,5 +69,25 @@ def test_curate_reports_label_as_the_per_phrase_scan_labels_them(monkeypatch):
     lexicon = default_lexicon()
     reports = [row["report"] for row in studies]
     assert any(reports)
-    assert ([label_report(text, lexicon) for text in reports]
-            == [label_oracle.label_report(text, lexicon) for text in reports])
+    expected = [label_oracle.label_report(text, lexicon) for text in reports]
+    assert [label_report(text, lexicon) for text in reports] == expected
+    seen = {}
+    assert [label_report(text, lexicon, seen) for text in reports] == expected
+
+
+def test_glre_label_calls_the_traced_labeler_once_per_record(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "perfbench_workloads", WORKLOADS)
+    studies, _ = workloads.curation_manifest(7, workloads.SIZES["tiny"])
+    workloads._write_jsonl(studies, tmp_path / "studies.jsonl")
+    tracing = _load(monkeypatch, "perfbench_tracing", TRACING)
+    assert ("datapipe.label_report", "glre.cli", "label_report") in tracing.TARGETS
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return label_report(*args, **kwargs)
+
+    monkeypatch.setattr(glre.cli, "label_report", counted)
+    workloads.glre_cli("label", "--manifest", tmp_path / "studies.jsonl",
+                       "--out-dir", tmp_path / "out")
+    assert calls == [row["report"] for row in studies]

@@ -852,6 +852,46 @@ def test_repeated_study_id_exits_1_naming_both_lines(tmp_path, capsys, command):
     assert not list((tmp_path / "out").glob("*.jsonl"))
 
 
+# a JSON escape from \ud800 to \udfff decodes to a lone surrogate, which no UTF-8
+# output can hold: the manifest is malformed, whichever command reads it
+@pytest.mark.parametrize("command, field", [
+    ("zeroshot", "study_id"), ("probe", "study_id"), ("export-embeddings", "study_id"),
+    ("split", "study_id"), ("zeroshot", "image_path"), ("label", "report"),
+], ids=lambda value: value)
+def test_manifest_string_holding_a_lone_surrogate_exits_2_naming_its_line(
+        pipeline, tmp_path, capsys, command, field):
+    data, ckpt = pipeline["data"], pipeline["checkpoint"]
+    rows = [json.loads(line) for line in (data / "heldout.jsonl").read_text().splitlines()]
+    for row in rows:
+        row["image_path"] = str(data / row["image_path"])
+    rows[1][field] = "\ud800"
+    bad = tmp_path / "bad.jsonl"
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    assert "\\ud800" in text
+    # escapes are case-insensitive in JSON
+    bad.write_text(text.replace("\\ud800", "\\uD800") if command == "label" else text)
+    argv = {"zeroshot": ["zeroshot", "--checkpoint", ckpt, "--manifest", bad],
+            "probe": ["probe", "--checkpoint", ckpt, "--manifest", data / "train.jsonl",
+                      "--score-manifest", bad],
+            "export-embeddings": ["export-embeddings", "--checkpoint", ckpt, "--manifest", bad],
+            "split": ["split", "--manifest", bad, "--sizes", "all=rest"],
+            "label": ["label", "--manifest", bad]}[command]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    assert f"{bad}: line 2: {field!r} holds a lone surrogate" in capsys.readouterr().err
+    if command != "probe":  # probe still saves its fit before it reads --score-manifest
+        assert not list((tmp_path / "out").iterdir())
+
+
+def test_manifest_escaped_surrogate_pair_reads_as_its_character(tmp_path):
+    manifest = tmp_path / "in.jsonl"
+    manifest.write_text('{"study_id": "s\\ud83d\\ude00", "view": "frontal", '
+                        '"report": "no edema \\uD83D\\uDE00."}\n')
+    assert run("label", "--manifest", manifest, "--out-dir", tmp_path) == 0
+    [rec] = read_manifest(tmp_path / "labeled.jsonl")
+    assert (rec.study_id, rec.report_text) == ("s\U0001f600", "no edema \U0001f600.")
+    assert rec.labels["edema"] == 0
+
+
 def _drop_arrays(header):
     del header["arrays"]
 

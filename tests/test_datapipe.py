@@ -199,6 +199,31 @@ def test_label_report_agrees_with_the_per_phrase_scan(case):
     assert label_report(text, lexicon) == label_oracle.label_report(text, lexicon)
 
 
+@st.composite
+def _report_batch(draw):
+    """Reports over one lexicon: sentences repeated from a shared pool, the pool
+    permuted, and sentences of the report's own."""
+    _, lexicon = draw(_labeler_case())
+    sentence = st.lists(_word(_WORDS + ["c"]), max_size=8).map(" ".join)
+    pool = draw(st.lists(sentence, min_size=1, max_size=6))
+    report = st.one_of(st.lists(st.sampled_from(pool), max_size=5).map(". ".join),
+                       st.permutations(pool).map("; ".join),
+                       st.lists(sentence, max_size=4).map(": ".join))
+    return draw(st.lists(report, min_size=1, max_size=10)), lexicon
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=_report_batch())
+@example(batch=(["no edema. effusion", "effusion; no edema", "no  edema. maybe effusion",
+                 "no edema. effusion", "", "effusion"], _last_word_lexicon(0)))
+def test_label_report_with_one_shared_memo_agrees_with_the_per_phrase_scan(batch):
+    reports, lexicon = batch
+    seen = {}
+    got = [label_report(text, lexicon, seen) for text in reports]
+    assert got == [label_oracle.label_report(text, lexicon) for text in reports]
+    assert len({id(vector) for vector in got}) == len(set(got))  # one LabelVector per labels
+
+
 def test_label_matrix_policies():
     recs = [
         StudyRecord("a", labels=LabelVector((1, 0, -1, None, 1))),
@@ -264,6 +289,8 @@ def test_manifest_jsonl_round_trip(tmp_path):
     assert back[0].labels.values == (1, 0, None, -1, None)
     assert back[0].image_path == "img/a.pgm"
     assert back[1].labels is None
+    # every field in its place: read_manifest builds StudyRecord positionally
+    assert back == records and back[0].image is None
 
 
 def test_manifest_lines_end_only_at_newline(tmp_path):

@@ -1,16 +1,23 @@
-"""Fuzz of the manifest reader: any JSON value in any field, and damaged files.
+"""Fuzz of the manifest reader and writer: any JSON value in any field, damaged
+files, and records holding any string.
 
 One line of a three-line manifest gets an arbitrary JSON value in one field,
 and `glre label` and `glre split` read it. Neither may raise; each exits 0,
-1 or 2, and a value of the wrong type exits 2 under the CLI contract.
+1 or 2, and a value of the wrong type, or a string whose escapes decode to a
+lone surrogate, exits 2 under the CLI contract.
 
-A valid manifest damaged by inserted brackets, quotes, blanks and value
-fragments, deleted spans, split lines and joined lines must give
+A valid manifest damaged by inserted brackets, quotes, blanks, escapes and
+value fragments, deleted spans, split lines and joined lines must give
 `read_manifest` and the per-line reader it replaced (manifest_oracle.py)
 the same records, or the same exception and message.
+
+`write_manifest` must write the bytes of the json.JSONEncoder writer it
+replaced (manifest_oracle.py), and raise TypeError for a string field of
+another type.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +25,16 @@ from hypothesis import strategies as st
 
 import manifest_oracle
 from glre.cli import main
-from glre.datapipe import read_manifest
+from glre.datapipe import LabelVector, StudyRecord, read_manifest, write_manifest
 from glre.errors import FormatError
+
+# lone surrogates, high and low, and surrogate pairs, which JSON writes as two escapes
+_SURROGATES = ["\ud800", "\udbff", "\udc00", "\udfff", "\ud83d\ude00", "x\udbff\udfffy"]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
-    | st.text(max_size=8) | st.sampled_from(["frontal", "lateral", "unknown", "s000"]),
+    | st.text(max_size=8) | st.sampled_from(["frontal", "lateral", "unknown", "s000",
+                                             *_SURROGATES]),
     lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=8)
@@ -46,6 +57,16 @@ def _wrong_type(field: str, value) -> bool:
     return not _is_label(value)  # one label entry
 
 
+def _lone_surrogate(value) -> bool:
+    """Whether `value` is a string that json.dumps escapes and json.loads decodes to a
+    string UTF-8 cannot encode."""
+    try:
+        isinstance(value, str) and json.loads(json.dumps(value)).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     return tmp_path_factory.mktemp("manifest_fuzz")
@@ -65,7 +86,7 @@ def test_any_manifest_field_value_exits_cleanly(work, field, value):
     manifest.write_text("".join(json.dumps(row) + "\n" for row in [*_GOOD, line]))
     for argv in (["label"], ["split", "--sizes", "a=1,b=rest"]):
         code = main([*argv, "--manifest", str(manifest), "--out-dir", str(work / "out")])
-        if _wrong_type(field, value):
+        if _wrong_type(field, value) or _lone_surrogate(value):
             assert code == 2, (argv[0], line)
         else:
             assert code in (0, 1), (argv[0], line)
@@ -81,7 +102,8 @@ _BASE = "".join(line + end for line, end in zip([
 
 _FRAGMENTS = ["{", "}", "[", "]", ",", ":", '"', "\\", "\r", "\x0c", "\xa0", "\ufeff", " ",
               "\t", "1", "-1", "1.5", "1e999", "true", "null", "NaN", '"x"', "[1]", "{}",
-              '"view": "lateral"', '"study_id": "s0", ']
+              '"view": "lateral"', '"study_id": "s0", ', "\\ud800", "\\uDFFF", "\\ud83d\\ude00",
+              "\\uD83D"]
 
 _damage = st.one_of(
     st.tuples(st.just("insert"), st.integers(0, 999), st.sampled_from(_FRAGMENTS)),
@@ -138,6 +160,59 @@ def test_lines_valid_only_when_joined_are_rejected_as_the_per_line_reader_does(w
     _BASE.replace("}\n", "}\n[1,\n2]\n", 1),
     # scanned from line 2, the array reaches an int that int() refuses: a ValueError
     _BASE.replace("}\n", "}\n[1,\n" + "1" * 5001 + "]\n", 1),
-], ids=["valid", "unicode_blank", "bom", "array_across_lines", "long_int_across_lines"])
+    _BASE.replace("caf\u00e9", "caf\\udc00"),
+    _BASE.replace("caf\u00e9", "caf\\uDBFF"),
+    _BASE.replace("caf\u00e9", "caf\\ud83d\\uDE00"),
+    _BASE.replace("caf\u00e9", "caf\\\\ud800"),  # an escaped backslash, then "ud800"
+], ids=["valid", "unicode_blank", "bom", "array_across_lines", "long_int_across_lines",
+        "lone_low_surrogate", "lone_high_surrogate_upper_case", "surrogate_pair",
+        "backslash_then_ud800"])
 def test_read_manifest_agrees_with_the_per_line_reader_on_fixed_cases(work, text):
     _assert_readers_agree(work / "fixed.jsonl", text)
+
+
+# every character class the JSON encoder escapes, lone surrogates included
+_chars = st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\u2029\ufeff\U0001f600'
+                                           '\ud800\udbff\udc00\udfff')
+_texts = st.text(_chars, max_size=12)
+_SHARED = [LabelVector((1, 0, None, -1, None)), None]  # one object on several records
+_records = st.builds(
+    StudyRecord, study_id=_texts, view=st.sampled_from(["frontal", "lateral", "unknown"]),
+    report_text=_texts, image_path=st.none() | _texts,
+    labels=st.sampled_from(_SHARED)
+    | st.tuples(*[st.sampled_from([1, 0, -1, None])] * 5).map(LabelVector))
+
+
+def _written(write, records, path):
+    try:
+        write(records, path)
+    except Exception as exc:  # the outcome compared is the exception's type
+        return type(exc)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(_records, max_size=6))
+def test_write_manifest_writes_the_bytes_of_the_json_encoder(work, records):
+    assert (_written(write_manifest, records, work / "new.jsonl")
+            == _written(manifest_oracle.write_manifest, records, work / "old.jsonl"))
+
+
+@pytest.mark.parametrize("fields", [
+    {"study_id": 5}, {"study_id": None}, {"view": 1.5}, {"report_text": ["a", 1]},
+    {"image_path": Path("x.pgm")},
+], ids=repr)
+def test_write_manifest_of_a_string_field_of_another_type_raises_type_error(work, fields):
+    record = StudyRecord("a")
+    for name, value in fields.items():
+        setattr(record, name, value)
+    with pytest.raises(TypeError):
+        write_manifest([record], work / "new.jsonl")
+
+
+def test_write_manifest_encodes_each_labels_object_as_its_own(work):
+    # equal labels of another JSON form: a cache keyed by value would write [1, 0, ...]
+    records = [StudyRecord("a", labels=LabelVector((1, 0, None, -1, 1))),
+               StudyRecord("b", labels=LabelVector((True, False, None, -1, 1.0)))]
+    assert (_written(write_manifest, records, work / "new.jsonl")
+            == _written(manifest_oracle.write_manifest, records, work / "old.jsonl"))

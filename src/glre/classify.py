@@ -11,7 +11,6 @@ are encoded as one batch, whose (N, D) global rows are the probe's features.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ from .datapipe import PATHOLOGIES, labels_to_matrix, tokenize
 from . import encoders
 from .encoders import LocalGlobalFeatures, encode_image_patches, encode_text_toy
 from .errors import FormatError, ShapeError, check_number, is_str_list
-from .files import reading, write_json
+from .files import json_value, reading, write_json
 from .trainer import Checkpoint, encode_report
 
 
@@ -160,7 +159,7 @@ class PromptSet:
     @classmethod
     def load(cls, path) -> "PromptSet":
         with reading(path) as data:
-            prompts = json.loads(data.decode("utf-8"))
+            prompts = json_value(data)
             if not (isinstance(prompts, dict) and all(map(is_str_list, prompts.values()))):
                 raise FormatError("a prompt file must map names to lists of strings")
         return cls(prompts=prompts)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -75,7 +76,7 @@ from .errors import (
     VersionError,
     check_number,
 )
-from .files import reading, step_log, write_csv, write_json
+from .files import json_value, reading, step_log, write_csv, write_json
 from .metrics import aggregate_auc, roc_auc
 from .numerics import Tensor
 from .trainer import TrainConfig, encode_report, load_checkpoint, save_checkpoint, train
@@ -109,7 +110,7 @@ def runreport_fingerprint(path) -> str:
     on this fingerprint even though their timings differ.
     """
     with reading(path) as data:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json_value(data)
     payload.pop("wall_clock_seconds", None)
     return _digest(payload)
 
@@ -172,7 +173,7 @@ _TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string", dict: 
 
 def _load_json(path) -> dict:
     with reading(path) as data:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json_value(data)
         if not isinstance(payload, dict):
             raise FormatError("a config file must hold a JSON object")
         for key, types in _ENTRY_TYPES.items():
@@ -416,15 +417,15 @@ def _cmd_probe(s, out_dir: Path) -> RunReport:
     pcfg = _from_section(ProbeConfig, s, "probe", "uncertain_policy")
     ckpt, records = _load_scoring_inputs(s)
     label_matrix(records)  # every record must be labeled; fails before encoding
+    score_manifest = s.get("score_manifest")
+    if score_manifest:  # read before the fit, so a malformed one leaves no output
+        srecs = read_manifest(score_manifest)
+        _attach_images(srecs, score_manifest, ckpt.config.region_grid)
     feats = image_features(records, ckpt)
     model = fit_linear_probe(feats.global_feat.numpy(), [r.labels for r in records], pcfg)
     model.save(out_dir / "probe.json")
     outputs = ["probe.json"]
-
-    score_manifest = s.get("score_manifest")
     if score_manifest:
-        srecs = read_manifest(score_manifest)
-        _attach_images(srecs, score_manifest, ckpt.config.region_grid)
         probs = probe_predict(model, image_features(srecs, ckpt).global_feat.numpy())
         _write_scores(out_dir / "probe_scores.csv",
                       [r.study_id for r in srecs], probs)
@@ -531,7 +532,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `glre` parser, built on the first call and shared: parsing keeps no state in it."""
     parser = _Parser(prog="glre", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

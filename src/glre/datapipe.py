@@ -23,7 +23,7 @@ import numpy as np
 from .encoders import ImageGrid
 from .errors import (ConsistencyError, FormatError, SplitSizeError, VocabularyError,
                      check_grid, check_number, is_str_list)
-from .files import reading, write_file, write_json
+from .files import has_surrogate_escape, json_value, reading, write_file, write_json
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
 
@@ -86,12 +86,7 @@ _STRIP = string.punctuation
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop empties."""
-    out = []
-    for raw in text.lower().split():
-        tok = raw.strip(_STRIP)
-        if tok:
-            out.append(tok)
-    return out
+    return [tok for raw in text.lower().split() if (tok := raw.strip(_STRIP))]
 
 
 @dataclass(frozen=True)
@@ -108,21 +103,16 @@ class Vocabulary:
 
     @classmethod
     def from_texts(cls, texts) -> "Vocabulary":
-        seen = set()
-        for text in texts:
-            seen.update(tokenize(text))
-        return cls(tuple(sorted(seen)))
+        return cls(tuple(sorted({tok for text in texts for tok in tokenize(text)})))
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def encode(self, text: str) -> list[int]:
-        ids = []
-        for tok in tokenize(text):
-            if tok not in self._index:
-                raise VocabularyError(f"unknown token {tok!r} in text {text!r}")
-            ids.append(self._index[tok])
-        return ids
+        try:
+            return [self._index[tok] for tok in tokenize(text)]
+        except KeyError as exc:
+            raise VocabularyError(f"unknown token {exc.args[0]!r} in text {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +167,7 @@ class Lexicon:
     @classmethod
     def load(cls, path) -> "Lexicon":
         with reading(path) as data:
-            payload = json.loads(data.decode("utf-8"))
+            payload = json_value(data)
             if not isinstance(payload, dict) or not _LEXICON_KEYS <= payload.keys():
                 raise FormatError(f"a lexicon must be a JSON object with keys "
                                   f"{', '.join(sorted(_LEXICON_KEYS))}")
@@ -362,8 +352,6 @@ _SPACES = re.compile(r"[ \t\r]*").match  # the blanks json.loads skips around a 
 _KEYS = frozenset({"study_id", "view", "report", "image_path", "labels"})
 _STRING_KEYS = ("study_id", "view", "report", "image_path")
 _LABEL_TYPES = frozenset({int, type(None)})
-# JSON text decodes to a lone surrogate only through a \ud800-\udfff escape
-_SURROGATE_ESCAPE = re.compile(r"\\ud[89a-f]", re.IGNORECASE).search
 
 
 def _manifest_rows(text: str):
@@ -409,7 +397,7 @@ def read_manifest(path) -> list[StudyRecord]:
     records, first_line, vectors = [], {}, {}  # vectors: one LabelVector per labels tuple
     with reading(path) as data:
         text = data.decode("utf-8")
-        check_surrogates = _SURROGATE_ESCAPE(text) is not None
+        check_surrogates = has_surrogate_escape(text) is not None
         for n, row in _manifest_rows(text):
             # JSON yields exact types, so `type(x) is str` accepts what isinstance accepts
             if type(row) is not dict or "study_id" not in row or "view" not in row:

@@ -12,9 +12,10 @@ GLRE1 layout for use outside glre; nothing in the package reads it back.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,36 +112,38 @@ def param_shapes(dim: int, vocab_size: int, patch_pool: int) -> dict[str, tuple[
             "global_proj_text": (dim, dim)}
 
 
-@dataclass
+@dataclass(eq=False)
 class EncoderParams:
-    """All trainable tensors for the two toy encoders.
+    """All trainable tensors of the two toy encoders, as views of one read-only vector.
 
-    patch_proj: [P x D] projection of pooled patch vectors (P = patch_pool^2);
-    token_table: [V x D] embeddings; global_proj_*: [D x D] per modality.
-    """
+    `flat` holds, row-major in param_shapes order, patch_proj [P x D] (P = patch_pool^2),
+    patch_bias [D], token_table [V x D] and global_proj_* [D x D] per modality; `bind`
+    moves the same five Tensor objects onto a new vector, so a holder sees the update."""
 
-    patch_proj: Tensor
-    patch_bias: Tensor
-    token_table: Tensor
-    global_proj_image: Tensor
-    global_proj_text: Tensor
+    flat: np.ndarray
+    dim: int
+    vocab_size: int
     patch_pool: int = 8
     use_positions: bool = False
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dim}")
-        for name, t in self.parameters().items():
-            if not np.all(np.isfinite(t.data)):
-                raise ValueError(f"parameter {name} contains non-finite values")
+        for name in PARAM_NAMES:
+            setattr(self, name, Tensor(0.0, requires_grad=True))
+        self.bind(np.asarray(self.flat, dtype=np.float64))
+        if not np.isfinite(self.flat).all():
+            bad = next(n for n, t in self.parameters().items() if not np.isfinite(t.data).all())
+            raise ValueError(f"parameter {bad} contains non-finite values")
 
-    @property
-    def dim(self) -> int:
-        return self.patch_proj.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.token_table.shape[0]
+    def bind(self, flat: np.ndarray) -> None:
+        """Make `flat` the parameter vector, read-only, and each tensor's data its piece."""
+        flat.flags.writeable = False
+        self.flat = flat
+        shapes = param_shapes(self.dim, self.vocab_size, self.patch_pool)
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        for (name, shape), piece in zip(shapes.items(), np.split(flat, ends[:-1])):
+            getattr(self, name).data = piece.reshape(shape)
 
     def parameters(self) -> dict[str, Tensor]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -149,16 +152,15 @@ class EncoderParams:
     def initialize(cls, dim: int, vocab_size: int, patch_pool: int = 8,
                    use_positions: bool = False, rng: np.random.Generator | None = None,
                    init_scale: float = 0.05) -> "EncoderParams":
-        """Seeded uniform(-init_scale, init_scale) draws, in param_shapes order.
+        """Seeded uniform(-init_scale, init_scale) draws of the whole vector.
 
         The small scale keeps initial cosines near zero, so the initial
         contrastive loss sits near ln(batch size).
         """
         rng = rng if rng is not None else np.random.default_rng(0)
-        tensors = {name: Tensor(rng.uniform(-init_scale, init_scale, size=shape),
-                                requires_grad=True)
-                   for name, shape in param_shapes(dim, vocab_size, patch_pool).items()}
-        return cls(patch_pool=patch_pool, use_positions=use_positions, **tensors)
+        size = sum(math.prod(shape) for shape in param_shapes(dim, vocab_size, patch_pool).values())
+        return cls(rng.uniform(-init_scale, init_scale, size=size), dim, vocab_size,
+                   patch_pool, use_positions)
 
 
 def adaptive_mean_pool(blocks: np.ndarray, out: int) -> np.ndarray:

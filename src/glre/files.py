@@ -2,7 +2,8 @@
 
 Every reader takes a file's bytes from `reading` and parses them inside its
 block, decoding text as UTF-8, so a malformed input of any kind is reported
-the same way: a format error that starts with the file's path. Every writer
+the same way: a format error that starts with the file's path; `json_value`
+decodes JSON and also rejects a string that UTF-8 cannot encode. Every writer
 builds its whole file in memory and hands it to `write_file`, so a write that
 fails part-way leaves any earlier file as it was and no temp file behind;
 `write_csv` takes its table as columns and quotes only the string ones.
@@ -37,6 +38,23 @@ def reading(path):
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (UnicodeDecodeError, csv.Error, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+# JSON text decodes to a lone surrogate only through a \ud800-\udfff escape; decoding
+# joins an escaped pair into one character, so any surrogate left after it is lone
+has_surrogate_escape = re.compile(r"\\ud[89a-f]", re.IGNORECASE).search
+_SURROGATE = re.compile(r"[\ud800-\udfff]").search
+
+
+def json_value(data: bytes):
+    """The JSON value of the UTF-8 bytes `data`, read in a `reading` block. A string whose
+    escapes decode to a lone surrogate, which UTF-8 cannot encode, is a FormatError; text
+    with no such escape costs one regex search, and an escaped pair stays one character."""
+    text = data.decode("utf-8")
+    value = json.loads(text)
+    if has_surrogate_escape(text) and _SURROGATE(json.dumps(value, ensure_ascii=False)):
+        raise FormatError("a string holds a lone surrogate, which UTF-8 cannot encode")
+    return value
 
 
 def write_file(path, data: bytes | str) -> None:

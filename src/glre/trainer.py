@@ -6,11 +6,11 @@ checkpoint that `initial_checkpoint` builds and a resumed one from a saved
 checkpoint, down the same path, so a resumed run consumes the exact random
 stream of an uninterrupted one and reproduces it bit for bit.
 
-The parameters have one flat layout, encoders.param_shapes in PARAM_NAMES
-order: Adam updates them as one vector with moments in the same layout, and
-a GLCK1 checkpoint stores parameters, m and v as one payload. A SHA-256 of
-everything before it ends the file, and the loader checks it first. The
-checkpoint is written whole by `files.write_file`; `train` writes no file.
+The parameters are one flat vector, `EncoderParams.flat`, in the layout of
+encoders.param_shapes: init draws it at once, Adam updates it with moments in
+the same layout, and a GLCK1 checkpoint stores it, m and v as one payload. A
+SHA-256 of everything before it ends the file, and the loader checks it first.
+The checkpoint is written whole by `files.write_file`; `train` writes no file.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     check_number,
 )
 from .files import reading, write_file
-from .numerics import GradTape, Tensor, backward
+from .numerics import GradTape, backward
 
 
 @dataclass
@@ -109,8 +109,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
-        size = sum(p.size for p in params.parameters().values())
-        return cls(m=np.zeros(size), v=np.zeros(size))
+        return cls(m=np.zeros(params.flat.size), v=np.zeros(params.flat.size))
 
 
 def optimizer_step(params: EncoderParams, grads: dict[str, np.ndarray],
@@ -119,7 +118,7 @@ def optimizer_step(params: EncoderParams, grads: dict[str, np.ndarray],
 
     A missing gradient counts as zero; a non-finite one raises
     TrainingDivergenceError naming its parameter before anything changes.
-    Each tensor is rebound to a read-only view of one new parameter vector.
+    The parameters are rebound to one new read-only vector.
     """
     tensors = params.parameters()
     g = np.concatenate([np.zeros(t.size) if grads.get(name) is None else grads[name].ravel()
@@ -137,17 +136,7 @@ def optimizer_step(params: EncoderParams, grads: dict[str, np.ndarray],
     state.v += (1 - b2) * g * g
     step = config.learning_rate * (state.m / (1 - b1 ** state.t))
     step /= np.sqrt(state.v / (1 - b2 ** state.t)) + config.epsilon
-    flat = np.concatenate([t.data.ravel() for t in tensors.values()])
-    flat -= step
-    flat.flags.writeable = False
-    for t, view in zip(tensors.values(), _views(flat, [t.shape for t in tensors.values()])):
-        t.data = view
-
-
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive pieces of `flat`, reshaped to each of `shapes` in turn."""
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return [piece.reshape(shape) for shape, piece in zip(shapes, np.split(flat, ends[:-1]))]
+    params.bind(params.flat - step)
 
 
 @dataclass
@@ -225,8 +214,7 @@ def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
         raise ConsistencyError(f"checkpoint's epoch order covers {len(order)} studies "
                                f"(at {pointer}), but {n} were given")
     patches, sequences = _prepare(records, config, state.vocab)
-    params = replace(state.params, **{name: Tensor(t.data, requires_grad=True)
-                                      for name, t in state.params.parameters().items()})
+    params = replace(state.params)  # new tensors over the same read-only vector
     adam = replace(state.adam, m=state.adam.m.copy(), v=state.adam.v.copy())
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
@@ -283,7 +271,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     Written by `files.write_file`, so a save that fails part-way leaves any
     earlier file at `path` as it was.
     """
-    tensors = ckpt.params.parameters()
     header = {
         "step": ckpt.step,
         "adam_t": ckpt.adam.t,
@@ -292,11 +279,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "rng_state": ckpt.rng_state,
         "order": [int(i) for i in ckpt.order],
         "pointer": ckpt.pointer,
-        "arrays": _array_entries({name: t.shape for name, t in tensors.items()}),
+        "arrays": _array_entries({name: t.shape for name, t in ckpt.params.parameters().items()}),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.concatenate([t.data.ravel() for t in tensors.values()]
-                             + [ckpt.adam.m, ckpt.adam.v], dtype="<f8")
+    payload = np.concatenate([ckpt.params.flat, ckpt.adam.m, ckpt.adam.v], dtype="<f8")
     body = b"".join((_MAGIC, struct.pack("<II", _VERSION, len(blob)), blob, payload))
     write_file(path, body + hashlib.sha256(body).digest())
 
@@ -359,12 +345,15 @@ def load_checkpoint(path) -> Checkpoint:
         if trailer != end:
             raise FormatError(f"checkpoint payload has {trailer - pos} bytes, its header "
                               f"gives {end - pos}", offset=min(trailer, end))
-        flat, m, v = np.frombuffer(blob, dtype="<f8", count=3 * size, offset=pos).reshape(3, size)
-        tensors = {name: Tensor(view, requires_grad=True)
-                   for name, view in zip(shapes, _views(flat, list(shapes.values())))}
+        payload = np.frombuffer(blob, dtype="<f8", count=3 * size, offset=pos)
+        bad = np.flatnonzero(~np.isfinite(payload))
+        if bad.size:
+            raise FormatError(f"checkpoint {('param', 'adam_m', 'adam_v')[bad[0] // size]} "
+                              "payload holds a non-finite value", offset=pos + 8 * int(bad[0]))
+        flat, m, v = payload.reshape(3, size)
     return Checkpoint(
-        params=EncoderParams(patch_pool=config.patch_pool,
-                             use_positions=config.use_positions, **tensors),
+        params=EncoderParams(flat.copy(), config.dim, len(vocab), config.patch_pool,
+                             config.use_positions),
         adam=AdamState(m=m.copy(), v=v.copy(), t=header["adam_t"]),
         step=header["step"],
         config=config,

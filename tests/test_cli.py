@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -676,6 +677,16 @@ def test_help_exits_0(capsys):
         assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name  # its help line
 
 
+def test_a_second_main_call_builds_no_parser(monkeypatch, capsys):
+    assert main([]) == 1  # the first call in a process may build it
+    built = []
+    build = glre.cli._Parser.__init__
+    monkeypatch.setattr(glre.cli._Parser, "__init__",
+                        lambda self, *args, **kw: built.append(self) or build(self, *args, **kw))
+    assert main([]) == 1 and main(["label"]) == 1 and main(["--help"]) == 0
+    assert built == []
+
+
 def test_missing_required_flag_exits_1(capsys):
     assert main(["train"]) == 1
     assert "--manifest" in capsys.readouterr().err
@@ -878,8 +889,7 @@ def test_manifest_string_holding_a_lone_surrogate_exits_2_naming_its_line(
             "label": ["label", "--manifest", bad]}[command]
     assert run(*argv, "--out-dir", tmp_path / "out") == 2
     assert f"{bad}: line 2: {field!r} holds a lone surrogate" in capsys.readouterr().err
-    if command != "probe":  # probe still saves its fit before it reads --score-manifest
-        assert not list((tmp_path / "out").iterdir())
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_manifest_escaped_surrogate_pair_reads_as_its_character(tmp_path):
@@ -890,6 +900,57 @@ def test_manifest_escaped_surrogate_pair_reads_as_its_character(tmp_path):
     [rec] = read_manifest(tmp_path / "labeled.jsonl")
     assert (rec.study_id, rec.report_text) == ("s\U0001f600", "no edema \U0001f600.")
     assert rec.labels["edema"] == 0
+
+
+def _lone_surrogate_prompt(tmp_path, pipeline, bad):
+    _write_json(bad, {p: [p] for p in PATHOLOGIES} | {"edema": ["\ud800 edema"]})
+    return ["zeroshot", "--checkpoint", pipeline["checkpoint"],
+            "--manifest", pipeline["data"] / "heldout.jsonl", "--prompts", bad]
+
+
+def _lexicon_with_negation(cue):
+    def case(tmp_path, pipeline, bad):
+        lexicon = asdict(default_lexicon())
+        lexicon["negations"].append(cue)
+        _write_json(bad, lexicon)
+        return ["label", "--manifest", pipeline["data"] / "heldout.jsonl", "--lexicon", bad]
+    return case
+
+
+def _config_view(view):
+    def case(tmp_path, pipeline, bad):
+        _write_json(bad, {"view": view})
+        return ["split", "--manifest", pipeline["data"] / "heldout.jsonl",
+                "--sizes", "all=rest", "--config", bad]
+    return case
+
+
+def _lone_surrogate_config_lexicon_path(tmp_path, pipeline, bad):
+    _write_json(bad, {"lexicon": str(tmp_path / "lex\ud800.json")})
+    return ["label", "--manifest", pipeline["data"] / "heldout.jsonl", "--config", bad]
+
+
+@pytest.mark.parametrize("case", [_lone_surrogate_prompt, _lexicon_with_negation("n\ud800"),
+                                  _config_view("fr\ud800"), _lone_surrogate_config_lexicon_path],
+                         ids=["prompt", "lexicon_negation", "config_view", "config_lexicon_path"])
+def test_json_input_string_holding_a_lone_surrogate_exits_2_naming_its_file(
+        pipeline, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    argv = case(tmp_path, pipeline, bad)
+    assert "\\ud800" in bad.read_text()  # json.dumps writes the escape
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    assert f"{bad}: a string holds a lone surrogate" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))  # a config is read before out/ is made
+
+
+@pytest.mark.parametrize("case", [_lexicon_with_negation("n\U0001f600"),
+                                  _config_view("frontal\U0001f600")],
+                         ids=["lexicon_negation", "config_view"])
+def test_json_input_escaped_surrogate_pair_is_accepted(pipeline, tmp_path, case):
+    bad = tmp_path / "pair.json"
+    argv = case(tmp_path, pipeline, bad)
+    assert "\\ud83d\\ude00" in bad.read_text()
+    assert run(*argv, "--out-dir", tmp_path / "out") == 0
 
 
 def _drop_arrays(header):
@@ -1006,6 +1067,27 @@ def test_checkpoint_with_a_flipped_payload_bit_exits_2(pipeline, tmp_path, capsy
                "--out-dir", tmp_path) == 2
     err = capsys.readouterr().err
     assert "SHA-256" in err and f"offset {trailer}" in err
+    assert not (tmp_path / "zeroshot_scores.csv").exists()
+
+
+@pytest.mark.parametrize("part", ["param", "adam_m"])
+def test_checkpoint_with_a_signed_non_finite_payload_value_exits_2(pipeline, tmp_path, capsys,
+                                                                   part):
+    # a NaN written into a third of the payload and signed again passes the digest,
+    # so only the loader's check of the values keeps it out
+    blob = bytearray(pipeline["checkpoint"].read_bytes()[:-32])
+    (length,) = struct.unpack_from("<I", blob, 9)
+    start = 13 + length
+    at = start + ("param", "adam_m").index(part) * (len(blob) - start) // 3 + 8 * 5
+    blob[at : at + 8] = struct.pack("<d", float("nan"))
+    bad = tmp_path / "nan.bin"
+    bad.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
+    assert run("zeroshot", "--checkpoint", bad,
+               "--manifest", pipeline["data"] / "heldout.jsonl",
+               "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: checkpoint {part} payload holds a non-finite value" in err
+    assert f"offset {at}" in err
     assert not (tmp_path / "zeroshot_scores.csv").exists()
 
 

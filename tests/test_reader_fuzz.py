@@ -5,9 +5,10 @@ of it an arbitrary byte, and the command that reads the file runs through
 `glre.cli.main`: `eval` for a scores CSV, `zeroshot` for a prompt file or a
 PGM, `label` for a lexicon and `train` for a config file; `split` and `eval`
 also read a config entry named after one of their flags, whose type the flag
-table declares. No exception may escape; a value of the wrong type, or a file
-that is not UTF-8, exits 2 under the CLI contract, and anything else exits 0,
-1 or 2. Config and PGM runs also check that every exit 2 names the mutated file.
+table declares. No exception may escape; a value of the wrong type, a JSON
+string that decodes to a lone surrogate, or a file that is not UTF-8, exits 2
+under the CLI contract, and anything else exits 0, 1 or 2. Config and PGM runs
+also check that every exit 2 names the mutated file.
 """
 
 import contextlib
@@ -24,9 +25,12 @@ from glre.datapipe import PATHOLOGIES, default_lexicon
 from glre.encoders import read_pgm
 from glre.errors import FormatError
 
+# lone surrogates, high and low, and surrogate pairs, which JSON writes as two escapes
+_SURROGATES = ["\ud800", "n\udbff", "\udc00", "\udfff", "\ud83d\ude00", "x\udbff\udfffy"]
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
-    | st.text(max_size=8) | st.sampled_from(["edema", "no", "Possible", ""]),
+    | st.text(max_size=8) | st.sampled_from(["edema", "no", "Possible", "", *_SURROGATES]),
     lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=8)
@@ -34,6 +38,16 @@ json_values = st.recursive(
 # CSV cells: numbers as text, near-numbers and anything else
 cells = (st.floats().map(repr) | st.integers().map(str) | st.text(max_size=8)
          | st.sampled_from(["", "nan", "-inf", "1e400", "0x1", "1_0", " 0.5 ", "s000"]))
+
+
+def _lone_surrogate(payload) -> bool:
+    """Whether json.dumps writes `payload` with an escape that json.loads decodes to a lone
+    surrogate, which UTF-8 cannot encode; a pair of escapes decodes to one character."""
+    try:
+        json.dumps(json.loads(json.dumps(payload)), ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def _is_str_list(value) -> bool:
@@ -144,7 +158,8 @@ def test_any_prompt_value_exits_cleanly(work, field, value):
         payload["edema"] = ["edema", value]
     (work / "prompts.json").write_text(json.dumps(payload))
     code = _read(work, "prompts", work / "prompts.json")
-    if not (isinstance(payload, dict) and all(map(_is_str_list, payload.values()))):
+    if (not (isinstance(payload, dict) and all(map(_is_str_list, payload.values())))
+            or _lone_surrogate(payload)):
         assert code == 2, payload
     else:
         assert code in (0, 1, 2), payload
@@ -182,7 +197,7 @@ def test_any_lexicon_value_exits_cleanly(work, field, value):
         payload[field] = value
     (work / "lexicon.json").write_text(json.dumps(payload))
     code = _read(work, "lexicon", work / "lexicon.json")
-    if _lexicon_wrong_type(payload):
+    if _lexicon_wrong_type(payload) or _lone_surrogate(payload):
         assert code == 2, payload
     else:
         assert code in (0, 1, 2), payload
@@ -220,7 +235,8 @@ def test_any_byte_in_a_reader_file_exits_cleanly(work, kind, position, byte):
 
 # setting values: integers stay small, so no mutation asks for a long or large run
 setting_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=8)
+    | st.sampled_from(_SURROGATES),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=2),
     max_leaves=4)
@@ -264,7 +280,8 @@ def test_any_config_value_exits_cleanly(work, field, entry, setting, value):
     # flags name every file, so the config's own path entries are only type-checked
     code = _run_naming(path, "train", "--config", path, "--manifest",
                        work / "data" / "train.jsonl", "--out-dir", work / "out")
-    if _config_wrong_type(field, entry if field == "entry" else setting, value):
+    if (_config_wrong_type(field, entry if field == "entry" else setting, value)
+            or _lone_surrogate(payload)):
         assert code == 2, payload
     else:
         assert code in (0, 1, 2), payload
@@ -298,7 +315,7 @@ def test_any_config_entry_for_a_flag_exits_cleanly(work, key, value):
     else:
         argv = ["split", "--manifest", held, *([] if key == "sizes" else ["--sizes", "all=rest"])]
     code = _run_naming(path, *argv, "--config", path, "--out-dir", work / "out")
-    if _entry_wrong_type(key, value):
+    if _entry_wrong_type(key, value) or _lone_surrogate(value):
         assert code == 2, value
     else:
         assert code in (0, 1, 2), value

@@ -18,7 +18,6 @@ from glre.errors import (
 )
 from glre import files
 from glre.files import step_log
-from glre.numerics import Tensor
 from glre.trainer import (
     AdamState,
     Checkpoint,
@@ -80,22 +79,20 @@ def test_moments_decay_after_activity():
 
 def test_adam_quadratic_matches_independent_recurrence():
     # minimize f(x) = x^2 from x0 = 1 with lr 0.1
+    # as the first entry of a real parameter vector; every other entry gets a zero gradient
     cfg = TrainConfig(learning_rate=0.1, steps=1)
-    x = Tensor(np.array([[1.0]]), requires_grad=True)
-    params_dict = {"x": x}
-
-    class OneParam:
-        def parameters(self):
-            return params_dict
-
-    holder = OneParam()
-    state = AdamState(m=np.zeros(1), v=np.zeros(1))
+    start = np.zeros(14)  # the parameter vector at dim 2, vocabulary 1, patch_pool 1
+    start[0] = 1.0
+    params = EncoderParams(start, dim=2, vocab_size=1, patch_pool=1)
+    x = params.patch_proj  # the tensor object held here sees every update
+    state = AdamState.for_params(params)
 
     # independent scalar recurrence
     xs, ms, vs = 1.0, 0.0, 0.0
     for t in range(1, 201):
-        g = 2.0 * x.item()
-        optimizer_step(holder, {"x": np.array([[g]])}, state, cfg)
+        g = np.zeros(x.shape)
+        g[0, 0] = 2.0 * x.data[0, 0]
+        optimizer_step(params, {"patch_proj": g}, state, cfg)
 
         gs = 2.0 * xs
         ms = cfg.beta1 * ms + (1 - cfg.beta1) * gs
@@ -103,8 +100,9 @@ def test_adam_quadratic_matches_independent_recurrence():
         m_hat = ms / (1 - cfg.beta1 ** t)
         v_hat = vs / (1 - cfg.beta2 ** t)
         xs = xs - cfg.learning_rate * m_hat / (math.sqrt(v_hat) + cfg.epsilon)
-        assert x.item() == pytest.approx(xs, abs=1e-14)
-    assert abs(x.item()) < 0.05
+        assert x.data[0, 0] == pytest.approx(xs, abs=1e-14)
+        assert np.array_equal(params.flat[1:], start[1:])
+    assert abs(x.data[0, 0]) < 0.05
 
 
 def test_flat_adam_matches_per_parameter_loop():

@@ -175,13 +175,13 @@ def default_prompts() -> PromptSet:
 
 def image_features(records, ckpt: Checkpoint) -> LocalGlobalFeatures:
     """Frozen encoder outputs for records carrying inline images, as one batch."""
-    patches = []
     for rec in records:
         if rec.image is None:
             raise ValueError(f"record {rec.study_id!r} has no image attached")
-        # looked up on the module, so a wrapper installed there sees each call
-        patches.append(encoders.image_patch_matrix(rec.image, ckpt.params.patch_pool))
-    return encode_image_patches(patches, ckpt.params)
+    # looked up on the module, so a wrapper installed there sees the call
+    return encode_image_patches(
+        encoders.image_patch_matrix([rec.image for rec in records], ckpt.params.patch_pool),
+        ckpt.params)
 
 
 def mixed_scores(feats: LocalGlobalFeatures, texts, ckpt: Checkpoint,

@@ -74,6 +74,7 @@ from .errors import (
     SettingTypeError,
     UndefinedAucError,
     VersionError,
+    VocabularyError,
     check_number,
 )
 from .files import json_value, reading, step_log, write_csv, write_json
@@ -480,11 +481,15 @@ def _per_study(feats: LocalGlobalFeatures):
 def _cmd_export_embeddings(s, out_dir: Path) -> RunReport:
     ckpt, records = _load_scoring_inputs(s)
     imaged = [rec for rec in records if rec.image is not None]
-    texted = filter_with_report(records)  # train's rule: a blank report has no text entry
-    for rec in texted:
+    seqs = []
+    for rec in filter_with_report(records):  # train's rule: a blank report has no text entry
+        where = f"study {rec.study_id!r} of {s['manifest']}"
         if not tokenize(rec.report_text):
-            raise InsufficientDataError(f"study {rec.study_id!r} has no report tokens")
-    seqs = [encode_report(rec.report_text, ckpt.vocab, ckpt.config) for rec in texted]
+            raise InsufficientDataError(f"{where} has no report tokens")
+        try:
+            seqs.append(encode_report(rec.report_text, ckpt.vocab, ckpt.config))
+        except VocabularyError as exc:
+            raise VocabularyError(f"{where}: {exc}") from None
     # each side is encoded in one call, then handed out study by study
     images = _per_study(image_features(imaged, ckpt)) if imaged else iter(())
     texts = _per_study(encode_text_toy(seqs, ckpt.params)) if seqs else iter(())

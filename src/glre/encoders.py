@@ -37,6 +37,7 @@ class ImageGrid:
         if self.pixels.ndim != 2:
             raise ShapeError(f"image pixels must be 2-D, got shape {self.pixels.shape}")
         gr, gc = self.region_grid
+        self.region_grid = (gr, gc)  # hashable, as image_patch_matrix groups by it
         h, w = self.pixels.shape
         if gr < 1 or gc < 1 or h % gr or w % gc:
             raise ShapeError(
@@ -44,18 +45,6 @@ class ImageGrid:
             )
         if self.pixels.size and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
             raise ValueError("pixel intensities must lie in [0, 1]")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def region_count(self) -> int:
-        return self.region_grid[0] * self.region_grid[1]
 
 
 @dataclass(frozen=True)
@@ -179,11 +168,27 @@ def adaptive_mean_pool(blocks: np.ndarray, out: int) -> np.ndarray:
     return sums / np.outer(np.diff(rows), np.diff(cols))
 
 
-def image_patch_matrix(img: ImageGrid, patch_pool: int) -> np.ndarray:
-    """R x P matrix of pooled-and-flattened region patches, regions row-major."""
-    gr, gc = img.region_grid
-    blocks = img.pixels.reshape(gr, img.height // gr, gc, img.width // gc).swapaxes(1, 2)
-    return adaptive_mean_pool(blocks, patch_pool).reshape(img.region_count, -1)
+def image_patch_matrix(images, patch_pool: int):
+    """Pooled-and-flattened region patches, regions row-major: the R x P matrix
+    of one ImageGrid, or the list of matrices of a sequence of them, in order.
+
+    Images of one pixel shape and region grid are pooled in one call; each
+    cell sums its pixels in the order it would for a lone image.
+    """
+    one = isinstance(images, ImageGrid)
+    images = [images] if one else list(images)
+    groups: dict[tuple, list[int]] = {}
+    for k, img in enumerate(images):
+        groups.setdefault((img.pixels.shape, img.region_grid), []).append(k)
+    out = [None] * len(images)
+    for ((h, w), (gr, gc)), ks in groups.items():
+        rh, rw = h // gr, w // gc
+        blocks = np.concatenate([images[k].pixels.reshape(1, gr, rh, gc, rw).swapaxes(2, 3)
+                                 for k in ks], out=np.empty((len(ks), gr, gc, rh, rw)))
+        pooled = adaptive_mean_pool(blocks, patch_pool).reshape(len(ks), gr * gc, -1)
+        for k, matrix in zip(ks, pooled):
+            out[k] = matrix
+    return out[0] if one else out
 
 
 def sinusoidal_positions(length: int, dim: int, scale: float = 0.05) -> np.ndarray:
@@ -208,6 +213,7 @@ def encode_image_patches(patches, params: EncoderParams) -> LocalGlobalFeatures:
     lengths = tuple(m.shape[0] for m in patches)
     pre = nm.add(nm.matmul(nm.constant(np.concatenate(patches)), params.patch_proj),
                  params.patch_bias)
+    del patches  # the last reference when the caller kept none
     local = nm.l2_normalize_rows(pre)
     global_feat = nm.l2_normalize_rows(
         nm.matmul(nm.mean_rows(pre, lengths), params.global_proj_image))

@@ -179,7 +179,7 @@ def _prepare(records, config: TrainConfig, vocab: Vocabulary):
         raise ConsistencyError(
             f"config expects vocabulary of {config.vocab_size}, dataset has {len(vocab)}"
         )
-    patches = [image_patch_matrix(r.image, config.patch_pool) for r in records]
+    patches = image_patch_matrix([r.image for r in records], config.patch_pool)
     sequences = [encode_report(r.report_text, vocab, config) for r in records]
     return patches, sequences
 

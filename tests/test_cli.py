@@ -26,8 +26,10 @@ from glre.datapipe import (
     write_manifest,
 )
 from glre.encoders import (ImageGrid, encode_image_patches, encode_text_toy, image_patch_matrix,
-                           read_pgm, save_embeddings)
+                           read_pgm, save_embeddings, write_pgm)
 from glre.trainer import encode_report, load_checkpoint
+
+from pool_oracle import pool_each
 
 
 def run(*argv) -> int:
@@ -648,6 +650,84 @@ def test_export_embeddings_failure_leaves_no_file(pipeline, tmp_path, capsys):
                "--manifest", tmp_path / "long_id.jsonl", "--out-dir", out) == 1
     assert "too long" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_export_embeddings_unknown_token_names_study_and_manifest(pipeline, tmp_path, capsys):
+    manifest, _, named = _unknown_token_manifest(tmp_path, pipeline)
+    study_id = json.loads(manifest.read_text().splitlines()[7])["study_id"]
+    assert run("export-embeddings", "--checkpoint", pipeline["checkpoint"],
+               "--manifest", manifest, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert all(part in err for part in (named, repr(study_id), str(manifest))), err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def _mixed_size_manifest(pipeline, split, out_dir):
+    """The split's studies, every other one with a 48x48 image in place of its 24x24 one."""
+    rng = np.random.default_rng(48)
+    rows = [json.loads(line) for line in (pipeline["data"] / f"{split}.jsonl").read_text()
+            .splitlines()]
+    for row in rows[1::2]:
+        pixels = np.kron(read_pgm(pipeline["data"] / row["image_path"]), np.ones((2, 2)))
+        row["image_path"] = f"{row['study_id']}-48.pgm"
+        write_pgm(out_dir / row["image_path"], np.clip(pixels + rng.normal(0, 0.1, (48, 48)), 0, 1))
+    for row in rows[::2]:
+        row["image_path"] = str(pipeline["data"] / row["image_path"])
+    (out_dir / f"{split}.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return out_dir / f"{split}.jsonl"
+
+
+def test_mixed_image_sizes_score_as_when_pooled_one_by_one(pipeline, tmp_path, monkeypatch):
+    # each size is pooled in its own stacked call; the outputs must be the
+    # bytes that pooling every image in its own call gives
+    (tmp_path / "data").mkdir()
+    train, heldout = (_mixed_size_manifest(pipeline, split, tmp_path / "data")
+                      for split in ("train", "heldout"))
+    ckpt = pipeline["checkpoint"]
+    commands = [
+        ("zeroshot", "--checkpoint", ckpt, "--manifest", heldout),
+        ("probe", "--checkpoint", ckpt, "--manifest", train, "--score-manifest", heldout),
+        ("export-embeddings", "--checkpoint", ckpt, "--manifest", heldout),
+    ]
+
+    def outputs(out_dir):
+        for argv in commands:
+            assert run(*argv, "--out-dir", out_dir) == 0
+        return {name: (out_dir / name).read_bytes() for name in (
+            "zeroshot_scores.csv", "probe.json", "probe_scores.csv", "embeddings.bin")}
+
+    batched = outputs(tmp_path / "batched")
+    monkeypatch.setattr(glre.encoders, "image_patch_matrix", pool_each)
+    assert outputs(tmp_path / "one_by_one") == batched
+    sizes = {read_pgm(tmp_path / "data" / json.loads(line)["image_path"]).shape
+             for line in heldout.read_text().splitlines()}
+    assert sizes == {(24, 24), (48, 48)}
+
+
+def test_images_are_pooled_in_one_call_per_batch(pipeline, tmp_path, monkeypatch):
+    # a return to one pooling call per image would show here first
+    sizes = []
+
+    def counting(real):
+        def pool(images, patch_pool):
+            sizes.append(len(images))
+            return real(images, patch_pool)
+        return pool
+
+    monkeypatch.setattr(trainer, "image_patch_matrix", counting(trainer.image_patch_matrix))
+    assert run("train", "--config", _train_config(tmp_path / "cfg.json", 2), "--seed", 5,
+               "--manifest", pipeline["data"] / "train.jsonl", "--out-dir", tmp_path / "t") == 0
+    assert sizes == [60]
+    sizes.clear()
+    monkeypatch.setattr(glre.encoders, "image_patch_matrix",
+                        counting(glre.encoders.image_patch_matrix))
+    assert run("probe", "--checkpoint", pipeline["checkpoint"],
+               "--manifest", pipeline["data"] / "train.jsonl",
+               "--score-manifest", pipeline["data"] / "heldout.jsonl",
+               "--out-dir", tmp_path / "p") == 0
+    assert run("zeroshot", "--checkpoint", pipeline["checkpoint"],
+               "--manifest", pipeline["data"] / "heldout.jsonl", "--out-dir", tmp_path / "z") == 0
+    assert sizes == [60, 20, 20]
 
 
 # ---------------------------------------------------------------------------

@@ -458,7 +458,7 @@ def test_synth_noise_zero_same_class_same_pattern():
     assert len(same) >= 2
     a, b = same[0].image, same[1].image
     # class 0's home region sits at grid index 0, the top-left block
-    rh, rw = a.height // a.region_grid[0], a.width // a.region_grid[1]
+    rh, rw = (n // g for n, g in zip(a.pixels.shape, a.region_grid))
     np.testing.assert_array_equal(a.pixels[:rh, :rw], b.pixels[:rh, :rw])
 
 

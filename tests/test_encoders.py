@@ -25,6 +25,7 @@ from glre.encoders import (
 from glre.errors import FormatError, ShapeError, VocabularyError
 
 from gradcheck import analytic_grads, max_rel_error
+from pool_oracle import pool_each
 from reference_ops import mul, tensor_sum
 
 
@@ -81,6 +82,56 @@ def test_image_patch_matrix_matches_region_loop_oracle():
         got = image_patch_matrix(img, out)
         assert got.shape == (gr * gc, out * out)
         assert np.array_equal(got, _region_loop_patches(img.pixels, (gr, gc), out))
+
+
+def _same_bytes(got, want):
+    return len(got) == len(want) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_image_patch_matrix_of_a_list_is_each_image_pooled_alone():
+    # bit-exact: a stack of same-size images sums each cell's pixels in the
+    # order one image's pooling does, for spans of 8 and more and ragged ones
+    rng = np.random.default_rng(28)
+    drawn = set()
+    for _ in range(60):
+        gr, gc = (int(v) for v in rng.integers(1, 5, size=2))
+        out = int(rng.integers(1, 12))
+        rh, rw = (out * int(rng.integers(1, 13)) + int(rng.integers(0, out)) for _ in "hw")
+        drawn |= {"span >= 8" for n in (rh, rw) if n // out >= 8}
+        drawn |= {"ragged" for n in (rh, rw) if n % out}
+        images = [ImageGrid(rng.uniform(size=(gr * rh, gc * rw)), region_grid=(gr, gc))
+                  for _ in range(int(rng.integers(1, 5)))]
+        got = image_patch_matrix(images, out)
+        assert _same_bytes(got, pool_each(images, out))
+        assert _same_bytes(got, [image_patch_matrix(img, out) for img in images])
+        assert _same_bytes(got, [_region_loop_patches(img.pixels, (gr, gc), out)
+                                 for img in images])
+    assert drawn == {"span >= 8", "ragged"}
+
+
+def test_image_patch_matrix_keeps_order_across_sizes_and_grids():
+    # pooled to 8 x 8, the 24 x 24 images' 3 x 3 regions have spans of one pixel
+    rng = np.random.default_rng(5)
+    kinds = [(24, (3, 3)), (48, (3, 3)), (24, (2, 2)), (48, (4, 4))]
+    images = [ImageGrid(rng.uniform(size=(size, size)), region_grid=grid)
+              for size, grid in (kinds[int(k)] for k in rng.integers(0, 4, size=14))]
+    assert len({(img.pixels.shape, img.region_grid) for img in images}) == 4
+    got = image_patch_matrix(images, 8)
+    assert [m.shape[0] for m in got] == [np.prod(img.region_grid) for img in images]
+    assert _same_bytes(got, pool_each(images, 8))
+    assert _same_bytes(got, [_region_loop_patches(img.pixels, img.region_grid, 8)
+                             for img in images])
+    assert image_patch_matrix([], 8) == []
+
+
+def test_image_grid_given_as_a_list_pools_as_its_tuple():
+    pixels = np.random.default_rng(3).uniform(size=(24, 24))
+    listed, tupled = ImageGrid(pixels, region_grid=[3, 3]), ImageGrid(pixels, region_grid=(3, 3))
+    assert listed.region_grid == (3, 3)
+    want = image_patch_matrix(tupled, 8)
+    assert image_patch_matrix(listed, 8).tobytes() == want.tobytes()
+    assert _same_bytes(image_patch_matrix([listed, tupled], 8), [want, want])
 
 
 def test_adaptive_pool_constant_block():

@@ -4,7 +4,7 @@ files, and records holding any string.
 One line of a three-line manifest gets an arbitrary JSON value in one field,
 and `glre label` and `glre split` read it. Neither may raise; each exits 0,
 1 or 2, and a value of the wrong type, or a string whose escapes decode to a
-lone surrogate, exits 2 under the CLI contract.
+lone surrogate, exits 2 under the CLI contract, naming the manifest.
 
 A valid manifest damaged by inserted brackets, quotes, blanks, escapes and
 value fragments, deleted spans, split lines and joined lines must give
@@ -13,19 +13,25 @@ the same records, or the same exception and message.
 
 `write_manifest` must write the bytes of the json.JSONEncoder writer it
 replaced (manifest_oracle.py), and raise TypeError for a string field of
-another type.
+another type. Whatever `read_manifest` accepts, of the manifests above,
+`write_manifest` writes and `read_manifest` reads back as equal records, and
+`manifest_hash` and the scores CSV writer take.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import manifest_oracle
-from glre.cli import main
-from glre.datapipe import LabelVector, StudyRecord, read_manifest, write_manifest
+from glre.cli import _write_scores, main
+from glre.datapipe import (PATHOLOGIES, LabelVector, StudyRecord, manifest_hash,
+                           read_manifest, write_manifest)
 from glre.errors import FormatError
 
 # lone surrogates, high and low, and surrogate pairs, which JSON writes as two escapes
@@ -72,24 +78,33 @@ def work(tmp_path_factory):
     return tmp_path_factory.mktemp("manifest_fuzz")
 
 
-@pytest.mark.parametrize("field", ["study_id", "view", "report", "image_path", "labels",
-                                   "label_entry"])
-@settings(max_examples=15, deadline=None)
-@given(value=json_values)
-def test_any_manifest_field_value_exits_cleanly(work, field, value):
+_FIELDS = ["study_id", "view", "report", "image_path", "labels", "label_entry"]
+
+
+def _with_field_value(field: str, value) -> str:
+    """Two good lines, then one whose `field` holds `value`."""
     line = {"study_id": "x", "view": "frontal", "report": "no finding"}
     if field == "label_entry":
         line["labels"] = [0, 0, value, 0, 0]
     else:
         line[field] = value
+    return "".join(json.dumps(row) + "\n" for row in [*_GOOD, line])
+
+
+@pytest.mark.parametrize("field", _FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(value=json_values)
+def test_any_manifest_field_value_exits_cleanly(work, field, value):
     manifest = work / "in.jsonl"
-    manifest.write_text("".join(json.dumps(row) + "\n" for row in [*_GOOD, line]))
+    manifest.write_text(_with_field_value(field, value))
     for argv in (["label"], ["split", "--sizes", "a=1,b=rest"]):
-        code = main([*argv, "--manifest", str(manifest), "--out-dir", str(work / "out")])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--manifest", str(manifest), "--out-dir", str(work / "out")])
         if _wrong_type(field, value) or _lone_surrogate(value):
-            assert code == 2, (argv[0], line)
+            assert code == 2, (argv[0], value)
+            assert f"{manifest}: " in err.getvalue(), err.getvalue()
         else:
-            assert code in (0, 1), (argv[0], line)
+            assert code in (0, 1), (argv[0], value)
 
 
 _BASE = "".join(line + end for line, end in zip([
@@ -171,16 +186,19 @@ def test_read_manifest_agrees_with_the_per_line_reader_on_fixed_cases(work, text
     _assert_readers_agree(work / "fixed.jsonl", text)
 
 
-# every character class the JSON encoder escapes, lone surrogates included
-_chars = st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\u2029\ufeff\U0001f600'
-                                           '\ud800\udbff\udc00\udfff')
-_texts = st.text(_chars, max_size=12)
+# every character class the JSON encoder escapes, then lone surrogates
+_ESCAPED = '"\\/\x00\x1f\x7f\xe9\u2028\u2029\ufeff\U0001f600'
+_LONE = '\ud800\udbff\udc00\udfff'
 _SHARED = [LabelVector((1, 0, None, -1, None)), None]  # one object on several records
-_records = st.builds(
-    StudyRecord, study_id=_texts, view=st.sampled_from(["frontal", "lateral", "unknown"]),
-    report_text=_texts, image_path=st.none() | _texts,
-    labels=st.sampled_from(_SHARED)
-    | st.tuples(*[st.sampled_from([1, 0, -1, None])] * 5).map(LabelVector))
+
+
+def _records(lone: bool = True):
+    texts = st.text(st.characters() | st.sampled_from(_ESCAPED + _LONE * lone), max_size=12)
+    return st.builds(
+        StudyRecord, study_id=texts, view=st.sampled_from(["frontal", "lateral", "unknown"]),
+        report_text=texts, image_path=st.none() | texts,
+        labels=st.sampled_from(_SHARED)
+        | st.tuples(*[st.sampled_from([1, 0, -1, None])] * 5).map(LabelVector))
 
 
 def _written(write, records, path):
@@ -192,7 +210,7 @@ def _written(write, records, path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(records=st.lists(_records, max_size=6))
+@given(records=st.lists(_records(), max_size=6))
 def test_write_manifest_writes_the_bytes_of_the_json_encoder(work, records):
     assert (_written(write_manifest, records, work / "new.jsonl")
             == _written(manifest_oracle.write_manifest, records, work / "old.jsonl"))
@@ -216,3 +234,28 @@ def test_write_manifest_encodes_each_labels_object_as_its_own(work):
                StudyRecord("b", labels=LabelVector((True, False, None, -1, 1.0)))]
     assert (_written(write_manifest, records, work / "new.jsonl")
             == _written(manifest_oracle.write_manifest, records, work / "old.jsonl"))
+
+
+# a damaged manifest, a field holding any JSON value, or records the old writer wrote
+_manifests = (st.lists(_damage, max_size=4).map(lambda damage: _damaged(_BASE, damage))
+              | st.builds(_with_field_value, st.sampled_from(_FIELDS), json_values)
+              | st.lists(_records(lone=False), max_size=6, unique_by=lambda r: r.study_id))
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_manifests)
+def test_what_read_manifest_accepts_write_manifest_writes_back(work, source):
+    path = work / "accepted.jsonl"
+    if isinstance(source, str):
+        path.write_bytes(source.encode("utf-8"))
+    else:
+        manifest_oracle.write_manifest(source, path)
+    try:
+        records = read_manifest(path)
+    except ValueError:
+        return
+    write_manifest(records, work / "written.jsonl")
+    assert read_manifest(work / "written.jsonl") == records
+    manifest_hash(records)
+    _write_scores(work / "scores.csv", [r.study_id for r in records],
+                  np.zeros((len(records), len(PATHOLOGIES))))

@@ -6,11 +6,13 @@ five heads, with single-class or fully masked pathologies left at zero.
 Mixed scoring encodes texts as one batch and scores every image against
 each by a mix of global cosine and local attention alignment; retrieval
 ranks by it and zero-shot averages it over each pathology's prompts. Images
-are encoded as one batch, whose (N, D) global rows are the probe's features.
+are pooled and encoded in chunks into one batch, whose (N, D) global rows are
+the probe's features.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,6 +21,7 @@ import numpy as np
 from .crossmodal import pairwise_scores
 from .datapipe import PATHOLOGIES, labels_to_matrix, tokenize
 from . import encoders
+from . import numerics as nm
 from .encoders import LocalGlobalFeatures, encode_image_patches, encode_text_toy
 from .errors import FormatError, ShapeError, check_number, is_str_list
 from .files import json_value, reading, write_json
@@ -174,14 +177,36 @@ def default_prompts() -> PromptSet:
 
 
 def image_features(records, ckpt: Checkpoint) -> LocalGlobalFeatures:
-    """Frozen encoder outputs for records carrying inline images, as one batch."""
+    """Frozen encoder outputs for records carrying inline images, as one batch.
+
+    Images are pooled and encoded in chunks of about CHUNK_PIXELS pixels, each
+    written into the batch's preallocated rows; a chunk's rows have the bytes
+    the whole batch encoded at once would give them.
+    """
     for rec in records:
         if rec.image is None:
             raise ValueError(f"record {rec.study_id!r} has no image attached")
-    # looked up on the module, so a wrapper installed there sees the call
-    return encode_image_patches(
-        encoders.image_patch_matrix([rec.image for rec in records], ckpt.params.patch_pool),
-        ckpt.params)
+    images = [rec.image for rec in records]
+    if not images:
+        raise ShapeError("need at least one record with an image")
+    lengths = tuple(math.prod(img.region_grid) for img in images)
+    rows = np.cumsum((0,) + lengths)
+    local = np.empty((rows[-1], ckpt.params.dim))
+    global_feat = np.empty((len(images), ckpt.params.dim))
+    # BLAS computes a one-row product as a matrix-vector product, whose sums can
+    # differ in the last bit from a matrix product's rows, so no chunk holds one
+    # image of several: each has at least two, and a last one left alone joins
+    # the chunk before it
+    step = max(2, encoders.CHUNK_PIXELS // max(1, *(img.pixels.size for img in images)))
+    starts = list(range(0, max(len(images) - 1, 1), step))
+    for a, b in zip(starts, starts[1:] + [len(images)]):
+        # looked up on the module, so a wrapper installed there sees the call
+        feats = encode_image_patches(
+            encoders.image_patch_matrix(images[a:b], ckpt.params.patch_pool), ckpt.params)
+        local[rows[a] : rows[b]] = feats.local.data
+        global_feat[a:b] = feats.global_feat.data
+    return LocalGlobalFeatures(nm.constant_view(local), nm.constant_view(global_feat),
+                               "image", lengths)
 
 
 def mixed_scores(feats: LocalGlobalFeatures, texts, ckpt: Checkpoint,

@@ -43,7 +43,8 @@ class ImageGrid:
             raise ShapeError(
                 f"image {h}x{w} not divisible by region grid {gr}x{gc}"
             )
-        if self.pixels.size and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
+        # negated, so that a NaN minimum or maximum fails it too
+        if self.pixels.size and not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
             raise ValueError("pixel intensities must lie in [0, 1]")
 
 
@@ -168,27 +169,41 @@ def adaptive_mean_pool(blocks: np.ndarray, out: int) -> np.ndarray:
     return sums / np.outer(np.diff(rows), np.diff(cols))
 
 
+# Pooling budget: a chunk of images of one size holds at most this many pixels
+# (128 KiB of float64), unless one image alone is larger, so that a chunk's blocks
+# and its pooling temporaries stay in a 2 MiB L2; 28 of the default 24 x 24 images
+# make a chunk. classify.image_features encodes in chunks of the same budget.
+CHUNK_PIXELS = 1 << 14
+
+
 def image_patch_matrix(images, patch_pool: int):
     """Pooled-and-flattened region patches, regions row-major: the R x P matrix
     of one ImageGrid, or the list of matrices of a sequence of them, in order.
 
-    Images of one pixel shape and region grid are pooled in one call; each
-    cell sums its pixels in the order it would for a lone image.
+    Images of one pixel shape and region grid are pooled in chunks of at most
+    CHUNK_PIXELS pixels (or one image), one adaptive_mean_pool call a chunk;
+    each cell sums its pixels in the order it would for a lone image. Every
+    matrix is a row block of one array, so no temporary grows with the count.
     """
     one = isinstance(images, ImageGrid)
     images = [images] if one else list(images)
     groups: dict[tuple, list[int]] = {}
     for k, img in enumerate(images):
         groups.setdefault((img.pixels.shape, img.region_grid), []).append(k)
-    out = [None] * len(images)
+    starts = np.cumsum([0] + [math.prod(img.region_grid) for img in images])
+    out = np.empty((starts[-1], patch_pool * patch_pool))
     for ((h, w), (gr, gc)), ks in groups.items():
-        rh, rw = h // gr, w // gc
-        blocks = np.concatenate([images[k].pixels.reshape(1, gr, rh, gc, rw).swapaxes(2, 3)
-                                 for k in ks], out=np.empty((len(ks), gr, gc, rh, rw)))
-        pooled = adaptive_mean_pool(blocks, patch_pool).reshape(len(ks), gr * gc, -1)
-        for k, matrix in zip(ks, pooled):
-            out[k] = matrix
-    return out[0] if one else out
+        rh, rw, r = h // gr, w // gc, gr * gc
+        rows = (starts[ks][:, None] + np.arange(r)).ravel()  # the group's rows of out
+        step = max(1, CHUNK_PIXELS // max(1, h * w))
+        for i in range(0, len(ks), step):
+            chunk = ks[i : i + step]
+            blocks = np.concatenate([images[k].pixels.reshape(1, gr, rh, gc, rw).swapaxes(2, 3)
+                                     for k in chunk], out=np.empty((len(chunk), gr, gc, rh, rw)))
+            out[rows[i * r : (i + len(chunk)) * r]] = (
+                adaptive_mean_pool(blocks, patch_pool).reshape(-1, out.shape[1]))
+    matrices = [out[a:b] for a, b in zip(starts, starts[1:])]
+    return matrices[0] if one else matrices
 
 
 def sinusoidal_positions(length: int, dim: int, scale: float = 0.05) -> np.ndarray:
@@ -211,7 +226,7 @@ def encode_image_patches(patches, params: EncoderParams) -> LocalGlobalFeatures:
         raise ShapeError(f"need a non-empty list of (R, {p}) patch matrices, got shapes "
                          f"{[m.shape for m in patches]}")
     lengths = tuple(m.shape[0] for m in patches)
-    pre = nm.add(nm.matmul(nm.constant(np.concatenate(patches)), params.patch_proj),
+    pre = nm.add(nm.matmul(nm.constant_view(np.concatenate(patches)), params.patch_proj),
                  params.patch_bias)
     del patches  # the last reference when the caller kept none
     local = nm.l2_normalize_rows(pre)
@@ -277,7 +292,7 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     arr = np.asarray(pixels, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"PGM pixels must be 2-D, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError("pixel intensities must lie in [0, 1]")
     quant = np.rint(arr * 255.0).astype(np.uint8)
     h, w = arr.shape

@@ -80,11 +80,21 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if re.search(r'[,"\r\n]', text) else text
 
 
+def _float_fields(col: np.ndarray) -> list[str]:
+    """The repr of each float64 of `col`, made once for each run of bit-equal neighbours
+    (a ROC curve's rates repeat along its steps); 0.0 and -0.0 differ in their bits."""
+    bits = col.view(np.int64)
+    new = np.ones(len(col), dtype=bool)
+    new[1:] = bits[1:] != bits[:-1]
+    texts = np.array(list(map(repr, col[new].tolist())), dtype=object)
+    return texts[np.cumsum(new) - 1].tolist()
+
+
 def write_csv(path, header, columns) -> None:
     """The header, then one row per column entry, each ending in "\r\n": for rows of two or
-    more fields, the bytes csv.writer writes. A numpy column is written as the repr of each
-    float, so it reads back exactly; any other column holds strings."""
-    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else map(_csv_field, col)
+    more fields, the bytes csv.writer writes. A numpy column, of float64, is written as the
+    repr of each float, so it reads back exactly; any other column holds strings."""
+    cells = [_float_fields(col) if isinstance(col, np.ndarray) else map(_csv_field, col)
              for col in columns]
     write_file(path, "".join(",".join(row) + "\r\n"
                              for row in [map(_csv_field, header), *zip(*cells)]))

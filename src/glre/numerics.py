@@ -104,6 +104,12 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+def constant_view(arr: np.ndarray) -> Tensor:
+    """`constant(arr)` over the C-ordered float64 array `arr` itself, not a copy
+    of it; `arr` turns read-only, so pass one no one else writes."""
+    return Tensor._wrap(arr, False) if np.all(np.isfinite(arr)) else constant(arr)
+
+
 # --------------------------------------------------------------------------
 # Gradient tape
 

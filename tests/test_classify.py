@@ -1,6 +1,7 @@
 """Linear-probe and zero-shot tests against scalar oracles."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,13 +22,17 @@ from glre.datapipe import (
     BLANK,
     PATHOLOGIES,
     LabelVector,
+    StudyRecord,
     SynthConfig,
     labels_to_matrix,
     synth_paired_dataset,
 )
+from glre.encoders import CHUNK_PIXELS, ImageGrid, encode_image_patches
 from glre.errors import ShapeError, VocabularyError
 from glre.metrics import roc_auc
-from glre.trainer import TrainConfig, train
+from glre.trainer import TrainConfig, initial_checkpoint, train
+
+from pool_oracle import pool_each
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +317,39 @@ def test_feature_matrix_shape(trained):
     mat = feats.global_feat.numpy()
     assert mat.shape == (5, 16)
     np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-10)
+
+
+def test_image_features_in_chunks_give_the_bytes_of_one_batch(trained):
+    # a chunk holds CHUNK_PIXELS pixels of the largest image (28 of 24 x 24, 7 of
+    # 48 x 48), but never one image of several: two of 144 x 144, and the image
+    # left over after full chunks joins the last of them
+    ckpt, _ = trained
+    rng = np.random.default_rng(29)
+    chunk = CHUNK_PIXELS // (24 * 24)
+    assert CHUNK_PIXELS < 144 * 144
+    for sizes in [*([24] * n for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)),
+                  [24, 48] * 8, [144] * 5]:
+        records = [StudyRecord(f"s{k}", image=ImageGrid(rng.uniform(size=(s, s))))
+                   for k, s in enumerate(sizes)]
+        got = image_features(records, ckpt)
+        want = encode_image_patches(pool_each([r.image for r in records], ckpt.params.patch_pool),
+                                    ckpt.params)
+        assert got.lengths == want.lengths
+        for attr in ("local", "global_feat"):
+            assert getattr(got, attr).numpy().tobytes() == getattr(want, attr).numpy().tobytes()
+
+
+def test_image_features_holds_no_batch_sized_temporary():
+    # encoded as one batch, 500 studies held their patches, the stacked rows, the
+    # tensor's copy of them and the normalized rows together: 2.8x the output
+    records, _ = synth_paired_dataset(SynthConfig(n_train=500, n_heldout=0), seed=7)
+    ckpt = initial_checkpoint(records, TrainConfig())
+    tracemalloc.start()
+    try:
+        feats = image_features(records, ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = feats.local.numpy().nbytes + feats.global_feat.numpy().nbytes
+    assert output == (500 * 9 + 500) * 64 * 8
+    assert peak <= 1.5 * output

@@ -704,8 +704,10 @@ def test_mixed_image_sizes_score_as_when_pooled_one_by_one(pipeline, tmp_path, m
     assert sizes == {(24, 24), (48, 48)}
 
 
-def test_images_are_pooled_in_one_call_per_batch(pipeline, tmp_path, monkeypatch):
-    # a return to one pooling call per image would show here first
+def test_images_are_pooled_in_one_call_per_chunk(pipeline, tmp_path, monkeypatch):
+    # training pools its corpus in one call, image_features in one call per chunk of
+    # synth's 24 x 24 images; a return to one pooling call per image would show here first
+    step = glre.encoders.CHUNK_PIXELS // (24 * 24)
     sizes = []
 
     def counting(real):
@@ -727,7 +729,7 @@ def test_images_are_pooled_in_one_call_per_batch(pipeline, tmp_path, monkeypatch
                "--out-dir", tmp_path / "p") == 0
     assert run("zeroshot", "--checkpoint", pipeline["checkpoint"],
                "--manifest", pipeline["data"] / "heldout.jsonl", "--out-dir", tmp_path / "z") == 0
-    assert sizes == [60, 20, 20]
+    assert 2 * step < 60 and sizes == [step, step, 60 - 2 * step, 20, 20]
 
 
 # ---------------------------------------------------------------------------

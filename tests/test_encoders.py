@@ -1,6 +1,7 @@
 """Toy encoder, embedding-file, and PGM tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from glre import numerics as nm
 from glre.encoders import (
+    CHUNK_PIXELS,
     EncoderParams,
     ImageGrid,
     LocalGlobalFeatures,
@@ -51,8 +53,12 @@ def test_image_grid_divisibility():
 
 
 def test_image_grid_intensity_range():
-    with pytest.raises(ValueError):
-        ImageGrid(np.full((3, 3), 1.5), region_grid=(1, 1))
+    for bad in (1.5, -0.25, np.nan, np.inf, -np.inf):
+        pixels = np.full((3, 3), 0.5)
+        pixels[1, 2] = bad
+        for grid in (pixels, np.full((3, 3), bad)):
+            with pytest.raises(ValueError, match=r"pixel intensities must lie in \[0, 1\]"):
+                ImageGrid(grid, region_grid=(1, 1))
 
 
 def _region_loop_patches(px, region_grid, out):
@@ -125,6 +131,36 @@ def test_image_patch_matrix_keeps_order_across_sizes_and_grids():
     assert image_patch_matrix([], 8) == []
 
 
+def test_image_patch_matrix_chunk_edges_pool_each_image_alone():
+    # 24 x 24 images pooled to 8 x 8 have one-pixel cells, 48 x 48 ones two-pixel
+    # cells; each size is cut into its own chunks, interleaved or not
+    rng = np.random.default_rng(29)
+    chunk = CHUNK_PIXELS // (24 * 24)
+    assert chunk > 2
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        images = [ImageGrid(rng.uniform(size=(24, 24))) for _ in range(n)]
+        assert _same_bytes(image_patch_matrix(images, 8), pool_each(images, 8))
+    sizes = [24, 48] * (2 * chunk + 1)
+    images = [ImageGrid(rng.uniform(size=(s, s))) for s in sizes]
+    assert _same_bytes(image_patch_matrix(images, 8), pool_each(images, 8))
+
+
+def test_image_patch_matrix_holds_no_batch_sized_temporary():
+    # pooled at once, 500 images held their blocks, two pooling sums and the
+    # output together: a peak of 3x the output
+    rng = np.random.default_rng(30)
+    images = [ImageGrid(rng.uniform(size=(24, 24))) for _ in range(500)]
+    tracemalloc.start()
+    try:
+        got = image_patch_matrix(images, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(m.nbytes for m in got)
+    assert output == 500 * 9 * 64 * 8
+    assert peak <= 1.3 * output
+
+
 def test_image_grid_given_as_a_list_pools_as_its_tuple():
     pixels = np.random.default_rng(3).uniform(size=(24, 24))
     listed, tupled = ImageGrid(pixels, region_grid=[3, 3]), ImageGrid(pixels, region_grid=(3, 3))
@@ -163,6 +199,9 @@ def test_adaptive_pool_matches_slice_mean_loop():
 def test_adaptive_pool_too_small():
     with pytest.raises(ShapeError):
         adaptive_mean_pool(np.zeros((2, 2)), 4)
+    for pixels in (np.zeros((6, 6)), np.zeros((0, 0))):  # and no chunk of zero pixels
+        with pytest.raises(ShapeError, match="cannot pool"):
+            image_patch_matrix([ImageGrid(pixels)], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +424,17 @@ def test_encoders_reject_empty_batches():
             encode_text_toy([], make_params(use_positions=use_positions))
 
 
+def test_image_encoder_rejects_non_finite_patches_and_leaves_them_writable():
+    params = make_params()
+    patches = [np.full((2, 4), 0.5), np.full((3, 4), 0.5)]
+    patches[1][2, 3] = np.nan
+    with pytest.raises(ValueError, match="tensor values must be finite"):
+        encode_image_patches(patches, params)
+    patches[1][2, 3] = 0.5
+    encode_image_patches(patches, params)
+    assert all(m.flags.writeable for m in patches)
+
+
 # ---------------------------------------------------------------------------
 # GLRE1 embedding files
 # ---------------------------------------------------------------------------
@@ -499,9 +549,11 @@ def test_pgm_rejects_wide_maxval(tmp_path):
         read_pgm(path)
 
 
-def test_pgm_write_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        write_pgm("/tmp/never.pgm", np.full((2, 2), 1.2))
+def test_pgm_write_rejects_out_of_range(tmp_path):
+    for bad in (1.2, np.nan):
+        with pytest.raises(ValueError):
+            write_pgm(tmp_path / "never.pgm", np.full((2, 2), bad))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pgm_write_is_deterministic(tmp_path):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -106,12 +107,23 @@ def test_write_file_replaces_the_whole_file(tmp_path):
 
 _fields = st.text(st.sampled_from(',"\r\n \taZé€\u2028') | st.characters(), max_size=6)
 _floats = st.floats() | st.sampled_from([math.inf, -math.inf, -0.0, math.nan, 5e-324, 1e308])
+_OTHER_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+# a column is made of pieces: runs of one value, and zeros or NaNs of either sign or
+# payload side by side, which write_csv must not take for a run
+_pieces = (st.tuples(_floats, st.integers(1, 4)).map(lambda run: [run[0]] * run[1])
+           | st.sampled_from([[0.0, -0.0], [-0.0, 0.0, 0.0], [math.nan] * 3,
+                              [math.nan, -math.nan, _OTHER_NAN, math.nan]]))
+
+
+def _float_column(n):
+    return st.lists(_pieces, min_size=n, max_size=n).map(
+        lambda pieces: [v for piece in pieces for v in piece][:n])
 
 
 @settings(max_examples=80, deadline=None)
-@given(table=st.integers(0, 4).flatmap(lambda n: st.tuples(
+@given(table=st.integers(0, 8).flatmap(lambda n: st.tuples(
     st.lists(_fields, min_size=n, max_size=n) | st.none(),  # a study_id column, or none
-    st.lists(st.lists(_floats, min_size=n, max_size=n), min_size=1, max_size=3))),
+    st.lists(_float_column(n), min_size=1, max_size=3))),
     header=st.lists(_fields, min_size=4, max_size=4))
 def test_write_csv_writes_the_bytes_csv_writer_writes(tmp_path_factory, table, header):
     ids, floats = table

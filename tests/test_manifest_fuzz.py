@@ -15,7 +15,7 @@ the same records, or the same exception and message.
 replaced (manifest_oracle.py), and raise TypeError for a string field of
 another type. Whatever `read_manifest` accepts, of the manifests above,
 `write_manifest` writes and `read_manifest` reads back as equal records, and
-`manifest_hash` and the scores CSV writer take.
+`manifest_hash`, the scores CSV writer and `save_embeddings` take.
 """
 
 import contextlib
@@ -29,9 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import manifest_oracle
+from glre import numerics as nm
 from glre.cli import _write_scores, main
 from glre.datapipe import (PATHOLOGIES, LabelVector, StudyRecord, manifest_hash,
                            read_manifest, write_manifest)
+from glre.encoders import LocalGlobalFeatures, save_embeddings
 from glre.errors import FormatError
 
 # lone surrogates, high and low, and surrogate pairs, which JSON writes as two escapes
@@ -259,3 +261,6 @@ def test_what_read_manifest_accepts_write_manifest_writes_back(work, source):
     manifest_hash(records)
     _write_scores(work / "scores.csv", [r.study_id for r in records],
                   np.zeros((len(records), len(PATHOLOGIES))))
+    row = nm.constant(np.eye(1, 2))
+    save_embeddings(work / "embeddings.bin", {f"{r.study_id}:text": LocalGlobalFeatures(
+        row, row, "text") for r in records})

@@ -11,8 +11,8 @@ holds (train's seed, probe's uncertain_policy) is the flag, else the section's
 entry, else the top-level entry, else the default. A top-level entry named
 after a flag must have the flag's type; a wrong type, null included, exits 2.
 
-probe, zeroshot and export-embeddings load their checkpoint and images
-through one helper; eval and export-roc share one per-pathology ROC pass.
+One helper loads every PGM, naming the study and file of a missing or untileable
+image; eval and export-roc share one per-pathology ROC pass.
 
 Exit codes: 0 success, 1 contract errors (bad values, bad state),
 2 I/O and file-format errors, each naming the file at fault.
@@ -72,6 +72,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     SettingTypeError,
+    ShapeError,
     UndefinedAucError,
     VersionError,
     VocabularyError,
@@ -211,26 +212,36 @@ def _from_section(cls, s: _Settings, name: str, key: str | None = None):
         raise SettingTypeError(f"config section {name!r}: {exc}") from exc
 
 
-def _attach_images(records, manifest_path, region_grid) -> None:
-    """Load referenced PGM files; paths resolve relative to the manifest."""
+def _require(records, manifest_path, what: str, has) -> None:
+    """Every record `has` `what`, else a contract error names the first without it."""
+    for rec in records:
+        if not has(rec):
+            raise InsufficientDataError(f"study {rec.study_id!r} of {manifest_path} has no {what}")
+
+
+def _attach_images(records, manifest_path, region_grid, patch_pool: int = 1) -> None:
+    """Load every record's PGM, its path relative to the manifest. A study with no image,
+    or whose image the grid cannot tile into blocks patch_pool pixels a side, is named."""
+    _require(records, manifest_path, "image", lambda rec: rec.image_path)
     base = Path(manifest_path).resolve().parent
     for rec in records:
-        if rec.image is None and rec.image_path:
-            pixels = read_pgm(base / rec.image_path)
-            rec.image = ImageGrid(pixels, region_grid=tuple(region_grid))
+        path = base / rec.image_path
+        where = f"study {rec.study_id!r} of {manifest_path}: {path}"
+        try:
+            rec.image = ImageGrid(read_pgm(path), region_grid=tuple(region_grid))
+        except ShapeError as exc:
+            raise ShapeError(f"{where}: {exc}") from None
+        h, w = (n // g for n, g in zip(rec.image.pixels.shape, rec.image.region_grid))
+        if min(h, w) < patch_pool:
+            raise ShapeError(f"{where}: cannot pool {h}x{w} block to {patch_pool}x{patch_pool}")
 
 
 def _load_scoring_inputs(s):
     """The --checkpoint and the --manifest records, images attached."""
     ckpt = load_checkpoint(s["checkpoint"])
     records = read_manifest(s["manifest"])
-    _attach_images(records, s["manifest"], ckpt.config.region_grid)
+    _attach_images(records, s["manifest"], ckpt.config.region_grid, ckpt.config.patch_pool)
     return ckpt, records
-
-
-def _out_path(out_dir: Path, name: str) -> Path:
-    p = Path(name)
-    return p if p.is_absolute() else out_dir / p
 
 
 def _out_key(path: Path, out_dir: Path) -> str:
@@ -286,7 +297,9 @@ def _roc_curves(s):
         raise ConsistencyError(
             f"{len(missing)} scored studies absent from the label manifest, "
             f"first {missing[0]!r}")
-    y, mask = label_matrix([by_id[sid] for sid in ids], uncertain_policy=policy)
+    labeled = [by_id[sid] for sid in ids]
+    _require(labeled, labels_path, "labels", lambda rec: rec.labels is not None)
+    y, mask = label_matrix(labeled, uncertain_policy=policy)
     curves, counts = {}, {}
     for k, name in enumerate(PATHOLOGIES):
         keep = mask[:, k]
@@ -313,7 +326,7 @@ def _cmd_label(s, out_dir: Path) -> RunReport:
     seen: dict = {}  # one sentence memo per command
     for rec in records:
         rec.labels = label_report(rec.report_text, lexicon, seen)
-    out = _out_path(out_dir, s.get("out", "labeled.jsonl"))
+    out = out_dir / s.get("out", "labeled.jsonl")  # an absolute --out stands alone
     write_manifest(records, out)
     return RunReport(
         config_hash=_digest({"lexicon": asdict(lexicon)}),
@@ -370,7 +383,7 @@ def _cmd_subset(s, out_dir: Path) -> RunReport:
     cap = check_number("cap", s["cap"], integer=True, minimum=0)
     seed = check_number("seed", s.get("seed", 0), integer=True, minimum=0)
     subset = build_single_disease_subset(records, cap, seed)
-    out = _out_path(out_dir, s.get("out", "subset.json"))
+    out = out_dir / s.get("out", "subset.json")
     write_json(out, subset)
     return RunReport(
         seed=seed, outputs=[_out_key(out, out_dir)],
@@ -401,7 +414,8 @@ def _cmd_train(s, out_dir: Path) -> RunReport:
     manifest = s["manifest"]
     tcfg = _from_section(TrainConfig, s, "train", "seed")
     records = filter_with_report(read_manifest(manifest))
-    _attach_images(records, manifest, tcfg.region_grid)
+    _require(records, manifest, "report tokens", lambda rec: tokenize(rec.report_text))
+    _attach_images(records, manifest, tcfg.region_grid, tcfg.patch_pool)
     resume_path = s.get("resume")
     resume = load_checkpoint(resume_path) if resume_path else None
     ckpt = train(records, tcfg, resume_from=resume,
@@ -417,17 +431,18 @@ def _cmd_train(s, out_dir: Path) -> RunReport:
 def _cmd_probe(s, out_dir: Path) -> RunReport:
     pcfg = _from_section(ProbeConfig, s, "probe", "uncertain_policy")
     ckpt, records = _load_scoring_inputs(s)
-    label_matrix(records)  # every record must be labeled; fails before encoding
-    score_manifest = s.get("score_manifest")
-    if score_manifest:  # read before the fit, so a malformed one leaves no output
-        srecs = read_manifest(score_manifest)
-        _attach_images(srecs, score_manifest, ckpt.config.region_grid)
+    _require(records, s["manifest"], "labels", lambda rec: rec.labels is not None)
     feats = image_features(records, ckpt)
+    score_manifest = s.get("score_manifest")
+    if score_manifest:  # its features are made before the fit, so a bad one leaves no output
+        srecs = read_manifest(score_manifest)
+        _attach_images(srecs, score_manifest, ckpt.config.region_grid, ckpt.config.patch_pool)
+        sfeats = image_features(srecs, ckpt)
     model = fit_linear_probe(feats.global_feat.numpy(), [r.labels for r in records], pcfg)
     model.save(out_dir / "probe.json")
     outputs = ["probe.json"]
     if score_manifest:
-        probs = probe_predict(model, image_features(srecs, ckpt).global_feat.numpy())
+        probs = probe_predict(model, sfeats.global_feat.numpy())
         _write_scores(out_dir / "probe_scores.csv",
                       [r.study_id for r in srecs], probs)
         outputs.append("probe_scores.csv")
@@ -449,9 +464,12 @@ def _cmd_zeroshot(s, out_dir: Path) -> RunReport:
     ckpt, records = _load_scoring_inputs(s)
     prompts_path = s.get("prompts")
     prompts = PromptSet.load(prompts_path) if prompts_path else default_prompts()
-    scores = (zero_shot_scores(image_features(records, ckpt), prompts, ckpt,
-                               global_weight=gw, local_weight=lw)
-              if records else np.zeros((0, len(PATHOLOGIES))))
+    try:
+        scores = (zero_shot_scores(image_features(records, ckpt), prompts, ckpt,
+                                   global_weight=gw, local_weight=lw)
+                  if records else np.zeros((0, len(PATHOLOGIES))))
+    except VocabularyError as exc:  # only the prompts are encoded as text
+        raise VocabularyError(f"{prompts_path or 'built-in prompts'}: {exc}") from None
     _write_scores(out_dir / "zeroshot_scores.csv",
                   [r.study_id for r in records], scores)
     return RunReport(
@@ -479,17 +497,18 @@ def _per_study(feats: LocalGlobalFeatures):
 
 
 def _cmd_export_embeddings(s, out_dir: Path) -> RunReport:
-    ckpt, records = _load_scoring_inputs(s)
-    imaged = [rec for rec in records if rec.image is not None]
+    ckpt = load_checkpoint(s["checkpoint"])
+    records = read_manifest(s["manifest"])
+    imaged = [rec for rec in records if rec.image_path]
+    _attach_images(imaged, s["manifest"], ckpt.config.region_grid, ckpt.config.patch_pool)
+    reported = filter_with_report(records)  # train's rule: a blank report has no text entry
+    _require(reported, s["manifest"], "report tokens", lambda rec: tokenize(rec.report_text))
     seqs = []
-    for rec in filter_with_report(records):  # train's rule: a blank report has no text entry
-        where = f"study {rec.study_id!r} of {s['manifest']}"
-        if not tokenize(rec.report_text):
-            raise InsufficientDataError(f"{where} has no report tokens")
+    for rec in reported:
         try:
             seqs.append(encode_report(rec.report_text, ckpt.vocab, ckpt.config))
         except VocabularyError as exc:
-            raise VocabularyError(f"{where}: {exc}") from None
+            raise VocabularyError(f"study {rec.study_id!r} of {s['manifest']}: {exc}") from None
     # each side is encoded in one call, then handed out study by study
     images = _per_study(image_features(imaged, ckpt)) if imaged else iter(())
     texts = _per_study(encode_text_toy(seqs, ckpt.params)) if seqs else iter(())
@@ -501,7 +520,7 @@ def _cmd_export_embeddings(s, out_dir: Path) -> RunReport:
             items[f"{rec.study_id}:text"] = next(texts)
     if not items:
         raise InsufficientDataError("no images or reports to export")
-    out = _out_path(out_dir, s.get("out", "embeddings.bin"))
+    out = out_dir / s.get("out", "embeddings.bin")
     save_embeddings(out, items)
     return RunReport(
         outputs=[_out_key(out, out_dir)],

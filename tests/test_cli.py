@@ -662,6 +662,79 @@ def test_export_embeddings_unknown_token_names_study_and_manifest(pipeline, tmp_
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def _changed_study(tmp_path, pipeline, split, **fields):
+    """The split's studies with absolute image paths, the fourth one's `fields` replaced;
+    returns the manifest and that study's id."""
+    rows = [json.loads(line) for line in (pipeline["data"] / f"{split}.jsonl").read_text()
+            .splitlines()]
+    for row in rows:
+        row["image_path"] = str(pipeline["data"] / row["image_path"])
+    rows[3].update(fields)
+    (tmp_path / "changed.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return tmp_path / "changed.jsonl", rows[3]["study_id"]
+
+
+_IMAGE_PROBLEMS = [
+    ("probe", None, "has no image"),
+    ("train", None, "has no image"),
+    ("probe", (3, 3), "cannot pool 1x1 block to 8x8"),
+    *((command, (24, 25), "image 24x25 not divisible by region grid 3x3")
+      for command in ("zeroshot", "probe", "export-embeddings", "train")),
+]
+
+
+@pytest.mark.parametrize("command, shape, named", _IMAGE_PROBLEMS, ids=[
+    f"{command}-{'x'.join(map(str, shape)) if shape else 'no_image'}"
+    for command, shape, _ in _IMAGE_PROBLEMS])
+def test_image_problem_exits_1_before_any_output_naming_study_and_file(
+        pipeline, tmp_path, capsys, command, shape, named):
+    # probe's study is on its --score-manifest, whose features come after the fit's
+    pgm = None if shape is None else tmp_path / "bad.pgm"
+    if pgm is not None:
+        write_pgm(pgm, np.zeros(shape))
+    manifest, study_id = _changed_study(tmp_path, pipeline, "train" if command == "train" else
+                                        "heldout", image_path=pgm and str(pgm))
+    ckpt = ["--checkpoint", pipeline["checkpoint"]]
+    argv = {"zeroshot": ["zeroshot", *ckpt, "--manifest", manifest],
+            "probe": ["probe", *ckpt, "--manifest", pipeline["data"] / "train.jsonl",
+                      "--score-manifest", manifest],
+            "export-embeddings": ["export-embeddings", *ckpt, "--manifest", manifest],
+            "train": ["train", "--config", pipeline["cfg"], "--manifest", manifest]}[command]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"study {study_id!r} of {manifest}" in err and named in err, err
+    assert pgm is None or f"{pgm}: " in err, err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["probe", "eval"])
+def test_study_without_labels_exits_1_naming_it_and_its_manifest(pipeline, tmp_path, capsys,
+                                                                 command):
+    manifest, study_id = _changed_study(tmp_path, pipeline, "heldout", labels=None)
+    if command == "probe":
+        argv = ["probe", "--checkpoint", pipeline["checkpoint"], "--manifest", manifest]
+    else:
+        ids = [json.loads(line)["study_id"] for line in manifest.read_text().splitlines()]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join([",".join(["study_id", *PATHOLOGIES]),
+                                     *(f"{sid},0.1,0.2,0.3,0.4,0.5" for sid in ids)]) + "\n")
+        argv = ["eval", "--scores", scores, "--labels", manifest]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    assert f"study {study_id!r} of {manifest} has no labels" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_zeroshot_prompt_outside_the_vocabulary_exits_1_naming_the_prompts_file(
+        pipeline, tmp_path, capsys):
+    prompts = _write_json(tmp_path / "prompts.json",
+                          {p: [p] for p in PATHOLOGIES} | {"edema": ["zzz unknownword"]})
+    assert run("zeroshot", "--checkpoint", pipeline["checkpoint"],
+               "--manifest", pipeline["data"] / "heldout.jsonl", "--prompts", prompts,
+               "--out-dir", tmp_path / "out") == 1
+    assert f"{prompts}: unknown token 'zzz'" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def _mixed_size_manifest(pipeline, split, out_dir):
     """The split's studies, every other one with a 48x48 image in place of its 24x24 one."""
     rng = np.random.default_rng(48)
@@ -1491,7 +1564,7 @@ def test_text_without_tokens_exits_1_naming_it(pipeline, tmp_path, capsys, comma
         argv = [command, "--manifest", tmp_path / "in.jsonl"]
         if command == "export-embeddings":
             argv += ["--checkpoint", pipeline["checkpoint"]]
-        named = [repr(rows[2]["study_id"])]
+        named = [f"study {rows[2]['study_id']!r} of {tmp_path / 'in.jsonl'} has no report tokens"]
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert all(name in err for name in named), err

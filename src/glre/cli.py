@@ -14,8 +14,8 @@ after a flag must have the flag's type; a wrong type, null included, exits 2.
 One helper loads every PGM, naming the study and file of a missing or untileable
 image; eval and export-roc share one per-pathology ROC pass.
 
-Exit codes: 0 success, 1 contract errors (bad values, bad state),
-2 I/O and file-format errors, each naming the file at fault.
+Exit codes: 0 success, 1 contract errors (bad values, bad state) and running out of
+memory, 2 I/O and file-format errors, each naming the file at fault.
 """
 
 from __future__ import annotations
@@ -236,6 +236,17 @@ def _attach_images(records, manifest_path, region_grid, patch_pool: int = 1) -> 
             raise ShapeError(f"{where}: cannot pool {h}x{w} block to {patch_pool}x{patch_pool}")
 
 
+def _encode_reports(records, manifest_path, ckpt) -> list:
+    """Each record's report under the checkpoint's vocabulary; an unknown word names its study."""
+    seqs = []
+    for rec in records:
+        try:
+            seqs.append(encode_report(rec.report_text, ckpt.vocab, ckpt.config))
+        except VocabularyError as exc:
+            raise VocabularyError(f"study {rec.study_id!r} of {manifest_path}: {exc}") from None
+    return seqs
+
+
 def _load_scoring_inputs(s):
     """The --checkpoint and the --manifest records, images attached."""
     ckpt = load_checkpoint(s["checkpoint"])
@@ -418,6 +429,8 @@ def _cmd_train(s, out_dir: Path) -> RunReport:
     _attach_images(records, manifest, tcfg.region_grid, tcfg.patch_pool)
     resume_path = s.get("resume")
     resume = load_checkpoint(resume_path) if resume_path else None
+    if resume is not None:
+        _encode_reports(records, manifest, resume)
     ckpt = train(records, tcfg, resume_from=resume,
                  on_step=step_log(out_dir / "train_log.jsonl"))
     save_checkpoint(ckpt, out_dir / "checkpoint.bin")
@@ -503,12 +516,7 @@ def _cmd_export_embeddings(s, out_dir: Path) -> RunReport:
     _attach_images(imaged, s["manifest"], ckpt.config.region_grid, ckpt.config.patch_pool)
     reported = filter_with_report(records)  # train's rule: a blank report has no text entry
     _require(reported, s["manifest"], "report tokens", lambda rec: tokenize(rec.report_text))
-    seqs = []
-    for rec in reported:
-        try:
-            seqs.append(encode_report(rec.report_text, ckpt.vocab, ckpt.config))
-        except VocabularyError as exc:
-            raise VocabularyError(f"study {rec.study_id!r} of {s['manifest']}: {exc}") from None
+    seqs = _encode_reports(reported, s["manifest"], ckpt)
     # each side is encoded in one call, then handed out study by study
     images = _per_study(image_features(imaged, ckpt)) if imaged else iter(())
     texts = _per_study(encode_text_toy(seqs, ckpt.params)) if seqs else iter(())
@@ -635,6 +643,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -235,11 +235,6 @@ _split_sentences = re.compile(r"[.;:]").split
 _VERDICTS = (BLANK, NEGATIVE, UNCERTAIN, POSITIVE)  # indexed by rank: 1 > -1 > 0 > blank
 
 
-def split_sentences(text: str) -> list[str]:
-    """Split on period, semicolon, or colon; drop empty pieces."""
-    return [p for p in _split_sentences(text) if p.strip()]
-
-
 def _sentence_verdicts(sentence: str, lexicon: Lexicon) -> int:
     """One sentence's verdicts as bits: a verdict of rank r (1, 2, 3 for 0, -1, 1) on
     pathology k sets bit 3k + r - 1, and a blank sets none. The sentence's tokens are

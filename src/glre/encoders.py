@@ -104,7 +104,8 @@ def param_shapes(dim: int, vocab_size: int, patch_pool: int) -> dict[str, tuple[
 
 @dataclass(eq=False)
 class EncoderParams:
-    """All trainable tensors of the two toy encoders, as views of one read-only vector.
+    """All trainable tensors of the two toy encoders, as views of one read-only vector,
+    with each tensor's `.grad` its piece of `grad`, one writable vector that starts at zero.
 
     `flat` holds, row-major in param_shapes order, patch_proj [P x D] (P = patch_pool^2),
     patch_bias [D], token_table [V x D] and global_proj_* [D x D] per modality; `bind`
@@ -121,19 +122,21 @@ class EncoderParams:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dim}")
         for name in PARAM_NAMES:
             setattr(self, name, Tensor(0.0, requires_grad=True))
+        self.grad = np.zeros(np.size(self.flat))
         self.bind(np.asarray(self.flat, dtype=np.float64))
         if not np.isfinite(self.flat).all():
             bad = next(n for n, t in self.parameters().items() if not np.isfinite(t.data).all())
             raise ValueError(f"parameter {bad} contains non-finite values")
 
     def bind(self, flat: np.ndarray) -> None:
-        """Make `flat` the parameter vector, read-only, and each tensor's data its piece."""
+        """Make `flat` the read-only parameter vector; tensors' data and .grad view it and grad."""
         flat.flags.writeable = False
         self.flat = flat
-        shapes = param_shapes(self.dim, self.vocab_size, self.patch_pool)
-        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
-        for (name, shape), piece in zip(shapes.items(), np.split(flat, ends[:-1])):
-            getattr(self, name).data = piece.reshape(shape)
+        shapes = param_shapes(self.dim, self.vocab_size, self.patch_pool).values()
+        ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+        for t, shape, piece, grad in zip(self.parameters().values(), shapes,
+                                         np.split(flat, ends), np.split(self.grad, ends)):
+            t.data, t.grad = piece.reshape(shape), grad.reshape(shape)
 
     def parameters(self) -> dict[str, Tensor]:
         return {name: getattr(self, name) for name in PARAM_NAMES}

@@ -85,9 +85,6 @@ class Tensor:
         """Read-only view of the underlying buffer."""
         return self.data
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -143,8 +140,8 @@ class GradTape:
         reaches through this tape, the loss itself included.
 
         A tensor the loss does not reach keeps its ``.grad``: None unless an
-        earlier sweep set it. Existing ``.grad`` buffers are accumulated into,
-        not replaced.
+        earlier sweep or its owner set it. An existing ``.grad`` buffer is
+        accumulated into in place, so a view stays a view of its vector.
         """
         if self._consumed:
             raise TapeStateError("backward already ran on this tape; record a new one")
@@ -165,9 +162,10 @@ class GradTape:
                 flowing[id(t)] = (t, contrib if seen is None else seen[1] + contrib)
 
         for t, piece in flowing.values():
-            if t.requires_grad:
-                piece = np.array(piece, dtype=np.float64).reshape(t.shape)
-                t.grad = piece if t.grad is None else t.grad + piece
+            if t.requires_grad and t.grad is None:
+                t.grad = np.array(piece, dtype=np.float64).reshape(t.shape)
+            elif t.requires_grad:
+                np.add(t.grad, np.reshape(piece, t.shape), out=t.grad)
 
 
 class _TapeStack(threading.local):

@@ -6,11 +6,12 @@ checkpoint that `initial_checkpoint` builds and a resumed one from a saved
 checkpoint, down the same path, so a resumed run consumes the exact random
 stream of an uninterrupted one and reproduces it bit for bit.
 
-The parameters are one flat vector, `EncoderParams.flat`, in the layout of
-encoders.param_shapes: init draws it at once, Adam updates it with moments in
-the same layout, and a GLCK1 checkpoint stores it, m and v as one payload. A
-SHA-256 of everything before it ends the file, and the loader checks it first.
-The checkpoint is written whole by `files.write_file`; `train` writes no file.
+The parameters are one flat vector, `EncoderParams.flat`, and their gradients
+another, `EncoderParams.grad`, in the layout of encoders.param_shapes: init
+draws the first, Adam reads the second and updates the first with moments in
+that layout, and a GLCK1 checkpoint stores parameters, m and v as one payload,
+then a SHA-256 of everything before it, which the loader checks first. The
+checkpoint is written whole by `files.write_file`; `train` writes no file.
 """
 
 from __future__ import annotations
@@ -112,20 +113,17 @@ class AdamState:
         return cls(m=np.zeros(params.flat.size), v=np.zeros(params.flat.size))
 
 
-def optimizer_step(params: EncoderParams, grads: dict[str, np.ndarray],
-                   state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected Adam update of the flat parameter vector.
+def optimizer_step(params: EncoderParams, state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of the flat parameter vector from `params.grad`.
 
-    A missing gradient counts as zero; a non-finite one raises
-    TrainingDivergenceError naming its parameter before anything changes.
-    The parameters are rebound to one new read-only vector.
+    A gradient the loss did not reach is the zeros left in that vector; a
+    non-finite one raises TrainingDivergenceError naming its parameter before
+    anything changes. The parameters are rebound to one new read-only vector.
     """
-    tensors = params.parameters()
-    g = np.concatenate([np.zeros(t.size) if grads.get(name) is None else grads[name].ravel()
-                        for name, t in tensors.items()])
+    g = params.grad
     if not np.isfinite(g).all():
-        raise TrainingDivergenceError(next(name for name in tensors if grads.get(name) is not None
-                                           and not np.isfinite(grads[name]).all()))
+        raise TrainingDivergenceError(next(name for name, t in params.parameters().items()
+                                           if not np.isfinite(t.grad).all()))
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     # products and sums in the order of b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and
@@ -214,7 +212,7 @@ def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
         raise ConsistencyError(f"checkpoint's epoch order covers {len(order)} studies "
                                f"(at {pointer}), but {n} were given")
     patches, sequences = _prepare(records, config, state.vocab)
-    params = replace(state.params)  # new tensors over the same read-only vector
+    params = replace(state.params)  # new tensors over the same read-only vector, new grad
     adam = replace(state.adam, m=state.adam.m.copy(), v=state.adam.v.copy())
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
@@ -234,10 +232,8 @@ def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
             txts = encode_text_toy([sequences[i] for i in batch], params)
             breakdown = total_loss(imgs, txts, config.loss)
             backward(breakdown.total, tape)
-        grads = {name: p.grad for name, p in params.parameters().items()}
-        optimizer_step(params, grads, adam, config)
-        for p in params.parameters().values():
-            p.zero_grad()
+        optimizer_step(params, adam, config)
+        params.grad.fill(0.0)
         if on_step is not None:
             on_step(step, breakdown)
 

@@ -7,8 +7,15 @@ verdict rule. Tests use it as the oracle that the one-pass labeler must
 agree with on every input.
 """
 
+import re
+
 from glre.datapipe import (BLANK, NEGATIVE, PATHOLOGIES, POSITIVE, UNCERTAIN, LabelVector,
-                           split_sentences, tokenize)
+                           tokenize)
+
+
+def split_sentences(text: str) -> list[str]:
+    """Split on period, semicolon, or colon; drop empty pieces."""
+    return [p for p in re.split(r"[.;:]", text) if p.strip()]
 
 
 def find_subsequences(haystack: list[str], needle: list[str]) -> list[int]:

@@ -9,6 +9,8 @@ workload's generated reports with glre's labeler, call by call and through one
 shared sentence memo, and with the per-phrase scan it replaced, which must
 agree. The fourth counts the calls `glre label` makes to the function the
 datapipe.label_report span wraps: one per record, so the span cannot read 0.
+The fifth counts the calls `glre train` makes to the functions the
+trainer.optimizer_step and numerics.backward spans wrap: one of each per step.
 """
 
 import importlib
@@ -91,3 +93,28 @@ def test_glre_label_calls_the_traced_labeler_once_per_record(monkeypatch, tmp_pa
     workloads.glre_cli("label", "--manifest", tmp_path / "studies.jsonl",
                        "--out-dir", tmp_path / "out")
     assert calls == [row["report"] for row in studies]
+
+
+def test_glre_train_calls_the_traced_step_functions_once_per_step(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "perfbench_workloads", WORKLOADS)
+    tracing = _load(monkeypatch, "perfbench_tracing", TRACING)
+    calls = {"trainer.optimizer_step": [], "numerics.backward": []}
+    for name, module_name, attr in tracing.TARGETS:
+        if name in calls:
+            module = importlib.import_module(module_name)
+
+            def counted(*args, _calls=calls[name], _original=getattr(module, attr), **kwargs):
+                _calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+    (tmp_path / "synth.json").write_text(json.dumps({"synth": {"n_train": 12, "n_heldout": 0}}))
+    (tmp_path / "train.json").write_text(json.dumps({"train": {"steps": 3, "batch_size": 4}}))
+    data = tmp_path / "data"
+    workloads.glre_cli("synth", "--seed", 3, "--config", tmp_path / "synth.json",
+                       "--out-dir", data)
+    workloads.glre_cli("train", "--seed", 3, "--config", tmp_path / "train.json",
+                       "--manifest", data / "train.jsonl", "--out-dir", tmp_path / "run")
+    assert [len(c) for c in calls.values()] == [3, 3]
+    # the tracer tags each backward span with len(args[1]), the tape's record count
+    assert all(len(args[1]) > 0 for args in calls["numerics.backward"])

@@ -340,10 +340,10 @@ def test_resume_after_a_run_killed_between_checkpoints(pipeline, tmp_path, monke
     step2.write_bytes((a / "checkpoint.bin").read_bytes())
     real_step = trainer.optimizer_step
 
-    def killed_in_step_4(params, grads, state, config):
+    def killed_in_step_4(params, state, config):
         if state.t == 4:  # Adam has taken one update per finished step
             raise _Killed
-        real_step(params, grads, state, config)
+        real_step(params, state, config)
 
     with monkeypatch.context() as patch:
         patch.setattr(trainer, "optimizer_step", killed_in_step_4)
@@ -385,9 +385,9 @@ def test_every_logged_step_is_on_disk_when_its_step_ends(pipeline, tmp_path, mon
     on_disk = []
     real_step = trainer.optimizer_step
 
-    def counting_step(params, grads, state, config):
+    def counting_step(params, state, config):
         on_disk.append(len(log.read_bytes().splitlines()))
-        real_step(params, grads, state, config)
+        real_step(params, state, config)
 
     monkeypatch.setattr(trainer, "optimizer_step", counting_step)
     assert run("train", "--config", _train_config(tmp_path / "cfg.json", 30), "--seed", 5,
@@ -412,7 +412,8 @@ def _unknown_token_manifest(tmp_path, pipeline):
         row["image_path"] = str(pipeline["data"] / row["image_path"])
     rows[7]["report"] += " zebra"
     (tmp_path / "in.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
-    return tmp_path / "in.jsonl", {}, "unknown token 'zebra'"
+    return (tmp_path / "in.jsonl", {},
+            f"study {rows[7]['study_id']!r} of {tmp_path / 'in.jsonl'}: unknown token 'zebra'")
 
 
 @pytest.mark.parametrize("case", [_other_dim, _unknown_token_manifest],
@@ -1690,6 +1691,25 @@ def test_module_entry_point_runs():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "usage" in proc.stdout.lower()
+
+
+def test_out_of_memory_exits_1_naming_the_command_without_a_traceback(pipeline, tmp_path):
+    # a dim of 100,000 asks for a parameter vector of tens of GB; the child caps its
+    # own address space at 4 GB first, so the allocation fails instead of the machine
+    src = str(Path(glre.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+             "from glre.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    config = _write_json(tmp_path / "huge.json", {"train": {"dim": 100_000, "steps": 1}})
+    proc = subprocess.run([sys.executable, "-c", child, "train", "--config", str(config),
+                           "--seed", "5", "--manifest", str(pipeline["data"] / "train.jsonl"),
+                           "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: train: out of memory: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_runreport_fingerprint_ignores_wall_clock(tmp_path):

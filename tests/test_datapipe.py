@@ -26,7 +26,6 @@ from glre.datapipe import (
     make_splits,
     manifest_hash,
     read_manifest,
-    split_sentences,
     synth_paired_dataset,
     tokenize,
     write_manifest,
@@ -34,6 +33,7 @@ from glre.datapipe import (
 from glre.errors import SplitSizeError, VocabularyError
 
 import label_oracle
+from label_oracle import split_sentences
 import sampler_oracle
 from golden_corpus import GOLDEN
 

@@ -247,6 +247,25 @@ def test_backward_accumulates_across_multiple_uses():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+def test_a_second_backward_adds_into_the_existing_grad_in_place():
+    # the first sweep gives x a new .grad; later ones add into that array, and into
+    # a view of a larger vector, as EncoderParams gives each parameter, alike
+    x = Tensor([2.0, 3.0], requires_grad=True)
+    vector = np.zeros(4)
+    y = Tensor([1.0, 5.0], requires_grad=True)
+    y.grad = vector[1:3]
+    grads = []
+    for _ in range(2):
+        with GradTape() as tape:
+            loss = tensor_sum(add(add(x, x), y))
+        backward(loss, tape)
+        grads.append(x.grad)
+    assert grads[0] is grads[1]
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+    assert y.grad.base is vector
+    np.testing.assert_array_equal(vector, [0.0, 2.0, 2.0, 0.0])
+
+
 def test_backward_rejects_nonscalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with GradTape() as tape:

@@ -16,7 +16,7 @@ from glre.errors import (
     TrainingDivergenceError,
     VersionError,
 )
-from glre import files
+from glre import files, trainer
 from glre.files import step_log
 from glre.trainer import (
     AdamState,
@@ -58,8 +58,8 @@ def test_zero_gradients_leave_parameters_unchanged():
     state = AdamState.for_params(params)
     cfg = TrainConfig(steps=1)
     before = {k: p.data.copy() for k, p in params.parameters().items()}
-    zero = {k: np.zeros(p.shape) for k, p in params.parameters().items()}
-    optimizer_step(params, zero, state, cfg)
+    params.grad.fill(0.0)
+    optimizer_step(params, state, cfg)
     for k, p in params.parameters().items():
         np.testing.assert_array_equal(p.data, before[k])
 
@@ -68,12 +68,12 @@ def test_moments_decay_after_activity():
     params = make_params()
     state = AdamState.for_params(params)
     cfg = TrainConfig(steps=1)
-    ones = {k: np.ones(p.shape) for k, p in params.parameters().items()}
-    zero = {k: np.zeros(p.shape) for k, p in params.parameters().items()}
-    optimizer_step(params, ones, state, cfg)
+    params.grad.fill(1.0)
+    optimizer_step(params, state, cfg)
     patch_proj = slice(0, params.patch_proj.size)  # the first tensor of the flat layout
     m_after_first = state.m[patch_proj].copy()
-    optimizer_step(params, zero, state, cfg)
+    params.grad.fill(0.0)
+    optimizer_step(params, state, cfg)
     np.testing.assert_allclose(state.m[patch_proj], cfg.beta1 * m_after_first)
 
 
@@ -90,9 +90,8 @@ def test_adam_quadratic_matches_independent_recurrence():
     # independent scalar recurrence
     xs, ms, vs = 1.0, 0.0, 0.0
     for t in range(1, 201):
-        g = np.zeros(x.shape)
-        g[0, 0] = 2.0 * x.data[0, 0]
-        optimizer_step(params, {"patch_proj": g}, state, cfg)
+        x.grad[0, 0] = 2.0 * x.data[0, 0]
+        optimizer_step(params, state, cfg)
 
         gs = 2.0 * xs
         ms = cfg.beta1 * ms + (1 - cfg.beta1) * gs
@@ -119,7 +118,9 @@ def test_flat_adam_matches_per_parameter_loop():
         grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
                  for k, p in ref.items()}
         grads["global_proj_text" if t % 2 else "patch_bias"] = None
-        optimizer_step(params, grads, state, cfg)
+        for k, p in params.parameters().items():
+            p.grad[...] = 0.0 if grads[k] is None else grads[k]
+        optimizer_step(params, state, cfg)
         for k in ref:
             g = np.zeros(ref[k].shape) if grads[k] is None else grads[k]
             ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
@@ -141,8 +142,10 @@ def test_nan_gradient_names_parameter():
     grads["token_table"][0, 0] = np.nan
     grads["global_proj_text"][1, 1] = np.inf
     before = {k: p.data.copy() for k, p in params.parameters().items()}
+    for k, p in params.parameters().items():
+        p.grad[...] = grads[k]
     with pytest.raises(TrainingDivergenceError) as exc:
-        optimizer_step(params, grads, state, TrainConfig())
+        optimizer_step(params, state, TrainConfig())
     assert exc.value.param_name == "token_table"
     # nothing moves, not even the parameters ahead of the bad one
     assert state.t == 0 and not state.m.any() and not state.v.any()
@@ -414,6 +417,32 @@ def test_resume_leaves_its_start_checkpoint_as_it_was(tmp_path):
         assert ck_path.read_bytes() == full_bytes
     save_checkpoint(mid, ck_path)
     assert ck_path.read_bytes() == mid_path.read_bytes()
+
+
+def test_each_step_backpropagates_into_the_gradient_vector(monkeypatch):
+    # every tensor's .grad is a view of params.grad when Adam reads it, a fresh run
+    # and a resume alike; the resumed-from checkpoint's own vector stays all zeros
+    records = small_dataset(n_train=24)
+    real_step = trainer.optimizer_step
+    seen, watched = [], []
+
+    def step(params, state, config):
+        assert all(np.shares_memory(t.grad, params.grad)
+                   for t in params.parameters().values())
+        assert not any(ckpt.params.grad.any() for ckpt in watched)
+        seen.append(params.grad.copy())
+        real_step(params, state, config)
+
+    monkeypatch.setattr(trainer, "optimizer_step", step)
+    mid = train(records, small_config(steps=2))
+    watched.append(mid)
+    resumed = train(records, small_config(steps=4), resume_from=mid)
+    assert len(seen) == 4 and all(g.any() and np.isfinite(g).all() for g in seen)
+    for ckpt in (mid, resumed):
+        assert all(np.shares_memory(t.grad, ckpt.params.grad)
+                   for t in ckpt.params.parameters().values())
+    assert not mid.params.grad.any()
+    assert not np.shares_memory(mid.params.grad, resumed.params.grad)
 
 
 def test_resume_rejects_different_config(tmp_path):

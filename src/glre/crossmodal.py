@@ -293,6 +293,12 @@ def _rows(tensors) -> np.ndarray:
     return tensors[0].data if len(tensors) == 1 else np.concatenate([t.data for t in tensors])
 
 
+def _row_blocks(arr: np.ndarray, counts) -> list[np.ndarray]:
+    """Views of consecutive runs of counts[k] rows of `arr`, in order."""
+    ends = np.cumsum(counts).tolist()
+    return [arr[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def pairwise_scores(image_feats, text_feats, config: LossConfig):
     """Global and local B_i x B_t score matrices; [i, j] scores image i vs text j.
 
@@ -325,11 +331,10 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
 
     img_g, txt_g = (tuple(f.global_feat for f in side) for side in (images, texts))
     gi, gt = _rows(img_g), _rows(txt_g)
-    img_split, txt_split = (np.cumsum([len(f.lengths) for f in side])[:-1]
-                            for side in (images, texts))
+    img_counts, txt_counts = ([len(f.lengths) for f in side] for side in (images, texts))
 
     def global_bw(g):
-        return (*np.split(g @ gt, img_split), *np.split(g.T @ gi, txt_split))
+        return (*_row_blocks(g @ gt, img_counts), *_row_blocks(g.T @ gi, txt_counts))
 
     global_matrix = nm._emit(gi @ gt.T, img_g + txt_g, global_bw)
 
@@ -350,8 +355,8 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
 
     def local_bw(g):
         g_regions, g_words = _align_adjoint(al, regions, txt_rows, word_norms, lengths, lam1, g)
-        return (*np.split(g_regions.reshape(-1, dim), img_split * regions.shape[1]),
-                *np.split(g_words, np.cumsum([t.shape[0] for t in txt_l])[:-1]))
+        return (*_row_blocks(g_regions.reshape(-1, dim), [t.shape[0] for t in img_l]),
+                *_row_blocks(g_words, [t.shape[0] for t in txt_l]))
 
     local_matrix = nm._emit(local, img_l + txt_l, local_bw)
     return global_matrix, local_matrix

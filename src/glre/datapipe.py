@@ -102,17 +102,20 @@ class Vocabulary:
             raise ValueError("vocabulary contains duplicate tokens")
 
     @classmethod
-    def from_texts(cls, texts) -> "Vocabulary":
-        return cls(tuple(sorted({tok for text in texts for tok in tokenize(text)})))
+    def from_tokens(cls, token_lists) -> "Vocabulary":
+        """Every token of the token lists (one a text, as tokenize gives), sorted."""
+        return cls(tuple(sorted({tok for tokens in token_lists for tok in tokens})))
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def encode(self, text: str) -> list[int]:
+    def encode(self, tokens: list[str]) -> list[int]:
+        """IDs of a token list; an unknown token is named with its 1-based word position."""
         try:
-            return [self._index[tok] for tok in tokenize(text)]
+            return [self._index[tok] for tok in tokens]
         except KeyError as exc:
-            raise VocabularyError(f"unknown token {exc.args[0]!r} in text {text!r}") from None
+            word = tokens.index(exc.args[0]) + 1
+            raise VocabularyError(f"unknown token {exc.args[0]!r} at word {word}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Each encoder runs once per batch of studies and emits a LocalGlobalFeatures
 batch: every study's L2-normalized per-region or per-token rows, stacked,
-plus one normalized global row per study; every tensor they record is 2-D.
-The image side mean-pools every grid region to a small patch vector and
-projects all patches in one matmul; the text side gathers all token
-embeddings at once. A study's global row is a projection of the mean of its
-pre-normalization rows. save_embeddings writes single-study features in the
-GLRE1 layout for use outside glre; nothing in the package reads it back.
+plus one normalized global row per study. The image side mean-pools every
+grid region to a small patch vector and projects all patches in one matmul;
+the text side gathers all token embeddings at once. A study's global row is
+a projection of the mean of its pre-normalization rows. Each encoder call
+is one taped op with two 2-D outputs, the local and the global rows, and one
+fused adjoint. save_embeddings writes single-study features in the GLRE1
+layout for use outside glre; nothing in the package reads it back.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, VocabularyError
+from .errors import DegenerateRowError, FormatError, ShapeError, VocabularyError
 from .files import reading, write_file
 from . import numerics as nm
-from .numerics import Tensor
+from .numerics import _NORM_FLOOR, Tensor
 
 
 @dataclass
@@ -122,6 +123,9 @@ class EncoderParams:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dim}")
         for name in PARAM_NAMES:
             setattr(self, name, Tensor(0.0, requires_grad=True))
+        shapes = param_shapes(self.dim, self.vocab_size, self.patch_pool).values()
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        self._layout = list(zip([0] + ends, ends, shapes))  # each tensor's [start, end), shape
         self.grad = np.zeros(np.size(self.flat))
         self.bind(np.asarray(self.flat, dtype=np.float64))
         if not np.isfinite(self.flat).all():
@@ -132,11 +136,8 @@ class EncoderParams:
         """Make `flat` the read-only parameter vector; tensors' data and .grad view it and grad."""
         flat.flags.writeable = False
         self.flat = flat
-        shapes = param_shapes(self.dim, self.vocab_size, self.patch_pool).values()
-        ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-        for t, shape, piece, grad in zip(self.parameters().values(), shapes,
-                                         np.split(flat, ends), np.split(self.grad, ends)):
-            t.data, t.grad = piece.reshape(shape), grad.reshape(shape)
+        for t, (start, end, shape) in zip(self.parameters().values(), self._layout):
+            t.data, t.grad = flat[start:end].reshape(shape), self.grad[start:end].reshape(shape)
 
     def parameters(self) -> dict[str, Tensor]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -218,28 +219,81 @@ def sinusoidal_positions(length: int, dim: int, scale: float = 0.05) -> np.ndarr
     return scale * table
 
 
+def _unit_rows(x: np.ndarray):
+    """The rows of 2-D `x` scaled to unit norm, and their norms; the first row
+    of norm <= _NORM_FLOOR raises DegenerateRowError with its index."""
+    norms = np.sqrt((x * x).sum(axis=1))
+    bad = np.flatnonzero(norms <= _NORM_FLOOR)
+    if bad.size:
+        raise DegenerateRowError(int(bad[0]), float(norms[bad[0]]))
+    return x / norms[:, None], norms
+
+
+def _unit_rows_adjoint(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient at x of the loss given its gradient g at y, norms = _unit_rows(x)."""
+    inner = (g * y).sum(axis=1, keepdims=True)
+    return (g - y * inner) / norms[:, None]
+
+
+def _local_global(pre, lengths, proj: Tensor, inputs, pre_adjoint, modality):
+    """Features from the (sum n_k, D) rows `pre`, one taped op with `inputs`.
+
+    local = unit rows of pre; global = unit rows of (mean of each study's run
+    of rows) @ proj. `pre_adjoint(g_pre)` gives the gradients of the inputs
+    before proj; the adjoint appends proj's. An output the loss does not
+    reach adds nothing, and where both do, the mean path's term comes first
+    in g_pre, so each sum rounds as that of the composed ops would.
+    """
+    counts = np.asarray(lengths, dtype=np.int64)
+    local, norms = _unit_rows(pre)
+    mean = np.add.reduceat(pre, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+    wg = proj.data
+    glob, glob_norms = _unit_rows(mean @ wg)
+
+    def bw(g_local, g_global):
+        g_pre = g_wg = None
+        if g_global is not None:
+            g_h = _unit_rows_adjoint(g_global, glob, glob_norms)
+            g_wg = mean.T @ g_h
+            g_pre = np.repeat((g_h @ wg.T) / counts[:, None], counts, axis=0)
+        if g_local is not None:
+            g_l = _unit_rows_adjoint(g_local, local, norms)
+            g_pre = g_l if g_pre is None else g_pre + g_l
+        return (*pre_adjoint(g_pre), g_wg)
+
+    local_t, global_t = nm._emit((local, glob), inputs, bw)
+    return LocalGlobalFeatures(local_t, global_t, modality, lengths)
+
+
 def encode_image_patches(patches, params: EncoderParams) -> LocalGlobalFeatures:
     """Encode a batch of images from their pre-pooled (R_k, P) patch matrices.
 
     The global rows project the mean of un-normalized region features, so they
-    keep magnitude information that per-row normalization discards.
+    keep magnitude information that per-row normalization discards. One taped
+    op with inputs patch_proj, patch_bias and global_proj_image.
     """
     p = params.patch_proj.shape[0]
     if len(patches) == 0 or any(m.ndim != 2 or m.shape[1] != p for m in patches):
         raise ShapeError(f"need a non-empty list of (R, {p}) patch matrices, got shapes "
                          f"{[m.shape for m in patches]}")
     lengths = tuple(m.shape[0] for m in patches)
-    pre = nm.add(nm.matmul(nm.constant_view(np.concatenate(patches)), params.patch_proj),
-                 params.patch_bias)
+    x = np.concatenate(patches, dtype=np.float64)
     del patches  # the last reference when the caller kept none
-    local = nm.l2_normalize_rows(pre)
-    global_feat = nm.l2_normalize_rows(
-        nm.matmul(nm.mean_rows(pre, lengths), params.global_proj_image))
-    return LocalGlobalFeatures(local, global_feat, "image", lengths)
+    if not np.isfinite(x).all():
+        raise ValueError("tensor values must be finite")
+    pre = x @ params.patch_proj.data
+    pre += params.patch_bias.data
+    return _local_global(
+        pre, lengths, params.global_proj_image,
+        (params.patch_proj, params.patch_bias, params.global_proj_image),
+        lambda g: (x.T @ g, g.sum(axis=0)), "image")
 
 
 def encode_text_toy(seqs, params: EncoderParams) -> LocalGlobalFeatures:
-    """Embed one TokenSequence or a list of them (optional positions), normalize."""
+    """Embed one TokenSequence or a list of them (optional positions), normalize.
+
+    One taped op with inputs token_table and global_proj_text.
+    """
     seqs = [seqs] if isinstance(seqs, TokenSequence) else list(seqs)
     if not seqs:
         raise ShapeError("need at least one token sequence")
@@ -247,14 +301,23 @@ def encode_text_toy(seqs, params: EncoderParams) -> LocalGlobalFeatures:
     if bad:
         raise VocabularyError(f"sequence vocabulary {bad[0]} != table size {params.vocab_size}")
     lengths = tuple(len(seq) for seq in seqs)
-    pre = nm.row_gather(params.token_table, [i for seq in seqs for i in seq.ids])
+    ids = np.array([i for seq in seqs for i in seq.ids], dtype=np.int64)
+    table = params.token_table.data
+    pre = table[ids]
     if params.use_positions:
-        table = sinusoidal_positions(max(lengths), params.dim)
-        pre = nm.add(pre, nm.constant(np.concatenate([table[:n] for n in lengths])))
-    local = nm.l2_normalize_rows(pre)
-    global_feat = nm.l2_normalize_rows(
-        nm.matmul(nm.mean_rows(pre, lengths), params.global_proj_text))
-    return LocalGlobalFeatures(local, global_feat, "text", lengths)
+        positions = sinusoidal_positions(max(lengths), params.dim)
+        pre += np.concatenate([positions[:n] for n in lengths])
+
+    def table_adjoint(g):
+        # one bincount bin per (row, column): bincount adds each bin's weights
+        # onto zero in order of occurrence, as np.add.at does, so the sums are
+        # bit-identical to it (np.add.reduceat's pairwise sums are not)
+        d = table.shape[1]
+        bins = (ids[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(bins, weights=g.ravel(), minlength=table.size).reshape(table.shape),)
+
+    return _local_global(pre, lengths, params.global_proj_text,
+                         (params.token_table, params.global_proj_text), table_adjoint, "text")
 
 
 # ---------------------------------------------------------------------------

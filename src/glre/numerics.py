@@ -1,18 +1,18 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The operation set holds only what the shipped model records: matmul, add
-(broadcasting limited to scalars and row vectors), row normalization, row
-gather and segment means of rows. The encoders run once per batch, composed
-from these; every tensor they record is 2-D: all studies' local rows stacked
-as (sum n_k, D) and one (B, D) global row per study. The fused ops live
-beside the code that needs them and record through ``_emit`` with their own
-adjoints: ``crossmodal.pairwise_scores`` emits the batched global and local
+This module holds the tensor and the tape, and no operations: each op the
+shipped model records lives beside the code that needs it and records
+through ``_emit`` with its own fused adjoint. ``encoders.encode_image_patches``
+and ``encoders.encode_text_toy`` each emit one op with two 2-D outputs, all
+studies' local rows stacked as (sum n_k, D) and one (B, D) global row per
+study; ``crossmodal.pairwise_scores`` emits the batched global and local
 score matrices, and ``crossmodal.contrastive_loss`` the weighted symmetric
 InfoNCE loss over both.
 
 Recording model: ops record onto the innermost active ``GradTape`` whenever
 any input requires gradients. A tape replays its records in exact reverse
-execution order; gradients accumulate additively when a tensor feeds several
+execution order, running a record once with the gradients of all of its
+outputs; gradients accumulate additively when a tensor feeds several
 operations. Tensors that never touch a tape are immutable after construction
 (their data buffers are marked read-only) and safe to share across threads;
 a tape and the tensors attached to it belong to a single thread. Each thread
@@ -27,12 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateRowError,
-    NonScalarLossError,
-    ShapeError,
-    TapeStateError,
-)
+from .errors import NonScalarLossError, ShapeError, TapeStateError
 
 _NORM_FLOOR = 1e-12
 
@@ -90,21 +85,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
-def constant(data) -> Tensor:
-    """Tensor that never tracks gradients."""
-    return Tensor(data, requires_grad=False)
-
-
 def constant_view(arr: np.ndarray) -> Tensor:
-    """`constant(arr)` over the C-ordered float64 array `arr` itself, not a copy
+    """`Tensor(arr)` over the C-ordered float64 array `arr` itself, not a copy
     of it; `arr` turns read-only, so pass one no one else writes."""
-    return Tensor._wrap(arr, False) if np.all(np.isfinite(arr)) else constant(arr)
+    return Tensor._wrap(arr, False) if np.all(np.isfinite(arr)) else Tensor(arr)
 
 
 # --------------------------------------------------------------------------
@@ -119,7 +103,8 @@ class GradTape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # (outputs, inputs, adjoint) per op, in execution order
+        self._records: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -132,16 +117,15 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
-        self._records.append((out, inputs, backward_fn))
-
     def backward(self, loss: Tensor) -> None:
         """Add d(loss)/dt to ``.grad`` of every requires_grad tensor t the loss
-        reaches through this tape, the loss itself included.
+        reaches through this tape.
 
-        A tensor the loss does not reach keeps its ``.grad``: None unless an
-        earlier sweep or its owner set it. An existing ``.grad`` buffer is
-        accumulated into in place, so a view stays a view of its vector.
+        Only a leaf, a tensor no record of this tape produced, gets a new
+        ``.grad`` array; the outputs of records, the loss included, get none.
+        An existing ``.grad`` buffer is accumulated into in place, so a view
+        stays a view of its vector. A tensor the loss does not reach keeps
+        its ``.grad``: None unless an earlier sweep or its owner set it.
         """
         if self._consumed:
             raise TapeStateError("backward already ran on this tape; record a new one")
@@ -151,21 +135,23 @@ class GradTape:
 
         # id -> (tensor, gradient flowing into it so far)
         flowing: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones(()))}
-        for out, inputs, backward_fn in reversed(self._records):
-            entry = flowing.get(id(out))
-            if entry is None:
+        for outs, inputs, backward_fn in reversed(self._records):
+            entries = [flowing.get(id(out)) for out in outs]
+            if not any(entries):
                 continue
-            for t, contrib in zip(inputs, backward_fn(entry[1])):
+            grads = (None if entry is None else entry[1] for entry in entries)
+            for t, contrib in zip(inputs, backward_fn(*grads)):
                 if contrib is None or not t.requires_grad:
                     continue
                 seen = flowing.get(id(t))
                 flowing[id(t)] = (t, contrib if seen is None else seen[1] + contrib)
 
+        produced = {id(out) for outs, _, _ in self._records for out in outs}
         for t, piece in flowing.values():
-            if t.requires_grad and t.grad is None:
-                t.grad = np.array(piece, dtype=np.float64).reshape(t.shape)
-            elif t.requires_grad:
+            if t.requires_grad and t.grad is not None:
                 np.add(t.grad, np.reshape(piece, t.shape), out=t.grad)
+            elif t.requires_grad and id(t) not in produced:
+                t.grad = np.array(piece, dtype=np.float64).reshape(t.shape)
 
 
 class _TapeStack(threading.local):
@@ -188,127 +174,15 @@ def backward(loss: Tensor, tape: GradTape) -> None:
     tape.backward(loss)
 
 
-def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
+def _emit(out_data, inputs: tuple[Tensor, ...], backward_fn: Callable):
+    """Wrap an op's output array, or its tuple of output arrays, as a Tensor or
+    a tuple of them, recording the op on the active tape if an input requires
+    gradients. ``backward_fn`` takes one gradient per output, None for an
+    output the loss does not reach, and returns one gradient, or None, per input."""
     req = any(t.requires_grad for t in inputs)
-    out = Tensor._wrap(out_data, req)
-    if req:
-        tape = _active_tape()
-        if tape is not None:
-            tape._record(out, inputs, backward_fn)
-    return out
-
-
-# --------------------------------------------------------------------------
-# Operation set
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard matrix product of two 2-D tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        return (
-            g @ bd.T if a.requires_grad else None,
-            ad.T @ g if b.requires_grad else None,
-        )
-
-    return _emit(ad @ bd, (a, b), bw)
-
-
-def _broadcast_ok(a_shape, b_shape) -> bool:
-    # Permitted: identical shapes, a scalar operand, or a row vector of
-    # length n against an (m, n) matrix. Nothing wider.
-    if a_shape == b_shape:
-        return True
-    if a_shape == () or b_shape == ():
-        return True
-    if len(a_shape) == 2 and b_shape == (a_shape[1],):
-        return True
-    if len(b_shape) == 2 and a_shape == (b_shape[1],):
-        return True
-    return False
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return g.sum()
-    # row vector broadcast over rows
-    return g.sum(axis=0)
-
-
-def add(a, b) -> Tensor:
-    """Elementwise sum; broadcasting limited to scalars and row vectors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(f"add cannot combine shapes {a.shape} and {b.shape}")
-
-    def bw(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
-
-    return _emit(a.data + b.data, (a, b), bw)
-
-
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row of a 2-D tensor to unit Euclidean norm."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows needs a 2-D tensor, got shape {x.shape}")
-    norms = np.sqrt((x.data * x.data).sum(axis=1))
-    bad = np.flatnonzero(norms <= _NORM_FLOOR)
-    if bad.size:
-        raise DegenerateRowError(int(bad[0]), float(norms[bad[0]]))
-    y = x.data / norms[:, None]
-
-    def bw(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return ((g - y * inner) / norms[:, None],)
-
-    return _emit(y, (x,), bw)
-
-
-def row_gather(x: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor; repeated indices accumulate gradient."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"row_gather needs a 2-D tensor, got shape {x.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"row_gather indices must be 1-D, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError(f"row index out of range for {x.shape[0]} rows")
-
-    def bw(g):
-        # one bincount bin per (row, column): bincount adds each bin's weights
-        # onto zero in order of occurrence, as np.add.at does, so the sums are
-        # bit-identical to it (np.add.reduceat's pairwise sums are not)
-        d = x.shape[1]
-        bins = (idx[:, None] * d + np.arange(d)).ravel()
-        return (np.bincount(bins, weights=g.ravel(), minlength=x.size).reshape(x.shape),)
-
-    return _emit(x.data[idx], (x,), bw)
-
-
-def mean_rows(x: Tensor, lengths) -> Tensor:
-    """Means of consecutive runs of lengths[k] >= 1 rows of a 2-D tensor, one row each."""
-    x = _as_tensor(x)
-    counts = np.asarray(lengths, dtype=np.int64)
-    if (x.ndim != 2 or counts.ndim != 1 or counts.size == 0 or counts.min() < 1
-            or counts.sum() != x.shape[0]):
-        raise ShapeError(f"mean_rows needs a 2-D tensor and positive lengths summing to its "
-                         f"rows, got shape {x.shape} and lengths {counts.tolist()}")
-    starts = np.cumsum(counts) - counts
-    return _emit(
-        np.add.reduceat(x.data, starts, axis=0) / counts[:, None],
-        (x,),
-        lambda g: (np.repeat(g / counts[:, None], counts, axis=0),),
-    )
+    several = isinstance(out_data, tuple)
+    outs = tuple(Tensor._wrap(d, req) for d in (out_data if several else (out_data,)))
+    tape = _active_tape() if req else None
+    if tape is not None:
+        tape._records.append((outs, inputs, backward_fn))
+    return outs if several else outs[0]

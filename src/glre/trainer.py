@@ -102,11 +102,16 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """Adam's moments as flat float64 vectors in the parameter layout (each
-    tensor row-major, in PARAM_NAMES order), plus the shared step counter."""
+    tensor row-major, in PARAM_NAMES order), plus the shared step counter;
+    `work` holds two vectors of scratch space for `optimizer_step`."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2, np.size(self.m)))
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
@@ -128,12 +133,14 @@ def optimizer_step(params: EncoderParams, state: AdamState, config: TrainConfig)
     b1, b2 = config.beta1, config.beta2
     # products and sums in the order of b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and
     # p - lr*m_hat/(sqrt(v_hat) + eps), so in-place updates round the same
+    step, denom = state.work
     state.m *= b1
-    state.m += (1 - b1) * g
+    state.m += np.multiply(1 - b1, g, out=step)
     state.v *= b2
-    state.v += (1 - b2) * g * g
-    step = config.learning_rate * (state.m / (1 - b1 ** state.t))
-    step /= np.sqrt(state.v / (1 - b2 ** state.t)) + config.epsilon
+    state.v += np.multiply(np.multiply(1 - b2, g, out=step), g, out=step)
+    np.multiply(config.learning_rate, np.divide(state.m, 1 - b1 ** state.t, out=step), out=step)
+    np.sqrt(np.divide(state.v, 1 - b2 ** state.t, out=denom), out=denom)
+    step /= np.add(denom, config.epsilon, out=denom)
     params.bind(params.flat - step)
 
 
@@ -153,14 +160,21 @@ class Checkpoint:
 
 def encode_report(text: str, vocab: Vocabulary, config: TrainConfig) -> TokenSequence:
     """Tokenize one report under the experiment vocabulary, truncated."""
-    ids = vocab.encode(text)[: config.max_length]
+    return _encode_tokens(tokenize(text), vocab, config)
+
+
+def _encode_tokens(tokens: list[str], vocab: Vocabulary, config: TrainConfig) -> TokenSequence:
+    ids = vocab.encode(tokens)[: config.max_length]
     return TokenSequence(tuple(ids), vocab_size=len(vocab), max_length=config.max_length)
 
 
-def initial_checkpoint(records, config: TrainConfig) -> Checkpoint:
+def initial_checkpoint(records, config: TrainConfig, tokens=None) -> Checkpoint:
     """The step-0 state of a fresh run: the dataset's vocabulary, the seeded
-    init, the first epoch permutation, and the generator state after them."""
-    vocab = Vocabulary.from_texts(r.report_text for r in records)
+    init, the first epoch permutation, and the generator state after them.
+    `tokens`, if given, holds tokenize(report_text) of each record."""
+    if tokens is None:
+        tokens = [tokenize(r.report_text) for r in records]
+    vocab = Vocabulary.from_tokens(tokens)
     rng = np.random.default_rng(config.seed)
     params = EncoderParams.initialize(
         config.dim, len(vocab), patch_pool=config.patch_pool,
@@ -171,14 +185,15 @@ def initial_checkpoint(records, config: TrainConfig) -> Checkpoint:
                       vocab=vocab, rng_state=rng.bit_generator.state, order=order, pointer=0)
 
 
-def _prepare(records, config: TrainConfig, vocab: Vocabulary):
-    """Patch matrices and token sequences of a dataset under `vocab`."""
+def _prepare(records, tokens, config: TrainConfig, vocab: Vocabulary):
+    """Patch matrices and token sequences of a dataset, its reports tokenized
+    as `tokens`, under `vocab`."""
     if config.vocab_size is not None and config.vocab_size != len(vocab):
         raise ConsistencyError(
             f"config expects vocabulary of {config.vocab_size}, dataset has {len(vocab)}"
         )
     patches = image_patch_matrix([r.image for r in records], config.patch_pool)
-    sequences = [encode_report(r.report_text, vocab, config) for r in records]
+    sequences = [_encode_tokens(toks, vocab, config) for toks in tokens]
     return patches, sequences
 
 
@@ -197,10 +212,13 @@ def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
     """
     if len(records) < 2:
         raise InsufficientDataError(f"training needs at least 2 paired studies, got {len(records)}")
-    for rec in records:
-        if rec.image is None or not tokenize(rec.report_text):
+    # one token list per report, for the check, the vocabulary and the ids
+    tokens = [tokenize(rec.report_text) for rec in records]
+    for rec, toks in zip(records, tokens):
+        if rec.image is None or not toks:
             raise InsufficientDataError(f"study {rec.study_id!r} has no image or no report tokens")
-    state = resume_from if resume_from is not None else initial_checkpoint(records, config)
+    state = (resume_from if resume_from is not None
+             else initial_checkpoint(records, config, tokens))
     if state.config.hash() != config.hash():
         raise ConsistencyError("checkpoint was produced under a different configuration")
     if state.step > config.steps:
@@ -211,7 +229,7 @@ def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
     if sorted(order) != list(range(n)) or not 0 <= pointer <= n:
         raise ConsistencyError(f"checkpoint's epoch order covers {len(order)} studies "
                                f"(at {pointer}), but {n} were given")
-    patches, sequences = _prepare(records, config, state.vocab)
+    patches, sequences = _prepare(records, tokens, config, state.vocab)
     params = replace(state.params)  # new tensors over the same read-only vector, new grad
     adam = replace(state.adam, m=state.adam.m.copy(), v=state.adam.v.copy())
     rng = np.random.default_rng()

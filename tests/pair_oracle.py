@@ -33,7 +33,7 @@ def similarity_matrix(words: Tensor, regions: Tensor) -> Tensor:
         raise ShapeError(f"similarity needs 2-D inputs, got {words.shape} and {regions.shape}")
     if words.shape[1] != regions.shape[1]:
         raise ShapeError(f"feature dims differ: words {words.shape} vs regions {regions.shape}")
-    sims = nm.matmul(words, ref.transpose(regions))
+    sims = ref.matmul(words, ref.transpose(regions))
     if sims.size and np.abs(sims.data).max() > 1.0 + 1e-9:
         raise ValueError("similarity entries exceed [-1, 1]; rows must be unit-norm")
     return sims
@@ -46,7 +46,7 @@ def attention_contexts(sims: Tensor, regions: Tensor, lambda1: float) -> Attenti
     if regions.ndim != 2 or sims.shape[1] != regions.shape[0]:
         raise ShapeError(f"similarity {sims.shape} does not match regions {regions.shape}")
     weights = ref.softmax_rows(sims, lambda1)
-    return AttentionMap(weights=weights, contexts=nm.matmul(weights, regions))
+    return AttentionMap(weights=weights, contexts=ref.matmul(weights, regions))
 
 
 def local_alignment_score(att: AttentionMap, words: Tensor, lambda2: float) -> Tensor:
@@ -70,7 +70,7 @@ def local_score(img, txt, lambda1: float, lambda2: float) -> Tensor:
 
     Uses the raw word x region products, so rows need not be unit-norm.
     """
-    sims = nm.matmul(txt.local, ref.transpose(img.local))
+    sims = ref.matmul(txt.local, ref.transpose(img.local))
     att = attention_contexts(sims, img.local, lambda1)
     return local_alignment_score(att, txt.local, lambda2)
 

@@ -1,19 +1,144 @@
 """Taped ops that only the tests use, recorded through ``numerics._emit``.
 
-The shipped model needs none of these: its loss is the fused
-``crossmodal.contrastive_loss`` and its scores the fused
-``crossmodal.pairwise_scores``. The per-pair score oracle
-(``pair_oracle.py``), the reference InfoNCE composition and the
-finite-difference suites build on them, so each keeps its own adjoint and
-its finite-difference check in criterion 1.
+The shipped model needs none of these: its encoders are the fused
+``encoders.encode_image_patches`` and ``encoders.encode_text_toy``, its loss
+the fused ``crossmodal.contrastive_loss`` and its scores the fused
+``crossmodal.pairwise_scores``. The composed encoder oracle (matmul, add,
+l2_normalize_rows, row_gather and mean_rows, as the encoders once recorded
+them), the per-pair score oracle (``pair_oracle.py``), the reference InfoNCE
+composition and the finite-difference suites build on them, so each keeps
+its own adjoint and its finite-difference check in criterion 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from glre.errors import ParameterError, ShapeError
-from glre.numerics import _NORM_FLOOR, Tensor, _as_tensor, _broadcast_ok, _emit, _unbroadcast
+from glre.errors import DegenerateRowError, ParameterError, ShapeError
+from glre.numerics import _NORM_FLOOR, Tensor, _emit
+
+
+def _as_tensor(x) -> Tensor:
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(x)
+
+
+def constant(data) -> Tensor:
+    """Tensor that never tracks gradients."""
+    return Tensor(data, requires_grad=False)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Standard matrix product of two 2-D tensors."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    ad, bd = a.data, b.data
+
+    def bw(g):
+        return (
+            g @ bd.T if a.requires_grad else None,
+            ad.T @ g if b.requires_grad else None,
+        )
+
+    return _emit(ad @ bd, (a, b), bw)
+
+
+def _broadcast_ok(a_shape, b_shape) -> bool:
+    # Permitted: identical shapes, a scalar operand, or a row vector of
+    # length n against an (m, n) matrix. Nothing wider.
+    if a_shape == b_shape:
+        return True
+    if a_shape == () or b_shape == ():
+        return True
+    if len(a_shape) == 2 and b_shape == (a_shape[1],):
+        return True
+    if len(b_shape) == 2 and a_shape == (b_shape[1],):
+        return True
+    return False
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    if shape == ():
+        return g.sum()
+    # row vector broadcast over rows
+    return g.sum(axis=0)
+
+
+def add(a, b) -> Tensor:
+    """Elementwise sum; broadcasting limited to scalars and row vectors."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if not _broadcast_ok(a.shape, b.shape):
+        raise ShapeError(f"add cannot combine shapes {a.shape} and {b.shape}")
+
+    def bw(g):
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
+
+    return _emit(a.data + b.data, (a, b), bw)
+
+
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Scale each row of a 2-D tensor to unit Euclidean norm."""
+    x = _as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"l2_normalize_rows needs a 2-D tensor, got shape {x.shape}")
+    norms = np.sqrt((x.data * x.data).sum(axis=1))
+    bad = np.flatnonzero(norms <= _NORM_FLOOR)
+    if bad.size:
+        raise DegenerateRowError(int(bad[0]), float(norms[bad[0]]))
+    y = x.data / norms[:, None]
+
+    def bw(g):
+        inner = (g * y).sum(axis=1, keepdims=True)
+        return ((g - y * inner) / norms[:, None],)
+
+    return _emit(y, (x,), bw)
+
+
+def row_gather(x: Tensor, indices) -> Tensor:
+    """Select rows of a 2-D tensor; repeated indices accumulate gradient."""
+    x = _as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"row_gather needs a 2-D tensor, got shape {x.shape}")
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError(f"row_gather indices must be 1-D, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise IndexError(f"row index out of range for {x.shape[0]} rows")
+
+    def bw(g):
+        # one bincount bin per (row, column): bincount adds each bin's weights
+        # onto zero in order of occurrence, as np.add.at does, so the sums are
+        # bit-identical to it (np.add.reduceat's pairwise sums are not)
+        d = x.shape[1]
+        bins = (idx[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(bins, weights=g.ravel(), minlength=x.size).reshape(x.shape),)
+
+    return _emit(x.data[idx], (x,), bw)
+
+
+def mean_rows(x: Tensor, lengths) -> Tensor:
+    """Means of consecutive runs of lengths[k] >= 1 rows of a 2-D tensor, one row each."""
+    x = _as_tensor(x)
+    counts = np.asarray(lengths, dtype=np.int64)
+    if (x.ndim != 2 or counts.ndim != 1 or counts.size == 0 or counts.min() < 1
+            or counts.sum() != x.shape[0]):
+        raise ShapeError(f"mean_rows needs a 2-D tensor and positive lengths summing to its "
+                         f"rows, got shape {x.shape} and lengths {counts.tolist()}")
+    starts = np.cumsum(counts) - counts
+    return _emit(
+        np.add.reduceat(x.data, starts, axis=0) / counts[:, None],
+        (x,),
+        lambda g: (np.repeat(g / counts[:, None], counts, axis=0),),
+    )
 
 
 def transpose(x: Tensor) -> Tensor:

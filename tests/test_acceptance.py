@@ -77,7 +77,7 @@ def _op_battery(rng) -> float:
     ids = [int(i) for i in rng.integers(0, T, size=6)]  # repeats accumulate
 
     def ws(t, w):
-        return ref.tensor_sum(ref.mul(t, nm.constant(w)))
+        return ref.tensor_sum(ref.mul(t, ref.constant(w)))
 
     w_tr = rng.normal(size=(T, R))
     w_td = rng.normal(size=(T, D))
@@ -93,7 +93,7 @@ def _op_battery(rng) -> float:
     # and held constant, so its cosines stay guarded under FD steps.
     def feats(lengths, modality, scale=1.0, leaf=True):
         local = scale * rng.normal(size=(sum(lengths), D))
-        make = _leaf if leaf else nm.constant
+        make = _leaf if leaf else ref.constant
         return LocalGlobalFeatures(make(local), _leaf(rng.normal(size=(len(lengths), D))),
                                    modality, lengths)
 
@@ -117,23 +117,52 @@ def _op_battery(rng) -> float:
                              weight_global_i2t=w_loss[0], weight_global_t2i=w_loss[1],
                              weight_local_i2t=w_loss[2], weight_local_t2i=w_loss[3])
 
+    # the fused encoders on a ragged batch of 3 studies, read out through their
+    # local rows alone, their global rows alone (the other output's gradient
+    # is None) and both; a readout of the local rows alone reaches no global
+    # projection, so those are left out of its leaves
+    enc = EncoderParams.initialize(dim=D, vocab_size=T, patch_pool=2, rng=rng,
+                                   use_positions=bool(rng.integers(2)))
+    enc_patches = [rng.uniform(size=(n, 4)) for n in (R, 1, 3)]
+    enc_seqs = [TokenSequence(rng.integers(0, T, size=n), vocab_size=T) for n in (2, T, 1)]
+    w_glob = rng.normal(size=(3, D))
+    encoder_checks = []
+    for encode, batch, rows, leaves in (
+            (encode_image_patches, enc_patches, R + 4,
+             [enc.patch_proj, enc.patch_bias, enc.global_proj_image]),
+            (encode_text_toy, enc_seqs, T + 3, [enc.token_table, enc.global_proj_text])):
+        w_loc = rng.normal(size=(rows, D))
+
+        def local_only(encode=encode, batch=batch, w_loc=w_loc):
+            return ws(encode(batch, enc).local, w_loc)
+
+        def global_only(encode=encode, batch=batch):
+            return ws(encode(batch, enc).global_feat, w_glob)
+
+        def both(encode=encode, batch=batch, w_loc=w_loc):
+            out = encode(batch, enc)
+            return ref.add(ws(out.local, w_loc), ws(out.global_feat, w_glob))
+
+        encoder_checks += [(local_only, leaves[:-1]), (global_only, leaves), (both, leaves)]
+
     checks = [
-        (lambda: ws(nm.matmul(x, y), w_tr), [x, y]),
+        *encoder_checks,
+        (lambda: ws(ref.matmul(x, y), w_tr), [x, y]),
         (lambda: ws(ref.transpose(x), w_dt), [x]),
         (lambda: ws(ref.softmax_rows(x, 4.0), w_td), [x]),
-        (lambda: ws(nm.l2_normalize_rows(x), w_td), [x]),
+        (lambda: ws(ref.l2_normalize_rows(x), w_td), [x]),
         (lambda: ws(ref.logsumexp_rows(x), w_t), [x]),
         (lambda: ref.logsumexp_rows(v), [v]),
-        (lambda: ws(nm.add(x, x2), w_td), [x, x2]),
-        (lambda: ws(nm.add(x, rowvec), w_td), [x, rowvec]),
-        (lambda: ws(nm.add(x, scal), w_td), [x, scal]),
+        (lambda: ws(ref.add(x, x2), w_td), [x, x2]),
+        (lambda: ws(ref.add(x, rowvec), w_td), [x, rowvec]),
+        (lambda: ws(ref.add(x, scal), w_td), [x, scal]),
         (lambda: ws(ref.mul(x, x2), w_td), [x, x2]),
         (lambda: ws(ref.mul(x, rowvec), w_td), [x, rowvec]),
         (lambda: ws(ref.mul(x, scal), w_td), [x, scal]),
         (lambda: ws(ref.scale(x, -1.7), w_td), [x]),
-        (lambda: ws(nm.row_gather(x, ids), w_gd), [x]),
-        (lambda: ref.tensor_sum(ref.mul(x, nm.constant(w_td))), [x]),
-        (lambda: ws(nm.mean_rows(x, [cut, T - cut]), w_seg), [x]),
+        (lambda: ws(ref.row_gather(x, ids), w_gd), [x]),
+        (lambda: ref.tensor_sum(ref.mul(x, ref.constant(w_td))), [x]),
+        (lambda: ws(ref.mean_rows(x, [cut, T - cut]), w_seg), [x]),
         (lambda: ws(ref.rowwise_cosine(x, x2), w_t), [x, x2]),
         (lambda: ws(pairwise_scores(imgs, txts, loss_cfg)[0], w_34), g_leaves),
         (lambda: ws(pairwise_scores(imgs, txts, loss_cfg)[1], w_34), l_leaves),
@@ -187,12 +216,12 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_loss_anchors():
     cfg = LossConfig(tau_global=0.1, tau_local=0.1)
     for b in (2, 4, 16):
-        equal = nm.constant(np.full((b, b), 0.37))
+        equal = ref.constant(np.full((b, b), 0.37))
         terms = contrastive_loss(equal, equal, cfg)
         for direction in ("global_i2t", "global_t2i", "local_i2t", "local_t2i"):
             loss = getattr(terms, direction)
             assert abs(loss - np.log(b)) < 1e-10, (b, direction)
-    single = nm.constant(np.array([[0.8]]))
+    single = ref.constant(np.array([[0.8]]))
     assert abs(contrastive_loss(single, single, cfg).total.item()) < 1e-12
 
     rng = np.random.default_rng(22)

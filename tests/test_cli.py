@@ -23,6 +23,7 @@ from glre.datapipe import (
     default_lexicon,
     label_report,
     read_manifest,
+    tokenize,
     write_manifest,
 )
 from glre.encoders import (ImageGrid, encode_image_patches, encode_text_toy, image_patch_matrix,
@@ -412,8 +413,11 @@ def _unknown_token_manifest(tmp_path, pipeline):
         row["image_path"] = str(pipeline["data"] / row["image_path"])
     rows[7]["report"] += " zebra"
     (tmp_path / "in.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    # the word's position, and not its whole report, ends the line
+    word = len(tokenize(rows[7]["report"]))
     return (tmp_path / "in.jsonl", {},
-            f"study {rows[7]['study_id']!r} of {tmp_path / 'in.jsonl'}: unknown token 'zebra'")
+            f"study {rows[7]['study_id']!r} of {tmp_path / 'in.jsonl'}: unknown token 'zebra' "
+            f"at word {word}\n")
 
 
 @pytest.mark.parametrize("case", [_other_dim, _unknown_token_manifest],
@@ -732,7 +736,7 @@ def test_zeroshot_prompt_outside_the_vocabulary_exits_1_naming_the_prompts_file(
     assert run("zeroshot", "--checkpoint", pipeline["checkpoint"],
                "--manifest", pipeline["data"] / "heldout.jsonl", "--prompts", prompts,
                "--out-dir", tmp_path / "out") == 1
-    assert f"{prompts}: unknown token 'zzz'" in capsys.readouterr().err
+    assert f"{prompts}: unknown token 'zzz' at word 1\n" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
 
 

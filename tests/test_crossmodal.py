@@ -56,15 +56,15 @@ def make_features(rng, t, r, dim, requires_grad=False):
 
 
 def test_similarity_orthonormal_identity():
-    eye = nm.constant(np.eye(4))
+    eye = ref.constant(np.eye(4))
     sim = similarity_matrix(eye, eye)
     np.testing.assert_allclose(sim.numpy(), np.eye(4), atol=1e-15)
 
 
 def test_similarity_entries_bounded():
     rng = np.random.default_rng(0)
-    sim = similarity_matrix(nm.constant(unit_rows(rng, 6, 5)),
-                            nm.constant(unit_rows(rng, 7, 5)))
+    sim = similarity_matrix(ref.constant(unit_rows(rng, 6, 5)),
+                            ref.constant(unit_rows(rng, 7, 5)))
     assert np.abs(sim.numpy()).max() <= 1.0 + 1e-12
 
 
@@ -72,7 +72,7 @@ def test_similarity_matches_dot_loop():
     rng = np.random.default_rng(1)
     w = unit_rows(rng, 5, 8)
     r = unit_rows(rng, 4, 8)
-    sim = similarity_matrix(nm.constant(w), nm.constant(r)).numpy()
+    sim = similarity_matrix(ref.constant(w), ref.constant(r)).numpy()
     for t in range(5):
         for k in range(4):
             assert abs(sim[t, k] - float(np.dot(w[t], r[k]))) < 1e-12
@@ -80,11 +80,11 @@ def test_similarity_matches_dot_loop():
 
 def test_similarity_dim_mismatch():
     with pytest.raises(ShapeError):
-        similarity_matrix(nm.constant(np.eye(3)), nm.constant(np.eye(4)))
+        similarity_matrix(ref.constant(np.eye(3)), ref.constant(np.eye(4)))
 
 
 def test_similarity_rejects_unnormalized_rows():
-    big = nm.constant(2.0 * np.eye(3))
+    big = ref.constant(2.0 * np.eye(3))
     with pytest.raises(ValueError):
         similarity_matrix(big, big)
 
@@ -96,8 +96,8 @@ def test_similarity_rejects_unnormalized_rows():
 
 def test_attention_single_region():
     rng = np.random.default_rng(2)
-    region = nm.constant(unit_rows(rng, 1, 6))
-    words = nm.constant(unit_rows(rng, 4, 6))
+    region = ref.constant(unit_rows(rng, 1, 6))
+    words = ref.constant(unit_rows(rng, 4, 6))
     for lam in (0.5, 4.0, 80.0):
         att = attention_contexts(similarity_matrix(words, region), region, lam)
         np.testing.assert_allclose(att.contexts.numpy(),
@@ -106,8 +106,8 @@ def test_attention_single_region():
 
 def test_attention_uniform_limit():
     rng = np.random.default_rng(3)
-    regions = nm.constant(unit_rows(rng, 5, 8))
-    words = nm.constant(unit_rows(rng, 3, 8))
+    regions = ref.constant(unit_rows(rng, 5, 8))
+    words = ref.constant(unit_rows(rng, 3, 8))
     att = attention_contexts(similarity_matrix(words, regions), regions, 1e-6)
     mean = regions.numpy().mean(axis=0)
     assert np.abs(att.contexts.numpy() - mean).max() < 1e-4
@@ -115,9 +115,9 @@ def test_attention_uniform_limit():
 
 def test_attention_sharp_limit_picks_argmax_region():
     # similarities with a gap >= 0.2 between best and rest
-    sims = nm.constant(np.array([[0.9, 0.6, 0.1], [0.1, 0.2, 0.8]]))
+    sims = ref.constant(np.array([[0.9, 0.6, 0.1], [0.1, 0.2, 0.8]]))
     rng = np.random.default_rng(4)
-    regions = nm.constant(unit_rows(rng, 3, 6))
+    regions = ref.constant(unit_rows(rng, 3, 6))
     att = attention_contexts(sims, regions, 50.0)
     ctx = att.contexts.numpy()
     assert np.abs(ctx[0] - regions.numpy()[0]).max() < 1e-3
@@ -127,8 +127,8 @@ def test_attention_sharp_limit_picks_argmax_region():
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        regions = nm.constant(unit_rows(rng, 4, 8))
-        words = nm.constant(unit_rows(rng, 5, 8))
+        regions = ref.constant(unit_rows(rng, 4, 8))
+        words = ref.constant(unit_rows(rng, 5, 8))
         lam = float(rng.uniform(0.1, 20))
         att = attention_contexts(similarity_matrix(words, regions), regions, lam)
         np.testing.assert_allclose(att.weights.numpy().sum(axis=1), 1.0, atol=1e-9)
@@ -136,8 +136,8 @@ def test_attention_rows_sum_to_one():
 
 def test_attention_rejects_nonpositive_sharpening():
     rng = np.random.default_rng(6)
-    regions = nm.constant(unit_rows(rng, 3, 4))
-    words = nm.constant(unit_rows(rng, 2, 4))
+    regions = ref.constant(unit_rows(rng, 3, 4))
+    words = ref.constant(unit_rows(rng, 2, 4))
     sim = similarity_matrix(words, regions)
     for lam in (0.0, -1.0):
         with pytest.raises(ParameterError):
@@ -146,8 +146,8 @@ def test_attention_rejects_nonpositive_sharpening():
 
 def test_attention_context_is_exact_convex_combination():
     rng = np.random.default_rng(7)
-    regions = nm.constant(unit_rows(rng, 4, 6))
-    words = nm.constant(unit_rows(rng, 3, 6))
+    regions = ref.constant(unit_rows(rng, 4, 6))
+    words = ref.constant(unit_rows(rng, 3, 6))
     att = attention_contexts(similarity_matrix(words, regions), regions, 4.0)
     np.testing.assert_array_equal(att.contexts.numpy(),
                                   att.weights.numpy() @ regions.numpy())
@@ -159,8 +159,8 @@ def test_attention_context_is_exact_convex_combination():
 
 
 def _attention(rng, t, r, dim, lam=4.0):
-    regions = nm.constant(unit_rows(rng, r, dim))
-    words = nm.constant(unit_rows(rng, t, dim))
+    regions = ref.constant(unit_rows(rng, r, dim))
+    words = ref.constant(unit_rows(rng, t, dim))
     return attention_contexts(similarity_matrix(words, regions), regions, lam), words
 
 
@@ -177,9 +177,9 @@ def test_alignment_single_word_equals_cosine():
 def test_alignment_equal_cosines_closed_form():
     # words identical, so every per-word cosine equals the same value c
     rng = np.random.default_rng(9)
-    regions = nm.constant(unit_rows(rng, 4, 6))
+    regions = ref.constant(unit_rows(rng, 4, 6))
     word = unit_rows(rng, 1, 6)
-    words = nm.constant(np.repeat(word, 5, axis=0))
+    words = ref.constant(np.repeat(word, 5, axis=0))
     att = attention_contexts(similarity_matrix(words, regions), regions, 3.0)
     z = local_alignment_score(att, words, 5.0)
     ctx = att.contexts.numpy()[0]
@@ -226,16 +226,16 @@ def test_alignment_rejects_nonpositive_sharpening():
 
 
 def test_global_similarity_anchor_values():
-    a = nm.constant([[1.0, 0.0, 0.0]])
-    b = nm.constant([[0.0, 1.0, 0.0]])
+    a = ref.constant([[1.0, 0.0, 0.0]])
+    b = ref.constant([[0.0, 1.0, 0.0]])
     assert global_similarity(a, a).item() == 1.0
     assert global_similarity(a, b).item() == 0.0
-    assert global_similarity(a, nm.constant([[-1.0, 0.0, 0.0]])).item() == -1.0
+    assert global_similarity(a, ref.constant([[-1.0, 0.0, 0.0]])).item() == -1.0
 
 
 def test_global_similarity_dim_mismatch():
     with pytest.raises(ShapeError):
-        global_similarity(nm.constant([[1.0, 0.0]]), nm.constant([[1.0, 0.0, 0.0]]))
+        global_similarity(ref.constant([[1.0, 0.0]]), ref.constant([[1.0, 0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_global_similarity_dim_mismatch():
 def infonce(m, tau=0.1):
     """The fused loss with m as both score matrices, so its four terms are
     the two directions of m, each twice."""
-    return contrastive_loss(nm.constant(m), nm.constant(m),
+    return contrastive_loss(ref.constant(m), ref.constant(m),
                             LossConfig(tau_global=tau, tau_local=tau))
 
 
@@ -296,7 +296,7 @@ def test_loss_parameter_and_shape_errors():
     with pytest.raises(ShapeError):
         infonce(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
-        contrastive_loss(nm.constant(np.eye(2)), nm.constant(np.eye(3)), LossConfig())
+        contrastive_loss(ref.constant(np.eye(2)), ref.constant(np.eye(3)), LossConfig())
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,8 +322,8 @@ def reference_infonce(s, tau, direction):
     b = p.shape[0]
     scaled = ref.scale(p, 1.0 / tau)
     lse = ref.tensor_sum(ref.logsumexp_rows(scaled))
-    diag = ref.tensor_sum(ref.mul(scaled, nm.constant(np.eye(b))))
-    return ref.scale(nm.add(lse, ref.scale(diag, -1.0)), 1.0 / b)
+    diag = ref.tensor_sum(ref.mul(scaled, ref.constant(np.eye(b))))
+    return ref.scale(ref.add(lse, ref.scale(diag, -1.0)), 1.0 / b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,9 +344,9 @@ def test_fused_loss_matches_reference_composition(b, tau_g, tau_l, weights, seed
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def reference():
-        total = nm.constant(0.0)
+        total = ref.constant(0.0)
         for slot, w in zip(slots, weights):
-            total = nm.add(total, ref.scale(reference_infonce(*slot), w))
+            total = ref.add(total, ref.scale(reference_infonce(*slot), w))
         return total
 
     assert fused.total.item() == pytest.approx(reference().item(), abs=1e-12)
@@ -396,10 +396,10 @@ def _orthogonal_batch(dim=16, b=3, rows=2):
             local[t, i * (rows + 1) + t] = 1.0
         glob = np.zeros((1, dim))
         glob[0, i * (rows + 1) + rows] = 1.0
-        img = LocalGlobalFeatures(local=nm.constant(local),
-                                  global_feat=nm.constant(glob), modality="image")
-        txt = LocalGlobalFeatures(local=nm.constant(local.copy()),
-                                  global_feat=nm.constant(glob.copy()), modality="text")
+        img = LocalGlobalFeatures(local=ref.constant(local),
+                                  global_feat=ref.constant(glob), modality="image")
+        txt = LocalGlobalFeatures(local=ref.constant(local.copy()),
+                                  global_feat=ref.constant(glob.copy()), modality="text")
         imgs.append(img)
         txts.append(txt)
     return imgs, txts
@@ -465,16 +465,16 @@ def _kernel_and_oracle_grads(imgs, txts, cfg, rng):
 
     def kernel():
         g, l = pairwise_scores(imgs, txts, cfg)
-        return nm.add(ref.tensor_sum(ref.mul(g, nm.constant(wg))),
-                      ref.tensor_sum(ref.mul(l, nm.constant(wl))))
+        return ref.add(ref.tensor_sum(ref.mul(g, ref.constant(wg))),
+                       ref.tensor_sum(ref.mul(l, ref.constant(wl))))
 
     def oracle():
-        total = nm.constant(0.0)
+        total = ref.constant(0.0)
         for i, img in enumerate(imgs):
             for j, txt in enumerate(txts):
-                total = nm.add(total, ref.scale(
+                total = ref.add(total, ref.scale(
                     global_similarity(img.global_feat, txt.global_feat), wg[i, j]))
-                total = nm.add(total, ref.scale(
+                total = ref.add(total, ref.scale(
                     local_score(img, txt, cfg.lambda1, cfg.lambda2), wl[i, j]))
         return total
 
@@ -598,8 +598,8 @@ def test_pairwise_batches_mixed_with_single_studies_match_pair_oracle():
 
     def weighted(i_side, t_side):
         g, l = pairwise_scores(i_side, t_side, cfg)
-        return nm.add(ref.tensor_sum(ref.mul(g, nm.constant(wg))),
-                      ref.tensor_sum(ref.mul(l, nm.constant(wl))))
+        return ref.add(ref.tensor_sum(ref.mul(g, ref.constant(wg))),
+                       ref.tensor_sum(ref.mul(l, ref.constant(wl))))
 
     def stacked(i_side, t_side):
         leaves = [getattr(f, attr) for attr in ("local", "global_feat")
@@ -766,11 +766,11 @@ def test_pairwise_scores_rejects_bad_shapes():
         pairwise_scores([], txts, cfg)
     with pytest.raises(ShapeError):
         pairwise_scores(imgs, [], cfg)
-    flat = LocalGlobalFeatures(local=nm.constant(np.zeros((0, 8))),
+    flat = LocalGlobalFeatures(local=ref.constant(np.zeros((0, 8))),
                                global_feat=txts[0].global_feat, modality="text")
     with pytest.raises(ShapeError):
         pairwise_scores(imgs, [flat], cfg)
-    vector = LocalGlobalFeatures(local=txts[0].local, global_feat=nm.constant(np.ones(8)),
+    vector = LocalGlobalFeatures(local=txts[0].local, global_feat=ref.constant(np.ones(8)),
                                  modality="text")
     with pytest.raises(ShapeError):
         pairwise_scores(imgs, [vector], cfg)

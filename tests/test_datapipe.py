@@ -56,11 +56,11 @@ def test_split_sentences_on_three_separators():
 
 
 def test_vocabulary_sorted_ids_and_unknown_token():
-    vocab = Vocabulary.from_texts(["beta alpha", "gamma Alpha."])
+    vocab = Vocabulary.from_tokens(map(tokenize, ["beta alpha", "gamma Alpha."]))
     assert vocab.tokens == ("alpha", "beta", "gamma")
-    assert vocab.encode("Gamma beta") == [2, 1]
+    assert vocab.encode(tokenize("Gamma beta")) == [2, 1]
     with pytest.raises(VocabularyError):
-        vocab.encode("delta")
+        vocab.encode(tokenize("delta"))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ from glre.encoders import (
     sinusoidal_positions,
     write_pgm,
 )
-from glre.errors import FormatError, ShapeError, VocabularyError
+from glre.errors import DegenerateRowError, FormatError, ShapeError, VocabularyError
 
 from gradcheck import analytic_grads, max_rel_error
 from pool_oracle import pool_each
+import reference_ops as ref
 from reference_ops import mul, tensor_sum
 
 
@@ -327,13 +328,13 @@ def test_image_encoder_gradients():
     rng = np.random.default_rng(7)
     img = ImageGrid(rng.uniform(size=(8, 8)), region_grid=(2, 2))
     params = make_params(dim=6, patch_pool=2, seed=7)
-    probe = nm.constant(rng.normal(size=(6, 1)))
+    probe = ref.constant(rng.normal(size=(6, 1)))
 
     def f():
         out = encode_image(img, params)
-        s = nm.matmul(out.local, probe)
-        g = nm.matmul(out.global_feat, probe)
-        return nm.add(tensor_sum(s), tensor_sum(g))
+        s = ref.matmul(out.local, probe)
+        g = ref.matmul(out.global_feat, probe)
+        return ref.add(tensor_sum(s), tensor_sum(g))
 
     err = max_rel_error(f, [params.patch_proj, params.patch_bias,
                             params.global_proj_image], rng=rng)
@@ -344,31 +345,29 @@ def test_text_encoder_gradients():
     rng = np.random.default_rng(8)
     params = make_params(dim=6, vocab=9, seed=8)
     seq = TokenSequence((2, 7, 2, 5), vocab_size=9)
-    probe = nm.constant(rng.normal(size=(6, 1)))
+    probe = ref.constant(rng.normal(size=(6, 1)))
 
     def f():
         out = encode_text_toy(seq, params)
-        s = nm.matmul(out.local, probe)
-        g = nm.matmul(out.global_feat, probe)
-        return nm.add(tensor_sum(s), tensor_sum(g))
+        s = ref.matmul(out.local, probe)
+        g = ref.matmul(out.global_feat, probe)
+        return ref.add(tensor_sum(s), tensor_sum(g))
 
     err = max_rel_error(f, [params.token_table, params.global_proj_text], rng=rng)
     assert err < 1e-4
 
 
 def test_encoder_tape_records_and_2d_outputs():
-    # image: matmul, bias add, local normalize, mean, global matmul and
-    # normalize; text: gather, local normalize, mean, global matmul and
-    # normalize
+    # each encoder is one fused op whose outputs are the local and global rows
     params = make_params()
     patches = np.random.default_rng(9).uniform(size=(9, 4))
     seq = TokenSequence((4, 1, 4), vocab_size=12)
-    for encode, arg, want in ((encode_image_patches, [patches], 6), (encode_text_toy, seq, 5)):
+    for encode, arg, want in ((encode_image_patches, [patches], 1), (encode_text_toy, seq, 1)):
         with nm.GradTape() as tape:
             out = encode(arg, params)
         assert len(tape) == want
         assert out.global_feat.shape == (1, 8)
-        assert all(rec[0].ndim == 2 for rec in tape._records)
+        assert all(t.ndim == 2 for rec in tape._records for t in rec[0])
 
 
 @pytest.mark.parametrize("use_positions", [False, True])
@@ -399,19 +398,107 @@ def test_batched_encoders_match_batches_of_one(use_positions, seed):
         rows = np.cumsum((0,) + whole.lengths)
 
         def readout(out, k=slice(None), r=slice(None)):
-            return nm.add(tensor_sum(mul(out.local, nm.constant(w_local[r]))),
-                          tensor_sum(mul(out.global_feat, nm.constant(w_global[k]))))
+            return ref.add(tensor_sum(mul(out.local, ref.constant(w_local[r]))),
+                           tensor_sum(mul(out.global_feat, ref.constant(w_global[k]))))
 
         def one_by_one():
-            total = nm.constant(0.0)
+            total = ref.constant(0.0)
             for k, study in enumerate(studies):
-                total = nm.add(total, readout(encode(study, params), slice(k, k + 1),
-                                              slice(rows[k], rows[k + 1])))
+                total = ref.add(total, readout(encode(study, params), slice(k, k + 1),
+                                               slice(rows[k], rows[k + 1])))
             return total
 
         got = analytic_grads(lambda: readout(encode(batch, params)), leaves)
         for g, want in zip(got, analytic_grads(one_by_one, leaves)):
             np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+
+
+def _composed_image(patches, params):
+    """The image encoder as the composition of reference ops it fuses."""
+    pre = ref.add(ref.matmul(ref.constant(np.concatenate(patches)), params.patch_proj),
+                  params.patch_bias)
+    lengths = [m.shape[0] for m in patches]
+    return pre, lengths, params.global_proj_image
+
+
+def _composed_text(seqs, params):
+    """The text encoder as the composition of reference ops it fuses."""
+    lengths = [len(seq) for seq in seqs]
+    pre = ref.row_gather(params.token_table, [i for seq in seqs for i in seq.ids])
+    if params.use_positions:
+        table = sinusoidal_positions(max(lengths), params.dim)
+        pre = ref.add(pre, ref.constant(np.concatenate([table[:n] for n in lengths])))
+    return pre, lengths, params.global_proj_text
+
+
+def _outputs(feats):
+    return feats.local, feats.global_feat
+
+
+def _composed(compose, batch, params):
+    pre, lengths, proj = compose(batch, params)
+    glob = ref.l2_normalize_rows(ref.matmul(ref.mean_rows(pre, lengths), proj))
+    return ref.l2_normalize_rows(pre), glob
+
+
+def _readout_grads(encode, params, w_local, w_global):
+    """Outputs and fresh parameter gradients of a weighted sum of the local
+    rows, the global rows or both, as encode() gives them (a None weight
+    leaves its output out)."""
+    for t in params.parameters().values():
+        t.grad = None
+    with nm.GradTape() as tape:
+        outs = encode()
+        terms = [tensor_sum(mul(out, ref.constant(w)))
+                 for out, w in zip(outs, (w_local, w_global)) if w is not None]
+        loss = terms[0] if len(terms) == 1 else ref.add(*terms)
+    nm.backward(loss, tape)
+    grads = [None if t.grad is None else t.grad.tobytes() for t in params.parameters().values()]
+    return [out.numpy().tobytes() for out in outs], grads
+
+
+@pytest.mark.parametrize("use_positions", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_encoders_match_the_composed_reference_ops_bit_for_bit(use_positions, seed):
+    # random ragged batches, read out through the local rows alone, the global
+    # rows alone and both, with weights of mixed magnitude and signed zeros:
+    # outputs and parameter gradients are those of the reference composition,
+    # and a parameter the readout does not reach gets no gradient at all
+    rng = np.random.default_rng(seed)
+    params = make_params(dim=6, vocab=9, seed=seed, use_positions=use_positions)
+    b = int(rng.integers(1, 7))
+    patches = [rng.uniform(size=(int(rng.integers(1, 6)), 4)) for _ in range(b)]
+    seqs = [TokenSequence(rng.integers(0, 9, size=int(rng.integers(1, 8))), vocab_size=9)
+            for _ in range(b)]
+    for fused, compose, batch in ((encode_image_patches, _composed_image, patches),
+                                  (encode_text_toy, _composed_text, seqs)):
+        out = fused(batch, params)
+        weights = []
+        for shape in (out.local.shape, out.global_feat.shape):
+            w = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+            w[rng.random(size=shape) < 0.2] = -0.0
+            weights.append(w)
+        for w_local, w_global in ((weights[0], None), (None, weights[1]), weights):
+            got = _readout_grads(lambda: _outputs(fused(batch, params)), params,
+                                 w_local, w_global)
+            want = _readout_grads(lambda: _composed(compose, batch, params), params,
+                                  w_local, w_global)
+            assert got == want
+
+
+def test_encoders_name_the_first_zero_row():
+    # a zero row of the stacked local rows raises DegenerateRowError with its
+    # index: here a zero patch under a zero bias, and a token whose embedding is zero
+    flat = np.concatenate([np.ones(4 * 2), np.zeros(2), np.ones(3 * 2), np.zeros(2),
+                           np.ones(2), np.eye(2).ravel(), np.eye(2).ravel()])
+    params = EncoderParams(flat, dim=2, vocab_size=5, patch_pool=2)
+    patches = [np.ones((2, 4)), np.array([[1.0, 0.0, 0.0, 0.0], [0.0] * 4])]
+    with pytest.raises(DegenerateRowError) as err:
+        encode_image_patches(patches, params)
+    assert (err.value.row, err.value.norm) == (3, 0.0)
+    with pytest.raises(DegenerateRowError) as err:
+        encode_text_toy([TokenSequence((0, 2), 5), TokenSequence((1, 3, 2), 5)], params)
+    assert (err.value.row, err.value.norm) == (3, 0.0)
 
 
 def test_encoders_reject_empty_batches():
@@ -445,8 +532,8 @@ def _features(rng, rows, dim, modality):
     local /= np.linalg.norm(local, axis=1, keepdims=True)
     glob = rng.normal(size=(1, dim))
     glob /= np.linalg.norm(glob)
-    return LocalGlobalFeatures(local=nm.constant(local),
-                               global_feat=nm.constant(glob), modality=modality)
+    return LocalGlobalFeatures(local=ref.constant(local),
+                               global_feat=ref.constant(glob), modality=modality)
 
 
 def _record_bytes(study_id, modality, local, glob):
@@ -485,8 +572,8 @@ def test_embeddings_hand_built_file(tmp_path):
     blob += _record_bytes("x", 0, [[1.0, 0.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0])
     blob += _record_bytes("y", 1, [[0.0, 2.0, 0.0, 0.0]], [0.0, 2.0, 0.0, 0.0])
     items = {
-        sid: LocalGlobalFeatures(local=nm.constant(np.array([values])),
-                                 global_feat=nm.constant(np.array([values])),
+        sid: LocalGlobalFeatures(local=ref.constant(np.array([values])),
+                                 global_feat=ref.constant(np.array([values])),
                                  modality=modality)
         for sid, modality, values in (("x", "image", [1.0, 0.0, 0.0, 0.0]),
                                       ("y", "text", [0.0, 2.0, 0.0, 0.0]))
@@ -497,9 +584,9 @@ def test_embeddings_hand_built_file(tmp_path):
 
 
 def test_embeddings_reject_global_not_one_row(tmp_path):
-    local = nm.constant(np.ones((2, 4)))
+    local = ref.constant(np.ones((2, 4)))
     for glob in (np.ones(4), np.ones((2, 4)), np.ones((1, 3))):
-        feats = LocalGlobalFeatures(local=local, global_feat=nm.constant(glob), modality="image")
+        feats = LocalGlobalFeatures(local=local, global_feat=ref.constant(glob), modality="image")
         with pytest.raises(ShapeError):
             save_embeddings(tmp_path / "bad.bin", {"s": feats})
 

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import manifest_oracle
-from glre import numerics as nm
+import reference_ops as ref
 from glre.cli import _write_scores, main
 from glre.datapipe import (PATHOLOGIES, LabelVector, StudyRecord, manifest_hash,
                            read_manifest, write_manifest)
@@ -261,6 +261,6 @@ def test_what_read_manifest_accepts_write_manifest_writes_back(work, source):
     manifest_hash(records)
     _write_scores(work / "scores.csv", [r.study_id for r in records],
                   np.zeros((len(records), len(PATHOLOGIES))))
-    row = nm.constant(np.eye(1, 2))
+    row = ref.constant(np.eye(1, 2))
     save_embeddings(work / "embeddings.bin", {f"{r.study_id}:text": LocalGlobalFeatures(
         row, row, "text") for r in records})

@@ -17,22 +17,18 @@ from glre.errors import (
     ShapeError,
     TapeStateError,
 )
-from glre.numerics import (
-    GradTape,
-    Tensor,
-    add,
-    backward,
-    constant,
-    l2_normalize_rows,
-    matmul,
-    mean_rows,
-    row_gather,
-)
+from glre.numerics import GradTape, Tensor, backward
 
 from gradcheck import max_rel_error
 from reference_ops import (
+    add,
+    constant,
+    l2_normalize_rows,
     logsumexp_rows,
+    matmul,
+    mean_rows,
     mul,
+    row_gather,
     rowwise_cosine,
     scale,
     softmax_rows,

@@ -179,9 +179,9 @@ def test_config_validation():
         TrainConfig(beta1=1.0)
 
 
-def test_b16_step_records_14_tape_ops(monkeypatch):
-    # one image batch (6 ops), one text batch (5 ops), 2 score matrices and
-    # 1 loss; each encoder runs once per step, whatever the batch size
+def test_b16_step_records_5_tape_ops(monkeypatch):
+    # one image batch, one text batch, 2 score matrices and 1 loss; each
+    # encoder runs once per step, whatever the batch size
     import glre.trainer as trainer_mod
 
     calls = []
@@ -195,7 +195,51 @@ def test_b16_step_records_14_tape_ops(monkeypatch):
     for name in ("encode_image_patches", "encode_text_toy", "backward"):
         monkeypatch.setattr(trainer_mod, name, counting(name, getattr(trainer_mod, name)))
     train(small_dataset(n_train=32), small_config(batch_size=16, steps=2))
-    assert calls == ["encode_image_patches", "encode_text_toy", 14] * 2
+    assert calls == ["encode_image_patches", "encode_text_toy", 5] * 2
+
+
+def test_a_train_step_gives_no_taped_output_a_grad(monkeypatch):
+    # backward gives a new .grad to leaves only: when Adam runs, no output of
+    # the step's records holds one, and each parameter's .grad is still its
+    # view of params.grad
+    tapes = []
+    real_backward, real_step = trainer.backward, trainer.optimizer_step
+
+    def backward(loss, tape):
+        tapes.append(tape)
+        real_backward(loss, tape)
+
+    def step(params, state, config):
+        assert all(out.grad is None for outs, _, _ in tapes[-1]._records for out in outs)
+        assert all(np.shares_memory(t.grad, params.grad)
+                   for t in params.parameters().values())
+        real_step(params, state, config)
+
+    monkeypatch.setattr(trainer, "backward", backward)
+    monkeypatch.setattr(trainer, "optimizer_step", step)
+    train(small_dataset(n_train=24), small_config(steps=2))
+    assert [len(tape) for tape in tapes] == [5, 5]
+
+
+def test_train_tokenizes_each_report_once(monkeypatch):
+    # the emptiness check, the vocabulary and the token ids of a fresh run, and
+    # the check and the ids of a resume, come from one token list per report
+    from glre import datapipe
+
+    records = small_dataset(n_train=24)
+    real_tokenize, calls = datapipe.tokenize, []
+
+    def counting(text):
+        calls.append(text)
+        return real_tokenize(text)
+
+    for module in (datapipe, trainer):
+        monkeypatch.setattr(module, "tokenize", counting)
+    mid = train(records, small_config(steps=1))
+    assert sorted(calls) == sorted(r.report_text for r in records)
+    calls.clear()
+    train(records, small_config(steps=2), resume_from=mid)
+    assert sorted(calls) == sorted(r.report_text for r in records)
 
 
 def test_zero_steps_returns_initialization():

@@ -81,7 +81,7 @@ from .errors import (
 from .files import json_value, reading, step_log, write_csv, write_json
 from .metrics import aggregate_auc, roc_auc
 from .numerics import Tensor
-from .trainer import TrainConfig, encode_report, load_checkpoint, save_checkpoint, train
+from .trainer import TrainConfig, encode_tokens, load_checkpoint, save_checkpoint, train
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +212,14 @@ def _from_section(cls, s: _Settings, name: str, key: str | None = None):
         raise SettingTypeError(f"config section {name!r}: {exc}") from exc
 
 
-def _require(records, manifest_path, what: str, has) -> None:
-    """Every record `has` `what`, else a contract error names the first without it."""
-    for rec in records:
-        if not has(rec):
+def _require(records, manifest_path, what: str, has) -> list:
+    """Each record's has(rec), one call each; a contract error names the first
+    record without `what`."""
+    found = [has(rec) for rec in records]
+    for rec, value in zip(records, found):
+        if not value:
             raise InsufficientDataError(f"study {rec.study_id!r} of {manifest_path} has no {what}")
+    return found
 
 
 def _attach_images(records, manifest_path, region_grid, patch_pool: int = 1) -> None:
@@ -236,12 +239,13 @@ def _attach_images(records, manifest_path, region_grid, patch_pool: int = 1) -> 
             raise ShapeError(f"{where}: cannot pool {h}x{w} block to {patch_pool}x{patch_pool}")
 
 
-def _encode_reports(records, manifest_path, ckpt) -> list:
-    """Each record's report under the checkpoint's vocabulary; an unknown word names its study."""
+def _encode_reports(records, tokens, manifest_path, ckpt) -> list:
+    """Each record's report, tokenized as `tokens`, under the checkpoint's
+    vocabulary; an unknown word names its study."""
     seqs = []
-    for rec in records:
+    for rec, toks in zip(records, tokens):
         try:
-            seqs.append(encode_report(rec.report_text, ckpt.vocab, ckpt.config))
+            seqs.append(encode_tokens(toks, ckpt.vocab, ckpt.config))
         except VocabularyError as exc:
             raise VocabularyError(f"study {rec.study_id!r} of {manifest_path}: {exc}") from None
     return seqs
@@ -425,14 +429,14 @@ def _cmd_train(s, out_dir: Path) -> RunReport:
     manifest = s["manifest"]
     tcfg = _from_section(TrainConfig, s, "train", "seed")
     records = filter_with_report(read_manifest(manifest))
-    _require(records, manifest, "report tokens", lambda rec: tokenize(rec.report_text))
+    tokens = _require(records, manifest, "report tokens", lambda rec: tokenize(rec.report_text))
     _attach_images(records, manifest, tcfg.region_grid, tcfg.patch_pool)
     resume_path = s.get("resume")
     resume = load_checkpoint(resume_path) if resume_path else None
     if resume is not None:
-        _encode_reports(records, manifest, resume)
+        _encode_reports(records, tokens, manifest, resume)
     ckpt = train(records, tcfg, resume_from=resume,
-                 on_step=step_log(out_dir / "train_log.jsonl"))
+                 on_step=step_log(out_dir / "train_log.jsonl"), tokens=tokens)
     save_checkpoint(ckpt, out_dir / "checkpoint.bin")
     return RunReport(
         seed=tcfg.seed,
@@ -515,8 +519,9 @@ def _cmd_export_embeddings(s, out_dir: Path) -> RunReport:
     imaged = [rec for rec in records if rec.image_path]
     _attach_images(imaged, s["manifest"], ckpt.config.region_grid, ckpt.config.patch_pool)
     reported = filter_with_report(records)  # train's rule: a blank report has no text entry
-    _require(reported, s["manifest"], "report tokens", lambda rec: tokenize(rec.report_text))
-    seqs = _encode_reports(reported, s["manifest"], ckpt)
+    tokens = _require(reported, s["manifest"], "report tokens",
+                      lambda rec: tokenize(rec.report_text))
+    seqs = _encode_reports(reported, tokens, s["manifest"], ckpt)
     # each side is encoded in one call, then handed out study by study
     images = _per_study(image_features(imaged, ckpt)) if imaged else iter(())
     texts = _per_study(encode_text_toy(seqs, ckpt.params)) if seqs else iter(())

@@ -12,25 +12,26 @@ InfoNCE terms over the two score matrices in both pairing directions,
 weighted and summed, with one adjoint for all four.
 
 The local kernel (``align`` and its adjoint) scores a block of I images
-against all N words of the B texts at once, the texts laid end to end, and
-does its elementwise work in region space (R regions), not feature space (D
-features). The similarity GEMM reads the words as one C-contiguous (D, N)
-matrix and the adjoint's word GEMM reads the (N, D) rows the text features
-already hold. The state is region-major, (I, R, N): one GEMM of the stacked
-(I*R, D) regions against the words gives the similarities, and the sharpened
-softmax and the context . word dot sum_r a_r s_r are reductions over axis 1,
-each over whole rows of N words. The smooth maximum over each text's words
-is a segment reduction over the texts' runs of columns. The contexts c = a V
-themselves are never formed. Their norms come from the (I, R, R) region
-Gram: (V V^T) a gives each c . v_r, and |c|^2 = a . (V V^T) a. That form
-cancels when |c| is much smaller than the regions it averages, so the few
-columns under the cut |c|^2 < _GRAM_KAPPA (sum_r a_r |v_r|)^2 are recomputed
-from their explicit contexts. The adjoint reads the same (V V^T) a, kept
-from the forward, and pulls |c| onto the regions as ((a g) a^T) V, so
-neither pass holds an (I, N, D) array. A taped call keeps the state of every
-image for its adjoint, so it runs as one block and one adjoint call. A
-forward-only call keeps nothing and runs in blocks sized so that each
-(I, R, N) array stays within ``_BLOCK_ELEMENTS``, which bounds the memory of
+against the words of B texts at once, the texts laid end to end. The text
+encoder gives every use of a token the same row, so the kernel works on the
+U distinct word rows and reads the N word positions through an (N,) index
+into them. Its elementwise work is in region space (R regions), not feature
+space (D features), and its state is region-major, (I, R, U): one GEMM of
+the stacked (I*R, D) regions against the (D, U) words, zero-padded to a
+multiple of 8 columns so that its sums do not depend on the BLAS thread
+count, gives the similarities, and the sharpened softmax and the context .
+word dot sum_r a_r s_r reduce over axis 1. The contexts c = a V are never
+formed. Their norms come from the (I, R, R) region Gram: (V V^T) a gives
+each c . v_r, and |c|^2 = a . (V V^T) a. That form cancels when |c| is much
+smaller than the regions it averages, so the few columns under the cut
+|c|^2 < _GRAM_KAPPA (sum_r a_r |v_r|)^2 are recomputed from their explicit
+contexts. The adjoint reads the same (V V^T) a and pulls |c| onto the
+regions as ((a g) a^T) V, so neither pass holds an (I, U, D) array. Only a
+per-word tail is (I, N): each word's cosine, the smooth maximum over each
+text's words, and in the adjoint the sum of each word's cosine gradient onto
+its row. A taped call keeps the state of every image for its adjoint, so it
+runs as one block; a forward-only call runs in blocks whose (I, R, U) and
+(I, N) arrays stay within ``_BLOCK_ELEMENTS``, which bounds the memory of
 large calls such as 200 x 200 retrieval.
 """
 
@@ -143,10 +144,11 @@ def contrastive_loss(global_matrix: Tensor, local_matrix: Tensor,
 
 
 # Block budget of a forward-only local call: a block of images is sized so
-# that each of its region-major (images, regions, words) arrays holds at most
-# this many float64 elements (512 KiB), unless one image's arrays alone are
-# larger; 200 x 200 retrieval (9 x 2,956 per image at seed 7) runs two images
-# per block.
+# that each of its region-major (images, regions, distinct words) arrays and
+# its (images, words) arrays holds at most this many float64 elements
+# (512 KiB), unless one image's arrays alone are larger; 200 x 200 retrieval
+# (9 x 2,932 distinct rows per image at seed 7, its reports encoded one by
+# one) runs two images per block.
 # A taped call is one block whatever its size: its adjoint needs the state of
 # every image, so splitting it would keep the same arrays and bound nothing.
 _BLOCK_ELEMENTS = 1 << 16
@@ -167,56 +169,63 @@ _GRAM_KAPPA = 1e-3
 
 
 class Alignment(NamedTuple):
-    """Local alignment of a block of I images against the N words of B texts.
+    """Local alignment of a block of I images against the words of B texts.
 
-    The state is region-major: the (I, R, N) arrays put the R regions of an
-    image on the middle axis and the words on the last, so every softmax and
-    every sum over regions reduces whole rows of N words at once. Everything
-    here is region-sized or smaller, so a taped call keeps it for the
-    adjoint; ``region_dots`` holds c_t . v_r = ((V V^T) a)_rt, from which the
-    forward took |c| and the adjoint takes the pull of |c| on the weights.
-    The adjoint uses ``sims`` and ``region_dots`` as its work buffers, so
-    an Alignment serves one adjoint call. Norms read 1 where a cosine is
-    guarded, so dividing by them is always safe.
+    The state is region-major: the (I, R, U) arrays put the R regions of an
+    image on the middle axis and the U distinct words on the last, so every
+    softmax and every sum over regions reduces whole rows of words at once.
+    Everything here is region-sized or smaller, so a taped call keeps it for
+    the adjoint; ``region_dots`` holds c_t . v_r = ((V V^T) a)_rt, from which
+    the forward took |c| and the adjoint takes the pull of |c| on the
+    weights. The adjoint uses ``sims`` and ``region_dots`` as its work
+    buffers, so an Alignment serves one adjoint call. Norms read 1 where a
+    cosine is guarded, so dividing by them is always safe. The per-word
+    tail keeps exps and sums, not the quotient that only the adjoint needs.
     """
 
-    sims: np.ndarray           # (I, R, N) region . word products
-    weights: np.ndarray        # (I, R, N) sharpened softmax over regions (axis 1)
-    region_dots: np.ndarray    # (I, R, N) (V V^T) a: context . region products
-    context_norms: np.ndarray  # (I, N)
-    cosines: np.ndarray        # (I, N) cosine(context, word), 0 where guarded
-    word_weights: np.ndarray   # (I, N) d score / d cosine, 0 where guarded
+    sims: np.ndarray           # (I, R, U) region . word products
+    weights: np.ndarray        # (I, R, U) sharpened softmax over regions (axis 1)
+    region_dots: np.ndarray    # (I, R, U) (V V^T) a: context . region products
+    context_norms: np.ndarray  # (I, U)
+    cosines: np.ndarray        # (I, U) cosine(context, word), 0 where guarded
+    unguarded: np.ndarray      # (I, U) False where a cosine is guarded
+    word_exps: np.ndarray      # (I, N) exp(lambda2 * (cosine - its text's maximum))
+    text_sums: np.ndarray      # (I, B) each text's sum of word_exps
     scores: np.ndarray         # (I, B) local alignment score per image and text
 
 
 def align(regions: np.ndarray, words_t: np.ndarray, word_norms: np.ndarray,
-          lengths: np.ndarray, lambda1: float, lambda2: float) -> Alignment:
+          lengths: np.ndarray, lambda1: float, lambda2: float,
+          word_rows: np.ndarray | None = None) -> Alignment:
     """Local alignment of a block of images against every text at once.
 
-    `regions` is (I, R, D); `words_t` is the C-contiguous (D, N) array whose
-    columns are the words of B texts, text after text; `word_norms` is (N,);
-    `lengths` is (B,) and holds each text's word count, all >= 1, summing
-    to N.
+    `regions` is (I, R, D); `words_t` is the C-contiguous (D, U') array whose
+    first U columns are the distinct words (zero columns may pad it), and
+    `word_norms` their (U,) norms; `word_rows` (N,) names the column of each
+    word of B texts, text after text (every word its own column when None);
+    `lengths` (B,) holds each text's word count, all >= 1, summing to N.
     Z = (1/lambda2) * log sum_t exp(lambda2 * cos(c_t, w_t)) over a text's
     words, with contexts c_t = a_t V and attention weights
     a_t = softmax_r(lambda1 * s_t), s_t = w_t V^T. One GEMM of the stacked
-    (I*R, D) regions against the words gives the (I, R, N) similarities; the
-    softmax and the dot c_t . w_t = sum_r a_tr s_tr reduce over axis 1; the
-    log-sum-exp over each text's words is a ``reduceat`` over its columns.
+    (I*R, D) regions against the U words gives the (I, R, U) similarities;
+    the softmax and the dot c_t . w_t = sum_r a_tr s_tr reduce over axis 1.
     |c_t|^2 = a_t^T (V V^T) a_t comes from the (I, R, R) region Gram; the few
     columns where that form may have cancelled, |c_t|^2 < _GRAM_KAPPA *
-    (sum_r a_tr |v_r|)^2, are recomputed from their explicit contexts. No
-    (I, N, D) array is formed. A context or word whose norm is below 1e-12
-    gets cosine 0 and no gradient, the guard of the per-pair test oracle's
-    row cosine.
+    (sum_r a_tr |v_r|)^2, are recomputed from their explicit contexts. Only
+    then does the work go per word: the (I, U) cosines are gathered to
+    (I, N) and the log-sum-exp over each text's words is a ``reduceat`` over
+    its columns. No (I, U, D) array is formed. A context or word whose norm
+    is below 1e-12 gets cosine 0 and no gradient, the guard of the per-pair
+    test oracle's row cosine.
     """
     n_img, r, d = regions.shape
-    n = words_t.shape[1]
-    # one allocation for the three kept (I, R, N) arrays: as three ~270 KB
+    u = len(word_norms)
+    word_rows = np.arange(u) if word_rows is None else word_rows
+    # one allocation for the three kept (I, R, U) arrays: as three ~270 KB
     # arrays at the B=16 shape, the heap gave them back to the OS when a step
     # freed them and page-faulted them in again on the next (~300 faults a call)
-    sims, weights, region_dots = np.empty((3, n_img, r, n))
-    np.matmul(regions.reshape(n_img * r, d), words_t, out=sims.reshape(n_img * r, n))
+    sims, weights, region_dots = np.empty((3, n_img, r, u))
+    np.copyto(sims.reshape(n_img * r, u), (regions.reshape(n_img * r, d) @ words_t)[:, :u])
     np.multiply(sims, lambda1, out=weights)
     weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
@@ -236,35 +245,46 @@ def align(regions: np.ndarray, words_t: np.ndarray, word_norms: np.ndarray,
     cn = np.where(ok, cn, 1.0)
     wn = np.where(ok, word_norms, 1.0)
     cosines = np.where(ok, dots / (cn * wn), 0.0)
-    x = lambda2 * cosines
+    # the per-word tail: each word reads its distinct row's cosine
+    ex = np.take(cosines, word_rows, axis=1)
+    ex *= lambda2
     starts = np.cumsum(lengths) - lengths
-    m = np.maximum.reduceat(x, starts, axis=1)
-    ex = np.exp(x - np.repeat(m, lengths, axis=1))
+    m = np.maximum.reduceat(ex, starts, axis=1)
+    ex -= np.repeat(m, lengths, axis=1)
+    np.exp(ex, out=ex)
     total = np.add.reduceat(ex, starts, axis=1)
     scores = (m + np.log(total)) * (1.0 / lambda2)
-    word_weights = ex / np.repeat(total, lengths, axis=1) * ok
-    return Alignment(sims, weights, region_dots, cn, cosines, word_weights, scores)
+    return Alignment(sims, weights, region_dots, cn, cosines, ok, ex, total, scores)
 
 
 def _align_adjoint(al: Alignment, regions: np.ndarray, words: np.ndarray,
-                   word_norms: np.ndarray, lengths: np.ndarray, lambda1: float,
-                   g: np.ndarray):
-    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (N, D).
+                   word_norms: np.ndarray, lengths: np.ndarray, word_rows: np.ndarray,
+                   lambda1: float, g: np.ndarray):
+    """Gradients of sum g * al.scores w.r.t. regions (I, R, D) and words (U, D).
 
-    Takes the arguments ``align`` took, with the words as the C-contiguous
-    (N, D) rows the text features hold, and `g` (I, B). Reads only the
-    region-sized forward state, never the contexts: the c . v_r that |c|
-    passes to the attention weights is the kept (V V^T) a, and the -g_cn * c
-    it passes to the regions is ((a g_cn) a^T) V. No (I, N, D) array is
-    formed; the D-sized work is one GEMM of the similarity gradient against
-    the words and one against the regions, plus the (I, R, R) @ (I, R, D)
-    pull. The word gradient is finished, word-norm term -(coef / |w|^2) w
-    included, and has one row per word. The (I, R, N) work is done in place
-    in ``al.region_dots`` and ``al.sims``, which are spent afterwards.
+    Takes the arguments ``align`` took, with the distinct words as the
+    C-contiguous (U, D) rows the text features hold, and `g` (I, B). The
+    per-word tail runs first: each word's cosine gradient, g exp / sum over
+    its text, (I, N), is summed onto its distinct row in order of
+    occurrence, the guarded rows are zeroed, and all later work is at
+    width U. Reads only the region-sized forward state, never the contexts:
+    the c . v_r that |c| passes to the attention weights is the kept
+    (V V^T) a, and the -g_cn * c it passes to the regions is
+    ((a g_cn) a^T) V. No (I, U, D) array is formed; the D-sized work is one
+    GEMM of the similarity gradient against the words and one against the
+    regions, plus the (I, R, R) @ (I, R, D) pull. The word gradient is
+    finished, word-norm term -(coef / |w|^2) w included, and has one row
+    per distinct word. The (I, R, U) work is done in place in
+    ``al.region_dots`` and ``al.sims``, which are spent afterwards.
     """
     n_img, r, d = regions.shape
+    u = words.shape[0]
     wn = np.where(word_norms > _NORM_FLOOR, word_norms, 1.0)
-    g_cos = np.repeat(g, lengths, axis=1) * al.word_weights
+    g_use = np.repeat(g / al.text_sums, lengths, axis=1)
+    g_use *= al.word_exps
+    bins = (np.arange(n_img)[:, None] * u + word_rows).ravel()
+    g_cos = np.bincount(bins, weights=g_use.ravel(), minlength=n_img * u).reshape(n_img, u)
+    g_cos *= al.unguarded
     g_dot = (g_cos / (al.context_norms * wn))[:, None, :]
     g_cn = (g_cos * al.cosines / al.context_norms ** 2)[:, None, :]
     a = al.weights
@@ -305,14 +325,16 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     Each side is a LocalGlobalFeatures batch or a list of them, scored in
     order. Each matrix is one taped op with a hand-written adjoint. The
     global one is a single matmul of the global rows. The local one takes
-    the N words of all texts as the (N, D) rows the text features hold, one
-    text after another, transposes them once into a C-contiguous (D, N)
-    array and runs ``align`` on the (B_i, R, D) regions, so all images need
-    one region count R. Under a recording tape that is one ``align`` call,
-    whose region-sized state one ``_align_adjoint`` call reads on the same
-    (N, D) rows; a forward-only call runs in blocks whose (I, R, N) arrays
-    stay within ``_BLOCK_ELEMENTS`` elements. No (B_i, N, D) array is ever
-    held.
+    the words of all texts as their distinct rows, one text batch after
+    another (a batch without ``distinct`` counts each of its local rows as
+    distinct), with an (N,) index of each word's row. It transposes the
+    (U, D) rows once into a C-contiguous (D, U) array and runs ``align`` on
+    the (B_i, R, D) regions, so all images need one region count R. Under a
+    recording tape that is one ``align`` call, whose region-sized state one
+    ``_align_adjoint`` call reads on the same (U, D) rows, and the word
+    gradient goes to those rows; a forward-only call runs in blocks whose
+    (I, R, U) and (I, N) arrays stay within ``_BLOCK_ELEMENTS`` elements. No
+    (B_i, U, D) array is ever held.
     """
     images = [image_feats] if isinstance(image_feats, LocalGlobalFeatures) else list(image_feats)
     texts = [text_feats] if isinstance(text_feats, LocalGlobalFeatures) else list(text_feats)
@@ -325,9 +347,21 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
                 or sum(n) != f.local.shape[0] or f.global_feat.shape != (len(n), dim)):
             raise ShapeError(f"{f.modality} features need (n_k >= 1, {dim}) rows and a global "
                              f"row per study, got {f.local.shape}, {f.global_feat.shape}, {n}")
+        if f.distinct is not None and (f.distinct.shape[1:] != (dim,)
+                                       or np.shape(f.word_rows) != (f.local.shape[0],)):
+            raise ShapeError(f"distinct rows need (U, {dim}) rows and an index per local row, "
+                             f"got {f.distinct.shape} and {np.shape(f.word_rows)}")
     region_counts = {r for f in images for r in f.lengths}
     if len(region_counts) != 1:
         raise ShapeError(f"images must share one region count, got {sorted(region_counts)}")
+    txt_u = tuple(f.local if f.distinct is None else f.distinct for f in texts)
+    sizes, counts = [t.shape[0] for t in txt_u], [f.local.shape[0] for f in texts]
+    word_rows = np.concatenate([np.arange(u) if f.distinct is None else f.word_rows
+                                for f, u in zip(texts, sizes)])
+    if not ((word_rows >= 0) & (word_rows < np.repeat(sizes, counts))).all():
+        raise ShapeError("a word index points outside its batch's distinct rows")
+    # each batch's index, offset to its distinct rows' place in the stacked rows
+    word_rows += np.repeat(np.cumsum([0] + sizes[:-1]), counts)
 
     img_g, txt_g = (tuple(f.global_feat for f in side) for side in (images, texts))
     gi, gt = _rows(img_g), _rows(txt_g)
@@ -338,27 +372,35 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
 
     global_matrix = nm._emit(gi @ gt.T, img_g + txt_g, global_bw)
 
-    img_l, txt_l = (tuple(f.local for f in side) for side in (images, texts))
+    img_l = tuple(f.local for f in images)
     regions = _rows(img_l).reshape(len(gi), -1, dim)
     lengths = np.array([n for f in texts for n in f.lengths])
-    txt_rows = _rows(txt_l)
-    words_t = np.ascontiguousarray(txt_rows.T)
+    txt_rows = _rows(txt_u)
+    # the transposed words, zero-padded to a multiple of 8 columns: at such a
+    # width OpenBLAS sums the similarity GEMM in one order whatever its thread
+    # count (a ragged width from 145 columns on splits across threads and
+    # moves the last bits)
+    words_t = np.zeros((dim, -(-len(txt_rows) // 8) * 8))
+    words_t[:, : len(txt_rows)] = txt_rows.T
     word_norms = np.sqrt(np.einsum("nd,nd->n", txt_rows, txt_rows))
     lam1, lam2 = config.lambda1, config.lambda2
     # a recorded op (as _emit decides) needs every image's state: one block
-    taped = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_l)
-    per_block = len(gi) if taped else max(1, _BLOCK_ELEMENTS // regions.shape[1] // len(txt_rows))
+    taped = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_u)
+    widest = max(regions.shape[1] * words_t.shape[1], len(word_rows))
+    per_block = len(gi) if taped else max(1, _BLOCK_ELEMENTS // widest)
     local = np.empty((len(gi), len(gt)))
     for start in range(0, len(gi), per_block):
-        al = align(regions[start : start + per_block], words_t, word_norms, lengths, lam1, lam2)
+        al = align(regions[start : start + per_block], words_t, word_norms, lengths, lam1, lam2,
+                   word_rows)
         local[start : start + per_block] = al.scores
 
     def local_bw(g):
-        g_regions, g_words = _align_adjoint(al, regions, txt_rows, word_norms, lengths, lam1, g)
+        g_regions, g_words = _align_adjoint(al, regions, txt_rows, word_norms, lengths,
+                                            word_rows, lam1, g)
         return (*_row_blocks(g_regions.reshape(-1, dim), [t.shape[0] for t in img_l]),
-                *_row_blocks(g_words, [t.shape[0] for t in txt_l]))
+                *_row_blocks(g_words, sizes))
 
-    local_matrix = nm._emit(local, img_l + txt_l, local_bw)
+    local_matrix = nm._emit(local, img_l + txt_u, local_bw)
     return global_matrix, local_matrix
 
 

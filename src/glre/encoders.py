@@ -4,11 +4,14 @@ Each encoder runs once per batch of studies and emits a LocalGlobalFeatures
 batch: every study's L2-normalized per-region or per-token rows, stacked,
 plus one normalized global row per study. The image side mean-pools every
 grid region to a small patch vector and projects all patches in one matmul;
-the text side gathers all token embeddings at once. A study's global row is
-a projection of the mean of its pre-normalization rows. Each encoder call
-is one taped op with two 2-D outputs, the local and the global rows, and one
-fused adjoint. save_embeddings writes single-study features in the GLRE1
-layout for use outside glre; nothing in the package reads it back.
+the text side embeds each distinct word of the batch once, keyed by its
+token id (and its position, with positions on), and gathers the per-word
+rows from those. A study's global row is a projection of the mean of its
+pre-normalization rows. Each encoder call is one taped op with one fused
+adjoint; its 2-D outputs are the local and the global rows, and on the text
+side also the distinct word rows that scoring reads. save_embeddings writes
+single-study features in the GLRE1 layout for use outside glre; nothing in
+the package reads it back.
 """
 
 from __future__ import annotations
@@ -78,12 +81,21 @@ class TokenSequence:
 @dataclass
 class LocalGlobalFeatures:
     """B studies (one by default): (sum n_k, D) unit-norm local rows, study k's
-    n_k rows contiguous; (B, D) unit-norm global rows; lengths holds the n_k."""
+    n_k rows contiguous; (B, D) unit-norm global rows; lengths holds the n_k.
+
+    A text batch from encode_text_toy also carries `distinct`, the (U, D)
+    distinct rows among its local rows in order of first use, and `word_rows`,
+    the (sum n_k,) index for which local row n is distinct row word_rows[n].
+    Scoring reads the words through these two, so each distinct row is
+    scored once; features whose `distinct` is None count every local row as
+    distinct."""
 
     local: Tensor
     global_feat: Tensor
     modality: str
     lengths: tuple[int, ...] | None = None
+    distinct: Tensor | None = None
+    word_rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.modality not in ("image", "text"):
@@ -219,13 +231,16 @@ def sinusoidal_positions(length: int, dim: int, scale: float = 0.05) -> np.ndarr
     return scale * table
 
 
-def _unit_rows(x: np.ndarray):
+def _unit_rows(x: np.ndarray, word_rows=None):
     """The rows of 2-D `x` scaled to unit norm, and their norms; the first row
-    of norm <= _NORM_FLOOR raises DegenerateRowError with its index."""
+    of norm <= _NORM_FLOOR raises DegenerateRowError with its index, or, for
+    distinct rows in order of first use, with that of its first use in
+    `word_rows`, which is then the first such row of x[word_rows]."""
     norms = np.sqrt((x * x).sum(axis=1))
     bad = np.flatnonzero(norms <= _NORM_FLOOR)
     if bad.size:
-        raise DegenerateRowError(int(bad[0]), float(norms[bad[0]]))
+        row = bad[0] if word_rows is None else np.argmax(word_rows == bad[0])
+        raise DegenerateRowError(int(row), float(norms[bad[0]]))
     return x / norms[:, None], norms
 
 
@@ -235,7 +250,17 @@ def _unit_rows_adjoint(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.nd
     return (g - y * inner) / norms[:, None]
 
 
-def _local_global(pre, lengths, proj: Tensor, inputs, pre_adjoint, modality):
+def _add_rows(rows, g: np.ndarray, n: int) -> np.ndarray:
+    """The (n, D) sums of the rows of g, row k added into row rows[k]. One
+    bincount bin per (row, column): bincount adds each bin's weights onto
+    zero in order of occurrence, as np.add.at does, so the sums are
+    bit-identical to it (np.add.reduceat's pairwise sums are not)."""
+    d = g.shape[1]
+    bins = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=g.ravel(), minlength=n * d).reshape(n, d)
+
+
+def _local_global(pre, lengths, proj: Tensor, inputs, pre_adjoint, modality, word_rows=None):
     """Features from the (sum n_k, D) rows `pre`, one taped op with `inputs`.
 
     local = unit rows of pre; global = unit rows of (mean of each study's run
@@ -243,26 +268,41 @@ def _local_global(pre, lengths, proj: Tensor, inputs, pre_adjoint, modality):
     before proj; the adjoint appends proj's. An output the loss does not
     reach adds nothing, and where both do, the mean path's term comes first
     in g_pre, so each sum rounds as that of the composed ops would.
+
+    Given `word_rows`, `pre` holds distinct rows in order of first use and
+    the stacked rows are pre[word_rows]. The op then has a third output, the
+    distinct unit rows, whose local rows are gathered copies. Where the loss
+    reaches the distinct rows, the stacked rows' gradient is added onto them
+    and `pre_adjoint(g, True)` takes the gradient at the distinct rows;
+    elsewhere `pre_adjoint(g_pre)` takes it at the stacked rows.
     """
     counts = np.asarray(lengths, dtype=np.int64)
-    local, norms = _unit_rows(pre)
-    mean = np.add.reduceat(pre, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+    units, norms = _unit_rows(pre, word_rows)
+    stacked = slice(None) if word_rows is None else word_rows
+    local, rows = units[stacked], pre[stacked]
+    mean = np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0) / counts[:, None]
     wg = proj.data
     glob, glob_norms = _unit_rows(mean @ wg)
 
-    def bw(g_local, g_global):
+    def bw(g_local, g_global, g_distinct=None):
         g_pre = g_wg = None
         if g_global is not None:
             g_h = _unit_rows_adjoint(g_global, glob, glob_norms)
             g_wg = mean.T @ g_h
             g_pre = np.repeat((g_h @ wg.T) / counts[:, None], counts, axis=0)
         if g_local is not None:
-            g_l = _unit_rows_adjoint(g_local, local, norms)
+            g_l = _unit_rows_adjoint(g_local, local, norms[stacked])
             g_pre = g_l if g_pre is None else g_pre + g_l
-        return (*pre_adjoint(g_pre), g_wg)
+        if g_distinct is None:
+            return (*pre_adjoint(g_pre), g_wg)
+        g_units = _unit_rows_adjoint(g_distinct, units, norms)
+        if g_pre is not None:
+            g_units += _add_rows(word_rows, g_pre, len(units))
+        return (*pre_adjoint(g_units, True), g_wg)
 
-    local_t, global_t = nm._emit((local, glob), inputs, bw)
-    return LocalGlobalFeatures(local_t, global_t, modality, lengths)
+    outs = nm._emit((local, glob) if word_rows is None else (local, glob, units), inputs, bw)
+    # a text batch's third output and its index fill `distinct` and `word_rows`
+    return LocalGlobalFeatures(*outs[:2], modality, lengths, *outs[2:], word_rows)
 
 
 def encode_image_patches(patches, params: EncoderParams) -> LocalGlobalFeatures:
@@ -292,7 +332,12 @@ def encode_image_patches(patches, params: EncoderParams) -> LocalGlobalFeatures:
 def encode_text_toy(seqs, params: EncoderParams) -> LocalGlobalFeatures:
     """Embed one TokenSequence or a list of them (optional positions), normalize.
 
-    One taped op with inputs token_table and global_proj_text.
+    A word's row depends only on its token id, and on its position in its
+    text when positions are used, so each distinct key is embedded once and
+    the features carry the distinct rows and the index of them (see
+    LocalGlobalFeatures); every local row is bit-identical to the row the
+    word would get alone. One taped op with inputs token_table and
+    global_proj_text.
     """
     seqs = [seqs] if isinstance(seqs, TokenSequence) else list(seqs)
     if not seqs:
@@ -301,23 +346,27 @@ def encode_text_toy(seqs, params: EncoderParams) -> LocalGlobalFeatures:
     if bad:
         raise VocabularyError(f"sequence vocabulary {bad[0]} != table size {params.vocab_size}")
     lengths = tuple(len(seq) for seq in seqs)
-    ids = np.array([i for seq in seqs for i in seq.ids], dtype=np.int64)
+    ids = [i for seq in seqs for i in seq.ids]
+    width = max(lengths)  # a word's key: its id, or with positions id * width + position
+    keys = ([i * width + p for seq in seqs for p, i in enumerate(seq.ids)]
+            if params.use_positions else ids)
+    # the distinct keys in order of first use, each numbered by its row
+    row_of = {key: row for row, key in enumerate(dict.fromkeys(keys))}
+    word_rows = np.fromiter(map(row_of.__getitem__, keys), dtype=np.intp, count=len(keys))
+    distinct_ids = np.fromiter(row_of, dtype=np.int64, count=len(row_of))
     table = params.token_table.data
-    pre = table[ids]
     if params.use_positions:
-        positions = sinusoidal_positions(max(lengths), params.dim)
-        pre += np.concatenate([positions[:n] for n in lengths])
+        distinct_ids, at = np.divmod(distinct_ids, width)
+        pre = table[distinct_ids] + sinusoidal_positions(width, params.dim)[at]
+    else:
+        pre = table[distinct_ids]
 
-    def table_adjoint(g):
-        # one bincount bin per (row, column): bincount adds each bin's weights
-        # onto zero in order of occurrence, as np.add.at does, so the sums are
-        # bit-identical to it (np.add.reduceat's pairwise sums are not)
-        d = table.shape[1]
-        bins = (ids[:, None] * d + np.arange(d)).ravel()
-        return (np.bincount(bins, weights=g.ravel(), minlength=table.size).reshape(table.shape),)
+    def table_adjoint(g, at_distinct=False):
+        return (_add_rows(distinct_ids if at_distinct else ids, g, len(table)),)
 
     return _local_global(pre, lengths, params.global_proj_text,
-                         (params.token_table, params.global_proj_text), table_adjoint, "text")
+                         (params.token_table, params.global_proj_text), table_adjoint, "text",
+                         word_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 This module holds the tensor and the tape, and no operations: each op the
 shipped model records lives beside the code that needs it and records
 through ``_emit`` with its own fused adjoint. ``encoders.encode_image_patches``
-and ``encoders.encode_text_toy`` each emit one op with two 2-D outputs, all
+and ``encoders.encode_text_toy`` each emit one op whose 2-D outputs are all
 studies' local rows stacked as (sum n_k, D) and one (B, D) global row per
-study; ``crossmodal.pairwise_scores`` emits the batched global and local
-score matrices, and ``crossmodal.contrastive_loss`` the weighted symmetric
-InfoNCE loss over both.
+study, and on the text side also the batch's (U, D) distinct word rows;
+``crossmodal.pairwise_scores`` emits the batched global and local score
+matrices, and ``crossmodal.contrastive_loss`` the weighted symmetric InfoNCE
+loss over both.
 
 Recording model: ops record onto the innermost active ``GradTape`` whenever
 any input requires gradients. A tape replays its records in exact reverse

@@ -160,10 +160,11 @@ class Checkpoint:
 
 def encode_report(text: str, vocab: Vocabulary, config: TrainConfig) -> TokenSequence:
     """Tokenize one report under the experiment vocabulary, truncated."""
-    return _encode_tokens(tokenize(text), vocab, config)
+    return encode_tokens(tokenize(text), vocab, config)
 
 
-def _encode_tokens(tokens: list[str], vocab: Vocabulary, config: TrainConfig) -> TokenSequence:
+def encode_tokens(tokens: list[str], vocab: Vocabulary, config: TrainConfig) -> TokenSequence:
+    """encode_report of a report whose tokenize() is `tokens`."""
     ids = vocab.encode(tokens)[: config.max_length]
     return TokenSequence(tuple(ids), vocab_size=len(vocab), max_length=config.max_length)
 
@@ -193,12 +194,12 @@ def _prepare(records, tokens, config: TrainConfig, vocab: Vocabulary):
             f"config expects vocabulary of {config.vocab_size}, dataset has {len(vocab)}"
         )
     patches = image_patch_matrix([r.image for r in records], config.patch_pool)
-    sequences = [_encode_tokens(toks, vocab, config) for toks in tokens]
+    sequences = [encode_tokens(toks, vocab, config) for toks in tokens]
     return patches, sequences
 
 
 def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
-          on_step=None) -> Checkpoint:
+          on_step=None, tokens=None) -> Checkpoint:
     """Run `config.steps` total optimization steps over paired studies.
 
     Batches walk a seeded epoch permutation; a leftover chunk of fewer than
@@ -208,12 +209,14 @@ def train(records, config: TrainConfig, resume_from: Checkpoint | None = None,
     resumed run is bit-identical to one that never stopped; `resume_from`
     is left as it was. Once every input check has passed, `on_step(k)` is
     called with the start step k, then `on_step(step, loss)` after each
-    step's update with its LossBreakdown.
+    step's update with its LossBreakdown. `tokens`, if given, holds
+    tokenize(report_text) of each record.
     """
     if len(records) < 2:
         raise InsufficientDataError(f"training needs at least 2 paired studies, got {len(records)}")
     # one token list per report, for the check, the vocabulary and the ids
-    tokens = [tokenize(rec.report_text) for rec in records]
+    if tokens is None:
+        tokens = [tokenize(rec.report_text) for rec in records]
     for rec, toks in zip(records, tokens):
         if rec.image is None or not toks:
             raise InsufficientDataError(f"study {rec.study_id!r} has no image or no report tokens")

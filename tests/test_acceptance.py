@@ -171,6 +171,46 @@ def _op_battery(rng) -> float:
     worst = 0.0
     for f, leaves in checks:
         worst = max(worst, max_rel_error(f, leaves, coords_per_tensor=8, rng=rng))
+
+    # the text op read out through its distinct word rows, with positions off
+    # and on, and the local scores of text features whose words repeat rows.
+    # A generator spawned from rng draws their inputs and coordinates, so the
+    # checks above see the draws they always did
+    sub = rng.spawn(1)[0]
+    distinct_checks = []
+    for positions in (False, True):
+        enc_t = EncoderParams.initialize(dim=D, vocab_size=T, patch_pool=2, rng=sub,
+                                         use_positions=positions)
+        # three of the T tokens over 11 words: without positions, rows repeat
+        seqs_t = [TokenSequence(sub.integers(0, 3, size=n), vocab_size=T) for n in (4, T, 2)]
+        u = encode_text_toy(seqs_t, enc_t).distinct.shape[0]
+        w_u, w_l = sub.normal(size=(u, D)), sub.normal(size=(T + 6, D))
+
+        def distinct_only(enc_t=enc_t, seqs_t=seqs_t, w_u=w_u):
+            return ws(encode_text_toy(seqs_t, enc_t).distinct, w_u)
+
+        def all_three(enc_t=enc_t, seqs_t=seqs_t, w_u=w_u, w_l=w_l):
+            out = encode_text_toy(seqs_t, enc_t)
+            return ref.add(ref.add(ws(out.local, w_l), ws(out.global_feat, w_glob)),
+                           ws(out.distinct, w_u))
+
+        leaves_t = [enc_t.token_table, enc_t.global_proj_text]
+        distinct_checks += [(distinct_only, leaves_t[:1]), (all_three, leaves_t)]
+
+    def repeating(lengths, u):
+        # every one of the u distinct rows is used, some of them more than once
+        rows = np.concatenate([sub.permutation(u), sub.integers(0, u, size=sum(lengths) - u)])
+        distinct = sub.normal(size=(u, D))
+        return LocalGlobalFeatures(ref.constant(distinct[rows]),
+                                   _leaf(sub.normal(size=(len(lengths), D))), "text", lengths,
+                                   _leaf(distinct), rows)
+
+    rep_txts = [repeating((3, 4), 4), txts[0], repeating((2,), 1)]
+    rep_leaves = [imgs[0].local, rep_txts[0].distinct, txts[0].local, rep_txts[2].distinct]
+    distinct_checks.append(
+        (lambda: ws(pairwise_scores(imgs, rep_txts, loss_cfg)[1], w_34), rep_leaves))
+    for f, leaves in distinct_checks:
+        worst = max(worst, max_rel_error(f, leaves, coords_per_tensor=8, rng=sub))
     return worst
 
 

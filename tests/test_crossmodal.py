@@ -19,7 +19,7 @@ from glre.crossmodal import (
     pairwise_scores,
     total_loss,
 )
-from glre.encoders import LocalGlobalFeatures
+from glre.encoders import EncoderParams, LocalGlobalFeatures, TokenSequence, encode_text_toy
 from glre.errors import ParameterError, ShapeError
 
 import reference_ops as ref
@@ -799,3 +799,172 @@ def test_loss_config_validation():
         LossConfig(lambda1=0.0)
     with pytest.raises(ParameterError):
         LossConfig(tau_global=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# distinct word rows
+# ---------------------------------------------------------------------------
+
+
+def _encoded_batch(rng, use_positions, vocab=6, dim=8, lengths=(5, 9, 1, 7)):
+    """Encoder parameters, token sequences over a small vocabulary (so words
+    repeat), and four images with 4 regions each."""
+    params = EncoderParams.initialize(dim, vocab, patch_pool=2, rng=rng,
+                                      use_positions=use_positions)
+    seqs = [TokenSequence(rng.integers(0, vocab, size=n), vocab_size=vocab) for n in lengths]
+    imgs, _ = _ragged_batch(rng, [], 4, 4, dim, requires_grad=True)
+    return params, seqs, imgs
+
+
+@pytest.mark.parametrize("use_positions", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_rows_score_as_per_word_features(use_positions, seed):
+    # the encoder's batch scored through its distinct rows, and the same words
+    # as per-word rows with no index: equal scores, equal region gradients, and
+    # each distinct row's gradient equal to the sum over its words' gradients
+    rng = np.random.default_rng(40 + seed)
+    params, seqs, imgs = _encoded_batch(rng, use_positions)
+    enc = encode_text_toy(seqs, params)
+    n, u = enc.local.shape[0], enc.distinct.shape[0]
+    if not use_positions:
+        assert u < n
+    np.testing.assert_array_equal(enc.local.numpy(), enc.distinct.numpy()[enc.word_rows])
+    glob = nm.Tensor(enc.global_feat.numpy(), requires_grad=True)
+    via_rows = LocalGlobalFeatures(ref.constant(enc.local.numpy()), glob, "text", enc.lengths,
+                                   nm.Tensor(enc.distinct.numpy(), requires_grad=True),
+                                   enc.word_rows)
+    per_word = LocalGlobalFeatures(nm.Tensor(enc.local.numpy(), requires_grad=True), glob,
+                                   "text", enc.lengths)
+    cfg = LossConfig(lambda1=3.0, lambda2=6.0)
+    w = rng.normal(size=(2, len(imgs), len(seqs)))
+    grads = []
+    for txt, words in ((via_rows, via_rows.distinct), (per_word, per_word.local)):
+        g, l = pairwise_scores(imgs, txt, cfg)
+        grads.append((g.numpy(), l.numpy(), *analytic_grads(
+            lambda: ref.add(ref.tensor_sum(ref.mul(pairwise_scores(imgs, txt, cfg)[0],
+                                                   ref.constant(w[0]))),
+                            ref.tensor_sum(ref.mul(pairwise_scores(imgs, txt, cfg)[1],
+                                                   ref.constant(w[1])))),
+            [words, *(f.local for f in imgs)])))
+    (g1, l1, g_rows, *g_regions1), (g2, l2, g_words, *g_regions2) = grads
+    np.testing.assert_array_equal(g1, g2)
+    np.testing.assert_allclose(l1, l2, rtol=0, atol=1e-12)
+    summed = np.zeros((u, g_words.shape[1]))
+    np.add.at(summed, enc.word_rows, g_words)
+    np.testing.assert_allclose(g_rows, summed, rtol=0, atol=1e-12)
+    for a, b in zip(g_regions1, g_regions2):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("use_positions", [False, True])
+def test_encoded_repeated_tokens_match_pair_oracle(use_positions):
+    # the batch encoded in one call and scored through its distinct rows,
+    # against the per-pair oracle on each study encoded alone: scores, and the
+    # token table's gradient of a random weighting of both score matrices
+    rng = np.random.default_rng(47)
+    params, seqs, imgs = _encoded_batch(rng, use_positions)
+    cfg = LossConfig(lambda1=3.0, lambda2=6.0)
+    enc = encode_text_toy(seqs, params)
+    g, l = pairwise_scores(imgs, enc, cfg)
+    alone = [encode_text_toy(seq, params) for seq in seqs]
+    g_want, l_want = pairwise_oracle(imgs, alone, cfg.lambda1, cfg.lambda2)
+    np.testing.assert_allclose(g.numpy(), g_want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+
+    wg, wl = rng.normal(size=(2, len(imgs), len(seqs)))
+    leaves = [params.token_table, params.global_proj_text, *(f.local for f in imgs)]
+
+    def kernel():
+        g, l = pairwise_scores(imgs, encode_text_toy(seqs, params), cfg)
+        return ref.add(ref.tensor_sum(ref.mul(g, ref.constant(wg))),
+                       ref.tensor_sum(ref.mul(l, ref.constant(wl))))
+
+    def oracle():
+        total = ref.constant(0.0)
+        for j, seq in enumerate(seqs):
+            txt = encode_text_toy(seq, params)
+            for i, img in enumerate(imgs):
+                total = ref.add(total, ref.scale(
+                    global_similarity(img.global_feat, txt.global_feat), wg[i, j]))
+                total = ref.add(total, ref.scale(
+                    local_score(img, txt, cfg.lambda1, cfg.lambda2), wl[i, j]))
+        return total
+
+    for got, want in zip(analytic_grads(kernel, leaves), analytic_grads(oracle, leaves)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_all_distinct_words_take_the_same_path(monkeypatch):
+    # every word distinct (U = N): the encoder's index is 0, 1, ..., its
+    # distinct rows are its local rows, and align gets that index and N columns
+    rng = np.random.default_rng(48)
+    params, _, imgs = _encoded_batch(rng, False, vocab=12)
+    seqs = [TokenSequence(ids, vocab_size=12) for ids in ((3, 0, 7), (11,), (5, 2, 9, 1))]
+    enc = encode_text_toy(seqs, params)
+    np.testing.assert_array_equal(enc.word_rows, np.arange(8))
+    np.testing.assert_array_equal(enc.distinct.numpy(), enc.local.numpy())
+    seen = []
+    real = crossmodal.align
+
+    def recording(regions, words_t, word_norms, lengths, lambda1, lambda2, word_rows=None):
+        seen.append((words_t.shape, None if word_rows is None else word_rows.tolist()))
+        return real(regions, words_t, word_norms, lengths, lambda1, lambda2, word_rows)
+
+    monkeypatch.setattr(crossmodal, "align", recording)
+    _, l = pairwise_scores(imgs, enc, LossConfig())
+    assert seen == [((8, 8), list(range(8)))]
+    _, l_want = pairwise_oracle(imgs, [encode_text_toy(s, params) for s in seqs], 4.0, 5.0)
+    np.testing.assert_allclose(l.numpy(), l_want, rtol=0, atol=1e-12)
+
+
+def test_pairwise_scores_rejects_a_mismatched_word_index():
+    rng = np.random.default_rng(49)
+    params, seqs, imgs = _encoded_batch(rng, False)
+    enc = encode_text_toy(seqs, params)
+    short = LocalGlobalFeatures(enc.local, enc.global_feat, "text", enc.lengths, enc.distinct,
+                                enc.word_rows[1:])
+    wide = LocalGlobalFeatures(enc.local, enc.global_feat, "text", enc.lengths,
+                               ref.constant(np.ones((3, 5))), enc.word_rows)
+    n, u = enc.local.shape[0], enc.distinct.shape[0]
+    below, beyond = (LocalGlobalFeatures(enc.local, enc.global_feat, "text", enc.lengths,
+                                         enc.distinct, np.full(n, row)) for row in (-1, u))
+    for bad in (short, wide, below, beyond):
+        with pytest.raises(ShapeError, match="distinct rows"):
+            pairwise_scores(imgs, bad, LossConfig())
+    # an index without distinct rows is not read: every local row is its own
+    stray = LocalGlobalFeatures(enc.local, enc.global_feat, "text", enc.lengths,
+                                word_rows=np.zeros(n, dtype=np.intp))
+    plain = LocalGlobalFeatures(enc.local, enc.global_feat, "text", enc.lengths)
+    np.testing.assert_array_equal(pairwise_scores(imgs, stray, LossConfig())[1].numpy(),
+                                  pairwise_scores(imgs, plain, LossConfig())[1].numpy())
+
+
+def test_forward_only_blocks_bound_the_per_word_arrays_too(monkeypatch):
+    # 3 distinct rows behind 40 words: the (I, R, U) arrays are small, so the
+    # (I, N) ones set the block size; under a budget of 256 elements, 12
+    # images of 2 regions run 6 to a block, and score as per-word features do
+    rng = np.random.default_rng(50)
+    monkeypatch.setattr(crossmodal, "_BLOCK_ELEMENTS", 256)
+    imgs, _ = _ragged_batch(rng, [], 12, 2, 8)
+    distinct = unit_rows(rng, 3, 8)
+    rows = np.concatenate([np.arange(3), rng.integers(0, 3, size=37)])
+    glob = nm.Tensor(unit_rows(rng, 4, 8))
+    lengths = (10, 10, 15, 5)
+    via_rows = LocalGlobalFeatures(nm.Tensor(distinct[rows]), glob, "text", lengths,
+                                   nm.Tensor(distinct), rows)
+    per_word = LocalGlobalFeatures(nm.Tensor(distinct[rows]), glob, "text", lengths)
+    shapes = []
+    real = crossmodal.align
+
+    def recording(regions, words_t, word_norms, *args):
+        shapes.append((*regions.shape[:2], len(word_norms), words_t.shape[1]))
+        return real(regions, words_t, word_norms, *args)
+
+    monkeypatch.setattr(crossmodal, "align", recording)
+    _, l = pairwise_scores(imgs, via_rows, LossConfig())
+    # the 3 distinct columns, padded to 8 for the similarity GEMM
+    assert shapes == [(6, 2, 3, 8), (6, 2, 3, 8)]
+    assert all(i * 40 <= 256 and i * r * padded <= 256 for i, r, _, padded in shapes)
+    shapes.clear()
+    _, l_want = pairwise_scores(imgs, per_word, LossConfig())
+    np.testing.assert_allclose(l.numpy(), l_want.numpy(), rtol=0, atol=1e-12)

@@ -501,6 +501,32 @@ def test_encoders_name_the_first_zero_row():
     assert (err.value.row, err.value.norm) == (3, 0.0)
 
 
+def test_text_encoder_names_the_word_not_the_distinct_row_of_a_zero_token():
+    # tokens 0 and 1 repeat before the zero token 3 is first used: it is
+    # distinct row 2 but word 4, and word 4 is named
+    flat = np.concatenate([np.ones(4 * 2), np.zeros(2), np.ones(3 * 2), np.zeros(2),
+                           np.ones(2), np.eye(2).ravel(), np.eye(2).ravel()])
+    params = EncoderParams(flat, dim=2, vocab_size=5, patch_pool=2)
+    with pytest.raises(DegenerateRowError) as err:
+        encode_text_toy([TokenSequence((0, 1), 5), TokenSequence((0, 1, 3, 3), 5)], params)
+    assert (err.value.row, err.value.norm) == (4, 0.0)
+
+
+def test_text_encoder_keys_words_by_id_and_with_positions_by_position():
+    # the distinct rows come in order of first use and the local rows are
+    # their bit-identical copies; a token repeated at another position is a
+    # new row only with positions
+    seqs = [TokenSequence((4, 1, 4), 12), TokenSequence((1, 4), 12)]
+    for use_positions, rows, n_distinct in ((False, [0, 1, 0, 1, 0], 2),
+                                            (True, [0, 1, 2, 3, 4], 5)):
+        out = encode_text_toy(seqs, make_params(use_positions=use_positions))
+        assert out.word_rows.tolist() == rows and out.distinct.shape == (n_distinct, 8)
+        assert out.local.numpy().tobytes() == out.distinct.numpy()[out.word_rows].tobytes()
+    out = encode_text_toy([TokenSequence((4, 1), 12), TokenSequence((4, 2), 12)],
+                          make_params(use_positions=True))
+    assert out.word_rows.tolist() == [0, 1, 0, 2]
+
+
 def test_encoders_reject_empty_batches():
     with pytest.raises(ShapeError):
         encode_image_patches([], make_params())

@@ -1,12 +1,15 @@
-"""The bytes of a small seed-7 pipeline, pinned at one BLAS thread.
+"""The bytes of a small seed-7 pipeline, pinned at one and at two BLAS threads.
 
-A subprocess sets OPENBLAS_NUM_THREADS=1 before numpy is imported and runs
+A subprocess sets OPENBLAS_NUM_THREADS before numpy is imported and runs
 synth, a 30-step train, zeroshot, probe --score-manifest, export-embeddings,
 eval, export-roc, label, split and subset. It hashes every output file and
 takes the runreport_fingerprint of every run report; the test compares them
-with `pinned_bytes.json`. Training bytes still depend on the BLAS thread count
-and build, so the file records the numpy version and the OpenBLAS build it was
-made on, and the test skips, naming the difference, on any other.
+with `pinned_bytes.json`, once for a subprocess at one thread and once for one
+at two, each run on its own, so the bytes must not depend on the thread count.
+They do depend on the OpenBLAS build and the kernel it picks (a different
+OPENBLAS_CORETYPE moves them), so the file records the numpy version and the
+OpenBLAS build string, which names the kernel, it was made on, and the test
+skips, naming the difference, on any other.
 
 A change that moves these bytes on purpose rewrites the file with
 `python tests/test_pinned_bytes.py --write` and says so.
@@ -77,9 +80,9 @@ def pipeline_digests(work: Path, seed: int = 7, config: dict = CONFIG) -> dict:
     return digests
 
 
-def _run_pinned(work: Path) -> dict:
-    """The build and the digests, from a subprocess whose BLAS runs one thread."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+def _run_pinned(work: Path, threads: int = 1) -> dict:
+    """The build and the digests, from a subprocess whose BLAS runs `threads` threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, __file__, "--print", str(work)], env=env,
                          capture_output=True, text=True, check=True).stdout
@@ -87,20 +90,25 @@ def _run_pinned(work: Path) -> dict:
 
 
 def test_seed_7_pipeline_bytes_match_the_pinned_digests(tmp_path):
+    # one subprocess at a time: first at one BLAS thread, then at two
     pinned = json.loads(PINNED.read_text())
-    got = _run_pinned(tmp_path)
-    for key in ("numpy", "blas"):
-        if got[key] != pinned[key]:
-            pytest.skip(f"digests were pinned on {key} {pinned[key]!r}, this is {got[key]!r}")
-    assert got["digests"].keys() == pinned["digests"].keys()
-    moved = [key for key, digest in got["digests"].items() if digest != pinned["digests"][key]]
-    assert not moved, f"bytes differ from the pinned digests: {moved}"
+    for threads in (1, 2):
+        work = tmp_path / f"threads_{threads}"
+        work.mkdir()
+        got = _run_pinned(work, threads)
+        for key in ("numpy", "blas"):
+            if got[key] != pinned[key]:
+                pytest.skip(f"digests were pinned on {key} {pinned[key]!r}, this is {got[key]!r}")
+        assert got["digests"].keys() == pinned["digests"].keys()
+        moved = [key for key, digest in got["digests"].items()
+                 if digest != pinned["digests"][key]]
+        assert not moved, f"at {threads} BLAS threads, bytes differ from the pins: {moved}"
 
 
 if __name__ == "__main__":
     # --print DIR: print the build and digests as JSON; --write: re-pin the file
     if sys.argv[1:2] == ["--print"]:
-        assert os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+        assert os.environ.get("OPENBLAS_NUM_THREADS") in ("1", "2")
         with contextlib.redirect_stdout(sys.stderr):  # each command prints what it wrote
             pinned = {**blas_build(), "digests": pipeline_digests(Path(sys.argv[2]))}
         print(json.dumps(pinned))

@@ -221,10 +221,12 @@ def test_a_train_step_gives_no_taped_output_a_grad(monkeypatch):
     assert [len(tape) for tape in tapes] == [5, 5]
 
 
-def test_train_tokenizes_each_report_once(monkeypatch):
+def test_train_tokenizes_each_report_once(monkeypatch, tmp_path):
     # the emptiness check, the vocabulary and the token ids of a fresh run, and
-    # the check and the ids of a resume, come from one token list per report
-    from glre import datapipe
+    # the check and the ids of a resume, come from one token list per report,
+    # in `train` and through `glre train` (whose check names the study and its
+    # manifest, and whose resume also checks the checkpoint's vocabulary)
+    from glre import cli, datapipe
 
     records = small_dataset(n_train=24)
     real_tokenize, calls = datapipe.tokenize, []
@@ -233,13 +235,25 @@ def test_train_tokenizes_each_report_once(monkeypatch):
         calls.append(text)
         return real_tokenize(text)
 
-    for module in (datapipe, trainer):
+    for module in (datapipe, trainer, cli):
         monkeypatch.setattr(module, "tokenize", counting)
     mid = train(records, small_config(steps=1))
     assert sorted(calls) == sorted(r.report_text for r in records)
     calls.clear()
     train(records, small_config(steps=2), resume_from=mid)
     assert sorted(calls) == sorted(r.report_text for r in records)
+
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--seed", "5", "--out-dir", str(data)]) == 0
+    reports = sorted(r.report_text for r in datapipe.filter_with_report(
+        datapipe.read_manifest(data / "train.jsonl")))
+    for steps, resume in ((1, []), (2, ["--resume", str(tmp_path / "1" / "checkpoint.bin")])):
+        cfg = tmp_path / f"cfg_{steps}.json"
+        cfg.write_text(json.dumps({"train": {"steps": steps, "batch_size": 8, "dim": 8}}))
+        calls.clear()
+        assert cli.main(["train", "--config", str(cfg), "--manifest", str(data / "train.jsonl"),
+                         "--out-dir", str(tmp_path / str(steps)), *resume]) == 0
+        assert sorted(calls) == reports, f"{len(calls)} calls for {len(reports)} reports"
 
 
 def test_zero_steps_returns_initialization():

@@ -30,9 +30,11 @@ regions as ((a g) a^T) V, so neither pass holds an (I, U, D) array. Only a
 per-word tail is (I, N): each word's cosine, the smooth maximum over each
 text's words, and in the adjoint the sum of each word's cosine gradient onto
 its row. A taped call keeps the state of every image for its adjoint, so it
-runs as one block; a forward-only call runs in blocks whose (I, R, U) and
-(I, N) arrays stay within ``_BLOCK_ELEMENTS``, which bounds the memory of
-large calls such as 200 x 200 retrieval.
+runs as one block, on each text batch's own rows. A forward-only call also
+merges rows with equal bytes across text batches into one column (seed-7
+retrieval's 200 one-report batches: 2,932 rows, 54 columns) and runs in
+blocks whose (I, R, U) and (I, N) arrays stay within ``_BLOCK_ELEMENTS``,
+which bounds the memory of large calls such as 200 x 200 retrieval.
 """
 
 from __future__ import annotations
@@ -147,8 +149,9 @@ def contrastive_loss(global_matrix: Tensor, local_matrix: Tensor,
 # that each of its region-major (images, regions, distinct words) arrays and
 # its (images, words) arrays holds at most this many float64 elements
 # (512 KiB), unless one image's arrays alone are larger; 200 x 200 retrieval
-# (9 x 2,932 distinct rows per image at seed 7, its reports encoded one by
-# one) runs two images per block.
+# at seed 7 (its reports encoded one by one, their 2,932 rows merged into 54
+# columns, padded to 56) is bound by its 2,956 words and runs 22 images per
+# block.
 # A taped call is one block whatever its size: its adjoint needs the state of
 # every image, so splitting it would keep the same arrays and bound nothing.
 _BLOCK_ELEMENTS = 1 << 16
@@ -327,14 +330,18 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     global one is a single matmul of the global rows. The local one takes
     the words of all texts as their distinct rows, one text batch after
     another (a batch without ``distinct`` counts each of its local rows as
-    distinct), with an (N,) index of each word's row. It transposes the
-    (U, D) rows once into a C-contiguous (D, U) array and runs ``align`` on
-    the (B_i, R, D) regions, so all images need one region count R. Under a
-    recording tape that is one ``align`` call, whose region-sized state one
-    ``_align_adjoint`` call reads on the same (U, D) rows, and the word
-    gradient goes to those rows; a forward-only call runs in blocks whose
-    (I, R, U) and (I, N) arrays stay within ``_BLOCK_ELEMENTS`` elements. No
-    (B_i, U, D) array is ever held.
+    distinct), with an (N,) index of each word's row. A forward-only call
+    merges rows with equal bytes across all text batches, numbered in order
+    of first use, and remaps the index onto them; only identical bits merge,
+    so every score is the unmerged one. A taped call does not merge: its
+    adjoint returns each batch's word gradient to its own rows. The (U, D)
+    rows are transposed once into a C-contiguous (D, U) array, and ``align``
+    runs on the (B_i, R, D) regions, so all images need one region count R.
+    Under a recording tape that is one ``align`` call, whose region-sized
+    state one ``_align_adjoint`` call reads on the same (U, D) rows, and the
+    word gradient goes to those rows; a forward-only call runs in blocks
+    whose (I, R, U) and (I, N) arrays stay within ``_BLOCK_ELEMENTS``
+    elements. No (B_i, U, D) array is ever held.
     """
     images = [image_feats] if isinstance(image_feats, LocalGlobalFeatures) else list(image_feats)
     texts = [text_feats] if isinstance(text_feats, LocalGlobalFeatures) else list(text_feats)
@@ -376,6 +383,17 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     regions = _rows(img_l).reshape(len(gi), -1, dim)
     lengths = np.array([n for f in texts for n in f.lengths])
     txt_rows = _rows(txt_u)
+    # a recorded op (as _emit decides) needs every image's state, so it runs
+    # as one block, and each batch's own rows, to hand them their gradients
+    taped = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_u)
+    if not taped:
+        # rows with equal bytes, across all text batches, merge into one
+        # column numbered in order of first use: equal bits score equally
+        keys = list(map(np.ndarray.tobytes, txt_rows))
+        row_of = {key: row for row, key in enumerate(dict.fromkeys(keys))}
+        word_rows = np.fromiter(map(row_of.__getitem__, keys), dtype=np.intp,
+                                count=len(keys))[word_rows]
+        txt_rows = np.frombuffer(b"".join(row_of)).reshape(-1, dim)
     # the transposed words, zero-padded to a multiple of 8 columns: at such a
     # width OpenBLAS sums the similarity GEMM in one order whatever its thread
     # count (a ragged width from 145 columns on splits across threads and
@@ -384,8 +402,6 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     words_t[:, : len(txt_rows)] = txt_rows.T
     word_norms = np.sqrt(np.einsum("nd,nd->n", txt_rows, txt_rows))
     lam1, lam2 = config.lambda1, config.lambda2
-    # a recorded op (as _emit decides) needs every image's state: one block
-    taped = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_u)
     widest = max(regions.shape[1] * words_t.shape[1], len(word_rows))
     per_block = len(gi) if taped else max(1, _BLOCK_ELEMENTS // widest)
     local = np.empty((len(gi), len(gt)))

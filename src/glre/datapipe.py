@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import string
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import ImageGrid
-from .errors import (ConsistencyError, FormatError, SplitSizeError, VocabularyError,
-                     check_grid, check_number, is_str_list)
+from .errors import (ConsistencyError, FormatError, ParameterError, SplitSizeError,
+                     VocabularyError, check_grid, check_number, is_str_list)
 from .files import has_surrogate_escape, json_value, reading, write_file, write_json
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
@@ -550,6 +551,17 @@ class SynthConfig:
             raise ValueError("image_size must be divisible by the region grid")
         if gr * gc < self.n_classes:
             raise ValueError("need at least one region per class")
+        # every study's float64 image is held until the corpus is written
+        studies = self.n_train + self.n_heldout
+        n_bytes = studies * self.image_size ** 2 * 8
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, OSError, ValueError):  # the OS does not say: no check
+            memory = n_bytes
+        if n_bytes > memory:
+            raise ParameterError(f"n_train + n_heldout = {studies:,} studies at image_size "
+                                 f"{self.image_size} need {n_bytes:,} bytes of float64 images, "
+                                 f"more than the machine's {memory:,} bytes of physical memory")
 
 
 _SEVERITIES = ("mild", "severe")

@@ -1716,6 +1716,26 @@ def test_out_of_memory_exits_1_naming_the_command_without_a_traceback(pipeline, 
     assert "Traceback" not in proc.stderr
 
 
+def test_synth_count_beyond_physical_memory_exits_1_naming_the_setting(tmp_path):
+    # 2e9 studies of 24x24 float64 pixels are 9.2 TB; the check must reject them
+    # before any array is drawn, so the child's 2 GB address-space cap, which
+    # turns a missing check into a plain out-of-memory exit, is never reached
+    src = str(Path(glre.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from glre.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    config = _write_json(tmp_path / "huge.json", {"synth": {"n_train": 2_000_000_000}})
+    proc = subprocess.run([sys.executable, "-c", child, "synth", "--config", str(config),
+                           "--seed", "5", "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: n_train + n_heldout = 2,000,000,200 studies")
+    assert "9,216,000,921,600 bytes" in proc.stderr and "out of memory" not in proc.stderr
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_runreport_fingerprint_ignores_wall_clock(tmp_path):
     _separable_case(tmp_path)
     d1, d2 = tmp_path / "e1", tmp_path / "e2"

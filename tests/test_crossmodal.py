@@ -4,7 +4,12 @@ The attention and alignment properties are checked on the per-pair oracle
 (pair_oracle.py); the batched kernel is checked against that oracle.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -968,3 +973,128 @@ def test_forward_only_blocks_bound_the_per_word_arrays_too(monkeypatch):
     shapes.clear()
     _, l_want = pairwise_scores(imgs, per_word, LossConfig())
     np.testing.assert_allclose(l.numpy(), l_want.numpy(), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# word rows merged across text batches
+# ---------------------------------------------------------------------------
+
+
+def _one_report_batches(seed, vocab, n_reports, dim=64):
+    """Twelve images of 9 regions, and `n_reports` reports over a `vocab`-token
+    vocabulary each encoded in its own call, so the batches repeat one
+    another's rows; with the number of distinct tokens they use."""
+    rng = np.random.default_rng(seed)
+    params = EncoderParams.initialize(dim, vocab, patch_pool=2, rng=rng)
+    seqs = [TokenSequence(rng.integers(0, vocab, size=rng.integers(5, 20)), vocab_size=vocab)
+            for _ in range(n_reports)]
+    imgs, _ = _ragged_batch(rng, [], 12, 9, dim, requires_grad=True)
+    union = len({i for seq in seqs for i in seq.ids})
+    return imgs, [encode_text_toy(seq, params) for seq in seqs], union
+
+
+def _align_widths(monkeypatch):
+    """Patch crossmodal.align to record (distinct columns, padded columns) of
+    each call; returns the list it appends to."""
+    widths = []
+    real = crossmodal.align
+
+    def recording(regions, words_t, word_norms, *args):
+        widths.append((len(word_norms), words_t.shape[1]))
+        return real(regions, words_t, word_norms, *args)
+
+    monkeypatch.setattr(crossmodal, "align", recording)
+    return widths
+
+
+# union widths below 145 columns and at or above it, the width from which a
+# ragged similarity GEMM splits across BLAS threads
+_MERGE_CASES = ((60, 20, 61), (40, 60, 62), (400, 60, 63), (600, 90, 64))
+
+
+def _merged_and_taped_scores(vocab, n_reports, seed):
+    """The global and local matrices of a forward-only call and of a taped
+    call on the same one-report batches, and their union and stacked widths."""
+    imgs, txts, union = _one_report_batches(seed, vocab, n_reports)
+    cfg = LossConfig()
+    plain = pairwise_scores(imgs, txts, cfg)
+    with nm.GradTape() as tape:
+        taped = pairwise_scores(imgs, txts, cfg)
+    assert len(tape) == 2
+    return plain, taped, union, sum(t.distinct.shape[0] for t in txts)
+
+
+def test_forward_only_call_scores_one_column_per_distinct_row_across_batches(monkeypatch):
+    # one-report batches that share tokens: a forward-only call reaches align
+    # at the padded union width, a taped call at the stacked width
+    widths, unions = _align_widths(monkeypatch), []
+    for vocab, n_reports, seed in _MERGE_CASES:
+        _, _, union, stacked = _merged_and_taped_scores(vocab, n_reports, seed)
+        assert union < stacked
+        assert set(widths[:-1]) == {(union, -(-union // 8) * 8)}
+        assert widths[-1] == (stacked, -(-stacked // 8) * 8)
+        widths.clear()
+        unions.append(union)
+    assert min(unions) < 145 <= max(unions)
+
+
+def _merge_digests() -> list[str]:
+    """Check merged against unmerged scores bit for bit in every case, and
+    give the SHA-256 of each case's local matrix."""
+    digests = []
+    for vocab, n_reports, seed in _MERGE_CASES:
+        plain, taped, _, _ = _merged_and_taped_scores(vocab, n_reports, seed)
+        for a, b in zip(plain, taped):
+            np.testing.assert_array_equal(a.numpy(), b.numpy())
+        digests.append(hashlib.sha256(plain[1].numpy().tobytes()).hexdigest())
+    return digests
+
+
+def test_merged_scores_equal_unmerged_scores_bit_for_bit():
+    assert len(_merge_digests()) == len(_MERGE_CASES)
+
+
+def test_merged_scores_equal_unmerged_scores_at_one_and_two_blas_threads():
+    # one subprocess at a time, each setting its BLAS thread count before
+    # numpy loads; the local matrices also agree across the two counts
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    child = "import test_crossmodal as t; print(' '.join(t._merge_digests()))"
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                   "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == len(_MERGE_CASES) and digests[0] == digests[1]
+
+
+def test_rows_differing_in_one_bit_or_a_zero_sign_are_not_merged(monkeypatch):
+    # three batches whose five distinct rows hold four bit patterns: x twice,
+    # x with its last mantissa bit flipped, y with +0.0 and y with -0.0
+    rng = np.random.default_rng(51)
+    x, y = unit_rows(rng, 2, 8)
+    x_bit = x.copy()
+    x_bit.view(np.int64)[5] ^= 1
+    y[2], y_neg = 0.0, y.copy()
+    y_neg[2] = -0.0
+    imgs, _ = _ragged_batch(rng, [], 3, 4, 8, requires_grad=True)
+
+    def batch(rows, index, lengths):
+        distinct = nm.Tensor(np.array(rows), requires_grad=True)
+        return LocalGlobalFeatures(nm.Tensor(distinct.numpy()[index]),
+                                   nm.Tensor(unit_rows(rng, len(lengths), 8)), "text",
+                                   lengths, distinct, np.array(index))
+
+    txts = [batch([x, y], [0, 1, 0], (3,)), batch([x_bit, y_neg], [1, 0, 1, 1], (1, 3)),
+            batch([x], [0, 0], (2,))]
+    widths = _align_widths(monkeypatch)
+    plain = pairwise_scores(imgs, txts, LossConfig())
+    assert widths == [(4, 8)]
+    with nm.GradTape():
+        taped = pairwise_scores(imgs, txts, LossConfig())
+    assert widths[1] == (5, 8)
+    for a, b in zip(plain, taped):
+        np.testing.assert_array_equal(a.numpy(), b.numpy())

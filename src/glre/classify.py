@@ -108,7 +108,9 @@ def fit_linear_probe(features, labels, config: ProbeConfig | None = None) -> Pro
         err = np.where(keep, p - y, 0.0)
         w -= step[:, None] * (err.T @ x)
         b -= step * err.sum(axis=0)
-        ll = np.where(keep, y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps), 0.0)
+        # y is 0 or 1, so y log(p + eps) + (1 - y) log(1 - p + eps) adds 0 * (a finite log),
+        # a signed zero, to this one log: that changes no bit, also where the log is +0
+        ll = np.where(keep, np.log(np.where(y == 1, p, 1 - p) + eps), 0.0)
         losses = -ll.sum(axis=0)[active] / counts[active]
         history.append(float(losses.mean()) if losses.size else 0.0)
     return ProbeModel(

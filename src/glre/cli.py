@@ -229,14 +229,13 @@ def _attach_images(records, manifest_path, region_grid, patch_pool: int = 1) -> 
     base = Path(manifest_path).resolve().parent
     for rec in records:
         path = base / rec.image_path
-        where = f"study {rec.study_id!r} of {manifest_path}: {path}"
         try:
             rec.image = ImageGrid(read_pgm(path), region_grid=tuple(region_grid))
+            h, w = (n // g for n, g in zip(rec.image.pixels.shape, rec.image.region_grid))
+            if min(h, w) < patch_pool:
+                raise ShapeError(f"cannot pool {h}x{w} block to {patch_pool}x{patch_pool}")
         except ShapeError as exc:
-            raise ShapeError(f"{where}: {exc}") from None
-        h, w = (n // g for n, g in zip(rec.image.pixels.shape, rec.image.region_grid))
-        if min(h, w) < patch_pool:
-            raise ShapeError(f"{where}: cannot pool {h}x{w} block to {patch_pool}x{patch_pool}")
+            raise ShapeError(f"study {rec.study_id!r} of {manifest_path}: {path}: {exc}") from None
 
 
 def _encode_reports(records, tokens, manifest_path, ckpt) -> list:
@@ -361,8 +360,6 @@ def _parse_sizes(spec: str) -> dict:
         if name in sizes:
             raise ValueError(f"--sizes names split {name!r} twice")
         sizes[name] = value if value == "rest" else int(value)
-    if not sizes:
-        raise ValueError("--sizes named no splits")
     return sizes
 
 
@@ -375,6 +372,8 @@ def _cmd_split(s, out_dir: Path) -> RunReport:
     if require_report:
         records = filter_with_report(records)
     sizes = _parse_sizes(s["sizes"]) if isinstance(s["sizes"], str) else dict(s["sizes"])
+    if not sizes:
+        raise ValueError("--sizes named no splits")
     seed = check_number("seed", s.get("seed", 0), integer=True, minimum=0)
 
     split = make_splits(records, sizes, seed)

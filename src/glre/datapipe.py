@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import string
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import ImageGrid
-from .errors import (ConsistencyError, FormatError, ParameterError, SplitSizeError,
-                     VocabularyError, check_grid, check_number, is_str_list)
+from .errors import (ConsistencyError, FormatError, SplitSizeError, VocabularyError,
+                     check_grid, check_memory, check_number, is_str_list)
 from .files import has_surrogate_escape, json_value, reading, write_file, write_json
 
 PATHOLOGIES = ("atelectasis", "cardiomegaly", "consolidation", "edema", "pleural effusion")
@@ -347,7 +346,6 @@ def _manifest_lines(records):
 
 _json_str = json.encoder.encode_basestring_ascii
 _SCAN = json.JSONDecoder().scan_once
-_SPACES = re.compile(r"[ \t\r]*").match  # the blanks json.loads skips around a line's value
 _KEYS = frozenset({"study_id", "view", "report", "image_path", "labels"})
 _STRING_KEYS = ("study_id", "view", "report", "image_path")
 _LABEL_TYPES = frozenset({int, type(None)})
@@ -356,27 +354,17 @@ _LABEL_TYPES = frozenset({int, type(None)})
 def _manifest_rows(text: str):
     """(line number, JSON value) for each non-blank line of `text`, lines ending at "\n".
 
-    The C scanner reads each value in place in `text`, from the line's first non-blank
-    character. A line it does not read whole, to the line's end past trailing blanks,
-    goes to json.loads on its own, so every value and every error is the one json.loads
+    The C scanner reads each line from its first character. A line it does not read
+    whole, one with blanks around its value, a "\r" before its "\n" or more than one
+    value, goes to json.loads, so every value and every error is the one json.loads
     gives for that line.
     """
-    n, stop, size = 0, -1, len(text)
-    while stop < size:
-        n, line_start = n + 1, stop + 1
-        stop = text.find("\n", line_start)
-        if stop < 0:
-            stop = size
-        # a line starting with "{" has no leading blanks, and a value ending at the
-        # line's end no trailing ones: most manifest lines need neither match
-        start = (line_start if text.startswith("{", line_start)
-                 else _SPACES(text, line_start).end())
+    for n, line in enumerate(text.split("\n"), 1):
         try:
-            row, end = _SCAN(text, start)
+            row, end = _SCAN(line, 0)
         except (StopIteration, ValueError, RecursionError):
             end = -1
-        if end != stop and (end < 0 or _SPACES(text, end).end() != stop):
-            line = text[line_start:stop]
+        if end != len(line):
             if not line.strip():
                 continue
             try:
@@ -553,15 +541,8 @@ class SynthConfig:
             raise ValueError("need at least one region per class")
         # every study's float64 image is held until the corpus is written
         studies = self.n_train + self.n_heldout
-        n_bytes = studies * self.image_size ** 2 * 8
-        try:
-            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        except (AttributeError, OSError, ValueError):  # the OS does not say: no check
-            memory = n_bytes
-        if n_bytes > memory:
-            raise ParameterError(f"n_train + n_heldout = {studies:,} studies at image_size "
-                                 f"{self.image_size} need {n_bytes:,} bytes of float64 images, "
-                                 f"more than the machine's {memory:,} bytes of physical memory")
+        check_memory(f"n_train + n_heldout = {studies:,} studies at image_size "
+                     f"{self.image_size}", studies * self.image_size ** 2 * 8, "float64 images")
 
 
 _SEVERITIES = ("mild", "severe")

@@ -438,11 +438,7 @@ def read_pgm(path) -> np.ndarray:
         if maxval != 255:
             raise FormatError(f"only 8-bit PGM supported, maxval {maxval}", offset=pos)
         need = width * height
-        raster = blob[pos : pos + need]
-        if len(raster) < need:
-            raise FormatError(
-                f"truncated PGM raster: expected {need} bytes, got {len(raster)}",
-                offset=pos,
-            )
-        arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-        return arr.astype(np.float64) / 255.0
+        if len(blob) - pos < need:
+            raise FormatError(f"truncated PGM raster: expected {need} bytes, got "
+                              f"{len(blob) - pos}", offset=pos)
+        return np.divide(np.frombuffer(blob, np.uint8, need, pos).reshape(height, width), 255.0)

@@ -6,6 +6,7 @@ former to exit code 1 and file/format problems to exit code 2.
 """
 
 import math
+import os
 from numbers import Integral, Real
 
 
@@ -31,6 +32,18 @@ def check_number(name: str, value, integer: bool = False, minimum=None):
     if minimum is not None and value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value!r}")
     return value
+
+
+def check_memory(setting: str, n_bytes: int, of: str) -> None:
+    """ParameterError naming `setting` if the `n_bytes` of `of` it implies exceed the
+    machine's physical memory; where the OS does not say how much that is, no check."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if n_bytes > memory:
+        raise ParameterError(f"{setting} need {n_bytes:,} bytes of {of}, more than the "
+                             f"machine's {memory:,} bytes of physical memory")
 
 
 def check_grid(name: str, value) -> tuple:

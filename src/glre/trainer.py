@@ -41,6 +41,7 @@ from .errors import (
     TrainingDivergenceError,
     VersionError,
     check_grid,
+    check_memory,
     check_number,
 )
 from .files import reading, write_file
@@ -172,10 +173,21 @@ def encode_tokens(tokens: list[str], vocab: Vocabulary, config: TrainConfig) -> 
 def initial_checkpoint(records, config: TrainConfig, tokens=None) -> Checkpoint:
     """The step-0 state of a fresh run: the dataset's vocabulary, the seeded
     init, the first epoch permutation, and the generator state after them.
-    `tokens`, if given, holds tokenize(report_text) of each record."""
+    `tokens`, if given, holds tokenize(report_text) of each record. Settings whose
+    parameters and Adam state, or a batch's (I, N) word state, exceed physical memory
+    are named before anything is allocated."""
     if tokens is None:
         tokens = [tokenize(r.report_text) for r in records]
     vocab = Vocabulary.from_tokens(tokens)
+    size = sum(map(math.prod, param_shapes(config.dim, len(vocab), config.patch_pool).values()))
+    check_memory(f"dim = {config.dim:,} and a vocabulary of {len(vocab):,} words", 32 * size,
+                 "float64 parameters, gradient and Adam moments")
+    if config.steps:
+        batch = min(config.batch_size, len(records))
+        words = min(config.max_length, min(map(len, tokens), default=0))
+        check_memory(f"batch_size = {config.batch_size:,} and max_length = "
+                     f"{config.max_length:,}", 8 * batch * batch * words,
+                     f"float64 word state a step, {batch:,} studies of at least {words:,} words")
     rng = np.random.default_rng(config.seed)
     params = EncoderParams.initialize(
         config.dim, len(vocab), patch_pool=config.patch_pool,

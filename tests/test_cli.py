@@ -890,12 +890,14 @@ def test_bad_sizes_value_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("spec, named", [
     ("train=2,train=3", "--sizes names split 'train' twice"),
     (",", "--sizes named no splits"),
-], ids=["repeated", "empty"])
+    ({}, "--sizes named no splits"),
+], ids=["repeated", "empty", "empty_config_object"])
 def test_sizes_that_name_a_split_twice_or_none_exit_1(tmp_path, capsys, spec, named):
     _flat_manifest(tmp_path / "in.jsonl", n=6)
     out = tmp_path / "out"
-    assert run("split", "--manifest", tmp_path / "in.jsonl", "--sizes", spec,
-               "--out-dir", out) == 1
+    sizes = (["--sizes", spec] if isinstance(spec, str)
+             else ["--config", _write_json(tmp_path / "cfg.json", {"sizes": spec})])
+    assert run("split", "--manifest", tmp_path / "in.jsonl", *sizes, "--out-dir", out) == 1
     assert named in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
@@ -1697,23 +1699,43 @@ def test_module_entry_point_runs():
     assert "usage" in proc.stdout.lower()
 
 
-def test_out_of_memory_exits_1_naming_the_command_without_a_traceback(pipeline, tmp_path):
-    # a dim of 100,000 asks for a parameter vector of tens of GB; the child caps its
-    # own address space at 4 GB first, so the allocation fails instead of the machine
+def _train_capped(pipeline, tmp_path, dim: int, cap: int):
+    """`glre train` at `dim` for one step, in a child that first caps its own address
+    space at `cap` bytes, so an allocation past it fails instead of the machine."""
     src = str(Path(glre.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
              "from glre.cli import main\n"
              "sys.exit(main(sys.argv[1:]))\n")
-    config = _write_json(tmp_path / "huge.json", {"train": {"dim": 100_000, "steps": 1}})
-    proc = subprocess.run([sys.executable, "-c", child, "train", "--config", str(config),
+    config = _write_json(tmp_path / "huge.json", {"train": {"dim": dim, "steps": 1}})
+    return subprocess.run([sys.executable, "-c", child, "train", "--config", str(config),
                            "--seed", "5", "--manifest", str(pipeline["data"] / "train.jsonl"),
                            "--out-dir", str(tmp_path / "out")],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_out_of_memory_exits_1_naming_the_command_without_a_traceback(pipeline, tmp_path):
+    # a dim of 6,000 asks for ~580 MB a parameter vector, 2.3 GB with its gradient and
+    # Adam's moments: within physical memory, so no setting check refuses it, but past
+    # the child's 512 MB cap, so the first vector's allocation fails
+    proc = _train_capped(pipeline, tmp_path, 6_000, 512 << 20)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: train: out of memory: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("dim", [100_000, 3_000_000_000])
+def test_train_dim_beyond_physical_memory_exits_1_naming_the_setting(pipeline, tmp_path, dim):
+    # 100,000 implies 640 GB of parameters and Adam state, 3e9 more than numpy can shape;
+    # the check must name dim before any of it is allocated, so the child's 4 GB cap,
+    # which turns a missing check into a plain out-of-memory exit, is never reached
+    proc = _train_capped(pipeline, tmp_path, dim, 4 << 30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: dim = {dim:,} and a vocabulary of "), proc.stderr
+    assert "bytes of float64 parameters, gradient and Adam moments" in proc.stderr
+    assert "out of memory" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_synth_count_beyond_physical_memory_exits_1_naming_the_setting(tmp_path):

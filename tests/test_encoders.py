@@ -647,12 +647,25 @@ def test_pgm_bad_magic(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("trailing", [b"", b"\x00", b"junk after the raster"])
+def test_pgm_reads_every_byte_value_and_ignores_bytes_after_the_raster(tmp_path, trailing):
+    raster = bytes(range(256))
+    path = tmp_path / "all.pgm"
+    path.write_bytes(b"P5\n16 16\n255\n" + raster + trailing)
+    expected = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / 255.0
+    pixels = read_pgm(path)
+    assert pixels.dtype == np.float64 and pixels.shape == (16, 16)
+    assert pixels.tobytes() == expected.tobytes()
+
+
 def test_pgm_truncated_raster(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
     with pytest.raises(FormatError) as exc:
         read_pgm(path)
-    assert "truncated" in str(exc.value)
+    assert str(exc.value) == (f"{path}: truncated PGM raster: expected 16 bytes, got 7 "
+                              f"(at byte offset 11)")
+    assert exc.value.offset == 11
 
 
 def test_pgm_rejects_wide_maxval(tmp_path):

@@ -181,9 +181,15 @@ def test_lines_valid_only_when_joined_are_rejected_as_the_per_line_reader_does(w
     _BASE.replace("caf\u00e9", "caf\\uDBFF"),
     _BASE.replace("caf\u00e9", "caf\\ud83d\\uDE00"),
     _BASE.replace("caf\u00e9", "caf\\\\ud800"),  # an escaped backslash, then "ud800"
+    _BASE.replace("\r\n", "\n").replace("\n", "\r\n"),
+    _BASE.replace("}\n", "} \t\n").replace("\n{", "\n\t {"),
+    _BASE.replace("}\n", "}\n \t\r\n", 1),
+    _BASE.rstrip("\n"),
+    _BASE.replace("}\n", '} {"study_id": "t", "view": "frontal"}\n', 1),
 ], ids=["valid", "unicode_blank", "bom", "array_across_lines", "long_int_across_lines",
         "lone_low_surrogate", "lone_high_surrogate_upper_case", "surrogate_pair",
-        "backslash_then_ud800"])
+        "backslash_then_ud800", "crlf_everywhere", "blanks_and_tabs_around_values",
+        "whitespace_only_line", "no_final_newline", "two_values_on_a_line"])
 def test_read_manifest_agrees_with_the_per_line_reader_on_fixed_cases(work, text):
     _assert_readers_agree(work / "fixed.jsonl", text)
 

@@ -7,16 +7,17 @@ import struct
 import numpy as np
 import pytest
 
-from glre.datapipe import SynthConfig, synth_paired_dataset
+from glre.datapipe import SynthConfig, Vocabulary, synth_paired_dataset, tokenize
 from glre.encoders import EncoderParams
 from glre.errors import (
     ConsistencyError,
     FormatError,
     InsufficientDataError,
+    ParameterError,
     TrainingDivergenceError,
     VersionError,
 )
-from glre import files, trainer
+from glre import errors, files, trainer
 from glre.files import step_log
 from glre.trainer import (
     AdamState,
@@ -267,6 +268,30 @@ def test_zero_steps_returns_initialization():
     for k in fresh.parameters():
         np.testing.assert_array_equal(ckpt.params.parameters()[k].data,
                                       fresh.parameters()[k].data)
+
+
+def test_settings_past_physical_memory_are_named_before_any_allocation(monkeypatch):
+    records = small_dataset()  # 48 studies: a batch_size of 64 takes all 48
+    tokens = [tokenize(rec.report_text) for rec in records]
+    vocab, words = len(Vocabulary.from_tokens(tokens)), min(map(len, tokens))
+    params = 32 * (2 * 2 * 16 + 16 + vocab * 16 + 2 * 16 * 16)  # 4 vectors of float64
+    step = 8 * 48 * 48 * words  # the (I, N) word state of one batch
+    assert step > params
+    memory = {"SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(errors.os, "sysconf", memory.__getitem__)
+    for pages, steps, named, need in [(params - 1, 0, "dim = 16", params),
+                                      (step - 1, 1, "batch_size = 64", step)]:
+        memory["SC_PHYS_PAGES"] = pages
+        with monkeypatch.context() as m:
+            m.setattr(EncoderParams, "initialize", None)  # nothing may be allocated
+            with pytest.raises(ParameterError) as exc:
+                train(records, small_config(batch_size=64, steps=steps))
+        assert str(exc.value).startswith(named)
+        assert f"need {need:,} bytes" in str(exc.value) and f"{pages:,} bytes" in str(exc.value)
+    memory["SC_PHYS_PAGES"] = step - 1  # a run with no step holds no step state
+    assert train(records, small_config(batch_size=64, steps=0)).step == 0
+    memory["SC_PHYS_PAGES"] = step  # a run that fits is not refused
+    assert train(records, small_config(batch_size=64, steps=1)).step == 1
 
 
 def test_dataset_too_small():

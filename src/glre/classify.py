@@ -69,7 +69,7 @@ class ProbeModel:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(-np.abs(z))  # never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def fit_linear_probe(features, labels, config: ProbeConfig | None = None) -> ProbeModel:
@@ -79,7 +79,8 @@ def fit_linear_probe(features, labels, config: ProbeConfig | None = None) -> Pro
     `labels` a sequence of N LabelVectors. Uncertain labels follow
     config.uncertain_policy; blanks count as negative. A pathology whose
     visible labels are single-class is skipped with a warning and keeps its
-    zero initialization.
+    zero initialization. The loss history is taken 16 epochs at a time, in
+    place in a preallocated block, with the bits of a per-epoch fit.
     """
     config = config if config is not None else ProbeConfig()
     x = np.asarray(getattr(features, "data", features), dtype=np.float64)
@@ -103,16 +104,25 @@ def fit_linear_probe(features, labels, config: ProbeConfig | None = None) -> Pro
     b = np.zeros(len(PATHOLOGIES))
     history = []
     eps = 1e-12
-    for _ in range(config.epochs):
-        p = _sigmoid(x @ w.T + b)
+    probs, terms = np.empty((2, 16, *y.shape))
+    for epoch in range(config.epochs):
+        k = epoch % len(probs)
+        p = probs[k]
+        p[...] = _sigmoid(x @ w.T + b)
         err = np.where(keep, p - y, 0.0)
-        w -= step[:, None] * (err.T @ x)
+        # err.T in C order multiplies faster with the same bits (w.T in C order moves them)
+        w -= step[:, None] * (err.T.copy() @ x)
         b -= step * err.sum(axis=0)
-        # y is 0 or 1, so y log(p + eps) + (1 - y) log(1 - p + eps) adds 0 * (a finite log),
-        # a signed zero, to this one log: that changes no bit, also where the log is +0
-        ll = np.where(keep, np.log(np.where(y == 1, p, 1 - p) + eps), 0.0)
-        losses = -ll.sum(axis=0)[active] / counts[active]
-        history.append(float(losses.mean()) if losses.size else 0.0)
+        if k == len(probs) - 1 or epoch == config.epochs - 1:
+            # y is 0 or 1, so y log(p + eps) + (1 - y) log(1 - p + eps) adds 0 * (a finite
+            # log), a signed zero, to this one log: no bit changes, also where the log is +0
+            ll = np.subtract(1.0, probs[: k + 1], out=terms[: k + 1])
+            np.copyto(ll, probs[: k + 1], where=y == 1)
+            ll += eps
+            np.log(ll, out=ll)
+            np.copyto(ll, 0.0, where=~keep)
+            losses = -ll.sum(axis=1)[:, active] / counts[active]
+            history += losses.mean(axis=1).tolist() if active.any() else [0.0] * (k + 1)
     return ProbeModel(
         weights=w, bias=b,
         metadata={

@@ -32,9 +32,10 @@ text's words, and in the adjoint the sum of each word's cosine gradient onto
 its row. A taped call keeps the state of every image for its adjoint, so it
 runs as one block, on each text batch's own rows. A forward-only call also
 merges rows with equal bytes across text batches into one column (seed-7
-retrieval's 200 one-report batches: 2,932 rows, 54 columns) and runs in
-blocks whose (I, R, U) and (I, N) arrays stay within ``_BLOCK_ELEMENTS``,
-which bounds the memory of large calls such as 200 x 200 retrieval.
+retrieval's 200 one-report batches: 2,932 rows, 54 columns), reading each
+row's bytes once and keeping only first uses, and runs in blocks whose
+(I, R, U) and (I, N) arrays stay within ``_BLOCK_ELEMENTS``, which bounds
+the memory of large calls such as 200 x 200 retrieval.
 """
 
 from __future__ import annotations
@@ -332,8 +333,9 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     another (a batch without ``distinct`` counts each of its local rows as
     distinct), with an (N,) index of each word's row. A forward-only call
     merges rows with equal bytes across all text batches, numbered in order
-    of first use, and remaps the index onto them; only identical bits merge,
-    so every score is the unmerged one. A taped call does not merge: its
+    of first use, and remaps the index onto them; it reads each row's bytes
+    once and keeps only first uses. Only identical bits merge, so every
+    score is the unmerged one. A taped call does not merge: its
     adjoint returns each batch's word gradient to its own rows. The (U, D)
     rows are transposed once into a C-contiguous (D, U) array, and ``align``
     runs on the (B_i, R, D) regions, so all images need one region count R.
@@ -382,17 +384,17 @@ def pairwise_scores(image_feats, text_feats, config: LossConfig):
     img_l = tuple(f.local for f in images)
     regions = _rows(img_l).reshape(len(gi), -1, dim)
     lengths = np.array([n for f in texts for n in f.lengths])
-    txt_rows = _rows(txt_u)
     # a recorded op (as _emit decides) needs every image's state, so it runs
     # as one block, and each batch's own rows, to hand them their gradients
     taped = nm._active_tape() is not None and any(t.requires_grad for t in img_l + txt_u)
-    if not taped:
+    if taped:
+        txt_rows = _rows(txt_u)
+    else:
         # rows with equal bytes, across all text batches, merge into one
         # column numbered in order of first use: equal bits score equally
-        keys = list(map(np.ndarray.tobytes, txt_rows))
-        row_of = {key: row for row, key in enumerate(dict.fromkeys(keys))}
-        word_rows = np.fromiter(map(row_of.__getitem__, keys), dtype=np.intp,
-                                count=len(keys))[word_rows]
+        row_of = {}
+        word_rows = np.fromiter((row_of.setdefault(r.tobytes(), len(row_of)) for t in txt_u
+                                 for r in t.data), np.intp, count=sum(sizes))[word_rows]
         txt_rows = np.frombuffer(b"".join(row_of)).reshape(-1, dim)
     # the transposed words, zero-padded to a multiple of 8 columns: at such a
     # width OpenBLAS sums the similarity GEMM in one order whatever its thread

@@ -1,18 +1,26 @@
-"""The linear probe's fit with two logs per loss term: the oracle for
-`classify.fit_linear_probe`.
+"""The linear probe's fit with two logs per loss term, one epoch at a time:
+the oracle for `classify.fit_linear_probe`.
 
-The fit takes each masked loss term as log(where(y == 1, p, 1 - p) + eps).
-This module keeps the form it replaced, y log(p + eps) + (1 - y) log(1 - p + eps),
-with the same epochs, update order and metadata, so the weights, the bias and
-the loss history must equal it bit for bit.
+The fit takes each masked loss term as log(where(y == 1, p, 1 - p) + eps),
+sixteen epochs at a time, multiplies by a C-order copy of err.T, and divides
+once in its sigmoid. This module keeps the forms they replaced: y log(p + eps)
++ (1 - y) log(1 - p + eps) each epoch, err.T as the transposed view, and a
+sigmoid with one division per branch, with the same epochs, update order and
+metadata, so the weights, the bias and the loss history must equal it bit for
+bit.
 """
 
 import warnings
 
 import numpy as np
 
-from glre.classify import ProbeConfig, ProbeModel, _sigmoid
+from glre.classify import ProbeConfig, ProbeModel
 from glre.datapipe import PATHOLOGIES, labels_to_matrix
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def fit_linear_probe(features, labels, config: ProbeConfig | None = None) -> ProbeModel:
@@ -33,7 +41,7 @@ def fit_linear_probe(features, labels, config: ProbeConfig | None = None) -> Pro
     history = []
     eps = 1e-12
     for _ in range(config.epochs):
-        p = _sigmoid(x @ w.T + b)
+        p = sigmoid(x @ w.T + b)
         err = np.where(keep, p - y, 0.0)
         w -= step[:, None] * (err.T @ x)
         b -= step * err.sum(axis=0)

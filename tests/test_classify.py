@@ -177,29 +177,42 @@ def test_fused_probe_matches_per_pathology_loop(policy):
         assert len(skipped) >= 2 and np.abs(model.weights).max() > 0
 
 
-@pytest.mark.parametrize("n", [64, 500])
+@pytest.mark.parametrize("n", [2, 7, 64, 500, 3000])
 @pytest.mark.parametrize("policy", ["exclude", "pos", "neg"])
 def test_probe_fit_equals_the_two_log_fit_bit_for_bit(policy, n):
-    # 64 rows as in the pinned pipeline's probe, 500 as in the benchmark's; head 0 is
-    # single-class, head 1 all uncertain (fully masked under "exclude"), and the rest
-    # mix positives, negatives, blanks and uncertain labels
-    rng = np.random.default_rng(n)
-    x = rng.normal(size=(n, 16))
-    values = rng.choice(np.array([1, 0, -1, BLANK], dtype=object), size=(n, 5))
-    values[:, 0] = rng.choice(np.array([0, BLANK], dtype=object), size=n)
-    values[:, 1] = -1
-    labels = [LabelVector(tuple(row)) for row in values]
-    config = ProbeConfig(uncertain_policy=policy)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        model = fit_linear_probe(x, labels, config)
-        oracle = probe_oracle.fit_linear_probe(x, labels, config)
-    assert model.weights.tobytes() == oracle.weights.tobytes()
-    assert model.bias.tobytes() == oracle.bias.tobytes()
-    assert (np.array(model.metadata.pop("loss_history")).tobytes()
-            == np.array(oracle.metadata.pop("loss_history")).tobytes())
-    assert model.metadata == oracle.metadata and "atelectasis" in model.metadata["skipped"]
-    assert len(caught) == 2 * len(model.metadata["skipped"])
+    # 64 rows as in the pinned pipeline's probe, 500 as in the benchmark's, and the
+    # rest and two feature widths for other GEMM shapes; epochs around the fit's
+    # 16-epoch loss blocks, and the default 500. Head 0 is single-class, head 1 all
+    # uncertain (fully masked under "exclude"), and the rest mix positives,
+    # negatives, blanks and uncertain labels
+    for d in (16, 64):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, d))
+        values = rng.choice(np.array([1, 0, -1, BLANK], dtype=object), size=(n, 5))
+        values[:, 0] = rng.choice(np.array([0, BLANK], dtype=object), size=n)
+        values[:, 1] = -1
+        labels = [LabelVector(tuple(row)) for row in values]
+        for epochs in (0, 1, 15, 16, 17, 33, 500):
+            config = ProbeConfig(epochs=epochs, uncertain_policy=policy)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model = fit_linear_probe(x, labels, config)
+                oracle = probe_oracle.fit_linear_probe(x, labels, config)
+            assert model.weights.tobytes() == oracle.weights.tobytes()
+            assert model.bias.tobytes() == oracle.bias.tobytes()
+            history = model.metadata.pop("loss_history")
+            assert len(history) == epochs
+            assert (np.array(history).tobytes()
+                    == np.array(oracle.metadata.pop("loss_history")).tobytes())
+            assert (model.metadata == oracle.metadata
+                    and "atelectasis" in model.metadata["skipped"])
+            assert len(caught) == 2 * len(model.metadata["skipped"])
+
+
+def test_sigmoid_equals_the_two_division_form_bit_for_bit():
+    special = np.array([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan])
+    z = np.concatenate([special, np.random.default_rng(30).normal(scale=20, size=1000)])
+    assert _sigmoid(z).tobytes() == probe_oracle.sigmoid(z).tobytes()
 
 
 def test_probe_predict_matches_scalar_oracle():

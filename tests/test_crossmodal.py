@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,11 @@ from glre.crossmodal import (
     pairwise_scores,
     total_loss,
 )
+from glre.classify import image_features
+from glre.datapipe import SynthConfig, synth_paired_dataset
 from glre.encoders import EncoderParams, LocalGlobalFeatures, TokenSequence, encode_text_toy
 from glre.errors import ParameterError, ShapeError
+from glre.trainer import TrainConfig, encode_report, initial_checkpoint
 
 import reference_ops as ref
 from gradcheck import analytic_grads, max_rel_error
@@ -1098,3 +1102,25 @@ def test_rows_differing_in_one_bit_or_a_zero_sign_are_not_merged(monkeypatch):
     assert widths[1] == (5, 8)
     for a, b in zip(plain, taped):
         np.testing.assert_array_equal(a.numpy(), b.numpy())
+
+
+def test_forward_only_merge_holds_no_stacked_copy_of_the_rows():
+    # the 200 seed-7 held-out reports, each encoded on its own as retrieval does,
+    # five times over: 1,000 batches whose 14,660 rows (7.2 MiB) dwarf the block
+    # budget. Merging them from a stacked copy and a list of row keys peaked at
+    # 28.5 budgets beyond the two outputs; read row by row, the blocks' own
+    # arrays set the peak, at under 5
+    train, held = synth_paired_dataset(SynthConfig(n_heldout=200), seed=7)
+    ckpt = initial_checkpoint(train, TrainConfig())
+    imgs = image_features(held, ckpt)
+    txts = [encode_text_toy(encode_report(r.report_text, ckpt.vocab, ckpt.config), ckpt.params)
+            for r in held] * 5
+    budget = crossmodal._BLOCK_ELEMENTS * 8
+    assert sum(t.distinct.numpy().nbytes for t in txts) > 10 * budget
+    tracemalloc.start()
+    try:
+        g, l = pairwise_scores(imgs, txts, ckpt.config.loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= g.numpy().nbytes + l.numpy().nbytes + 6 * budget

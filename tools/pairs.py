@@ -11,7 +11,11 @@ metric of CHANGE's BENCHMARK.json, the median of each side, the parent's
 quartiles, the pairs the change wins, whether the change is worse than the
 parent's median by more than the metric's bound, and whether the parent's
 own spread (interquartile range over median) exceeds that bound, which
-leaves the comparison unresolved. Only the standard library is used.
+leaves the comparison unresolved unless every change run beats every parent
+run. It also says whether a claimed gain would be met: the change wins at
+least nine tenths of the pairs, ties counting for neither, and its median
+is better than the parent's by more than the parent's interquartile range.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -54,13 +58,19 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[dict]:
             pairs = side["parent"].keys() & side["change"].keys()
             wins = sum((side["change"][p] > side["parent"][p]) == higher
                        and side["change"][p] != side["parent"][p] for p in pairs)
-            # the change's median relative to the parent's, signed so that > 0 is worse
-            worse = (parent - change if higher else change - parent) / abs(parent) if parent else 0.0
+            # the change's median less the parent's, signed so that > 0 is better
+            gain = change - parent if higher else parent - change
+            worse = -gain / abs(parent) if parent else 0.0
+            ours, theirs = side["change"].values(), side["parent"].values()
+            beats_all = min(ours) > max(theirs) if higher else max(ours) < min(theirs)
             rows.append({"workload": workload, "metric": name, "missing": False,
                          "parent": parent, "change": change, "q1": q1, "q3": q3,
                          "wins": wins, "pairs": len(pairs), "worse_by": worse,
                          "worse": worse > bound,
-                         "unresolved": parent != 0 and (q3 - q1) / abs(parent) > bound})
+                         "unresolved": (parent != 0 and (q3 - q1) / abs(parent) > bound
+                                        and not beats_all),
+                         "claim_met": bool(pairs) and 10 * wins >= 9 * len(pairs)
+                                      and gain > q3 - q1})
     return rows
 
 
@@ -101,7 +111,7 @@ def main(argv=None) -> int:
                                for n in names), flush=True)
     rows = summarize(runs, end_to_end)
     print("workload metric parent_median change_median parent_q1 parent_q3 wins "
-          "worse_by worse unresolved")
+          "worse_by worse unresolved claim")
     for row in rows:
         if row["missing"]:
             print(row["workload"], row["metric"], "missing")
@@ -110,7 +120,8 @@ def main(argv=None) -> int:
               *(f"{row[k]:.6g}" for k in ("parent", "change", "q1", "q3")),
               f"{row['wins']}/{row['pairs']}", f"{100 * row['worse_by']:+.1f}%",
               "WORSE" if row["worse"] else "ok",
-              "UNRESOLVED" if row["unresolved"] else "resolved")
+              "UNRESOLVED" if row["unresolved"] else "resolved",
+              "claim_met" if row["claim_met"] else "claim_not_met")
     return 1 if any(row["missing"] or row["worse"] for row in rows) else 0
 
 
